@@ -28,7 +28,7 @@ pub mod slicer;
 
 pub use alias::AliasOracle;
 pub use escape::EscapeInfo;
-pub use pointsto::{AbsLoc, PointsTo, PointsToMode};
+pub use pointsto::{AbsLoc, PointsTo};
 pub use slicer::Slicer;
 
 /// Bundles the analysis results the fence pipeline needs for one module.

@@ -45,24 +45,12 @@
 //!    `pts(L) → dst` (load) / `src → pts(L)` (store) edges on the fly;
 //!    deltas live in one flat word matrix, wired edges in sparse
 //!    overflow lists;
-//! 3. the initial pass applies every instruction once in program order.
-//!    Its schedule is selected by [`PointsToMode`]:
-//!    - **`Pinned`** (the default): a single **sequential** pass that
-//!      replicates the old solver's first round bit-for-bit, including
-//!      the conservative `locs(p) = ∅ ⇒ {Unknown}` resolution against
-//!      in-round intermediate states — the one order-sensitive rule,
-//!      which is why this pass cannot shard without changing answers;
-//!    - **`Relaxed`**: the pass shards per function like the worklist
-//!      rounds. Each shard replays its own function against its *local*
-//!      view only (own argument/local/value nodes; globals as fixed
-//!      singletons), buffering every cross-shard effect — constraint
-//!      wiring, global-singleton contributions into callee arguments —
-//!      for a deterministic in-function-order merge. The local view can
-//!      only be *emptier* than the pinned in-round view, so Relaxed may
-//!      make strictly more `∅ ⇒ {Unknown}` wirings: its fixpoint is a
-//!      sound, schedule-independent **superset** of Pinned's (equal
-//!      whenever every address operand resolves function-locally —
-//!      globals and same-function allocs);
+//! 3. the initial pass applies every instruction once in program order:
+//!    a single **sequential** pass that replicates the old solver's first
+//!    round bit-for-bit, including the conservative `locs(p) = ∅ ⇒
+//!    {Unknown}` resolution against in-round intermediate states — the
+//!    one order-sensitive rule, which is why this pass cannot shard
+//!    without changing answers;
 //! 4. the remaining fixpoint rounds drain **per-function worklists**.
 //!    Each shard propagates deltas entirely within its own node group;
 //!    effects that cross the shard boundary — copies into the shared
@@ -91,8 +79,9 @@
 //! last empty-address round would have cut it off. In that corner the
 //! result is a strict (still sound, more conservative) superset. No
 //! corpus program hits it: `tests/golden_pipeline.rs` pins every
-//! pipeline output, and the `matches_naive_fixpoint_reference` oracle
-//! test below diffs every set against the old algorithm verbatim.
+//! pipeline output, and both the `matches_naive_fixpoint_reference`
+//! unit test below and `tests/pointsto_sharded.rs` diff every set
+//! against the preserved seed solver (`fence_bench::naive`).
 //!
 //! ## Borrowed query API
 //!
@@ -103,22 +92,6 @@
 
 use fence_ir::util::BitSet;
 use fence_ir::{FuncId, GlobalId, InstId, InstKind, LocalId, Module, Value};
-
-/// Schedule of the solver's initial constraint-replay pass (the only
-/// phase where the non-monotone `∅ ⇒ {Unknown}` rule makes order
-/// matter; the fixpoint rounds that follow are monotone and
-/// schedule-independent in every mode).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum PointsToMode {
-    /// Sequential program-order replay, pinning the legacy solver's
-    /// `∅ ⇒ {Unknown}` decisions bit-for-bit (the default).
-    #[default]
-    Pinned,
-    /// Function-sharded replay against each function's local view.
-    /// Deterministic (identical sequential and pooled) and a sound
-    /// superset of `Pinned` — see the module docs.
-    Relaxed,
-}
 
 /// An abstract memory location.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -335,17 +308,7 @@ impl PointsTo {
     /// the persistent [`fence_ir::pool`] thread pool. Bit-identical to
     /// [`PointsTo::analyze`] (see the module docs).
     pub fn analyze_on(module: &Module, parallel: bool) -> Self {
-        Self::analyze_with(module, parallel, PointsToMode::Pinned)
-    }
-
-    /// Runs the analysis with an explicit initial-pass schedule. With
-    /// [`PointsToMode::Pinned`] this is exactly [`PointsTo::analyze_on`];
-    /// with [`PointsToMode::Relaxed`] the initial replay also shards per
-    /// function (and runs on the pool when `parallel`), trading the
-    /// legacy replay order for a sound, deterministic superset — see the
-    /// module docs for the contract.
-    pub fn analyze_with(module: &Module, parallel: bool, mode: PointsToMode) -> Self {
-        Solver::build(module).solve(parallel, mode)
+        Solver::build(module).solve(parallel)
     }
 
     #[inline]
@@ -427,11 +390,6 @@ enum Out {
     Copy { src: u32, dst: u32 },
     /// Wire memory constraint `con` against location `loc`.
     Wire { con: u32, loc: u32 },
-    /// Insert one location `bit` into `pts(dst)` across a shard boundary
-    /// (a constant-global contribution into another function's argument
-    /// node, buffered by the relaxed initial replay — such contributions
-    /// are not CSR edges, so the merge must apply them explicitly).
-    Bit { dst: u32, bit: u32 },
 }
 
 /// Worklist control of one shard (the shared location frontier, or one
@@ -456,49 +414,6 @@ struct ShardJob<'a> {
     pts: &'a mut [BitSet],
     delta: &'a mut [u64],
     ctl: &'a mut ShardCtl,
-}
-
-impl ShardJob<'_> {
-    /// `true` if `node` belongs to this shard's contiguous range.
-    #[inline]
-    fn contains_node(&self, node: u32) -> bool {
-        node.wrapping_sub(self.base) < self.len
-    }
-
-    #[inline]
-    fn enqueue_local(&mut self, li: usize) {
-        if self.ctl.on_list.insert(li) {
-            self.ctl.wl.push(self.base + li as u32);
-        }
-    }
-
-    /// Delta-tracked `pts(node) ∪= {bit}` for a shard-local node.
-    fn insert_bit(&mut self, node: u32, bit: usize, w: usize) {
-        let li = (node - self.base) as usize;
-        if self.pts[li].insert(bit) {
-            self.delta[li * w + bit / 64] |= 1u64 << (bit % 64);
-            self.enqueue_local(li);
-        }
-    }
-
-    /// Delta-tracked `pts(dst) ∪= pts(src)` for two shard-local nodes.
-    fn copy_full(&mut self, src: u32, dst: u32, w: usize) {
-        if src == dst {
-            return;
-        }
-        let (s, d) = ((src - self.base) as usize, (dst - self.base) as usize);
-        let drow = &mut self.delta[d * w..(d + 1) * w];
-        let (a, b) = if s < d {
-            let (lo, hi) = self.pts.split_at_mut(d);
-            (&lo[s], &mut hi[0])
-        } else {
-            let (lo, hi) = self.pts.split_at_mut(s);
-            (&hi[0], &mut lo[d])
-        };
-        if b.union_words(a.words(), drow) {
-            self.enqueue_local(d);
-        }
-    }
 }
 
 /// Constraint-graph solver state, sharded by function.
@@ -943,115 +858,6 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// The [`PointsToMode::Relaxed`] initial replay: every function
-    /// shard replays its own instructions once, in program order,
-    /// against its **local view only** — its own argument/local/value
-    /// slices plus fixed global singletons. Cross-shard effects are
-    /// buffered: address resolutions become [`Out::Wire`] records
-    /// (including the `∅ ⇒ {Unknown}` fallback, taken whenever the
-    /// *local* set is empty) and constant-global contributions into
-    /// other functions' argument nodes become [`Out::Bit`] records.
-    /// Node-valued cross-shard copies (call arguments, reading a
-    /// callee's return node) need no buffering at all: each has a static
-    /// CSR edge, and [`Solver::seed`] re-enqueues every nonempty node
-    /// with its full set, so the fixpoint rounds deliver them anyway.
-    ///
-    /// Shards never read shared or foreign state and the merge applies
-    /// outboxes in fixed function order, so the pooled replay is
-    /// bit-identical to the sequential one by construction (the
-    /// sequential path runs the *same* buffered replay per shard).
-    fn initial_pass_relaxed(&mut self, parallel: bool) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let nf = self.module.funcs.len();
-        if nf == 0 {
-            return;
-        }
-        let w = self.words;
-        {
-            let n_locs = self.group_base.first().copied().unwrap_or(0) as usize;
-            let module = self.module;
-            let Solver {
-                ref mut result,
-                ref mut delta,
-                ref mut shards,
-                ref con_of,
-                ref alloc_idx,
-                ref group_base,
-                ..
-            } = *self;
-            let num_nodes = result.pts.len();
-            let PointsTo {
-                ref mut pts,
-                ref arg_base,
-                ref local_base,
-                ref val_base,
-                ref ret_node,
-                unknown,
-                ..
-            } = *result;
-            let meta = RelaxedMeta {
-                module,
-                arg_base,
-                local_base,
-                val_base,
-                ret_node,
-                con_of,
-                alloc_idx,
-                unknown,
-                words: w,
-            };
-            let (_, mut rest_pts) = pts.split_at_mut(n_locs);
-            let (_, mut rest_delta) = delta.split_at_mut(n_locs * w);
-            let (_, func_ctls) = shards.split_at_mut(1);
-            let mut jobs: Vec<Mutex<ShardJob<'_>>> = Vec::with_capacity(nf);
-            for (f, ctl) in func_ctls.iter_mut().enumerate() {
-                let end = if f + 1 < nf {
-                    group_base[f + 1] as usize
-                } else {
-                    num_nodes
-                };
-                let len = end - ctl.base as usize;
-                let (p, rp) = rest_pts.split_at_mut(len);
-                rest_pts = rp;
-                let (d, rd) = rest_delta.split_at_mut(len * w);
-                rest_delta = rd;
-                jobs.push(Mutex::new(ShardJob {
-                    base: ctl.base,
-                    len: len as u32,
-                    pts: p,
-                    delta: d,
-                    ctl,
-                }));
-            }
-            if parallel && nf > 1 {
-                let next = AtomicUsize::new(0);
-                fence_ir::pool::ThreadPool::global().run_scoped(nf, &|| loop {
-                    let f = next.fetch_add(1, Ordering::Relaxed);
-                    if f >= nf {
-                        break;
-                    }
-                    replay_shard_relaxed(&meta, f, &mut jobs[f].lock().unwrap());
-                });
-            } else {
-                for (f, job) in jobs.iter().enumerate() {
-                    replay_shard_relaxed(&meta, f, &mut job.lock().unwrap());
-                }
-            }
-        }
-        // Deterministic merge: buffered effects apply in function order.
-        for s in 1..=nf {
-            let outbox = std::mem::take(&mut self.shards[s].outbox);
-            for out in outbox {
-                match out {
-                    Out::Copy { src, dst } => self.propagate_full(src, dst),
-                    Out::Wire { con, loc } => self.wire(con, loc as usize),
-                    Out::Bit { dst, bit } => self.insert_bit(dst, bit as usize),
-                }
-            }
-        }
-    }
-
     /// Seeds the worklists with every nonempty node's full set so every
     /// static edge sees its source's initial contents at least once;
     /// from then on only deltas travel.
@@ -1234,7 +1040,6 @@ impl<'m> Solver<'m> {
                     match out {
                         Out::Copy { src, dst } => self.propagate_full(src, dst),
                         Out::Wire { con, loc } => self.wire(con, loc as usize),
-                        Out::Bit { dst, bit } => self.insert_bit(dst, bit as usize),
                     }
                 }
             }
@@ -1242,11 +1047,8 @@ impl<'m> Solver<'m> {
     }
 
     /// Runs initial pass + fixpoint rounds and returns the result.
-    fn solve(mut self, parallel: bool, mode: PointsToMode) -> PointsTo {
-        match mode {
-            PointsToMode::Pinned => self.initial_pass(),
-            PointsToMode::Relaxed => self.initial_pass_relaxed(parallel),
-        }
+    fn solve(mut self, parallel: bool) -> PointsTo {
+        self.initial_pass();
         self.seed();
         if parallel && self.module.funcs.len() > 1 {
             self.drain_sharded();
@@ -1254,149 +1056,6 @@ impl<'m> Solver<'m> {
             self.drain_sequential();
         }
         self.result
-    }
-}
-
-/// Read-only solver layout handed to every relaxed-replay shard (the
-/// mutable state — points-to rows, deltas, worklists — travels in the
-/// shard's own [`ShardJob`]).
-struct RelaxedMeta<'a> {
-    module: &'a Module,
-    arg_base: &'a [u32],
-    local_base: &'a [u32],
-    val_base: &'a [u32],
-    ret_node: &'a [u32],
-    con_of: &'a [u32],
-    alloc_idx: &'a fence_ir::util::FastMap<(u32, u32), usize>,
-    unknown: usize,
-    words: usize,
-}
-
-/// Replays function `fi`'s instructions once, in program order, against
-/// the shard's local view only (see [`Solver::initial_pass_relaxed`]).
-fn replay_shard_relaxed(meta: &RelaxedMeta<'_>, fi: usize, job: &mut ShardJob<'_>) {
-    let w = meta.words;
-    let func = &meta.module.funcs[fi];
-    let node_of = |v: Value| -> Option<u32> {
-        match v {
-            Value::Const(_) | Value::Global(_) => None,
-            Value::Arg(a) => Some(meta.arg_base[fi] + a as u32),
-            Value::Inst(i) => Some(meta.val_base[fi] + i.index() as u32),
-        }
-    };
-    // Local-view `pts(dst) ∪= pts(src)`. Global sources that cross the
-    // shard boundary (callee argument nodes) are buffered as `Out::Bit`;
-    // node sources that cross it are *skipped* — each such copy has a
-    // static CSR edge and `seed()` replays full sets, so the fixpoint
-    // rounds subsume it.
-    fn union_value(
-        meta: &RelaxedMeta<'_>,
-        job: &mut ShardJob<'_>,
-        fi: usize,
-        src: Value,
-        dst: u32,
-    ) {
-        match src {
-            Value::Const(_) => {}
-            Value::Global(g) => {
-                if job.contains_node(dst) {
-                    job.insert_bit(dst, g.index(), meta.words);
-                } else {
-                    job.ctl.outbox.push(Out::Bit {
-                        dst,
-                        bit: g.index() as u32,
-                    });
-                }
-            }
-            Value::Arg(a) => {
-                let s = meta.arg_base[fi] + a as u32;
-                if job.contains_node(dst) {
-                    job.copy_full(s, dst, meta.words);
-                }
-            }
-            Value::Inst(i) => {
-                let s = meta.val_base[fi] + i.index() as u32;
-                if job.contains_node(dst) {
-                    job.copy_full(s, dst, meta.words);
-                }
-            }
-        }
-    }
-    let mut locs_scratch: Vec<u32> = Vec::new();
-    for (iid, inst) in func.iter_insts() {
-        let dst = meta.val_base[fi] + iid.index() as u32;
-        match &inst.kind {
-            InstKind::Alloc { .. } => {
-                let li = meta.alloc_idx[&(fi as u32, iid.index() as u32)];
-                job.insert_bit(dst, li, w);
-            }
-            InstKind::Gep { base, .. } => union_value(meta, job, fi, *base, dst),
-            InstKind::Bin { lhs, rhs, .. } => {
-                union_value(meta, job, fi, *lhs, dst);
-                union_value(meta, job, fi, *rhs, dst);
-            }
-            InstKind::Select {
-                then_val, else_val, ..
-            } => {
-                union_value(meta, job, fi, *then_val, dst);
-                union_value(meta, job, fi, *else_val, dst);
-            }
-            InstKind::Load { addr }
-            | InstKind::Store { addr, .. }
-            | InstKind::AtomicRmw { addr, .. }
-            | InstKind::AtomicCas { addr, .. } => {
-                let con = meta.con_of[dst as usize];
-                if con == u32::MAX {
-                    continue; // store of a constant: moves no pointers
-                }
-                // Resolve the address against the local view; all wiring
-                // touches shared solver state, so it is always buffered.
-                locs_scratch.clear();
-                match *addr {
-                    Value::Const(_) => locs_scratch.push(meta.unknown as u32),
-                    Value::Global(g) => locs_scratch.push(g.index() as u32),
-                    v => {
-                        let s = node_of(v).expect("arg/inst node");
-                        let set = &job.pts[(s - job.base) as usize];
-                        if set.is_empty() {
-                            locs_scratch.push(meta.unknown as u32);
-                        } else {
-                            locs_scratch.extend(set.iter().map(|l| l as u32));
-                        }
-                    }
-                }
-                for &l in &locs_scratch {
-                    job.ctl.outbox.push(Out::Wire { con, loc: l });
-                }
-            }
-            InstKind::ReadLocal { local } => {
-                let l = meta.local_base[fi] + local.index() as u32;
-                job.copy_full(l, dst, w);
-            }
-            InstKind::WriteLocal { local, val } => {
-                let l = meta.local_base[fi] + local.index() as u32;
-                union_value(meta, job, fi, *val, l);
-            }
-            InstKind::Call { callee, args } => {
-                let cf = callee.index();
-                let nparams = meta.module.funcs[cf].num_params as usize;
-                for (k, a) in args.iter().enumerate() {
-                    if k < nparams {
-                        union_value(meta, job, fi, *a, meta.arg_base[cf] + k as u32);
-                    }
-                }
-                let r = meta.ret_node[cf];
-                if job.contains_node(r) {
-                    // Self-call: the return set is locally visible.
-                    job.copy_full(r, dst, w);
-                }
-                // Cross-shard returns ride the static CSR edge.
-            }
-            InstKind::Ret { val: Some(v) } => {
-                union_value(meta, job, fi, *v, meta.ret_node[fi]);
-            }
-            _ => {}
-        }
     }
 }
 
@@ -1733,7 +1392,7 @@ mod tests {
     /// on a module exercising every constraint kind.
     #[test]
     fn parallel_matches_sequential_exactly() {
-        let (m, _, _) = reference_module();
+        let (m, _) = reference_module();
         let seq = PointsTo::analyze(&m);
         let par = PointsTo::analyze_on(&m, true);
         for (fid, func) in m.iter_funcs() {
@@ -1759,15 +1418,16 @@ mod tests {
         }
     }
 
-    /// The worklist solver and a naive re-execution fixpoint must agree.
-    /// This re-implements the legacy algorithm inline and diffs every
-    /// queryable set on a module exercising loads/stores through memory,
-    /// locals, calls, selects, RMW and unknown addresses.
+    /// The worklist solver and the legacy fixpoint-by-re-execution solver
+    /// (`fence_bench::naive::seed_points_to`, the preserved seed
+    /// algorithm) must agree on every queryable set of a module
+    /// exercising loads/stores through memory, locals, calls, selects,
+    /// RMW and unknown addresses.
     #[test]
     fn matches_naive_fixpoint_reference() {
-        let (m, _, driver) = reference_module();
+        let (m, driver) = reference_module();
         let pt = PointsTo::analyze(&m);
-        let reference = naive_reference(&m);
+        let reference = fence_bench::naive::seed_points_to(&m);
         for (fid, func) in m.iter_funcs() {
             for (iid, _) in func.iter_insts() {
                 let got: Vec<usize> = pt.value_set(fid, Value::Inst(iid)).iter().collect();
@@ -1780,6 +1440,7 @@ mod tests {
                 assert_eq!(got, want, "{}/arg{a} set", func.name);
             }
         }
+        assert_eq!(pt.num_locs(), reference.loc.len(), "location count");
         for l in 0..pt.num_locs() {
             let got: Vec<usize> = pt.loc_pts(l).iter().collect();
             let want: Vec<usize> = reference.loc[l].iter().collect();
@@ -1792,8 +1453,10 @@ mod tests {
     }
 
     /// A module exercising loads/stores through memory, locals, calls,
-    /// selects, RMW and unknown addresses — the oracle workload.
-    fn reference_module() -> (Module, FuncId, FuncId) {
+    /// selects, RMW and unknown addresses — the oracle workload. Returns
+    /// it with its `driver` function, whose through-argument load has an
+    /// unknown address.
+    fn reference_module() -> (Module, FuncId) {
         let mut mb = ModuleBuilder::new("m");
         let head = mb.global("head", 1);
         let swap = mb.global("swap", 1);
@@ -1818,160 +1481,6 @@ mod tests {
         fb2.store(Value::Arg(0), through_arg);
         fb2.ret(None);
         let driver = mb.add_func(fb2.build());
-        (mb.finish(), callee, driver)
-    }
-
-    /// The legacy solver, verbatim (apply-until-no-change), kept as the
-    /// test oracle for the worklist implementation.
-    struct NaiveRef {
-        val: Vec<Vec<fence_ir::util::BitSet>>,
-        arg: Vec<Vec<fence_ir::util::BitSet>>,
-        loc: Vec<fence_ir::util::BitSet>,
-    }
-
-    fn naive_reference(module: &fence_ir::Module) -> NaiveRef {
-        use fence_ir::util::BitSet;
-        let mut locs: Vec<AbsLoc> = module
-            .iter_globals()
-            .map(|(g, _)| AbsLoc::Global(g))
-            .collect();
-        for (fid, func) in module.iter_funcs() {
-            for (iid, inst) in func.iter_insts() {
-                if matches!(inst.kind, InstKind::Alloc { .. }) {
-                    locs.push(AbsLoc::Alloc(fid, iid));
-                }
-            }
-        }
-        let unknown = locs.len();
-        locs.push(AbsLoc::Unknown);
-        let n = locs.len();
-        let alloc_of = |f: FuncId, i: InstId| {
-            locs.iter()
-                .position(|l| matches!(l, AbsLoc::Alloc(af, ai) if *af == f && *ai == i))
-                .unwrap()
-        };
-
-        let mut val: Vec<Vec<BitSet>> = module
-            .funcs
-            .iter()
-            .map(|f| vec![BitSet::new(n); f.num_insts()])
-            .collect();
-        let mut arg: Vec<Vec<BitSet>> = module
-            .funcs
-            .iter()
-            .map(|f| vec![BitSet::new(n); f.num_params as usize])
-            .collect();
-        let mut local: Vec<Vec<BitSet>> = module
-            .funcs
-            .iter()
-            .map(|f| vec![BitSet::new(n); f.locals.len()])
-            .collect();
-        let mut loc = vec![BitSet::new(n); n];
-        let mut ret = vec![BitSet::new(n); module.funcs.len()];
-        loc[unknown].insert(unknown);
-
-        let value_set = |val: &[Vec<BitSet>], arg: &[Vec<BitSet>], f: FuncId, v: Value| match v {
-            Value::Const(_) => BitSet::new(n),
-            Value::Global(g) => {
-                let mut s = BitSet::new(n);
-                s.insert(g.index());
-                s
-            }
-            Value::Arg(a) => arg[f.index()][a as usize].clone(),
-            Value::Inst(i) => val[f.index()][i.index()].clone(),
-        };
-        let addr_locs = |val: &[Vec<BitSet>], arg: &[Vec<BitSet>], f: FuncId, a: Value| {
-            let mut s = value_set(val, arg, f, a);
-            if s.is_empty() {
-                s.insert(unknown);
-            }
-            s
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (fid, func) in module.iter_funcs() {
-                let fi = fid.index();
-                for (iid, inst) in func.iter_insts() {
-                    match &inst.kind {
-                        InstKind::Alloc { .. } => {
-                            changed |= val[fi][iid.index()].insert(alloc_of(fid, iid));
-                        }
-                        InstKind::Gep { base, .. } => {
-                            let s = value_set(&val, &arg, fid, *base);
-                            changed |= val[fi][iid.index()].union_with(&s);
-                        }
-                        InstKind::Bin { lhs, rhs, .. } => {
-                            for v in [*lhs, *rhs] {
-                                let s = value_set(&val, &arg, fid, v);
-                                changed |= val[fi][iid.index()].union_with(&s);
-                            }
-                        }
-                        InstKind::Select {
-                            then_val, else_val, ..
-                        } => {
-                            for v in [*then_val, *else_val] {
-                                let s = value_set(&val, &arg, fid, v);
-                                changed |= val[fi][iid.index()].union_with(&s);
-                            }
-                        }
-                        InstKind::Load { addr } => {
-                            let als = addr_locs(&val, &arg, fid, *addr);
-                            let mut acc = BitSet::new(n);
-                            for l in als.iter() {
-                                acc.union_with(&loc[l]);
-                            }
-                            changed |= val[fi][iid.index()].union_with(&acc);
-                        }
-                        InstKind::Store { addr, val: v } => {
-                            let s = value_set(&val, &arg, fid, *v);
-                            let als = addr_locs(&val, &arg, fid, *addr);
-                            for l in als.iter() {
-                                changed |= loc[l].union_with(&s);
-                            }
-                        }
-                        InstKind::AtomicRmw { addr, val: v, .. }
-                        | InstKind::AtomicCas { addr, new: v, .. } => {
-                            let als = addr_locs(&val, &arg, fid, *addr);
-                            let mut acc = BitSet::new(n);
-                            for l in als.iter() {
-                                acc.union_with(&loc[l]);
-                            }
-                            changed |= val[fi][iid.index()].union_with(&acc);
-                            let s = value_set(&val, &arg, fid, *v);
-                            for l in als.iter() {
-                                changed |= loc[l].union_with(&s);
-                            }
-                        }
-                        InstKind::ReadLocal { local: lo } => {
-                            let s = local[fi][lo.index()].clone();
-                            changed |= val[fi][iid.index()].union_with(&s);
-                        }
-                        InstKind::WriteLocal { local: lo, val: v } => {
-                            let s = value_set(&val, &arg, fid, *v);
-                            changed |= local[fi][lo.index()].union_with(&s);
-                        }
-                        InstKind::Call { callee, args } => {
-                            let cf = callee.index();
-                            for (k, a) in args.iter().enumerate() {
-                                if k < module.funcs[cf].num_params as usize {
-                                    let s = value_set(&val, &arg, fid, *a);
-                                    changed |= arg[cf][k].union_with(&s);
-                                }
-                            }
-                            let r = ret[cf].clone();
-                            changed |= val[fi][iid.index()].union_with(&r);
-                        }
-                        InstKind::Ret { val: Some(v) } => {
-                            let s = value_set(&val, &arg, fid, *v);
-                            changed |= ret[fi].union_with(&s);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        NaiveRef { val, arg, loc }
+        (mb.finish(), driver)
     }
 }

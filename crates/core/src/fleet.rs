@@ -1,17 +1,18 @@
-//! The multi-module fleet driver: batch fence placement over many
-//! modules with cross-module pool reuse and per-module fault isolation.
+//! The fleet executor: fence placement over many modules with
+//! cross-module pool reuse and per-module fault isolation — and the one
+//! place the stage sequence is implemented.
 //!
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) amortizes the
-//! analysis stack across the configs of **one** module, but a corpus
-//! sweep (the CLI's batch workload, the figure harnesses, CI gates) runs
-//! many modules — and driving the batch entry point in a loop re-enters
-//! the persistent [`crate::pool::ThreadPool`] once per module with a
-//! stage barrier at every module boundary, leaving cores idle whenever a
-//! small module can't fill them.
+//! Every driver is a thin caller of this executor:
+//! [`run_pipeline_batch`](crate::run_pipeline_batch) is a fleet of one
+//! (no validation gate, panics propagate), the windowed stream runs one
+//! single-module fleet per admitted module, and the analysis service
+//! ([`crate::service`]) hands the executor a *seed* — the state its cache
+//! already holds — so only the missing units run. Fleet ≡ batch ≡
+//! service therefore holds by construction.
 //!
-//! [`run_fleet`] instead schedules **per-(module, function) work units
-//! from every module at once**. Each pipeline stage becomes one flat
-//! cross-module unit list executed in a single pool pass:
+//! [`run_fleet`] schedules **per-(module, function) work units from every
+//! module at once**. Each pipeline stage becomes one flat cross-module
+//! unit list executed in a single pool pass:
 //!
 //! 1. *validate* — the pre-analysis IR gate
 //!    ([`fence_ir::verify_module_checked`]): malformed modules are
@@ -23,9 +24,7 @@
 //!    per function of any module, built through one fleet-wide
 //!    [`RowInterner`] so identical reachability rows across repeated
 //!    corpus kernels are stored once. A substrate depends only on the
-//!    IR, never on points-to, so the old analysis-then-cfg barrier was
-//!    a false dependency edge — CFG builds now overlap the points-to
-//!    solves;
+//!    IR, never on points-to, so CFG builds overlap the points-to solves;
 //! 3. *contexts* — one [`FuncContext`] (alias oracle + escape set +
 //!    orderings) per function of any module; the first stage with a
 //!    true dependency edge on both the analysis and the substrate;
@@ -42,17 +41,16 @@
 //! while one worker finishes the last function of module A, others are
 //! already deep into module Q.
 //! Every unit keys its result by index, so arrival order cannot affect
-//! any output and fleet results are **bit-identical** to running
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) per module —
-//! sequential or parallel (pinned by `tests/fleet.rs`).
+//! any output: sequential and parallel runs are **bit-identical**
+//! (pinned by `tests/fleet.rs`).
 //!
 //! # Failure isolation
 //!
 //! A 1000-module sweep must not die because module 713 trips an
 //! assertion. Under [`FleetOptions::isolate`] (the default) every work
 //! unit runs under a per-unit `catch_unwind`
-//! ([`ThreadPool::run_units`](crate::pool::ThreadPool::run_units)), and a
-//! failing module is **quarantined**, never fatal:
+//! ([`ThreadPool::run_units`]), and a failing module is
+//! **quarantined**, never fatal:
 //!
 //! * the first failing unit (in deterministic unit-index order) decides
 //!   the module's [`ModuleOutcome`] — [`ModuleOutcome::InvalidIr`] from
@@ -72,11 +70,14 @@
 //! charges a static instruction-count step cost (never wall-clock) at
 //! its boundary, so a runaway module is demoted to
 //! [`ModuleOutcome::DeadlineExceeded`] at the exact same point whether
-//! the fleet runs sequentially or on the pool.
+//! the fleet runs sequentially or on the pool. One function,
+//! `charge_plan`, computes every charge from the module and its configs
+//! alone; a seeded run and the service's warm-hit dry run pay the same
+//! plan as a cold run.
 //!
-//! With `isolate: false` the legacy behavior is preserved: a panicking
-//! unit unwinds through the fleet to the caller, exactly like
-//! [`run_pipeline_batch`](crate::run_pipeline_batch).
+//! With `isolate: false` a panicking unit unwinds through the fleet to
+//! the caller, which is how
+//! [`run_pipeline_batch`](crate::run_pipeline_batch) behaves.
 //!
 //! The `faultinject` cargo feature (module `faultinject`) arms
 //! deterministic failures at any (module, stage) point to exercise all
@@ -88,13 +89,14 @@ use crate::faultinject;
 use crate::insert::insert_fences;
 use crate::minimize::FencePoint;
 use crate::pipeline::{
-    finish_function, manual_result, map_indexed, map_indexed_caught, FuncContext, PipelineConfig,
-    PipelineResult, Variant,
+    finish_function, manual_report, FuncContext, PipelineConfig, PipelineResult, Variant,
 };
+use crate::pool::ThreadPool;
 use crate::report::{FleetStage, FuncReport, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{FuncSubstrate, RowInterner};
 use fence_ir::{FuncId, Function, Module};
+use std::sync::{Arc, Mutex};
 
 /// Cap on verifier diagnostics retained per quarantined module — a
 /// deliberately mutilated module can produce one error per instruction,
@@ -104,7 +106,7 @@ pub const MAX_IR_DIAGNOSTICS: usize = 8;
 
 /// One unit of fleet work: a module plus the pipeline configs to run it
 /// under. The fleet shares one analysis stack across all of a job's
-/// configs, exactly like [`run_pipeline_batch`](crate::run_pipeline_batch).
+/// configs.
 pub struct FleetJob<'m> {
     /// Display name used in reports and roll-ups.
     pub name: String,
@@ -267,87 +269,230 @@ fn fold_stats(acc: &mut FleetStats, s: &FleetStats) {
     acc.certify_unsound += s.certify_unsound;
 }
 
-/// Deterministic step cost of one function for one stage pass. Shared
-/// with the service layer, whose warm-cache budget simulation must
-/// charge the exact amounts the fleet would.
-pub(crate) fn func_step_cost(f: &Function) -> u64 {
+/// Deterministic step cost of one function for one stage pass.
+fn func_step_cost(f: &Function) -> u64 {
     (f.num_insts() as u64).max(1)
 }
 
 /// Deterministic step cost of one module-level stage pass.
-pub(crate) fn module_step_cost(m: &Module) -> u64 {
+fn module_step_cost(m: &Module) -> u64 {
     m.funcs.iter().map(func_step_cost).sum::<u64>().max(1)
 }
 
+/// Every stage-boundary charge of running `configs` over `module`, in
+/// boundary order: the module cost at Validate (when validating),
+/// Analysis, Substrates and Contexts; the summed per-function costs once
+/// per distinct automatic variant (Acquires) and once per automatic
+/// config (Tails); the module cost once per config (Certify, when
+/// certifying). Charges depend on the request alone, never on which
+/// units run, so a seeded run and a warm dry run pay exactly what a cold
+/// run pays.
+fn charge_plan(
+    module: &Module,
+    configs: &[PipelineConfig],
+    opts: &FleetOptions,
+) -> Vec<(FleetStage, u64)> {
+    let module_cost = module_step_cost(module);
+    let func_sum: u64 = module.funcs.iter().map(func_step_cost).sum();
+    let mut variants = [false; 4];
+    let mut tails = 0u64;
+    for c in configs.iter().filter(|c| c.variant != Variant::Manual) {
+        variants[c.variant.idx()] = true;
+        tails += 1;
+    }
+    let variants = variants.iter().filter(|&&v| v).count() as u64;
+
+    let mut plan = Vec::new();
+    if opts.validate && !configs.is_empty() {
+        plan.push((FleetStage::Validate, module_cost));
+    }
+    if tails > 0 {
+        plan.push((FleetStage::Analysis, module_cost));
+        plan.push((FleetStage::Substrates, module_cost));
+        plan.push((FleetStage::Contexts, module_cost));
+        if func_sum > 0 {
+            plan.push((FleetStage::Acquires, variants * func_sum));
+            plan.push((FleetStage::Tails, tails * func_sum));
+        }
+    }
+    if opts.certify.is_some() && !configs.is_empty() {
+        plan.push((FleetStage::Certify, configs.len() as u64 * module_cost));
+    }
+    plan
+}
+
+/// Per-module quarantine state and deterministic step spend. Written
+/// only between stages (from unit results, in unit-index order), never
+/// concurrently.
+struct Ledger<'n> {
+    /// Per module: its name (the fault-injection key) and charge plan.
+    plans: Vec<(&'n str, Vec<(FleetStage, u64)>)>,
+    budget: Option<u64>,
+    spent: Vec<u64>,
+    fail: Vec<Option<ModuleOutcome>>,
+}
+
+impl<'n> Ledger<'n> {
+    fn new(plans: Vec<(&'n str, Vec<(FleetStage, u64)>)>, budget: Option<u64>) -> Self {
+        let n = plans.len();
+        Ledger {
+            plans,
+            budget,
+            spent: vec![0; n],
+            fail: vec![None; n],
+        }
+    }
+
+    fn healthy(&self, j: usize) -> bool {
+        self.fail[j].is_none()
+    }
+
+    /// Quarantines module `j` unless an earlier failure already did.
+    fn quarantine(&mut self, j: usize, outcome: ModuleOutcome) {
+        if self.fail[j].is_none() {
+            self.fail[j] = Some(outcome);
+        }
+    }
+
+    /// Folds a stage's unit results into the quarantine state: the first
+    /// `Err` (in unit-index order) of a still-healthy module becomes its
+    /// [`ModuleOutcome::Panicked`]. Returns the per-unit values with
+    /// panicked units as `None`.
+    fn absorb<T>(
+        &mut self,
+        results: Vec<Result<T, String>>,
+        stage: FleetStage,
+        job_of: impl Fn(usize) -> usize,
+    ) -> Vec<Option<T>> {
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(u, r)| match r {
+                Ok(v) => Some(v),
+                Err(message) => {
+                    self.quarantine(job_of(u), ModuleOutcome::Panicked { stage, message });
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Charges every healthy module its planned cost (plus any injected
+    /// cost) for `stage`, tripping the deadline of any module whose spend
+    /// exceeds the budget. Quarantined modules pay nothing, so a panic
+    /// always wins over a same-stage deadline.
+    fn boundary(&mut self, stage: FleetStage) {
+        for j in 0..self.plans.len() {
+            let (name, plan) = &self.plans[j];
+            let Some(&(_, cost)) = plan.iter().find(|(s, _)| *s == stage) else {
+                continue;
+            };
+            if self.fail[j].is_some() {
+                continue;
+            }
+            let cost = cost.saturating_add(faultinject::extra_cost(name, stage));
+            self.spent[j] = self.spent[j].saturating_add(cost);
+            if let Some(budget) = self.budget.filter(|&b| self.spent[j] > b) {
+                self.fail[j] = Some(ModuleOutcome::DeadlineExceeded {
+                    stage,
+                    spent: self.spent[j],
+                    budget,
+                });
+            }
+        }
+    }
+}
+
+/// The outcome the charge plan alone decides for `configs` over
+/// `module`: a run whose every unit is already done (the service's warm
+/// hits) still pays its stage charges, so a budget trips exactly where a
+/// cold run's would.
+pub(crate) fn dry_run(
+    name: &str,
+    module: &Module,
+    configs: &[PipelineConfig],
+    opts: &FleetOptions,
+) -> ModuleOutcome {
+    if opts.budget.is_none() {
+        return ModuleOutcome::Ok;
+    }
+    let mut ledger = Ledger::new(
+        vec![(name, charge_plan(module, configs, opts))],
+        opts.budget,
+    );
+    for stage in FleetStage::ALL {
+        ledger.boundary(stage);
+    }
+    ledger.fail.pop().flatten().unwrap_or(ModuleOutcome::Ok)
+}
+
 /// Runs a stage's unit list, catching per-unit panics when isolating.
-/// Shared with the service layer, whose incremental stages must match
-/// the fleet's isolation behavior unit-for-unit.
-pub(crate) fn stage_map<T: Send>(
+/// Isolated units each run under their own `catch_unwind` (via
+/// [`ThreadPool::run_units`] when parallel), so slot `i` becomes
+/// `Err(panic message)` instead of the panic unwinding through the whole
+/// pass. Every unit still executes exactly once and results stay keyed
+/// by index, so sequential and pooled runs are bit-identical — including
+/// *which* units failed.
+fn stage_map<T: Send>(
     n: usize,
     parallel: bool,
     isolate: bool,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, String>> {
-    if isolate {
-        map_indexed_caught(n, parallel, f)
-    } else {
-        map_indexed(n, parallel, f).into_iter().map(Ok).collect()
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let pool = ThreadPool::global();
+    if !isolate {
+        return pool
+            .map_indexed(n, parallel, f)
+            .into_iter()
+            .map(Ok)
+            .collect();
     }
-}
-
-/// Folds a stage's unit results into per-module quarantine state: the
-/// first `Err` (in unit-index order) of a still-healthy module becomes
-/// its [`ModuleOutcome::Panicked`]. Returns the per-unit values with
-/// panicked units as `None`.
-fn absorb<T>(
-    results: Vec<Result<T, String>>,
-    stage: FleetStage,
-    job_of: impl Fn(usize) -> usize,
-    fail: &mut [Option<ModuleOutcome>],
-) -> Vec<Option<T>> {
-    results
+    if !parallel || n <= 1 {
+        return (0..n)
+            .map(|i| {
+                catch_unwind(AssertUnwindSafe(|| f(i)))
+                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
+            })
+            .collect();
+    }
+    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let panics = pool.run_units(n, &|i| {
+        let v = f(i);
+        collected.lock().unwrap().push((i, v));
+    });
+    let mut slots: Vec<Option<Result<T, String>>> =
+        panics.into_iter().map(|p| p.map(Err)).collect();
+    for (i, v) in collected.into_inner().unwrap() {
+        slots[i] = Some(Ok(v));
+    }
+    slots
         .into_iter()
-        .enumerate()
-        .map(|(u, r)| match r {
-            Ok(v) => Some(v),
-            Err(message) => {
-                let j = job_of(u);
-                if fail[j].is_none() {
-                    fail[j] = Some(ModuleOutcome::Panicked { stage, message });
-                }
-                None
-            }
-        })
+        .map(|s| s.expect("every unit ran or panicked"))
         .collect()
 }
 
-/// Charges `cost` (plus any injected cost) to module `j` at a stage
-/// boundary and trips the deadline if the budget is exceeded. No-op for
-/// already-quarantined modules, so a panic outcome always wins over a
-/// same-stage deadline.
-fn charge(
-    j: usize,
-    name: &str,
-    stage: FleetStage,
-    cost: u64,
-    budget: Option<u64>,
-    spent: &mut [u64],
-    fail: &mut [Option<ModuleOutcome>],
-) {
-    if fail[j].is_some() {
-        return;
+/// The validation gate of one module: its verifier diagnostics, capped
+/// at [`MAX_IR_DIAGNOSTICS`] (empty when the IR is well-formed).
+fn validate(name: &str, module: &Module) -> Vec<String> {
+    faultinject::panic_point(name, FleetStage::Validate);
+    let view = faultinject::validate_view(name, module);
+    let Err(errs) = fence_ir::verify_module_checked(view.as_ref()) else {
+        return Vec::new();
+    };
+    let total = errs.len();
+    let mut msgs: Vec<String> = errs
+        .into_iter()
+        .take(MAX_IR_DIAGNOSTICS)
+        .map(|e| e.to_string())
+        .collect();
+    if total > MAX_IR_DIAGNOSTICS {
+        msgs.push(format!(
+            "... and {} more diagnostics",
+            total - MAX_IR_DIAGNOSTICS
+        ));
     }
-    let cost = cost.saturating_add(faultinject::extra_cost(name, stage));
-    spent[j] = spent[j].saturating_add(cost);
-    if let Some(b) = budget {
-        if spent[j] > b {
-            fail[j] = Some(ModuleOutcome::DeadlineExceeded {
-                stage,
-                spent: spent[j],
-                budget: b,
-            });
-        }
-    }
+    msgs
 }
 
 /// Runs the fleet with the default [`FleetOptions`]: parallel on the
@@ -406,123 +551,193 @@ pub fn run_fleet_with(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, F
 /// Runs the fleet under explicit [`FleetOptions`]. See the module docs
 /// for the stage structure and the failure-isolation contract.
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
+    let interner = RowInterner::new();
+    let mut seeds: Vec<Seed> = jobs.iter().map(|_| Seed::default()).collect();
+    let (placed, mut stats) = run_seeded(jobs, &mut seeds, opts, &interner);
+    stats.unique_rows = interner.unique_rows();
+    stats.row_hits = interner.hits();
+    stats.row_words = interner.retained_words();
+    let results = jobs
+        .iter()
+        .zip(placed)
+        .map(|(job, p)| FleetResult {
+            name: job.name.clone(),
+            outcome: p.outcome,
+            results: p
+                .placements
+                .into_iter()
+                .map(|pl| pl.assemble(job.module))
+                .collect(),
+            certifications: p.certifications,
+        })
+        .collect();
+    (results, stats)
+}
+
+/// The work a job arrives with. [`run_fleet_opts`] seeds every job
+/// empty; the service seeds a job from its cache entry. After
+/// [`run_seeded`] returns, a seed holds the job's analysis and
+/// substrates — what it arrived with plus what the run built.
+#[derive(Default)]
+pub(crate) struct Seed {
+    /// The module already passed the validation gate: the gate's unit is
+    /// skipped, its charge is still paid.
+    pub validated: bool,
+    /// The module-wide analysis, if already computed.
+    pub analysis: Option<ModuleAnalysis>,
+    /// Per-function substrates; `None` holes (or an empty list) are built.
+    pub substrates: Vec<Option<Arc<FuncSubstrate>>>,
+    /// Per config: its result is already known, so the run skips that
+    /// config's acquires and tails and returns no placement for it (an
+    /// empty list means nothing is cached).
+    pub cached: Vec<bool>,
+}
+
+/// One config's placement before fence insertion: the chosen fence
+/// points and the per-function report.
+pub(crate) struct Placement {
+    pub points: Vec<FencePoint>,
+    pub report: ModuleReport,
+}
+
+impl Placement {
+    /// The placement as a [`PipelineResult`]: `module` with its fences
+    /// inserted.
+    fn assemble(self, module: &Module) -> PipelineResult {
+        PipelineResult {
+            module: insert_fences(module, &self.points),
+            points: self.points,
+            report: self.report,
+        }
+    }
+}
+
+/// What [`run_seeded`] produced for one job: a [`FleetResult`] whose
+/// placements are not yet assembled into instrumented modules, so a
+/// caller that only renders reports (the service) never builds them.
+pub(crate) struct Placed {
+    pub outcome: ModuleOutcome,
+    /// One placement per uncached config, in config order; empty when
+    /// the module was quarantined.
+    pub placements: Vec<Placement>,
+    pub certifications: Vec<CertifyReport>,
+}
+
+/// The fleet executor. Runs every job's stage sequence, taking from its
+/// [`Seed`] whatever is already done: units run only for what the seed
+/// lacks, while every stage boundary charges the plan of the *full*
+/// request. Interner statistics are the caller's, since the interner
+/// is.
+pub(crate) fn run_seeded(
+    jobs: &[FleetJob],
+    seeds: &mut [Seed],
+    opts: &FleetOptions,
+    interner: &RowInterner,
+) -> (Vec<Placed>, FleetStats) {
     let nj = jobs.len();
     let (parallel, isolate) = (opts.parallel, opts.isolate);
-
-    // Per-module quarantine state and deterministic step spend. `fail`
-    // is only written between stages (from unit results, in unit-index
-    // order), never concurrently.
-    let mut fail: Vec<Option<ModuleOutcome>> = (0..nj).map(|_| None).collect();
-    let mut spent: Vec<u64> = vec![0; nj];
-
-    // Which jobs need the analysis stack at all: mirror the batch entry
-    // point, which skips the analysis for all-`Manual` (or empty) config
-    // lists.
-    let needs: Vec<bool> = jobs
+    let mut ledger = Ledger::new(
+        jobs.iter()
+            .map(|job| {
+                (
+                    job.name.as_str(),
+                    charge_plan(job.module, &job.configs, opts),
+                )
+            })
+            .collect(),
+        opts.budget,
+    );
+    // The configs each job still needs a result for, in config order,
+    // and which jobs need the analysis stack for them at all (the batch
+    // contract: all-`Manual` or empty config lists skip the analysis).
+    let todo: Vec<Vec<usize>> = jobs
         .iter()
-        .map(|j| j.configs.iter().any(|c| c.variant != Variant::Manual))
+        .zip(seeds.iter())
+        .map(|(job, seed)| {
+            (0..job.configs.len())
+                .filter(|&c| !seed.cached.get(c).copied().unwrap_or(false))
+                .collect()
+        })
+        .collect();
+    let needs: Vec<bool> = (0..nj)
+        .map(|j| {
+            todo[j]
+                .iter()
+                .any(|&c| jobs[j].configs[c].variant != Variant::Manual)
+        })
         .collect();
 
     // ---- stage 0: validation gate, one unit per module with configs ----
     if opts.validate {
-        let vjobs: Vec<usize> = (0..nj).filter(|&j| !jobs[j].configs.is_empty()).collect();
-        let vres: Vec<Result<Vec<String>, String>> =
-            stage_map(vjobs.len(), parallel, isolate, |k| {
-                let j = vjobs[k];
-                let name = jobs[j].name.as_str();
-                faultinject::panic_point(name, FleetStage::Validate);
-                let view = faultinject::validate_view(name, jobs[j].module);
-                match fence_ir::verify_module_checked(view.as_ref()) {
-                    Ok(()) => Vec::new(),
-                    Err(errs) => {
-                        let total = errs.len();
-                        let mut msgs: Vec<String> = errs
-                            .into_iter()
-                            .take(MAX_IR_DIAGNOSTICS)
-                            .map(|e| e.to_string())
-                            .collect();
-                        if total > MAX_IR_DIAGNOSTICS {
-                            msgs.push(format!(
-                                "... and {} more diagnostics",
-                                total - MAX_IR_DIAGNOSTICS
-                            ));
-                        }
-                        msgs
-                    }
-                }
-            });
-        for (k, r) in absorb(vres, FleetStage::Validate, |k| vjobs[k], &mut fail)
+        let vjobs: Vec<usize> = (0..nj)
+            .filter(|&j| !jobs[j].configs.is_empty() && !seeds[j].validated)
+            .collect();
+        let vres = stage_map(vjobs.len(), parallel, isolate, |k| {
+            validate(&jobs[vjobs[k]].name, jobs[vjobs[k]].module)
+        });
+        for (k, errors) in ledger
+            .absorb(vres, FleetStage::Validate, |k| vjobs[k])
             .into_iter()
             .enumerate()
         {
-            let j = vjobs[k];
-            if let Some(errors) = r {
-                if !errors.is_empty() && fail[j].is_none() {
-                    fail[j] = Some(ModuleOutcome::InvalidIr { errors });
-                }
+            if let Some(errors) = errors.filter(|e| !e.is_empty()) {
+                ledger.quarantine(vjobs[k], ModuleOutcome::InvalidIr { errors });
             }
         }
-        for &j in &vjobs {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Validate,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
     }
+    ledger.boundary(FleetStage::Validate);
 
     // ---- stages 1+2, one overlapped pool pass: analyses + substrates ----
     // A `FuncSubstrate` depends only on the IR, never on the module
-    // analysis, so the strict analysis-then-cfg barrier is replaced by a
-    // single combined unit list: one `ModuleAnalysis` unit per module
-    // (sequential *inside* its unit — nesting the pool would deadlock)
-    // followed by one substrate unit per function of any module, rows
-    // interned fleet-wide. While one worker grinds a big module's
+    // analysis, so one combined unit list holds every missing
+    // `ModuleAnalysis` (sequential *inside* its unit — nesting the pool
+    // would deadlock) followed by every missing substrate, rows interned
+    // through one interner. While one worker grinds a big module's
     // points-to, others already build CFGs — of that module and every
     // other. Only the context stage carries a true edge on both.
     //
-    // Quarantine semantics are preserved exactly: analysis units come
-    // *first* in the combined list and their results are absorbed first,
-    // so a module failing both stages is still attributed to
-    // [`FleetStage::Analysis`], and the per-stage `charge` calls keep
-    // their original boundary order. A module quarantined by its
-    // analysis unit now also ran its substrate units, but their results
-    // are discarded like any post-failure stage output.
-    let analysis_jobs: Vec<usize> = (0..nj).filter(|&j| needs[j] && fail[j].is_none()).collect();
+    // Analysis units come *first* in the combined list and their results
+    // are absorbed first, so a module failing both stages is attributed
+    // to [`FleetStage::Analysis`], and the boundaries keep their order. A
+    // module quarantined by its analysis unit still ran its substrate
+    // units; their results are discarded like any post-failure output.
     let mut func_units: Vec<(u32, u32)> = Vec::new();
     let mut func_off: Vec<usize> = vec![usize::MAX; nj];
-    for &j in &analysis_jobs {
+    for j in (0..nj).filter(|&j| needs[j] && ledger.healthy(j)) {
+        let n = jobs[j].module.funcs.len();
+        seeds[j].substrates.resize(n, None);
         func_off[j] = func_units.len();
-        for f in 0..jobs[j].module.funcs.len() {
-            func_units.push((j as u32, f as u32));
-        }
+        func_units.extend((0..n).map(|f| (j as u32, f as u32)));
     }
+    let analysis_units: Vec<usize> = (0..nj)
+        .filter(|&j| func_off[j] != usize::MAX && seeds[j].analysis.is_none())
+        .collect();
+    let substrate_units: Vec<usize> = (0..func_units.len())
+        .filter(|&u| {
+            let (j, f) = func_units[u];
+            seeds[j as usize].substrates[f as usize].is_none()
+        })
+        .collect();
     enum BuildUnit {
         Analysis(ModuleAnalysis),
         Substrate(FuncSubstrate),
     }
-    let na = analysis_jobs.len();
-    let interner = RowInterner::new();
-    let bres: Vec<Result<BuildUnit, String>> =
-        stage_map(na + func_units.len(), parallel, isolate, |u| {
-            if u < na {
-                let j = analysis_jobs[u];
-                faultinject::panic_point(&jobs[j].name, FleetStage::Analysis);
-                BuildUnit::Analysis(ModuleAnalysis::run_on(jobs[j].module, false))
-            } else {
-                let (j, f) = func_units[u - na];
-                let j = j as usize;
-                faultinject::panic_point(&jobs[j].name, FleetStage::Substrates);
-                BuildUnit::Substrate(FuncSubstrate::new_interned(
-                    jobs[j].module.func(FuncId::new(f as usize)),
-                    &interner,
-                ))
-            }
-        });
+    let na = analysis_units.len();
+    let bres = stage_map(na + substrate_units.len(), parallel, isolate, |u| {
+        if u < na {
+            let job = &jobs[analysis_units[u]];
+            faultinject::panic_point(&job.name, FleetStage::Analysis);
+            BuildUnit::Analysis(ModuleAnalysis::run_on(job.module, false))
+        } else {
+            let (j, f) = func_units[substrate_units[u - na]];
+            let job = &jobs[j as usize];
+            faultinject::panic_point(&job.name, FleetStage::Substrates);
+            BuildUnit::Substrate(FuncSubstrate::new_interned(
+                job.module.func(FuncId::new(f as usize)),
+                interner,
+            ))
+        }
+    });
     let mut bres = bres.into_iter();
     let ares: Vec<Result<ModuleAnalysis, String>> = bres
         .by_ref()
@@ -534,6 +749,14 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             })
         })
         .collect();
+    for (k, a) in ledger
+        .absorb(ares, FleetStage::Analysis, |k| analysis_units[k])
+        .into_iter()
+        .enumerate()
+    {
+        seeds[analysis_units[k]].analysis = a;
+    }
+    ledger.boundary(FleetStage::Analysis);
     let sres: Vec<Result<FuncSubstrate, String>> = bres
         .map(|r| {
             r.map(|u| match u {
@@ -542,163 +765,92 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             })
         })
         .collect();
-    let mut analyses: Vec<Option<ModuleAnalysis>> = (0..nj).map(|_| None).collect();
-    for (k, a) in absorb(ares, FleetStage::Analysis, |k| analysis_jobs[k], &mut fail)
+    let unit_job = |u: usize| func_units[u].0 as usize;
+    for (k, s) in ledger
+        .absorb(sres, FleetStage::Substrates, |k| {
+            unit_job(substrate_units[k])
+        })
         .into_iter()
         .enumerate()
     {
-        analyses[analysis_jobs[k]] = a;
+        let (j, f) = func_units[substrate_units[k]];
+        seeds[j as usize].substrates[f as usize] = s.map(Arc::new);
     }
-    for &j in &analysis_jobs {
-        charge(
-            j,
-            &jobs[j].name,
-            FleetStage::Analysis,
-            module_step_cost(jobs[j].module),
-            opts.budget,
-            &mut spent,
-            &mut fail,
-        );
-    }
-    let substrates = absorb(
-        sres,
-        FleetStage::Substrates,
-        |u| func_units[u].0 as usize,
-        &mut fail,
-    );
-    for j in 0..nj {
-        if func_off[j] != usize::MAX {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Substrates,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    ledger.boundary(FleetStage::Substrates);
+    let seeds: &[Seed] = seeds;
 
     // ---- stage 3: per-function contexts, same flat unit list ----
     // The list still contains units of modules that failed during the
-    // substrate stage; an in-unit health check skips them (returning
-    // `None`) so the offsets in `func_off` stay aligned.
-    let ctx_alive: Vec<bool> = fail.iter().map(|o| o.is_none()).collect();
-    let cres: Vec<Result<Option<FuncContext<'_>>, String>> =
-        stage_map(func_units.len(), parallel, isolate, |u| {
-            let (j, f) = func_units[u];
-            let j = j as usize;
-            if !ctx_alive[j] {
-                return None;
-            }
-            faultinject::panic_point(&jobs[j].name, FleetStage::Contexts);
-            Some(FuncContext::build(
-                jobs[j].module,
-                analyses[j].as_ref().expect("analysis for job"),
-                substrates[u].as_ref().expect("substrate for unit"),
-                FuncId::new(f as usize),
-            ))
-        });
-    let contexts: Vec<Option<FuncContext<'_>>> = absorb(
-        cres,
-        FleetStage::Contexts,
-        |u| func_units[u].0 as usize,
-        &mut fail,
-    )
-    .into_iter()
-    .map(|o| o.flatten())
-    .collect();
-    for j in 0..nj {
-        if func_off[j] != usize::MAX && ctx_alive[j] {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Contexts,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
+    // build pass; an in-unit health check skips them (returning `None`)
+    // so the offsets in `func_off` stay aligned.
+    let ctx_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
+    let cres = stage_map(func_units.len(), parallel, isolate, |u| {
+        let (j, f) = (unit_job(u), func_units[u].1 as usize);
+        if !ctx_alive[j] {
+            return None;
         }
-    }
+        faultinject::panic_point(&jobs[j].name, FleetStage::Contexts);
+        Some(FuncContext::build(
+            jobs[j].module,
+            seeds[j].analysis.as_ref().expect("analysis for job"),
+            seeds[j].substrates[f]
+                .as_deref()
+                .expect("substrate for unit"),
+            FuncId::new(f),
+        ))
+    });
+    let contexts: Vec<Option<FuncContext<'_>>> = ledger
+        .absorb(cres, FleetStage::Contexts, unit_job)
+        .into_iter()
+        .map(Option::flatten)
+        .collect();
+    ledger.boundary(FleetStage::Contexts);
 
     // ---- stage 4: acquire info per (module, distinct variant, function) ----
-    // Distinct variants in config order per job, mirroring the batch's
-    // per-variant cache fill. Quarantined modules get no units.
+    // Distinct variants of the configs still to compute, in config order
+    // per job. Quarantined modules get no units.
     let mut acq_units: Vec<(u32, Variant, u32)> = Vec::new();
     let mut acq_slot: Vec<[Option<usize>; 4]> = vec![[None; 4]; nj];
-    let mut acq_cost: Vec<u64> = vec![0; nj];
-    for (j, job) in jobs.iter().enumerate() {
-        if !needs[j] || fail[j].is_some() {
-            continue;
-        }
-        for config in &job.configs {
-            let slot = config.variant.idx();
-            if config.variant == Variant::Manual || acq_slot[j][slot].is_some() {
+    for j in (0..nj).filter(|&j| needs[j] && ledger.healthy(j)) {
+        for &c in &todo[j] {
+            let variant = jobs[j].configs[c].variant;
+            if variant == Variant::Manual || acq_slot[j][variant.idx()].is_some() {
                 continue;
             }
-            acq_slot[j][slot] = Some(acq_units.len());
-            for (f, func) in job.module.funcs.iter().enumerate() {
-                acq_units.push((j as u32, config.variant, f as u32));
-                acq_cost[j] += func_step_cost(func);
-            }
+            acq_slot[j][variant.idx()] = Some(acq_units.len());
+            let n = jobs[j].module.funcs.len() as u32;
+            acq_units.extend((0..n).map(|f| (j as u32, variant, f)));
         }
     }
-    let aqres: Vec<Result<AcquireInfo, String>> =
-        stage_map(acq_units.len(), parallel, isolate, |u| {
-            let (j, variant, f) = acq_units[u];
-            let (j, f) = (j as usize, f as usize);
-            faultinject::panic_point(&jobs[j].name, FleetStage::Acquires);
-            contexts[func_off[j] + f]
-                .as_ref()
-                .expect("context for unit")
-                .acquire_info(
-                    jobs[j].module,
-                    analyses[j].as_ref().expect("analysis for job"),
-                    variant,
-                )
-        });
-    let acquire_infos = absorb(
-        aqres,
-        FleetStage::Acquires,
-        |u| acq_units[u].0 as usize,
-        &mut fail,
-    );
-    for j in 0..nj {
-        if acq_cost[j] > 0 {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Acquires,
-                acq_cost[j],
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    let aqres = stage_map(acq_units.len(), parallel, isolate, |u| {
+        let (j, variant, f) = acq_units[u];
+        let (j, f) = (j as usize, f as usize);
+        faultinject::panic_point(&jobs[j].name, FleetStage::Acquires);
+        contexts[func_off[j] + f]
+            .as_ref()
+            .expect("context for unit")
+            .acquire_info(
+                jobs[j].module,
+                seeds[j].analysis.as_ref().expect("analysis for job"),
+                variant,
+            )
+    });
+    let acquire_infos: Vec<Option<AcquireInfo>> =
+        ledger.absorb(aqres, FleetStage::Acquires, |u| acq_units[u].0 as usize);
+    ledger.boundary(FleetStage::Acquires);
 
     // ---- stage 5: config tails ----
     // Per-(module, config, *function*) units, so a large module's
-    // pruning/minimization shards across the pool exactly like the
-    // batch driver's per-function tail — the per-config assembly
-    // (fence insertion into a fresh module clone, report collection)
-    // then runs on the caller, same as the batch entry point.
-    let tails_alive: Vec<bool> = fail.iter().map(|o| o.is_none()).collect();
+    // pruning/minimization shards across the pool; the per-config
+    // assembly (fence insertion into a fresh module clone, report
+    // collection) then runs on the caller.
+    let tails_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
     let mut tail_units: Vec<(u32, u32, u32)> = Vec::new();
-    let mut tail_cost: Vec<u64> = vec![0; nj];
-    for (j, job) in jobs.iter().enumerate() {
-        if !tails_alive[j] {
-            continue;
-        }
-        for (c, config) in job.configs.iter().enumerate() {
-            if config.variant == Variant::Manual {
-                continue;
-            }
-            for (f, func) in job.module.funcs.iter().enumerate() {
-                tail_units.push((j as u32, c as u32, f as u32));
-                tail_cost[j] += func_step_cost(func);
+    for j in (0..nj).filter(|&j| tails_alive[j]) {
+        let n = jobs[j].module.funcs.len() as u32;
+        for &c in &todo[j] {
+            if jobs[j].configs[c].variant != Variant::Manual {
+                tail_units.extend((0..n).map(|f| (j as u32, c as u32, f)));
             }
         }
     }
@@ -710,7 +862,7 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             faultinject::panic_point(&job.name, FleetStage::Tails);
             finish_function(
                 job.module,
-                analyses[j].as_ref().expect("analysis for job"),
+                seeds[j].analysis.as_ref().expect("analysis for job"),
                 contexts[func_off[j] + f]
                     .as_ref()
                     .expect("context for unit"),
@@ -720,25 +872,8 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                 &job.configs[c],
             )
         });
-    let tails = absorb(
-        tres,
-        FleetStage::Tails,
-        |u| tail_units[u].0 as usize,
-        &mut fail,
-    );
-    for j in 0..nj {
-        if tail_cost[j] > 0 {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Tails,
-                tail_cost[j],
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    let tails = ledger.absorb(tres, FleetStage::Tails, |u| tail_units[u].0 as usize);
+    ledger.boundary(FleetStage::Tails);
 
     // Tail units were generated in (job, config, function) order over
     // the modules alive at the tails barrier, so one running cursor
@@ -746,20 +881,24 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
     // the tails stage still consumes its cursor entries (keeping later
     // modules aligned) but contributes no results.
     let mut tail_cursor = tails.into_iter();
-    let mut results_per_job: Vec<Vec<PipelineResult>> = Vec::with_capacity(nj);
+    let mut placements_per_job: Vec<Vec<Placement>> = Vec::with_capacity(nj);
     for (j, job) in jobs.iter().enumerate() {
-        let mut results = Vec::new();
+        let mut placements = Vec::new();
         if tails_alive[j] {
             let n = job.module.funcs.len();
-            for config in &job.configs {
+            for &c in &todo[j] {
+                let config = &job.configs[c];
                 if config.variant == Variant::Manual {
-                    if fail[j].is_none() {
-                        results.push(manual_result(job.module, config));
+                    if ledger.healthy(j) {
+                        placements.push(Placement {
+                            points: Vec::new(),
+                            report: manual_report(job.module, config),
+                        });
                     }
                     continue;
                 }
                 let chunk: Vec<_> = tail_cursor.by_ref().take(n).collect();
-                if fail[j].is_some() {
+                if !ledger.healthy(j) {
                     continue;
                 }
                 let mut funcs = Vec::with_capacity(n);
@@ -769,9 +908,7 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                     funcs.push(report);
                     points.extend(pts);
                 }
-                let instrumented = insert_fences(job.module, &points);
-                results.push(PipelineResult {
-                    module: instrumented,
+                placements.push(Placement {
                     points,
                     report: ModuleReport {
                         module_name: job.module.name.clone(),
@@ -781,77 +918,46 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                 });
             }
         }
-        results_per_job.push(results);
+        placements_per_job.push(placements);
     }
 
     // ---- stage 6 (opt-in): post-placement certification ----
-    // One unit per (healthy module, config), model-checking the
-    // *assembled* instrumented module against its config's target.
-    // Healthy modules have exactly one result per config, in config
-    // order, so the unit's config index addresses both.
+    // One unit per (healthy module, placement), model-checking the
+    // instrumented module against its config's target. Healthy modules
+    // hold exactly one placement per config still to compute, in `todo`
+    // order.
     let mut certs_per_job: Vec<Vec<CertifyReport>> = (0..nj).map(|_| Vec::new()).collect();
     if let Some(copts) = opts.certify {
         let mut cert_units: Vec<(u32, u32)> = Vec::new();
-        let mut cert_cost: Vec<u64> = vec![0; nj];
-        for (j, job) in jobs.iter().enumerate() {
-            if fail[j].is_some() {
-                continue;
-            }
-            for c in 0..results_per_job[j].len() {
-                cert_units.push((j as u32, c as u32));
-                cert_cost[j] += module_step_cost(job.module);
-            }
+        for j in (0..nj).filter(|&j| ledger.healthy(j)) {
+            cert_units.extend((0..placements_per_job[j].len()).map(|k| (j as u32, k as u32)));
         }
-        let crres: Vec<Result<CertifyReport, String>> =
-            stage_map(cert_units.len(), parallel, isolate, |u| {
-                let (j, c) = cert_units[u];
-                let (j, c) = (j as usize, c as usize);
-                let job = &jobs[j];
-                faultinject::panic_point(&job.name, FleetStage::Certify);
-                let config = &job.configs[c];
-                crate::certify::certify(
-                    &results_per_job[j][c],
-                    config.variant,
-                    config.target,
-                    &copts,
-                )
-            });
-        let creports = absorb(
-            crres,
-            FleetStage::Certify,
-            |u| cert_units[u].0 as usize,
-            &mut fail,
-        );
+        let crres = stage_map(cert_units.len(), parallel, isolate, |u| {
+            let (j, k) = cert_units[u];
+            let (j, k) = (j as usize, k as usize);
+            let job = &jobs[j];
+            faultinject::panic_point(&job.name, FleetStage::Certify);
+            let config = &job.configs[todo[j][k]];
+            let instrumented = insert_fences(job.module, &placements_per_job[j][k].points);
+            let class = crate::certify::sync_classification(&instrumented, config.variant);
+            crate::certify::certify_module(&instrumented, &class, config.target, &copts)
+        });
+        let creports = ledger.absorb(crres, FleetStage::Certify, |u| cert_units[u].0 as usize);
         for (u, r) in creports.into_iter().enumerate() {
             if let Some(rep) = r {
                 certs_per_job[cert_units[u].0 as usize].push(rep);
             }
         }
-        for j in 0..nj {
-            if cert_cost[j] > 0 {
-                charge(
-                    j,
-                    &jobs[j].name,
-                    FleetStage::Certify,
-                    cert_cost[j],
-                    opts.budget,
-                    &mut spent,
-                    &mut fail,
-                );
-            }
-        }
     }
+    ledger.boundary(FleetStage::Certify);
 
     let stats = FleetStats {
         modules: nj,
         functions: func_units.len(),
         configs: jobs.iter().map(|j| j.configs.len()).sum(),
-        analyses: analysis_jobs.len(),
-        substrates: func_units.len(),
-        unique_rows: interner.unique_rows(),
-        row_hits: interner.hits(),
-        row_words: interner.retained_words(),
-        failed: fail.iter().filter(|o| o.is_some()).count(),
+        analyses: na,
+        substrates: substrate_units.len(),
+        failed: ledger.fail.iter().filter(|o| o.is_some()).count(),
         certifications: certs_per_job.iter().map(Vec::len).sum(),
         certify_unsound: certs_per_job
             .iter()
@@ -862,25 +968,25 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
         // are exactly the fleet size.
         peak_resident_modules: nj,
         peak_resident_insts: jobs.iter().map(|j| j.module.total_insts() as u64).sum(),
+        ..FleetStats::default()
     };
 
     let mut out = Vec::with_capacity(nj);
-    for (j, job) in jobs.iter().enumerate() {
-        let outcome = fail[j].take().unwrap_or(ModuleOutcome::Ok);
+    for j in 0..nj {
+        let outcome = ledger.fail[j].take().unwrap_or(ModuleOutcome::Ok);
         // A module quarantined at any stage — certification included —
         // comes back with empty results.
-        let (results, certifications) = if outcome.is_ok() {
+        let (placements, certifications) = if outcome.is_ok() {
             (
-                std::mem::take(&mut results_per_job[j]),
+                std::mem::take(&mut placements_per_job[j]),
                 std::mem::take(&mut certs_per_job[j]),
             )
         } else {
             (Vec::new(), Vec::new())
         };
-        out.push(FleetResult {
-            name: job.name.clone(),
+        out.push(Placed {
             outcome,
-            results,
+            placements,
             certifications,
         });
     }
@@ -952,7 +1058,7 @@ type IngestAttempt = Result<Result<Module, fence_ir::parser::ParseError>, String
 /// Normal ingest charges **zero** steps — resident runs never see this
 /// stage, and streamed budget outcomes must match resident ones exactly
 /// — so only injected costs can trip an ingest deadline. A caught panic
-/// wins over a same-stage deadline, mirroring [`charge`].
+/// wins over a same-stage deadline, as at every stage boundary.
 fn finish_ingest(
     name: &str,
     attempt: IngestAttempt,
@@ -978,6 +1084,16 @@ fn finish_ingest(
             }
         }
     }
+}
+
+/// Parses one text as an isolated unit of its own (the same
+/// [`stage_map`] isolation as every stage unit) and folds the attempt
+/// into a module or a quarantine outcome.
+pub(crate) fn ingest(name: &str, text: &str, opts: &FleetOptions) -> Result<Module, ModuleOutcome> {
+    let attempt = stage_map(1, false, opts.isolate, |_| ingest_parse(name, text))
+        .pop()
+        .expect("one unit");
+    finish_ingest(name, attempt, opts.budget)
 }
 
 /// An empty [`FleetResult`] for an item quarantined before any pipeline
@@ -1297,15 +1413,7 @@ where
                 sink.lock().unwrap()(index, empty_result(name, outcome));
             }
             StreamTask::Ingest { index, name, text } => {
-                let attempt: IngestAttempt = if opts.isolate {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ingest_parse(&name, &text)
-                    }))
-                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
-                } else {
-                    Ok(ingest_parse(&name, &text))
-                };
-                match finish_ingest(&name, attempt, opts.budget) {
+                match ingest(&name, &text, opts) {
                     Ok(module) => {
                         let mut st = state.lock().unwrap();
                         st.resident_insts += module.total_insts() as u64;

@@ -26,15 +26,18 @@
 //! `AddressControl`, or `Manual` (no automatic placement; the module's
 //! hand-placed fences are the placement).
 //!
-//! Batch callers should prefer [`run_pipeline_batch`]: it runs the
-//! module analysis and builds the per-function analysis contexts
-//! ([`FuncContext`]: alias oracle, escape set, cache-once CFG substrate,
-//! block-aggregated orderings) exactly once for a whole
-//! variant × target × (seq|par) sweep. Multi-module callers (corpus
-//! sweeps, the `fenceplace` CLI, figure harnesses) should go one level
-//! further and use [`run_fleet`]: it schedules per-(module, function)
-//! work units from *many* modules onto the persistent pool in single
-//! cross-module passes, with reachability rows interned fleet-wide.
+//! The stage sequence is implemented once, by the fleet executor
+//! ([`fleet`]), and every driver is a thin caller of it.
+//! [`run_pipeline_batch`] is a fleet of one: it runs the module analysis
+//! and builds the per-function analysis contexts ([`FuncContext`]: alias
+//! oracle, escape set, cache-once CFG substrate, block-aggregated
+//! orderings) exactly once for a whole variant × target × (seq|par)
+//! sweep. Multi-module callers (corpus sweeps, the `fenceplace` CLI,
+//! figure harnesses) use [`run_fleet`], which schedules per-(module,
+//! function) work units from *many* modules onto the persistent pool in
+//! single cross-module passes, with reachability rows interned
+//! fleet-wide. The resident [`Service`] seeds the same executor with the
+//! work its cache already holds.
 
 #![warn(missing_docs)]
 

@@ -24,31 +24,33 @@
 //! orderings borrowing the substrate), computes acquire info once per
 //! *distinct variant*, and only the cheap tail — pruning, fence
 //! minimization, fence insertion, report assembly — runs per config.
-//! The substrates depend only on the IR, so the analysis and the
-//! substrate builds run as **one overlapped pool pass** rather than
-//! back-to-back stages; only the context stage waits on both. Callers sweeping variants and targets (golden tests, figure
-//! binaries) get the whole sweep for roughly the price of one run.
-//! [`run_pipeline`] is the single-config special case.
+//! Callers sweeping variants and targets (golden tests, figure binaries)
+//! get the whole sweep for roughly the price of one run. [`run_pipeline`]
+//! is the single-config special case.
+//!
+//! The batch owns no stage code of its own: it is a fleet of one
+//! ([`crate::fleet`]) with no validation gate and no panic isolation, so
+//! a batch result is a fleet result by construction. This module holds
+//! the per-function pieces every stage calls — [`FuncContext`], the
+//! per-config tail, the `Manual` result.
 //!
 //! Functions are independent after the module-wide analysis, so the
 //! per-function stages optionally run on the persistent
-//! [`crate::pool::ThreadPool`] ([`PipelineConfig::parallel`]): instances
-//! pull function indices from an atomic counter and results are keyed by
-//! function index, so arrival order cannot affect any output and
-//! parallel runs are bit-identical to sequential ones.
+//! [`crate::pool::ThreadPool`] ([`PipelineConfig::parallel`]): results
+//! are keyed by function index, so arrival order cannot affect any
+//! output and parallel runs are bit-identical to sequential ones.
 
 use crate::acquire::{detect_acquires_with, pensieve_all_reads, AcquireInfo, DetectMode};
-use crate::insert::insert_fences;
+use crate::fleet::{run_fleet_opts, FleetJob, FleetOptions};
 use crate::minimize::{count_module_fences, minimize_function, FencePoint, TargetModel};
 use crate::orderings::{FuncOrderings, OrderingSelection, SyncAggregates};
-use crate::pool::ThreadPool;
 use crate::report::{FuncReport, ModuleReport};
 use fence_analysis::alias::AliasOracle;
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::FuncSubstrate;
 use fence_ir::util::BitSet;
 use fence_ir::{FenceKind, FuncId, Module};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Which sync-read set drives pruning.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -137,7 +139,7 @@ pub struct PipelineResult {
 /// `detect_acquires` and across every config of a batch run.
 ///
 /// The CFG substrate ([`FuncSubstrate`]: `Cfg` + `Reachability`) is built
-/// exactly **once** per function per batch — `run_pipeline_batch` owns
+/// exactly **once** per function per run — the fleet executor holds
 /// one per function and every stage downstream (ordering generation,
 /// pruning, fence minimization) borrows it; a counter test below pins
 /// that nothing rebuilds it behind the cache's back.
@@ -238,59 +240,6 @@ pub fn module_analysis_runs() -> usize {
     MODULE_ANALYSIS_RUNS.with(|c| c.get())
 }
 
-/// Runs `f(0..n)` either inline or work-stealing on the persistent pool,
-/// returning results in index order (deterministic regardless of mode).
-/// Shared with the fleet driver, whose `n` spans work units of *many*
-/// modules at once.
-pub(crate) fn map_indexed<T: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    ThreadPool::global().map_indexed(n, parallel, f)
-}
-
-/// Fault-isolated sibling of [`map_indexed`]: every `f(i)` runs under its
-/// own `catch_unwind` (via [`ThreadPool::run_units`] in parallel mode),
-/// so slot `i` becomes `Err(panic message)` instead of the panic
-/// unwinding through the whole pass. Every unit still executes exactly
-/// once and results stay keyed by index, so sequential and pooled runs
-/// are bit-identical — including *which* units failed.
-pub(crate) fn map_indexed_caught<T: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<Result<T, String>> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if parallel && n > 1 {
-        let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let panics = ThreadPool::global().run_units(n, &|i| {
-            let v = f(i);
-            collected.lock().unwrap().push((i, v));
-        });
-        let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-        for (i, v) in collected.into_inner().unwrap() {
-            slots[i] = Some(Ok(v));
-        }
-        for (i, p) in panics.into_iter().enumerate() {
-            if let Some(msg) = p {
-                slots[i] = Some(Err(msg));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every unit ran or panicked"))
-            .collect()
-    } else {
-        (0..n)
-            .map(|i| {
-                catch_unwind(AssertUnwindSafe(|| f(i)))
-                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
-            })
-            .collect()
-    }
-}
-
 /// Pruning + minimization + report tail for one function under one
 /// config, from cached context and acquire info.
 pub(crate) fn finish_function(
@@ -330,10 +279,10 @@ pub(crate) fn finish_function(
     (report, points)
 }
 
-/// The `Manual` result: nothing placed, explicit fences counted.
-pub(crate) fn manual_result(module: &Module, config: &PipelineConfig) -> PipelineResult {
+/// The `Manual` report: nothing placed, explicit fences counted.
+pub(crate) fn manual_report(module: &Module, config: &PipelineConfig) -> ModuleReport {
     let (full, dir) = count_module_fences(module);
-    let report = ModuleReport {
+    ModuleReport {
         module_name: module.name.clone(),
         variant: config.variant.name().to_string(),
         funcs: vec![FuncReport {
@@ -342,11 +291,6 @@ pub(crate) fn manual_result(module: &Module, config: &PipelineConfig) -> Pipelin
             compiler_fences: dir,
             ..Default::default()
         }],
-    };
-    PipelineResult {
-        module: module.clone(),
-        points: Vec::new(),
-        report,
     }
 }
 
@@ -382,96 +326,18 @@ pub(crate) fn manual_result(module: &Module, config: &PipelineConfig) -> Pipelin
 /// }
 /// ```
 pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
-    if !configs.iter().any(|c| c.variant != Variant::Manual) {
-        // Nothing to place: the modules' explicit fences are the placement.
-        return configs.iter().map(|c| manual_result(module, c)).collect();
+    if configs.iter().any(|c| c.variant != Variant::Manual) {
+        MODULE_ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
     }
-    let any_parallel = configs.iter().any(|c| c.parallel);
-    MODULE_ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
-    let n = module.funcs.len();
-
-    // Overlapped build pass: the CFG substrates depend only on the IR,
-    // not on points-to, so the module analysis (unit 0) and the
-    // cache-once substrate builds (units 1..=n, exactly one `Cfg` +
-    // `Reachability` build per function per batch, counter-pinned by a
-    // test below) share one pool pass instead of a strict
-    // analysis-then-cfg barrier. Only the context stage below carries a
-    // true dependency edge on both. The analysis runs sequentially
-    // *inside* its unit (nesting the pool would deadlock); sequentially
-    // the pass degrades to the old analysis-then-substrates order.
-    enum BuildUnit {
-        Analysis(ModuleAnalysis),
-        Substrate(FuncSubstrate),
-    }
-    let mut built = map_indexed(n + 1, any_parallel, |u| {
-        if u == 0 {
-            BuildUnit::Analysis(ModuleAnalysis::run_on(module, false))
-        } else {
-            BuildUnit::Substrate(FuncSubstrate::new(module.func(FuncId::new(u - 1))))
-        }
-    });
-    let substrates: Vec<FuncSubstrate> = built
-        .split_off(1)
-        .into_iter()
-        .map(|u| match u {
-            BuildUnit::Substrate(s) => s,
-            BuildUnit::Analysis(_) => unreachable!("units 1..=n are substrates"),
-        })
-        .collect();
-    let analysis = match built.pop() {
-        Some(BuildUnit::Analysis(a)) => a,
-        _ => unreachable!("unit 0 is the module analysis"),
+    let job = FleetJob::new(module.name.clone(), module, configs.to_vec());
+    let opts = FleetOptions {
+        parallel: configs.iter().any(|c| c.parallel),
+        isolate: false,
+        validate: false,
+        ..FleetOptions::default()
     };
-
-    // Config-independent per-function contexts, built once, borrowing
-    // the substrates.
-    let contexts: Vec<FuncContext<'_>> = map_indexed(n, any_parallel, |i| {
-        FuncContext::build(module, &analysis, &substrates[i], FuncId::new(i))
-    });
-
-    // Acquire info per *distinct* automatic variant, shared across
-    // targets and parallel modes.
-    let mut acquire_cache: [Option<Vec<AcquireInfo>>; 4] = [None, None, None, None];
-    for config in configs {
-        let slot = config.variant.idx();
-        if config.variant == Variant::Manual || acquire_cache[slot].is_some() {
-            continue;
-        }
-        acquire_cache[slot] = Some(map_indexed(n, any_parallel, |i| {
-            contexts[i].acquire_info(module, &analysis, config.variant)
-        }));
-    }
-
-    configs
-        .iter()
-        .map(|config| {
-            if config.variant == Variant::Manual {
-                return manual_result(module, config);
-            }
-            let infos = acquire_cache[config.variant.idx()]
-                .as_ref()
-                .expect("acquire info cached for every automatic variant");
-            let per_func = map_indexed(n, config.parallel, |i| {
-                finish_function(module, &analysis, &contexts[i], &infos[i], config)
-            });
-            let mut funcs = Vec::with_capacity(n);
-            let mut points = Vec::new();
-            for (report, pts) in per_func {
-                funcs.push(report);
-                points.extend(pts);
-            }
-            let instrumented = insert_fences(module, &points);
-            PipelineResult {
-                module: instrumented,
-                points,
-                report: ModuleReport {
-                    module_name: module.name.clone(),
-                    variant: config.variant.name().to_string(),
-                    funcs,
-                },
-            }
-        })
-        .collect()
+    let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &opts);
+    fleet.pop().expect("one result per job").results
 }
 
 /// Runs the pipeline on a module for one config (the batch of one).

@@ -25,14 +25,17 @@
 //!    module-wide [`ModuleAnalysis`] (points-to + escape) re-runs on any
 //!    change — it is a whole-module fixpoint and caching it per function
 //!    would be unsound.
-//! 3. **Fleet semantics.** Requests run with the fleet's quarantine and
-//!    budget rules: the IR validation gate, per-unit `catch_unwind`
-//!    isolation with stage attribution, and the deterministic
-//!    instruction-count budget charged at the same stage boundaries with
-//!    the same costs ([`crate::fleet`]). Budgets are simulated from
-//!    static costs even on warm hits, so a budgeted request gets the
-//!    same `deadline_exceeded` outcome whether or not the cache could
-//!    have served it.
+//! 3. **Fleet semantics.** The service owns no stage code: every
+//!    computation is a seeded run of the fleet executor
+//!    ([`crate::fleet`]). The service hands it what the cache already
+//!    holds — a validated flag, the module analysis, the substrates of
+//!    unchanged functions, and which config lines are rendered — and the
+//!    executor runs units only for what is missing, with the fleet's
+//!    validation gate, per-unit `catch_unwind` isolation, stage
+//!    attribution and fault hooks. Budgets charge the plan of the *full*
+//!    request, and warm hits pay the same plan as a dry run, so a
+//!    budgeted request gets the same `deadline_exceeded` outcome whether
+//!    or not the cache could have served it.
 //!
 //! Eviction is LRU over whole entries, opt-in via
 //! [`ServiceOptions::capacity`]: when the entry count exceeds the
@@ -45,17 +48,15 @@
 
 pub mod wire;
 
-use crate::fleet::{func_step_cost, module_step_cost, stage_map, MAX_IR_DIAGNOSTICS};
+use crate::fleet::{dry_run, ingest, run_seeded, FleetJob, FleetOptions, Seed};
 use crate::json;
 use crate::minimize::TargetModel;
-use crate::pipeline::{finish_function, manual_result, FuncContext, PipelineConfig, Variant};
+use crate::pipeline::PipelineConfig;
 use crate::report::{FleetStage, ModuleOutcome};
-use crate::report::{FuncReport, ModuleReport};
-use crate::AcquireInfo;
 use corpus::hash::{content_hash, func_hashes, ContentHash};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{FuncSubstrate, RowInterner};
-use fence_ir::{FuncId, Module};
+use fence_ir::Module;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,13 +64,9 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceOptions {
     /// Schedule work units on the persistent pool (default). Sequential
-    /// and pooled services serve byte-identical reports.
+    /// and pooled services serve byte-identical reports. Requests always
+    /// run with the fleet's validation gate and per-unit isolation.
     pub parallel: bool,
-    /// Catch per-unit panics and quarantine the request with a
-    /// [`ModuleOutcome::Panicked`] instead of unwinding (default).
-    pub isolate: bool,
-    /// Reject malformed modules at the IR validation gate (default).
-    pub validate: bool,
     /// Default deterministic step budget applied to every request that
     /// does not carry its own (`None` = no deadline).
     pub budget: Option<u64>,
@@ -82,8 +79,6 @@ impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             parallel: true,
-            isolate: true,
-            validate: true,
             budget: None,
             capacity: None,
         }
@@ -163,7 +158,7 @@ pub struct ServiceStats {
 /// module-wide analysis, interned substrates, and every config report
 /// line rendered so far.
 struct Entry {
-    /// Parsed module (`None` only for parse-failure entries).
+    /// Parsed module (`None` for quarantined entries).
     module: Option<Module>,
     /// Cached terminal outcome: `Ok` or `InvalidIr`. Transient outcomes
     /// (`Panicked`, `DeadlineExceeded`) are never cached — they depend
@@ -173,8 +168,8 @@ struct Entry {
     funcs: Vec<(String, ContentHash)>,
     /// Module-wide analysis (absent until a non-`Manual` config needs it).
     analysis: Option<ModuleAnalysis>,
-    /// Interned substrates, aligned with `funcs` (empty until built).
-    substrates: Vec<Arc<FuncSubstrate>>,
+    /// Interned substrates, aligned with `funcs` (`None` until built).
+    substrates: Vec<Option<Arc<FuncSubstrate>>>,
     /// Rendered config report lines keyed by `(variant, target)` index.
     reports: HashMap<(usize, usize), String>,
     /// LRU clock value of the last request that touched this entry.
@@ -210,65 +205,20 @@ fn config_key(c: &PipelineConfig) -> (usize, usize) {
     (c.variant.idx(), target_idx(c.target))
 }
 
-/// Replays the fleet's stage-boundary charge sequence from static costs
-/// and returns the deadline outcome a cold `run_fleet_opts` run of
-/// `configs` over `module` would produce, if any. Charges mirror
-/// `crate::fleet` exactly: `module_step_cost` at the Validate, Analysis,
-/// Substrates and Contexts boundaries, then the summed per-function
-/// costs once per distinct automatic variant (Acquires) and once per
-/// non-`Manual` config (Tails).
-fn deadline_outcome(
-    module: &Module,
-    configs: &[PipelineConfig],
-    validate: bool,
-    budget: Option<u64>,
-) -> Option<ModuleOutcome> {
-    let budget = budget?;
-    let module_cost = module_step_cost(module);
-    let func_sum: u64 = module.funcs.iter().map(func_step_cost).sum();
-    let needs = configs.iter().any(|c| c.variant != Variant::Manual);
-
-    let mut charges: Vec<(FleetStage, u64)> = Vec::new();
-    if validate && !configs.is_empty() {
-        charges.push((FleetStage::Validate, module_cost));
-    }
-    if needs {
-        charges.push((FleetStage::Analysis, module_cost));
-        charges.push((FleetStage::Substrates, module_cost));
-        charges.push((FleetStage::Contexts, module_cost));
-        let mut distinct = [false; 4];
-        let mut variants = 0u64;
-        let mut tails = 0u64;
-        for c in configs {
-            if c.variant == Variant::Manual {
-                continue;
-            }
-            tails += 1;
-            if !distinct[c.variant.idx()] {
-                distinct[c.variant.idx()] = true;
-                variants += 1;
-            }
-        }
-        if variants * func_sum > 0 {
-            charges.push((FleetStage::Acquires, variants * func_sum));
-        }
-        if tails * func_sum > 0 {
-            charges.push((FleetStage::Tails, tails * func_sum));
+impl Entry {
+    /// A cached `InvalidIr` verdict: content-keyed, so the same bytes
+    /// fail the same way, and it holds nothing else worth keeping.
+    fn quarantined(outcome: ModuleOutcome) -> Self {
+        Entry {
+            module: None,
+            outcome,
+            funcs: Vec::new(),
+            analysis: None,
+            substrates: Vec::new(),
+            reports: HashMap::new(),
+            last_used: 0,
         }
     }
-
-    let mut spent = 0u64;
-    for (stage, cost) in charges {
-        spent = spent.saturating_add(cost);
-        if spent > budget {
-            return Some(ModuleOutcome::DeadlineExceeded {
-                stage,
-                spent,
-                budget,
-            });
-        }
-    }
-    None
 }
 
 impl Service {
@@ -350,259 +300,179 @@ impl Service {
     ) -> AnalyzeOutcome {
         self.stats.analyze_requests += 1;
         self.tick += 1;
-        let tick = self.tick;
         let hash = content_hash(text);
-        let budget = budget.or(self.opts.budget);
-
-        // ---- fully-cached fast path: zero pipeline work ----
-        let fully_cached = match self.entries.get(&hash) {
-            Some(e) => {
-                !e.outcome.is_ok()
-                    || configs
-                        .iter()
-                        .all(|c| e.reports.contains_key(&config_key(c)))
-            }
-            None => false,
+        let opts = FleetOptions {
+            parallel: self.opts.parallel,
+            budget: budget.or(self.opts.budget),
+            ..FleetOptions::default()
         };
-        if fully_cached {
-            self.stats.hits += 1;
-            self.names.insert(name.to_string(), hash);
-            let entry = self.entries.get_mut(&hash).expect("cached entry");
-            entry.last_used = tick;
-            let (outcome, lines): (ModuleOutcome, Vec<String>) = if entry.outcome.is_ok() {
-                // Budgets are simulated even warm, so the outcome matches
-                // a cold CLI run of the same request exactly.
-                let module = entry.module.as_ref().expect("ok entries hold their module");
-                match deadline_outcome(module, configs, self.opts.validate, budget) {
-                    Some(dl) => (dl, Vec::new()),
-                    None => (
-                        ModuleOutcome::Ok,
-                        configs
-                            .iter()
-                            .map(|c| entry.reports[&config_key(c)].clone())
-                            .collect(),
-                    ),
-                }
-            } else {
-                // InvalidIr wins over any deadline: the fleet absorbs the
-                // validation verdict before the Validate-stage charge.
-                (entry.outcome.clone(), Vec::new())
-            };
-            let report = json::module_json_parts(name, &outcome, &lines, &[]);
-            return AnalyzeOutcome {
-                cache: CacheDisposition::Hit,
-                outcome,
-                hash,
-                report,
-            };
+        let (cache, outcome, entry) = match self.entries.remove(&hash) {
+            Some(mut entry) => {
+                let cached: Vec<bool> = configs
+                    .iter()
+                    .map(|c| entry.reports.contains_key(&config_key(c)))
+                    .collect();
+                let (cache, outcome) = if !entry.outcome.is_ok() {
+                    // InvalidIr wins over any deadline: the fleet absorbs
+                    // the validation verdict before the Validate charge.
+                    (CacheDisposition::Hit, entry.outcome.clone())
+                } else if cached.iter().all(|&c| c) {
+                    // Zero pipeline work, but the same charge plan: a
+                    // budget trips exactly where a cold run's would.
+                    let module = entry.module.as_ref().expect("ok entries hold their module");
+                    (CacheDisposition::Hit, dry_run(name, module, configs, &opts))
+                } else {
+                    let outcome = self.run(name, &mut entry, true, cached, configs, &opts);
+                    (CacheDisposition::Incremental, outcome)
+                };
+                (cache, outcome, Some(entry))
+            }
+            None => self.cold(name, text, configs, &opts),
+        };
+        match cache {
+            CacheDisposition::Hit => self.stats.hits += 1,
+            CacheDisposition::Incremental => self.stats.incremental += 1,
+            CacheDisposition::Miss => self.stats.misses += 1,
         }
-
-        // ---- grow path: same content resident, some configs missing ----
-        if let Some(mut entry) = self.entries.remove(&hash) {
-            self.stats.incremental += 1;
-            entry.last_used = tick;
-            let result = self.compute_lines(&mut entry, configs, budget);
-            let (outcome, lines) = match result {
-                Ok(lines) => (ModuleOutcome::Ok, lines),
-                Err(outcome) => (outcome, Vec::new()),
-            };
+        let lines: Vec<String> = match &entry {
+            Some(e) if outcome.is_ok() => configs
+                .iter()
+                .map(|c| e.reports[&config_key(c)].clone())
+                .collect(),
+            _ => Vec::new(),
+        };
+        if let Some(mut entry) = entry {
+            entry.last_used = self.tick;
             self.entries.insert(hash, entry);
             self.names.insert(name.to_string(), hash);
-            let report = json::module_json_parts(name, &outcome, &lines, &[]);
-            return AnalyzeOutcome {
-                cache: CacheDisposition::Incremental,
-                outcome,
-                hash,
-                report,
-            };
+            self.evict();
         }
+        let report = json::module_json_parts(name, &outcome, &lines, &[]);
+        AnalyzeOutcome {
+            cache,
+            outcome,
+            hash,
+            report,
+        }
+    }
 
-        // ---- cold path: parse, validate, dirty-diff, compute ----
-        let parsed = if self.opts.isolate {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fence_ir::parser::parse_module(text)
-            }))
-            .map_err(|p| ModuleOutcome::Panicked {
-                stage: FleetStage::Ingest,
-                message: crate::pool::panic_message(p.as_ref()),
-            })
-        } else {
-            Ok(fence_ir::parser::parse_module(text))
-        };
-        let module = match parsed {
+    /// New content: parses it through the fleet's ingest, then runs it
+    /// seeded with the substrates that unchanged functions of the
+    /// previous version under `name` donate. Returns the entry to cache:
+    /// `Ok` and `InvalidIr` are facts about the content, while panics and
+    /// deadlines depend on this request's configs and budget — the next
+    /// request may legitimately succeed — so they are never cached.
+    fn cold(
+        &mut self,
+        name: &str,
+        text: &str,
+        configs: &[PipelineConfig],
+        opts: &FleetOptions,
+    ) -> (CacheDisposition, ModuleOutcome, Option<Entry>) {
+        let module = match ingest(name, text, opts) {
+            Ok(module) => module,
             Err(outcome) => {
-                self.stats.misses += 1;
-                return self.transient_failure(name, hash, outcome);
+                let entry = matches!(outcome, ModuleOutcome::InvalidIr { .. })
+                    .then(|| Entry::quarantined(outcome.clone()));
+                return (CacheDisposition::Miss, outcome, entry);
             }
-            Ok(Err(e)) => {
-                // Parity with streamed ingestion: an unparsable text is
-                // quarantined as InvalidIr, and the verdict is cacheable
-                // (content-keyed, so the same bytes fail the same way).
-                self.stats.misses += 1;
-                let outcome = ModuleOutcome::InvalidIr {
-                    errors: vec![format!("parse error: {e}")],
-                };
-                return self.cache_quarantined(name, hash, tick, None, Vec::new(), outcome);
-            }
-            Ok(Ok(module)) => module,
         };
-        let fhashes = func_hashes(&module);
-
-        // Validation gate, exactly like the fleet (diagnostics capped).
-        if self.opts.validate && !configs.is_empty() {
-            let verified = if self.opts.isolate {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fence_ir::verify_module_checked(&module)
-                }))
-                .map_err(|p| ModuleOutcome::Panicked {
-                    stage: FleetStage::Validate,
-                    message: crate::pool::panic_message(p.as_ref()),
-                })
-            } else {
-                Ok(fence_ir::verify_module_checked(&module))
-            };
-            match verified {
-                Err(outcome) => {
-                    self.stats.misses += 1;
-                    return self.transient_failure(name, hash, outcome);
+        let funcs = func_hashes(&module);
+        let prev = self
+            .names
+            .get(name)
+            .and_then(|h| self.entries.get(h))
+            .filter(|p| p.outcome.is_ok());
+        let substrates: Vec<Option<Arc<FuncSubstrate>>> = funcs
+            .iter()
+            .map(|(fname, fh)| {
+                let prev = prev?;
+                let j = prev.funcs.iter().position(|(n, _)| n == fname)?;
+                if prev.funcs[j].1 == *fh {
+                    prev.substrates.get(j).cloned().flatten()
+                } else {
+                    None
                 }
-                Ok(Err(errs)) => {
-                    let total = errs.len();
-                    let mut errors: Vec<String> = errs
-                        .into_iter()
-                        .take(MAX_IR_DIAGNOSTICS)
-                        .map(|e| e.to_string())
-                        .collect();
-                    if total > MAX_IR_DIAGNOSTICS {
-                        errors.push(format!(
-                            "... and {} more diagnostics",
-                            total - MAX_IR_DIAGNOSTICS
-                        ));
-                    }
-                    self.stats.misses += 1;
-                    let outcome = ModuleOutcome::InvalidIr { errors };
-                    return self.cache_quarantined(
-                        name,
-                        hash,
-                        tick,
-                        Some(module),
-                        fhashes,
-                        outcome,
-                    );
-                }
-                Ok(Ok(())) => {}
-            }
-        }
-
-        // Dirty-set seeding: unchanged functions of the previous version
-        // under this name donate their interned substrates.
-        let mut substrates: Vec<Option<Arc<FuncSubstrate>>> = vec![None; module.funcs.len()];
-        let mut reused = 0usize;
-        if let Some(prev) = self.names.get(name).and_then(|h| self.entries.get(h)) {
-            if prev.outcome.is_ok() && prev.substrates.len() == prev.funcs.len() {
-                for (i, (fname, fh)) in fhashes.iter().enumerate() {
-                    if let Some(j) = prev.funcs.iter().position(|(n, _)| n == fname) {
-                        if prev.funcs[j].1 == *fh {
-                            substrates[i] = Some(prev.substrates[j].clone());
-                            reused += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.stats.substrates_reused += reused as u64;
-        let cache = if reused > 0 {
-            self.stats.incremental += 1;
-            CacheDisposition::Incremental
-        } else {
-            self.stats.misses += 1;
-            CacheDisposition::Miss
-        };
-
+            })
+            .collect();
+        let reused = substrates.iter().flatten().count() as u64;
         let mut entry = Entry {
             module: Some(module),
             outcome: ModuleOutcome::Ok,
-            funcs: fhashes,
+            funcs,
             analysis: None,
-            substrates: Vec::new(),
+            substrates,
             reports: HashMap::new(),
-            last_used: tick,
+            last_used: 0,
         };
-        match self.compute_lines_seeded(&mut entry, Some(substrates), configs, budget) {
-            Ok(lines) => {
-                self.entries.insert(hash, entry);
-                self.names.insert(name.to_string(), hash);
-                self.evict();
-                let report = json::module_json_parts(name, &ModuleOutcome::Ok, &lines, &[]);
-                AnalyzeOutcome {
-                    cache,
-                    outcome: ModuleOutcome::Ok,
-                    hash,
-                    report,
-                }
-            }
-            Err(outcome) => {
-                // Transient outcomes are never cached: a panic or
-                // deadline depends on this request's configs/budget, and
-                // the next request may legitimately succeed.
-                let report = json::module_json_parts(name, &outcome, &[], &[]);
-                AnalyzeOutcome {
-                    cache,
-                    outcome,
-                    hash,
-                    report,
-                }
+        let outcome = self.run(name, &mut entry, false, Vec::new(), configs, opts);
+        match &outcome {
+            // Content that never passed the gate reused nothing.
+            ModuleOutcome::InvalidIr { .. } => (
+                CacheDisposition::Miss,
+                outcome.clone(),
+                Some(Entry::quarantined(outcome)),
+            ),
+            ModuleOutcome::Panicked {
+                stage: FleetStage::Validate,
+                ..
+            } => (CacheDisposition::Miss, outcome, None),
+            _ => {
+                self.stats.substrates_reused += reused;
+                let cache = if reused > 0 {
+                    CacheDisposition::Incremental
+                } else {
+                    CacheDisposition::Miss
+                };
+                let entry = outcome.is_ok().then_some(entry);
+                (cache, outcome, entry)
             }
         }
     }
 
-    /// Renders (without caching) a transient failure: panic or deadline.
-    fn transient_failure(
+    /// Runs the fleet executor over `entry`'s module, seeded with what
+    /// the entry holds plus the `validated` flag and the per-config
+    /// `cached` flags. Whatever analysis and substrates the run leaves
+    /// stay in the entry: they are valid for this content whatever the
+    /// outcome. Fresh config lines are cached only on success, so a
+    /// quarantined request leaks no partial results.
+    fn run(
         &mut self,
         name: &str,
-        hash: ContentHash,
-        outcome: ModuleOutcome,
-    ) -> AnalyzeOutcome {
-        let report = json::module_json_parts(name, &outcome, &[], &[]);
-        AnalyzeOutcome {
-            cache: CacheDisposition::Miss,
-            outcome,
-            hash,
-            report,
+        entry: &mut Entry,
+        validated: bool,
+        cached: Vec<bool>,
+        configs: &[PipelineConfig],
+        opts: &FleetOptions,
+    ) -> ModuleOutcome {
+        let module = entry.module.as_ref().expect("computable entries hold IR");
+        let job = FleetJob::new(name, module, configs.to_vec());
+        let mut seeds = [Seed {
+            validated,
+            analysis: entry.analysis.take(),
+            substrates: std::mem::take(&mut entry.substrates),
+            cached,
+        }];
+        let (mut fleet, stats) =
+            run_seeded(std::slice::from_ref(&job), &mut seeds, opts, &self.interner);
+        self.stats.analyses += stats.analyses as u64;
+        self.stats.substrates_built += stats.substrates as u64;
+        let [seed] = seeds;
+        entry.analysis = seed.analysis;
+        entry.substrates = seed.substrates;
+        let placed = fleet.pop().expect("one result per job");
+        let todo = configs
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| !seed.cached.get(c).copied().unwrap_or(false))
+            .map(|(_, config)| config);
+        for (config, p) in todo.zip(&placed.placements) {
+            entry.reports.insert(
+                config_key(config),
+                json::config_json(config, &p.report, p.points.len()),
+            );
         }
-    }
-
-    /// Caches a quarantined (InvalidIr) verdict and renders its report.
-    fn cache_quarantined(
-        &mut self,
-        name: &str,
-        hash: ContentHash,
-        tick: u64,
-        module: Option<Module>,
-        funcs: Vec<(String, ContentHash)>,
-        outcome: ModuleOutcome,
-    ) -> AnalyzeOutcome {
-        let report = json::module_json_parts(name, &outcome, &[], &[]);
-        self.entries.insert(
-            hash,
-            Entry {
-                module,
-                outcome: outcome.clone(),
-                funcs,
-                analysis: None,
-                substrates: Vec::new(),
-                reports: HashMap::new(),
-                last_used: tick,
-            },
-        );
-        self.names.insert(name.to_string(), hash);
-        self.evict();
-        AnalyzeOutcome {
-            cache: CacheDisposition::Miss,
-            outcome,
-            hash,
-            report,
-        }
+        placed.outcome
     }
 
     /// LRU eviction down to the configured capacity.
@@ -621,242 +491,5 @@ impl Service {
             self.names.retain(|_, v| *v != oldest);
             self.stats.evictions += 1;
         }
-    }
-
-    /// Runs the fleet's stage sequence over `entry`'s module, computing
-    /// the report lines of every config not yet cached, with the exact
-    /// charge boundaries and panic attribution of `run_fleet_opts`. On
-    /// success the fresh lines are merged into `entry.reports` and the
-    /// full request's lines are returned in request order; on failure
-    /// (`Panicked` / `DeadlineExceeded`) the entry is left exactly as it
-    /// was — partial results of a quarantined request must not leak into
-    /// the cache, or a retry would diverge from a cold CLI run.
-    fn compute_lines(
-        &mut self,
-        entry: &mut Entry,
-        configs: &[PipelineConfig],
-        budget: Option<u64>,
-    ) -> Result<Vec<String>, ModuleOutcome> {
-        self.compute_lines_seeded(entry, None, configs, budget)
-    }
-
-    /// [`Service::compute_lines`] with an explicit substrate seed: the
-    /// cold path passes the dirty-diff result (donated substrates for
-    /// unchanged functions, `None` holes for dirty ones); the grow path
-    /// passes `None` and reuses the entry's own complete set.
-    fn compute_lines_seeded(
-        &mut self,
-        entry: &mut Entry,
-        seed: Option<Vec<Option<Arc<FuncSubstrate>>>>,
-        configs: &[PipelineConfig],
-        budget: Option<u64>,
-    ) -> Result<Vec<String>, ModuleOutcome> {
-        let module = entry.module.as_ref().expect("computable entries hold IR");
-        let (parallel, isolate) = (self.opts.parallel, self.opts.isolate);
-        let n = module.funcs.len();
-        let dl = deadline_outcome(module, configs, self.opts.validate, budget);
-        let dl_stage = dl.as_ref().and_then(|o| o.stage());
-        // Trips the deadline at a stage boundary, mirroring the fleet's
-        // `charge` calls: work *at* the tripping stage has already run
-        // (and its panics won), work after it never starts.
-        let boundary = |stage: FleetStage| -> Result<(), ModuleOutcome> {
-            if dl_stage == Some(stage) {
-                Err(dl.clone().expect("stage implies deadline"))
-            } else {
-                Ok(())
-            }
-        };
-
-        boundary(FleetStage::Validate)?;
-
-        let needs = configs.iter().any(|c| c.variant != Variant::Manual);
-        let missing: Vec<&PipelineConfig> = configs
-            .iter()
-            .filter(|c| !entry.reports.contains_key(&config_key(c)))
-            .collect();
-        let mut fresh: HashMap<(usize, usize), String> = HashMap::new();
-
-        if needs {
-            // ---- overlapped pass: module analysis + dirty substrates ----
-            let mut subs: Vec<Option<Arc<FuncSubstrate>>> = match seed {
-                Some(seed) => seed,
-                None if entry.substrates.len() == n => {
-                    entry.substrates.iter().cloned().map(Some).collect()
-                }
-                None => vec![None; n],
-            };
-            let dirty: Vec<usize> = (0..n).filter(|&i| subs[i].is_none()).collect();
-            let need_analysis = entry.analysis.is_none();
-            let na = need_analysis as usize;
-            enum BuildUnit {
-                Analysis(ModuleAnalysis),
-                Substrate(FuncSubstrate),
-            }
-            let built = stage_map(na + dirty.len(), parallel, isolate, |u| {
-                if need_analysis && u == 0 {
-                    BuildUnit::Analysis(ModuleAnalysis::run_on(module, false))
-                } else {
-                    let f = dirty[u - na];
-                    BuildUnit::Substrate(FuncSubstrate::new_interned(
-                        module.func(FuncId::new(f)),
-                        &self.interner,
-                    ))
-                }
-            });
-            let mut built = built.into_iter();
-            // Analysis results absorb first (attribution parity with the
-            // fleet's combined pass), then the Analysis boundary, then
-            // the substrates — so a deadline at Analysis beats a
-            // substrate panic, and never the other way around.
-            let mut analysis_result: Option<ModuleAnalysis> = None;
-            for r in built.by_ref().take(na) {
-                match r {
-                    Ok(BuildUnit::Analysis(a)) => analysis_result = Some(a),
-                    Ok(BuildUnit::Substrate(_)) => unreachable!("unit 0 is the analysis"),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Analysis,
-                            message,
-                        })
-                    }
-                }
-            }
-            if need_analysis {
-                self.stats.analyses += 1;
-            }
-            boundary(FleetStage::Analysis)?;
-            let mut built_subs: Vec<(usize, Arc<FuncSubstrate>)> = Vec::new();
-            for (k, r) in built.enumerate() {
-                match r {
-                    Ok(BuildUnit::Substrate(s)) => built_subs.push((dirty[k], Arc::new(s))),
-                    Ok(BuildUnit::Analysis(_)) => unreachable!("units na.. are substrates"),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Substrates,
-                            message,
-                        })
-                    }
-                }
-            }
-            self.stats.substrates_built += built_subs.len() as u64;
-            for (f, s) in built_subs {
-                subs[f] = Some(s);
-            }
-            boundary(FleetStage::Substrates)?;
-
-            // Commit the built state now: it is valid regardless of how
-            // the per-config tail goes (a later deadline or tail panic
-            // quarantines the *request*, not the module's analysis).
-            if let Some(a) = analysis_result {
-                entry.analysis = Some(a);
-            }
-            entry.substrates = subs
-                .into_iter()
-                .map(|s| s.expect("every function has a substrate"))
-                .collect();
-            let analysis = entry.analysis.as_ref().expect("analysis just ensured");
-            let substrates = &entry.substrates;
-
-            // ---- per-function contexts ----
-            let cres = stage_map(n, parallel, isolate, |i| {
-                FuncContext::build(module, analysis, &substrates[i], FuncId::new(i))
-            });
-            let mut contexts: Vec<FuncContext<'_>> = Vec::with_capacity(n);
-            for r in cres {
-                match r {
-                    Ok(c) => contexts.push(c),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Contexts,
-                            message,
-                        })
-                    }
-                }
-            }
-            boundary(FleetStage::Contexts)?;
-
-            // ---- acquire info per distinct automatic variant needed ----
-            let mut infos: [Option<Vec<AcquireInfo>>; 4] = [None, None, None, None];
-            for config in &missing {
-                let slot = config.variant.idx();
-                if config.variant == Variant::Manual || infos[slot].is_some() {
-                    continue;
-                }
-                let ares = stage_map(n, parallel, isolate, |i| {
-                    contexts[i].acquire_info(module, analysis, config.variant)
-                });
-                let mut per_func = Vec::with_capacity(n);
-                for r in ares {
-                    match r {
-                        Ok(info) => per_func.push(info),
-                        Err(message) => {
-                            return Err(ModuleOutcome::Panicked {
-                                stage: FleetStage::Acquires,
-                                message,
-                            })
-                        }
-                    }
-                }
-                infos[slot] = Some(per_func);
-            }
-            boundary(FleetStage::Acquires)?;
-
-            // ---- per-(config, function) tails ----
-            for config in &missing {
-                if config.variant == Variant::Manual {
-                    continue;
-                }
-                let per_variant = infos[config.variant.idx()]
-                    .as_ref()
-                    .expect("acquire info computed for every missing automatic variant");
-                let tres = stage_map(n, parallel, isolate, |i| {
-                    finish_function(module, analysis, &contexts[i], &per_variant[i], config)
-                });
-                let mut funcs: Vec<FuncReport> = Vec::with_capacity(n);
-                let mut points = 0usize;
-                for r in tres {
-                    match r {
-                        Ok((report, pts)) => {
-                            funcs.push(report);
-                            points += pts.len();
-                        }
-                        Err(message) => {
-                            return Err(ModuleOutcome::Panicked {
-                                stage: FleetStage::Tails,
-                                message,
-                            })
-                        }
-                    }
-                }
-                let report = ModuleReport {
-                    module_name: module.name.clone(),
-                    variant: config.variant.name().to_string(),
-                    funcs,
-                };
-                fresh.insert(
-                    config_key(config),
-                    json::config_json(config, &report, points),
-                );
-            }
-            boundary(FleetStage::Tails)?;
-        }
-
-        // Manual configs: assembled like the fleet does, after the tail
-        // barrier, uninsulated (counting explicit fences cannot panic).
-        for config in &missing {
-            if config.variant == Variant::Manual && !fresh.contains_key(&config_key(config)) {
-                let r = manual_result(module, config);
-                fresh.insert(
-                    config_key(config),
-                    json::config_json(config, &r.report, r.points.len()),
-                );
-            }
-        }
-
-        entry.reports.extend(fresh);
-        Ok(configs
-            .iter()
-            .map(|c| entry.reports[&config_key(c)].clone())
-            .collect())
     }
 }

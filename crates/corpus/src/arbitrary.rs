@@ -183,28 +183,6 @@ pub fn build_pt(shape: &PtShape, corner_free: bool) -> Module {
     mb.finish()
 }
 
-/// Rewrites a shape so every *address* operand resolves function-locally
-/// (globals and same-function alloc results) — the documented condition
-/// under which the relaxed initial replay's local view has the same
-/// emptiness state as the pinned in-round view at every resolution, so
-/// `PointsToMode::Relaxed` and `Pinned` must agree bit-for-bit.
-pub fn localize_addresses(shape: &PtShape) -> PtShape {
-    let mut s = shape.clone();
-    for (ops, _) in &mut s.funcs {
-        for op in ops.iter_mut() {
-            *op = match *op {
-                // Dereferencing a picked-up pointer or an argument
-                // resolves a node whose local view may be emptier than
-                // the pinned one — substitute global-addressed ops.
-                PtOp::DerefCell(_) | PtOp::LoadArg => PtOp::LoadGlobal(0),
-                PtOp::StoreArg(g) => PtOp::StoreConst(g),
-                o => o,
-            };
-        }
-    }
-    s
-}
-
 // ---------------------------------------------------------------------
 // Sync family
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
 #   stream   streamed-vs-resident differential + CLI --stream smoke
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
+#   perfbench  the benchmark harness compiles and its tests pass
 #   all      every stage above, in CI order (the default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -114,6 +115,13 @@ stage_serve() {
   trap - EXIT
 }
 
+stage_perfbench() {
+  echo "== perfbench harness (cargo test --release, own workspace) =="
+  # perfbench/ builds against the workspace crates by path, so a core
+  # API change that breaks it fails here instead of at benchmark time.
+  cargo test -q --release --manifest-path perfbench/Cargo.toml
+}
+
 run_stage() {
   case "$1" in
     build)  stage_build ;;
@@ -127,9 +135,10 @@ run_stage() {
     certify) stage_certify ;;
     stream) stage_stream ;;
     serve)  stage_serve ;;
-    all)    stage_build; stage_test; stage_clippy; stage_fmt; stage_docs; stage_bench; stage_faults; stage_certify; stage_stream; stage_serve ;;
+    perfbench) stage_perfbench ;;
+    all)    stage_build; stage_test; stage_clippy; stage_fmt; stage_docs; stage_bench; stage_faults; stage_certify; stage_stream; stage_serve; stage_perfbench ;;
     *)
-      echo "unknown stage '$1' (build|test|clippy|fmt|lint|docs|bench|faults|certify|stream|serve|all)" >&2
+      echo "unknown stage '$1' (build|test|clippy|fmt|lint|docs|bench|faults|certify|stream|serve|perfbench|all)" >&2
       exit 2
       ;;
   esac

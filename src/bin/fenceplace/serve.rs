@@ -133,7 +133,6 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         parallel: cli.parallel,
         budget: cli.budget,
         capacity: cli.cache_cap,
-        ..Default::default()
     };
     let service = Arc::new(Mutex::new(Service::new(opts)));
     match &cli.socket {

@@ -22,13 +22,17 @@
 //! The `Ingest` stage only executes on the streamed ingestion path, so
 //! its injections run through `run_fleet_streamed` (windowed admission
 //! over the fleet's printed texts) in a second matrix within the same
-//! test.
+//! test. A third matrix sends the armed modules' texts to a fresh
+//! [`Service`] per point: every reply must be the bytes the fleet
+//! renders for the same module.
 
 use corpus::{manifest, Params};
 use fenceplace::faultinject::{self, Fault};
+use fenceplace::json::module_json;
 use fenceplace::{
     run_fleet_opts, run_fleet_streamed, CertifyOptions, FleetJob, FleetOptions, FleetResult,
-    FleetStage, FleetStats, ModuleOutcome, PipelineConfig, StreamItem, StreamSummary, Variant,
+    FleetStage, FleetStats, ModuleOutcome, PipelineConfig, Service, ServiceOptions, StreamItem,
+    StreamSummary, Variant,
 };
 
 /// Big enough that no tiny-params corpus module ever trips it on its
@@ -191,9 +195,74 @@ fn fault_matrix_quarantines_exactly_the_injected_modules() {
         "sequential and pooled runs must agree on every outcome"
     );
 
-    // The registry is process-global, so the streamed half of the matrix
-    // must run inside this same test.
+    // The registry is process-global, so the streamed and service
+    // matrices must run inside this same test.
     streamed_ingest_matrix();
+    service_matrix();
+}
+
+/// Every resident injection point but `Certify` (the service never
+/// certifies), driven through the analysis service. For each point a
+/// fresh [`Service`] receives the armed modules' printed texts, and each
+/// reply must be byte-identical to the fleet's report for the parsed
+/// text — quarantine, budget and panic attribution included, sequential
+/// and pooled.
+fn service_matrix() {
+    let params = Params::tiny();
+    let entries = manifest::full_fleet(&params);
+    let configs = vec![PipelineConfig::for_variant(Variant::Control)];
+    let texts: Vec<(String, String)> = entries
+        .iter()
+        .map(|e| (e.name.clone(), fence_ir::printer::print_module(&e.module)))
+        .collect();
+    let modules: Vec<fence_ir::Module> = texts
+        .iter()
+        .map(|(_, text)| fence_ir::parser::parse_module(text).expect("printed fleet text parses"))
+        .collect();
+    let jobs: Vec<FleetJob<'_>> = texts
+        .iter()
+        .zip(&modules)
+        .map(|((name, _), m)| FleetJob::new(name.clone(), m, configs.clone()))
+        .collect();
+    let points: Vec<(FleetStage, Fault)> = injection_points()
+        .into_iter()
+        .filter(|&(s, _)| s != FleetStage::Certify)
+        .collect();
+
+    for parallel in [false, true] {
+        let opts = FleetOptions {
+            parallel,
+            budget: Some(BUDGET),
+            ..FleetOptions::default()
+        };
+        for &(stage, fault) in &points {
+            for half in 0..2usize {
+                faultinject::clear();
+                let armed: Vec<usize> = (0..jobs.len()).filter(|j| j % 2 == half).collect();
+                for &j in &armed {
+                    faultinject::arm(&jobs[j].name, stage, fault);
+                }
+                let (fleet, _) = run_fleet_opts(&jobs, &opts);
+                let mut service = Service::new(ServiceOptions {
+                    parallel,
+                    budget: Some(BUDGET),
+                    ..ServiceOptions::default()
+                });
+                for &j in &armed {
+                    let (name, text) = &texts[j];
+                    let tag = format!("service {name} at {stage}/{fault:?} (par={parallel})");
+                    let got = service.analyze(name, text, &configs, None);
+                    assert_outcome_matches(&tag, stage, fault, &got.outcome);
+                    assert_eq!(
+                        got.report,
+                        module_json(name, &configs, &fleet[j]),
+                        "{tag}: report bytes"
+                    );
+                }
+            }
+        }
+    }
+    faultinject::clear();
 }
 
 /// Feeds the fleet as texts through the windowed streamed scheduler,

@@ -7,8 +7,8 @@
 //! ([`fence_bench::naive::seed_points_to`], the preserved seed
 //! algorithm).
 
-use corpus::arbitrary::{build_pt, localize_addresses, pt_shape_strategy, PtOp, PtShape};
-use fence_analysis::pointsto::{PointsTo, PointsToMode};
+use corpus::arbitrary::{build_pt, pt_shape_strategy, PtOp, PtShape};
+use fence_analysis::pointsto::PointsTo;
 use fence_bench::naive::{seed_points_to, SeedPointsTo};
 use fence_ir::{Module, Value};
 use proptest::prelude::*;
@@ -82,45 +82,11 @@ fn assert_identical(m: &Module, a: &PointsTo, b: &PointsTo) {
     }
 }
 
-/// Asserts every queryable set of `small` is contained in `big`'s.
-fn assert_superset(m: &Module, big: &PointsTo, small: &PointsTo) {
-    let check = |big: Vec<usize>, small: Vec<usize>, what: String| {
-        assert!(
-            small.iter().all(|l| big.contains(l)),
-            "{what}: relaxed lost pinned locations: relaxed {big:?}, pinned {small:?}"
-        );
-    };
-    for (fid, func) in m.iter_funcs() {
-        for (iid, _) in func.iter_insts() {
-            check(
-                big.value_set(fid, Value::Inst(iid)).iter().collect(),
-                small.value_set(fid, Value::Inst(iid)).iter().collect(),
-                format!("{}/%{} value set", func.name, iid.index()),
-            );
-        }
-        for a in 0..func.num_params {
-            check(
-                big.value_set(fid, Value::Arg(a)).iter().collect(),
-                small.value_set(fid, Value::Arg(a)).iter().collect(),
-                format!("{}/arg{a} set", func.name),
-            );
-        }
-    }
-    for l in 0..big.num_locs() {
-        check(
-            big.loc_pts(l).iter().collect(),
-            small.loc_pts(l).iter().collect(),
-            format!("loc {l} pointees"),
-        );
-    }
-}
-
-/// Golden: the *default* mode is Pinned, and a default-mode solve — seq
-/// and pooled — reproduces the preserved seed algorithm bit-for-bit on
-/// a fixed corner-free module exercising every cross-shard flow.
+/// Golden: a solve — seq and pooled — reproduces the preserved seed
+/// algorithm bit-for-bit on a fixed corner-free module exercising every
+/// cross-shard flow.
 #[test]
 fn default_mode_is_the_pinned_seed_replay() {
-    assert!(matches!(PointsToMode::default(), PointsToMode::Pinned));
     let shape = PtShape {
         n_globals: 3,
         n_cells: 2,
@@ -144,7 +110,7 @@ fn default_mode_is_the_pinned_seed_replay() {
     assert!(fence_ir::verify_module(&m).is_empty());
     let reference = seed_points_to(&m);
     for parallel in [false, true] {
-        let pt = PointsTo::analyze_with(&m, parallel, PointsToMode::default());
+        let pt = PointsTo::analyze_on(&m, parallel);
         assert_matches(
             &m,
             &pt,
@@ -190,39 +156,5 @@ proptest! {
         assert_matches(&m, &seq, &reference, "sequential", false);
         let par = PointsTo::analyze_on(&m, true);
         assert_identical(&m, &seq, &par);
-    }
-
-    /// On shapes whose address operands all resolve function-locally
-    /// (see [`localize_addresses`]), the relaxed sharded initial replay
-    /// makes exactly the pinned replay's `∅ ⇒ {Unknown}` decisions, so
-    /// `Relaxed` — sequential *and* pooled — equals `Pinned`
-    /// bit-for-bit.
-    #[test]
-    fn relaxed_matches_pinned_on_local_address_shapes(shape in pt_shape_strategy()) {
-        let m = build_pt(&localize_addresses(&shape), false);
-        prop_assert!(fence_ir::verify_module(&m).is_empty(), "module verifies");
-        let pinned = PointsTo::analyze(&m);
-        let relaxed_seq = PointsTo::analyze_with(&m, false, PointsToMode::Relaxed);
-        assert_identical(&m, &pinned, &relaxed_seq);
-        let relaxed_par = PointsTo::analyze_with(&m, true, PointsToMode::Relaxed);
-        assert_identical(&m, &relaxed_seq, &relaxed_par);
-    }
-
-    /// On *unrestricted* shapes the relaxed replay may resolve more
-    /// addresses to `{Unknown}` than the pinned one, but it must stay
-    /// (a) a sound superset of both the pinned solve and the legacy
-    /// fixpoint, and (b) schedule-independent: the pooled relaxed solve
-    /// reproduces the sequential one exactly.
-    #[test]
-    fn relaxed_is_sound_superset_and_schedule_independent(shape in pt_shape_strategy()) {
-        let m = build_pt(&shape, false);
-        prop_assert!(fence_ir::verify_module(&m).is_empty(), "module verifies");
-        let reference = seed_points_to(&m);
-        let pinned = PointsTo::analyze(&m);
-        let relaxed_seq = PointsTo::analyze_with(&m, false, PointsToMode::Relaxed);
-        assert_superset(&m, &relaxed_seq, &pinned);
-        assert_matches(&m, &relaxed_seq, &reference, "relaxed", false);
-        let relaxed_par = PointsTo::analyze_with(&m, true, PointsToMode::Relaxed);
-        assert_identical(&m, &relaxed_seq, &relaxed_par);
     }
 }

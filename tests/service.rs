@@ -404,6 +404,88 @@ fn warm_budget_simulation_matches_cold_budgeted_run() {
     );
 }
 
+/// [`TWO_V2`] with `h` cut short (bb0 lacks its terminator): it parses
+/// but fails validation, while `f` is unchanged and could donate.
+const TWO_BROKEN: &str = "module two\nglobal g 1\n\nfn f params=0 locals=() {\nbb0: ; entry\n  %0 = load @g\n  ret\n}\n\nfn h params=0 locals=() {\nbb0: ; entry\n  %0 = load @g\n  %1 = load @g\n}\n";
+
+/// One sequential service, one fixed request script covering every cache
+/// path and its corner cases. Every reply's disposition, outcome and
+/// report bytes are pinned against a cold fleet run of the same request,
+/// and so is every counter of the final [`ServiceStats`].
+#[test]
+fn scripted_session_pins_every_reply_and_the_final_stats() {
+    use fenceplace::{CacheDisposition::*, FleetStage};
+    let c = cfg(Variant::Control, TargetModel::X86Tso);
+    let p = cfg(Variant::Pensieve, TargetModel::Weak);
+    let a = cfg(Variant::AddressControl, TargetModel::ScHardware);
+    // TWO_V2 costs 5 steps per module-level stage: with three automatic
+    // configs the plan reaches 35 at acquires and 50 at tails.
+    let tails_trip = Some(40);
+    let ok = ("ok", None);
+    let invalid = ("invalid_ir", Some(FleetStage::Validate));
+    let script = [
+        ("two", TWO_V1, vec![c], None, Miss, ok),
+        ("two", TWO_V1, vec![c], None, Hit, ok),
+        // Grow: one config more on resident content.
+        ("two", TWO_V1, vec![c, p], None, Incremental, ok),
+        // One-function edit: `f` donates its substrate.
+        ("two", TWO_V2, vec![c, p], None, Incremental, ok),
+        // An edit to invalid IR is a miss, even though `f` could donate.
+        ("two", TWO_BROKEN, vec![c, p], None, Miss, invalid),
+        // The fixed text is still resident.
+        ("two", TWO_V2, vec![c, p], None, Hit, ok),
+        // A budgeted grow trips at the tails boundary...
+        (
+            "two",
+            TWO_V2,
+            vec![c, p, a],
+            tails_trip,
+            Incremental,
+            ("deadline_exceeded", Some(FleetStage::Tails)),
+        ),
+        // ...and leaks nothing into the cache: the retry still grows.
+        ("two", TWO_V2, vec![c, p, a], None, Incremental, ok),
+        // A fourth content evicts TWO_V1, the least recently used...
+        ("sick", SICK_IR, vec![c], None, Miss, invalid),
+        // ...which then recomputes, evicting TWO_BROKEN.
+        ("one", TWO_V1, vec![c], None, Miss, ok),
+    ];
+    let mut service = Service::new(ServiceOptions {
+        parallel: false,
+        capacity: Some(3),
+        ..ServiceOptions::default()
+    });
+    for (step, (name, text, configs, budget, cache, (status, stage))) in script.iter().enumerate() {
+        let got = service.analyze(name, text, configs, *budget);
+        let want = cli_baseline(
+            &[(name.to_string(), text.to_string())],
+            configs,
+            &FleetOptions {
+                parallel: false,
+                budget: *budget,
+                ..FleetOptions::default()
+            },
+        );
+        assert_eq!(got.cache, *cache, "step {step}: disposition");
+        assert_eq!(
+            (got.outcome.kind(), got.outcome.stage()),
+            (*status, *stage),
+            "step {step}: outcome"
+        );
+        assert_eq!(got.report, want[0], "step {step}: report bytes");
+    }
+    assert_eq!(service.cached_modules(), 3);
+    let s = service.stats();
+    assert_eq!(s.requests, 0, "no transport loop counted requests");
+    assert_eq!(s.analyze_requests, 10);
+    assert_eq!((s.hits, s.incremental, s.misses), (2, 4, 4));
+    assert_eq!(s.analyses, 3, "TWO_V1, TWO_V2, TWO_V1 again");
+    assert_eq!(s.substrates_built, 5, "2 + the edited `h` + 2");
+    assert_eq!(s.substrates_reused, 1, "`f` across the edit");
+    assert_eq!(s.evictions, 2);
+    assert_eq!(s.invalidated, 0);
+}
+
 #[test]
 fn lru_eviction_under_capacity() {
     let mut service = Service::new(ServiceOptions {
