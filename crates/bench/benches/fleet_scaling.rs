@@ -18,8 +18,8 @@ use corpus::Params;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fence_ir::Module;
 use fenceplace::{
-    run_fleet_streamed, run_fleet_with, run_pipeline_batch, FleetJob, FleetOptions, FleetResult,
-    FleetStats, PipelineConfig, StreamItem, Variant,
+    run_fleet_streamed, run_fleet_with, run_pipeline_batch, stream_items, FleetJob, FleetOptions,
+    FleetResult, FleetStats, PipelineConfig, Variant,
 };
 
 fn sweep() -> Vec<PipelineConfig> {
@@ -124,20 +124,12 @@ fn bench_streamed(c: &mut Criterion) {
     }
     let configs = sweep();
 
-    // The bench crate sits below the umbrella crate, so it carries its
-    // own copy of the ModuleSource -> StreamItem adapter.
     let items = || {
         let mut source = corpus::ModuleSource::new(Params::default());
         source
             .push_spec(&format!("dir:{}", dir.display()))
             .expect("dir spec queues");
-        source.map(|item| match item.expect("scratch dir reads cleanly") {
-            corpus::SourceItem::Module(e) => StreamItem::Module {
-                name: e.name,
-                module: e.module,
-            },
-            corpus::SourceItem::Text { name, text } => StreamItem::Text { name, text },
-        })
+        stream_items(source)
     };
     let run = |window: Option<usize>| -> (Vec<FleetResult>, FleetStats) {
         let mut results: Vec<Option<FleetResult>> = (0..synth.len()).map(|_| None).collect();
@@ -159,6 +151,7 @@ fn bench_streamed(c: &mut Criterion) {
     // and the window must actually bound residency.
     let (windowed, wstats) = run(Some(4));
     let (resident, rstats) = run(None);
+    assert_eq!(rstats.failed, 0, "scratch dir reads and parses cleanly");
     assert_eq!(rstats.peak_resident_modules, synth.len());
     assert!(
         wstats.peak_resident_modules <= 4,

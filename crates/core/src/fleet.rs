@@ -1031,6 +1031,27 @@ pub enum StreamItem {
     },
 }
 
+/// Adapts a lazily-resolving [`corpus::ModuleSource`] into the item
+/// stream consumed by [`run_fleet_streamed`]: built-in entries arrive as
+/// ready modules, file-backed specs as unparsed texts (so the ingest
+/// stage parses them off-thread), and loader errors as
+/// [`StreamItem::Failed`] — one unreadable file quarantines that item
+/// without aborting the stream. Every front end (the batch CLI, the
+/// daemon's spec expansion, `fenceplace client`) reads specs through it.
+pub fn stream_items(source: corpus::ModuleSource) -> impl Iterator<Item = StreamItem> + Send {
+    source.map(|item| match item {
+        Ok(corpus::SourceItem::Module(entry)) => StreamItem::Module {
+            name: entry.name,
+            module: entry.module,
+        },
+        Ok(corpus::SourceItem::Text { name, text }) => StreamItem::Text { name, text },
+        Err(e) => StreamItem::Failed {
+            name: e.spec.clone(),
+            error: e.to_string(),
+        },
+    })
+}
+
 /// Name + terminal outcome of one streamed item, in admission order —
 /// the O(1)-per-module record the caller keeps after full results are
 /// spilled through the completion sink.
@@ -1812,7 +1833,7 @@ mod tests {
         (summaries, stats, slots)
     }
 
-    fn stream_items(modules: &[(&str, &Module)]) -> Vec<StreamItem> {
+    fn text_items(modules: &[(&str, &Module)]) -> Vec<StreamItem> {
         modules
             .iter()
             .map(|(name, m)| StreamItem::Text {
@@ -1850,7 +1871,7 @@ mod tests {
                     window,
                     ..FleetOptions::default()
                 };
-                let (summaries, stats, got) = stream_collect(stream_items(&named), &configs, &opts);
+                let (summaries, stats, got) = stream_collect(text_items(&named), &configs, &opts);
                 assert_eq!(summaries.len(), 5);
                 assert_eq!(stats.modules, 5);
                 assert_eq!(stats.failed, 0);

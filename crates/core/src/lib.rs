@@ -95,8 +95,8 @@ pub use certify::{
     FenceCertificate, GroupCertificate,
 };
 pub use fleet::{
-    run_fleet, run_fleet_opts, run_fleet_streamed, run_fleet_with, FleetJob, FleetOptions,
-    FleetResult, FleetStats, StreamItem, StreamSummary,
+    run_fleet, run_fleet_opts, run_fleet_streamed, run_fleet_with, stream_items, FleetJob,
+    FleetOptions, FleetResult, FleetStats, StreamItem, StreamSummary,
 };
 pub use minimize::{FencePoint, TargetModel};
 pub use orderings::{

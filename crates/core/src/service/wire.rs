@@ -682,6 +682,21 @@ mod tests {
     }
 
     #[test]
+    fn escaped_strings_round_trip_through_the_parser() {
+        // ASCII, 2-, 3- and 4-byte characters, every control character
+        // (escaped as `\u00XX`), a quote and a backslash.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let text = format!("fn f é€中😀𝄞 \"q\" \\ /{controls}\n").repeat(16);
+        let wire = format!("\"{}\"", crate::json::json_escape(&text));
+        assert_eq!(parse_json(&wire).unwrap(), Json::Str(text));
+        // The short escapes the escaper never emits decode as well.
+        assert_eq!(
+            parse_json("\"é\\/\\b\\f\\n\\r\\t\\\"\\\\😀\\u20ac\"").unwrap(),
+            Json::Str("é/\u{8}\u{c}\n\r\t\"\\😀€".to_string())
+        );
+    }
+
+    #[test]
     fn request_parsing_and_errors() {
         let (id, req) =
             parse_request("{\"id\":7,\"type\":\"analyze\",\"module\":\"m\",\"text\":\"module m\"}")

@@ -1,6 +1,7 @@
 //! The multi-module manifest builder: turns textual program specs into
-//! named modules, the input shape of fleet runs (the `fenceplace` CLI,
-//! the figure harnesses, `perf_snapshot`, the scaling benches).
+//! named modules, the input shape of fleet runs (the `fenceplace` CLI
+//! and daemon, the figure harnesses, `perf_snapshot`, the scaling
+//! benches).
 //!
 //! A *spec* selects programs from the corpus families:
 //!
@@ -25,24 +26,23 @@
 //! line it came from ([`resolve_spec_at`]) so the operator can fix the
 //! right entry.
 //!
-//! `file:` modules are parsed, **not validated**: structural
-//! verification is the fleet's job (its pre-analysis gate quarantines
-//! malformed modules with a structured `invalid_ir` outcome instead of
-//! rejecting the whole manifest).
+//! # Two resolvers
 //!
-//! # Streaming
-//!
-//! [`resolve_spec`] materializes everything eagerly — fine for the
-//! built-in families, but a `dir:`/`pack:` corpus can be far larger than
-//! memory. [`ModuleSource`] is the streaming counterpart: built-in specs
-//! still resolve up front (a typo'd name must fail before the run
-//! starts), while file-backed specs defer all I/O to iteration and yield
-//! module **texts** one at a time ([`SourceItem::Text`]) — parsing is the
-//! consumer's job, which lets the fleet run it as pool units overlapped
-//! with analysis. A file that cannot be read mid-stream surfaces as one
-//! `Err` item carrying the per-item pseudo-spec (`file:PATH`,
-//! `pack:PATH#K`) and the stream continues; the consumer decides whether
-//! that quarantines one module or aborts the run.
+//! [`resolve_spec`] builds the **built-in** families (`kernel:`,
+//! `corpus:`, `manual:`, `synthetic:`) into modules. [`ModuleSource`]
+//! is the one loader of the file-backed families (`file:`, `dir:`,
+//! `pack:`), and every front end reads specs through it. Built-in specs
+//! pushed onto it still resolve up front (a typo'd name must fail before
+//! the run starts), while file-backed specs defer all I/O to iteration
+//! and yield module **texts** one at a time ([`SourceItem::Text`]).
+//! Parsing is the consumer's job, which lets the fleet run it as pool
+//! units overlapped with analysis, and texts are neither parsed nor
+//! validated here: the fleet quarantines an unparsable or malformed
+//! module as its own `invalid_ir` slot instead of rejecting the whole
+//! spec. A file that cannot be read surfaces as one `Err` item carrying
+//! the per-item pseudo-spec (`file:PATH`, `pack:PATH#K`) and the stream
+//! continues; the consumer decides whether that quarantines one module
+//! or aborts the run.
 
 use crate::{programs, Params};
 use fence_ir::Module;
@@ -103,8 +103,10 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-/// Resolves a single spec against the corpus at `params`, in canonical
-/// order. See the module docs for the spec grammar.
+/// Resolves a single built-in spec (`kernel:`, `corpus:`, `manual:`,
+/// `synthetic:`) against the corpus at `params`, in canonical order.
+/// File-backed specs are an error here: [`ModuleSource`] reads them.
+/// See the module docs for the spec grammar.
 pub fn resolve_spec(spec: &str, params: &Params) -> Result<Vec<ManifestEntry>, ManifestError> {
     let (family, name) = spec
         .split_once(':')
@@ -154,37 +156,10 @@ pub fn resolve_spec(spec: &str, params: &Params) -> Result<Vec<ManifestEntry>, M
                 module: crate::synthetic_scaled(n),
             }])
         }
-        "file" => {
-            let text = std::fs::read_to_string(name)
-                .map_err(|e| ManifestError::new(spec, format!("cannot read `{name}`: {e}")))?;
-            let module = fence_ir::parser::parse_module(&text)
-                .map_err(|e| ManifestError::new(spec, format!("parse error in `{name}`: {e}")))?;
-            Ok(vec![ManifestEntry {
-                name: spec.to_string(),
-                module,
-            }])
-        }
-        // Eager forms of the streaming families: drain a one-spec
-        // `ModuleSource` and parse every text up front, so resident mode
-        // and `--list`-style tooling see the same corpus the streamed
-        // path would.
-        "dir" | "pack" => {
-            let mut source = ModuleSource::new(*params);
-            source.push_spec(spec)?;
-            let mut out = Vec::new();
-            for item in source {
-                match item? {
-                    SourceItem::Module(entry) => out.push(entry),
-                    SourceItem::Text { name, text } => {
-                        let module = fence_ir::parser::parse_module(&text).map_err(|e| {
-                            ManifestError::new(&name, format!("parse error: {e}"))
-                        })?;
-                        out.push(ManifestEntry { name, module });
-                    }
-                }
-            }
-            Ok(out)
-        }
+        "file" | "dir" | "pack" => Err(ManifestError::new(
+            spec,
+            format!("`{family}:` specs are file-backed: read them through `ModuleSource`"),
+        )),
         other => Err(ManifestError::new(
             spec,
             format!(
@@ -359,17 +334,17 @@ struct PackState {
     index: usize,
 }
 
-/// Streaming manifest resolution: yields one [`SourceItem`] at a time,
-/// deferring all file I/O (and leaving parsing to the consumer) so a
-/// corpus larger than memory can be processed at O(1) resident items
-/// per window slot.
+/// Streaming manifest resolution, and the only loader of file-backed
+/// specs: yields one [`SourceItem`] at a time, deferring all file I/O
+/// (and leaving parsing to the consumer) so a corpus larger than memory
+/// can be processed at O(1) resident items per window slot.
 ///
-/// Built-in specs ([`resolve_spec`] families other than `file:`, `dir:`,
-/// `pack:`) resolve eagerly in [`ModuleSource::push_spec`] — a typo must
-/// fail before the run starts. File-backed specs are validated only when
-/// the stream reaches them: an unreadable file or broken pack surfaces
-/// as an `Err` whose [`ManifestError::spec`] is the per-item pseudo-spec,
-/// and iteration continues with the next item.
+/// Built-in specs (the [`resolve_spec`] families) resolve eagerly in
+/// [`ModuleSource::push_spec`] — a typo must fail before the run
+/// starts. File-backed specs are validated only when the stream reaches
+/// them: an unreadable file or broken pack surfaces as an `Err` whose
+/// [`ManifestError::spec`] is the per-item pseudo-spec, and iteration
+/// continues with the next item.
 pub struct ModuleSource {
     params: Params,
     queue: VecDeque<Pending>,
@@ -388,23 +363,13 @@ impl ModuleSource {
     /// can fail) here; `file:`/`dir:`/`pack:` specs are recorded without
     /// touching the filesystem.
     pub fn push_spec(&mut self, spec: &str) -> Result<(), ManifestError> {
-        let family = spec.split_once(':').map(|(f, _)| f);
-        match family {
-            Some("file") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::File(path.to_string()));
-            }
-            Some("dir") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::Dir(path.to_string()));
-            }
-            Some("pack") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::Pack {
-                    path: path.to_string(),
-                    state: None,
-                });
-            }
+        match spec.split_once(':') {
+            Some(("file", path)) => self.queue.push_back(Pending::File(path.to_string())),
+            Some(("dir", path)) => self.queue.push_back(Pending::Dir(path.to_string())),
+            Some(("pack", path)) => self.queue.push_back(Pending::Pack {
+                path: path.to_string(),
+                state: None,
+            }),
             _ => {
                 for entry in resolve_spec(spec, &self.params)? {
                     self.queue.push_back(Pending::Entry(entry));
@@ -617,6 +582,13 @@ mod tests {
         );
     }
 
+    /// Drains a source holding the one spec.
+    fn drain(spec: &str) -> Vec<Result<SourceItem, ManifestError>> {
+        let mut src = ModuleSource::new(Params::tiny());
+        src.push_spec(spec).unwrap();
+        src.collect()
+    }
+
     #[test]
     fn file_specs_roundtrip_through_the_printer() {
         let p = Params::tiny();
@@ -626,24 +598,27 @@ mod tests {
         let path = dir.join("dekker.fir");
         std::fs::write(&path, fence_ir::printer::print_module(dekker)).unwrap();
         let spec = format!("file:{}", path.display());
-        let loaded = resolve_spec(&spec, &p).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].name, spec);
-        assert_eq!(loaded[0].module.funcs.len(), dekker.funcs.len());
+        // The eager resolver refuses file-backed specs and names the loader.
+        let refused = resolve_spec(&spec, &p).unwrap_err();
+        assert!(refused.message.contains("ModuleSource"), "{refused}");
+        let items = drain(&spec);
+        assert_eq!(items.len(), 1);
+        let Ok(SourceItem::Text { name, text }) = &items[0] else {
+            panic!("a file streams one text, got {:?}", items[0]);
+        };
+        assert_eq!(name, &spec);
+        let loaded = fence_ir::parser::parse_module(text).unwrap();
+        assert_eq!(loaded.funcs.len(), dekker.funcs.len());
         // Parsing densely renumbers instruction ids, so the printed form
         // is a fixed point after one round-trip, not necessarily equal to
         // the original (which may number with gaps).
-        let printed = fence_ir::printer::print_module(&loaded[0].module);
+        let printed = fence_ir::printer::print_module(&loaded);
         let reparsed = fence_ir::parser::parse_module(&printed).unwrap();
         assert_eq!(printed, fence_ir::printer::print_module(&reparsed));
-        assert!(fence_ir::verify_module(&loaded[0].module).is_empty());
-        // Missing file and garbage content are loud, structured errors.
-        let missing = resolve_spec("file:/no/such/path.fir", &p).unwrap_err();
+        assert!(fence_ir::verify_module(&loaded).is_empty());
+        // A missing file is a loud, structured error.
+        let missing = drain("file:/no/such/path.fir").remove(0).unwrap_err();
         assert!(missing.message.contains("cannot read"));
-        let bad = dir.join("bad.fir");
-        std::fs::write(&bad, "this is not IR\n").unwrap();
-        let err = resolve_spec(&format!("file:{}", bad.display()), &p).unwrap_err();
-        assert!(err.message.contains("parse error"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -684,51 +659,43 @@ mod tests {
         let p = Params::tiny();
         let dir = scratch_dir("dirspec");
         let names = ["kernel:Dekker", "kernel:Peterson", "kernel:CLH Lock"];
-        let mut pack_text = String::new();
+        let mut printed = Vec::new();
         for (i, spec) in names.iter().enumerate() {
-            let m = &resolve_spec(spec, &p).unwrap()[0].module;
-            let printed = fence_ir::printer::print_module(m);
-            std::fs::write(dir.join(format!("m{i}.ir")), &printed).unwrap();
-            pack_text.push_str(&printed);
+            let text = fence_ir::printer::print_module(&resolve_spec(spec, &p).unwrap()[0].module);
+            std::fs::write(dir.join(format!("m{i}.ir")), &text).unwrap();
+            printed.push(text);
         }
         // A non-module extension is ignored by dir scans.
         std::fs::write(dir.join("notes.txt"), "not ir").unwrap();
         let pack_path = dir.join("all.pack");
-        std::fs::write(&pack_path, &pack_text).unwrap();
+        std::fs::write(&pack_path, printed.concat()).unwrap();
+        let texts = |spec: &str| -> Vec<(String, String)> {
+            drain(spec)
+                .into_iter()
+                .map(|item| match item.unwrap() {
+                    SourceItem::Text { name, text } => (name, text),
+                    other => panic!("file-backed specs stream texts, got {other:?}"),
+                })
+                .collect()
+        };
 
-        // Eager dir: resolves every *.ir sorted by path, named file:PATH.
+        // Dir: every *.ir sorted by path, named file:PATH, read verbatim.
         let dspec = format!("dir:{}", dir.display());
-        let eager = resolve_spec(&dspec, &p).unwrap();
-        assert_eq!(eager.len(), 3);
-        assert!(eager[0].name.starts_with("file:"));
-        assert!(eager[0].name.ends_with("m0.ir"));
-        assert!(eager.windows(2).all(|w| w[0].name < w[1].name));
-
-        // Streamed dir: same items as texts, lazily.
-        let mut src = ModuleSource::new(p);
-        src.push_spec(&dspec).unwrap();
-        let items: Vec<_> = src.map(|r| r.unwrap()).collect();
-        assert_eq!(items.len(), 3);
-        for (item, entry) in items.iter().zip(&eager) {
-            match item {
-                SourceItem::Text { name, text } => {
-                    assert_eq!(name, &entry.name);
-                    let m = fence_ir::parser::parse_module(text).unwrap();
-                    assert_eq!(
-                        fence_ir::printer::print_module(&m),
-                        fence_ir::printer::print_module(&entry.module)
-                    );
-                }
-                other => panic!("dir streams texts, got {other:?}"),
-            }
-        }
-
-        // Pack: chunks named pack:PATH#K, eager and streamed agree.
+        let dir_items = texts(&dspec);
+        assert_eq!(dir_items.len(), 3);
+        assert!(dir_items[0].0.starts_with("file:"));
+        assert!(dir_items[0].0.ends_with("m0.ir"));
+        assert!(dir_items.windows(2).all(|w| w[0].0 < w[1].0));
+        // Pack: chunks named pack:PATH#K; both carry the printed texts.
         let pspec = format!("pack:{}", pack_path.display());
-        let eager_pack = resolve_spec(&pspec, &p).unwrap();
-        assert_eq!(eager_pack.len(), 3);
-        assert_eq!(eager_pack[0].name, format!("{pspec}#0"));
-        assert_eq!(eager_pack[2].name, format!("{pspec}#2"));
+        let pack_items = texts(&pspec);
+        assert_eq!(pack_items.len(), 3);
+        assert_eq!(pack_items[0].0, format!("{pspec}#0"));
+        assert_eq!(pack_items[2].0, format!("{pspec}#2"));
+        for items in [&dir_items, &pack_items] {
+            let got: Vec<&String> = items.iter().map(|(_, text)| text).collect();
+            assert_eq!(got, printed.iter().collect::<Vec<_>>());
+        }
 
         // Built-ins mix with file-backed specs; typos fail at push time.
         let mut src = ModuleSource::new(p);
@@ -768,11 +735,15 @@ mod tests {
         let dir = scratch_dir("streamerr");
         let empty = dir.join("empty");
         std::fs::create_dir_all(&empty).unwrap();
-        let err = resolve_spec(&format!("dir:{}", empty.display()), &p).unwrap_err();
+        let err = drain(&format!("dir:{}", empty.display()))
+            .remove(0)
+            .unwrap_err();
         assert!(err.message.contains("no `*.ir`"), "{err}");
         let blank = dir.join("blank.pack");
         std::fs::write(&blank, "; nothing here\n").unwrap();
-        let err = resolve_spec(&format!("pack:{}", blank.display()), &p).unwrap_err();
+        let err = drain(&format!("pack:{}", blank.display()))
+            .remove(0)
+            .unwrap_err();
         assert!(err.message.contains("no modules"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

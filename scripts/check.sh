@@ -13,7 +13,7 @@
 #   bench    cargo bench --no-run (compile smoke for every bench harness)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
-#   stream   streamed-vs-resident differential + CLI --stream smoke
+#   stream   windowed-vs-resident differential + CLI --window smoke
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #   perfbench  the benchmark harness compiles and its tests pass
 #   all      every stage above, in CI order (the default)
@@ -72,16 +72,16 @@ stage_certify() {
 }
 
 stage_stream() {
-  echo "== streamed-vs-resident differential =="
+  echo "== windowed-vs-resident differential =="
   cargo test -q -p fence-suite --test stream
 
-  echo "== fenceplace --stream smoke (kernels, windowed) =="
-  # Windowed streaming over the built-in kernels must complete cleanly;
+  echo "== fenceplace --window smoke (kernels) =="
+  # Windowed admission over the built-in kernels must complete cleanly;
   # any quarantined module or unsound certification exits 2 and fails
   # the stage.
   cargo run --release --quiet --bin fenceplace -- \
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
-    --stream --window 4
+    --window 4
 }
 
 stage_serve() {

@@ -1,22 +1,25 @@
 //! `fenceplace client` — drives a running `fenceplace serve` daemon.
 //!
-//! Resolves program specs **locally** (same resolution as the batch
-//! CLI), prints each module's text, and submits inline-text analyze
-//! requests over the daemon's Unix socket — so the daemon's content
-//! addressing, not the client's naming, decides what is cached. Per
-//! module it prints `name: status (cache)`; `--out DIR` additionally
-//! writes each returned report document (byte-identical to what
-//! `fenceplace --out DIR` would write) to `DIR/<module>.json`.
+//! Reads program specs **locally**, through the same
+//! `corpus::ModuleSource` as the batch CLI, and submits each module as an
+//! inline-text analyze request over the daemon's Unix socket — so the
+//! daemon's content addressing, not the client's naming, decides what is
+//! cached. A file's text is sent as read (the daemon parses it, so an
+//! unparsable file comes back `invalid_ir`: exit 2); a built-in module is
+//! printed. A file that cannot be read is fatal. Per module it prints
+//! `name: status (cache)`; `--out DIR` additionally writes each returned
+//! report document (byte-identical to what `fenceplace --out DIR` would
+//! write) to `DIR/<module>.json`.
 //!
 //! `--expect-hit` turns a warm-cache expectation into an exit code: if
 //! any analyze response comes back with a cache disposition other than
 //! `hit`, the client exits 1. The CI smoke test runs the corpus twice
 //! and pins the second pass with it.
 
-use corpus::Params;
+use corpus::{ModuleSource, Params};
 use fenceplace::json::{file_stem, json_escape};
 use fenceplace::service::wire::{self, config_label, Json, PROTOCOL_VERSION};
-use fenceplace::PipelineConfig;
+use fenceplace::{stream_items, PipelineConfig, StreamItem};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
@@ -28,7 +31,7 @@ USAGE:
 
 OPTIONS:
   --socket PATH      connect to the daemon's Unix socket at PATH
-  --program SPEC     resolve SPEC locally (kernel:NAME|*, corpus:NAME|*,
+  --program SPEC     read SPEC locally (kernel:NAME|*, corpus:NAME|*,
                      manual:NAME|*, synthetic:N, file:PATH, dir:PATH,
                      pack:PATH) and submit each module's text (repeatable)
   --config V:T       config to request, variant:target (repeatable;
@@ -45,7 +48,8 @@ OPTIONS:
 
 EXIT CODES:
   0  every module completed (and was a hit, under --expect-hit)
-  1  fatal error (connect/handshake/I/O failure) or --expect-hit violated
+  1  fatal error (connect/handshake/I/O failure, unreadable file) or
+     --expect-hit violated
   2  some module was quarantined (reports still printed/written)
 "
 }
@@ -187,11 +191,11 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         println!("{resp}");
     }
 
-    // Resolve every spec locally and submit inline text.
-    let mut entries = Vec::new();
+    // Read every spec locally and submit inline text. Built-in typos
+    // fail here, before any request is sent.
+    let mut source = ModuleSource::new(cli.params);
     for spec in &cli.specs {
-        let batch = corpus::manifest::resolve_spec(spec, &cli.params).map_err(|e| e.to_string())?;
-        entries.extend(batch);
+        source.push_spec(spec).map_err(|e| e.to_string())?;
     }
     if let Some(dir) = &cli.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
@@ -202,9 +206,14 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         .map(|c| format!("\"{}\"", json_escape(&config_label(c))))
         .collect::<Vec<_>>()
         .join(",");
-    let (mut misses, mut failed) = (0usize, 0usize);
-    for e in &entries {
-        let text = fence_ir::printer::print_module(&e.module);
+    let (mut sent, mut misses, mut failed) = (0usize, 0usize, 0usize);
+    for item in stream_items(source) {
+        let (name, text) = match item {
+            StreamItem::Module { name, module } => (name, fence_ir::printer::print_module(&module)),
+            StreamItem::Text { name, text } => (name, text),
+            StreamItem::Failed { error, .. } => return Err(error),
+        };
+        sent += 1;
         let budget = match cli.budget {
             Some(b) => format!(",\"budget\":{b}"),
             None => String::new(),
@@ -212,7 +221,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         let req = format!(
             "{{\"id\":{},\"type\":\"analyze\",\"module\":\"{}\",\"text\":\"{}\",\"configs\":[{configs_json}]{budget}}}",
             id(),
-            json_escape(&e.name),
+            json_escape(&name),
             json_escape(&text)
         );
         let resp = exchange(&mut writer, &mut reader, &req)?;
@@ -221,8 +230,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
             Some("report") => {}
             Some("error") => {
                 return Err(format!(
-                    "daemon error for `{}`: {}",
-                    e.name,
+                    "daemon error for `{name}`: {}",
                     field(&parsed, "message").unwrap_or(&resp)
                 ));
             }
@@ -230,7 +238,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         }
         let status = field(&parsed, "status").unwrap_or("?").to_string();
         let cache = field(&parsed, "cache").unwrap_or("?").to_string();
-        println!("{}: {status} ({cache})", e.name);
+        println!("{name}: {status} ({cache})");
         if status != "ok" {
             failed += 1;
         }
@@ -239,7 +247,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         }
         if let Some(dir) = &cli.out_dir {
             let report = field(&parsed, "report").unwrap_or_default();
-            let path = format!("{dir}/{}.json", file_stem(&e.name));
+            let path = format!("{dir}/{}.json", file_stem(&name));
             std::fs::write(&path, report).map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }
@@ -258,17 +266,11 @@ pub fn run(args: &[String]) -> Result<u8, String> {
     }
 
     if cli.expect_hit && misses > 0 {
-        eprintln!(
-            "--expect-hit: {misses} of {} modules were not cache hits",
-            entries.len()
-        );
+        eprintln!("--expect-hit: {misses} of {sent} modules were not cache hits");
         return Ok(1);
     }
     if failed > 0 {
-        eprintln!(
-            "{failed} of {} modules quarantined (exit 2: partial success)",
-            entries.len()
-        );
+        eprintln!("{failed} of {sent} modules quarantined (exit 2: partial success)");
         return Ok(2);
     }
     Ok(0)

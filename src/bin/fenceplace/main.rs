@@ -1,10 +1,12 @@
 //! `fenceplace` — the batch CLI over the fleet driver.
 //!
 //! Loads a manifest of corpus/kernel/synthetic/file programs plus
-//! variant × target configs, runs the whole set as **one fleet** (every
-//! per-(module, function) work unit scheduled onto the persistent pool,
-//! reachability rows interned fleet-wide), and emits per-module JSON
-//! reports plus a roll-up — the repo as a drivable batch service.
+//! variant × target configs, reads every spec through one
+//! [`corpus::ModuleSource`], runs the whole set as **one fleet** through
+//! [`fenceplace::run_fleet_streamed`] (every per-(module, function) work
+//! unit scheduled onto the persistent pool, module texts parsed as pool
+//! units too), and emits per-module JSON reports plus a roll-up — the
+//! repo as a drivable batch service.
 //!
 //! ```text
 //! cargo run --release --bin fenceplace -- --manifest fleet.manifest --out reports/
@@ -34,14 +36,12 @@
 //!
 //! # Streaming
 //!
-//! `--stream` (or `--window N`, which implies it) switches to the
-//! windowed ingestion scheduler: file-backed specs are read lazily, each
-//! module's text parses as a pool work unit overlapped with other
-//! modules' analysis, per-module reports are spilled to `--out` the
-//! moment each module retires, and at most `--window N` modules are
-//! resident at once. Without `--window`, `--stream` keeps the exact
-//! resident scheduler (bit-identical reports) while still exercising the
-//! streamed ingest path.
+//! File-backed specs are always read lazily. Without `--window`, every
+//! module is resident at once and the fleet interns reachability rows
+//! across all of them. `--window N` is the one streaming knob: at most
+//! N modules are resident at once, and each per-module report is written
+//! to `--out` the moment its module retires. Per-module reports are
+//! byte-identical either way. `--stream` is accepted and does nothing.
 //!
 //! # Failure model and exit codes
 //!
@@ -49,31 +49,28 @@
 //! fails IR validation, panics in a work unit, or blows `--budget` is
 //! reported with a structured status (its slot in the per-module JSON
 //! and `fleet_summary.json` carries the stage and error) while every
-//! other module completes normally. A `file:`/`dir:`/`pack:` spec that
-//! cannot be read or parsed is likewise quarantined at load time; under
-//! `--stream` a mid-stream load failure becomes a `load_failed` module
-//! slot (exit 2) instead of aborting the run, and a duplicate module
-//! name is quarantined at admission rather than being fatal up front.
+//! other module completes normally. Loading quarantines the same way: a
+//! file that cannot be read becomes a `load_failed` slot, a text that
+//! does not parse an `invalid_ir` slot, and a duplicate module name
+//! (overlapping specs) a `load_failed` slot at admission. A `load_failed`
+//! slot gets no report file of its own; the roll-up lists it.
 //!
 //! | exit | meaning                                                    |
 //! |------|------------------------------------------------------------|
 //! | 0    | every module completed                                     |
-//! | 1    | fatal: bad usage, unresolvable spec, I/O error, `--fail-fast` trip |
-//! | 2    | partial success: some modules quarantined (including mid-stream load failures) or a `--certify` run came back unsound; reports written |
+//! | 1    | fatal: bad usage, unresolvable built-in spec, I/O error, `--fail-fast` trip |
+//! | 2    | partial success: some modules quarantined (including load failures and duplicates) or a `--certify` run came back unsound; reports written |
 
 mod client;
 mod serve;
 
-use corpus::manifest::{available, resolve_spec, resolve_spec_at, ManifestEntry};
+use corpus::manifest::available;
 use corpus::{ModuleSource, Params};
-use fence_suite::stream_items;
-use fenceplace::json::{
-    file_stem, json_escape, module_json, outcome_fields, status_fields, target_name,
-};
+use fenceplace::json::{file_stem, json_escape, module_json, outcome_fields, target_name};
 use fenceplace::service::wire::parse_config_spec as parse_config;
 use fenceplace::{
-    run_fleet_opts, run_fleet_streamed, CertifyOptions, FleetJob, FleetOptions, FleetResult,
-    FleetStats, ModuleOutcome, PipelineConfig, PipelineResult, StreamItem, StreamSummary,
+    run_fleet_streamed, stream_items, CertifyOptions, FleetOptions, FleetStats, ModuleOutcome,
+    PipelineConfig, PipelineResult, StreamItem, StreamSummary,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -96,7 +93,6 @@ struct Cli {
     fail_fast: bool,
     budget: Option<u64>,
     certify: Option<CertifyOptions>,
-    stream: bool,
     window: Option<usize>,
 }
 
@@ -126,23 +122,19 @@ OPTIONS:
   --threads N        corpus build parameter (default 8)
   --scale N          corpus build parameter (default 16)
   --seq              run the fleet sequentially (default: persistent pool)
-  --stream           streamed ingestion: read file-backed specs lazily,
-                     parse module texts as pool work units, and spill each
-                     per-module report the moment that module retires.
-                     Without --window the resident scheduler still runs
-                     underneath (reports are bit-identical to a non-stream
-                     run); mid-stream load failures and duplicate names
-                     are quarantined as load_failed slots (exit 2)
-  --window N         admit at most N modules at once (implies --stream):
-                     a new module is admitted as a prior one retires, so
-                     peak memory is O(window), not O(corpus)
+  --window N         admit at most N modules at once: a new module is
+                     admitted as a prior one retires, and each report is
+                     written the moment its module retires, so peak memory
+                     is O(window), not O(corpus); reports are byte-identical
+                     to a run without --window
+  --stream           accepted for compatibility; does nothing
   --budget N         deterministic per-module step budget: a module whose
                      static instruction-count spend exceeds N is quarantined
                      as deadline_exceeded (never wall-clock)
   --fail-fast        exit 1 on the first failed module instead of
-                     quarantining it; no reports are written (under
-                     --stream the check runs after the fleet drains, and
-                     reports already spilled to --out remain on disk)
+                     quarantining it; reports wait in memory until the
+                     run drains, so a trip writes none and prints no
+                     roll-up
   --certify          after placement, model-check every (module, config):
                      bounded exhaustive interleaving under the target model,
                      proving SC-equivalence for race-free thread groups and
@@ -153,9 +145,14 @@ OPTIONS:
   --list             print every concrete program spec and exit
   --help             this text
 
+Files that cannot be read, texts that do not parse and duplicate module
+names (overlapping specs) are quarantined as load_failed / invalid_ir
+slots; a load_failed slot is listed in the roll-up but gets no report file.
+
 EXIT CODES:
   0  every module completed
-  1  fatal error (bad usage, unresolvable spec, I/O error, --fail-fast trip)
+  1  fatal error (bad usage, unresolvable built-in spec, I/O error,
+     --fail-fast trip)
   2  partial success (some modules quarantined or a certification came back
      unsound; reports still written)
 "
@@ -210,7 +207,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         fail_fast: false,
         budget: None,
         certify: None,
-        stream: false,
         window: None,
     };
     let mut it = args.iter();
@@ -262,7 +258,7 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                     .max_states = max_states;
             }
             "--seq" => cli.parallel = false,
-            "--stream" => cli.stream = true,
+            "--stream" => {}
             "--window" => {
                 let v = need(&mut it, "--window")?;
                 let w: usize = v.parse().map_err(|_| format!("bad --window `{v}`"))?;
@@ -272,7 +268,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                     );
                 }
                 cli.window = Some(w);
-                cli.stream = true;
             }
             "--out" => cli.out_dir = Some(need(&mut it, "--out")?),
             "--list" => cli.list = true,
@@ -286,23 +281,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
     Ok(Parsed::Run(cli))
 }
 
-/// A file-backed spec that could not be loaded: quarantined before the
-/// fleet ever saw it, reported alongside the fleet's own failures.
-struct LoadFailure {
-    name: String,
-    error: String,
-}
-
-/// Whether a spec reads from the filesystem (as opposed to naming a
-/// built-in program family): those are quarantined on load failure
-/// rather than treated as fatal usage errors.
-fn is_file_backed(spec: &str) -> bool {
-    spec.starts_with("file:") || spec.starts_with("dir:") || spec.starts_with("pack:")
-}
-
-/// Per-config roll-up totals, folded over completed modules (a
-/// quarantined module has no results to count). The streamed path
-/// accumulates these incrementally in the completion sink.
+/// Per-config roll-up totals, folded in the completion sink over
+/// completed modules (a quarantined module has no results to count).
 #[derive(Clone, Copy, Default)]
 struct ConfigTotals {
     full_fences: usize,
@@ -320,108 +300,12 @@ impl ConfigTotals {
     }
 }
 
-/// The `"fleet"` stats block, shared by the resident and streamed
-/// roll-ups.
-fn fleet_block_json(stats: &FleetStats, wall_ms: f64) -> String {
-    format!(
-        "{{\"analyses\": {}, \"substrates\": {}, \"unique_rows\": {}, \
-         \"row_hits\": {}, \"row_words\": {}, \"certifications\": {}, \
-         \"certify_unsound\": {}, \"wall_ms\": {wall_ms:.3}}}",
-        stats.analyses,
-        stats.substrates,
-        stats.unique_rows,
-        stats.row_hits,
-        stats.row_words,
-        stats.certifications,
-        stats.certify_unsound
-    )
-}
-
-/// The `"totals"` roll-up array, shared by the resident and streamed
-/// roll-ups.
-fn totals_json(configs: &[PipelineConfig], totals: &[ConfigTotals]) -> String {
-    let mut out = String::from("  \"totals\": [\n");
-    for (c, (config, t)) in configs.iter().zip(totals).enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"variant\": \"{}\", \"target\": \"{}\", \"full_fences\": {}, \
-             \"compiler_fences\": {}, \"acquires\": {}, \"fence_points\": {}}}{}",
-            json_escape(config.variant.name()),
-            target_name(config.target),
-            t.full_fences,
-            t.compiler_fences,
-            t.acquires,
-            t.fence_points,
-            if c + 1 < configs.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n");
-    out
-}
-
+/// The roll-up JSON (`fleet_summary.json` and stdout), built from the
+/// O(1)-per-module summaries and the folded totals — the full results
+/// went through the completion sink and were never retained — plus a
+/// `"stream"` block recording the admission window (`null` without
+/// one) and the peak-residency counters it bounds.
 fn rollup_json(
-    configs: &[PipelineConfig],
-    fleet: &[FleetResult],
-    load_failures: &[LoadFailure],
-    stats: &FleetStats,
-    wall_ms: f64,
-) -> String {
-    let failed = stats.failed + load_failures.len();
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"programs\": {}, \"configs_per_program\": {}, \"functions\": {},",
-        fleet.len() + load_failures.len(),
-        configs.len(),
-        stats.functions
-    );
-    let _ = writeln!(
-        out,
-        "  \"modules_failed\": {failed}, \"load_failures\": {},",
-        load_failures.len()
-    );
-    let _ = writeln!(out, "  \"fleet\": {},", fleet_block_json(stats, wall_ms));
-    // Per-module status array: every scheduled module, ok or not, plus
-    // the load-time quarantines.
-    out.push_str("  \"modules\": [\n");
-    let total = fleet.len() + load_failures.len();
-    for (i, fr) in fleet.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", {}}}{}",
-            json_escape(&fr.name),
-            outcome_fields(&fr.outcome),
-            if i + 1 < total { "," } else { "" }
-        );
-    }
-    for (i, lf) in load_failures.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", {}}}{}",
-            json_escape(&lf.name),
-            status_fields("load_failed", None, Some(&lf.error)),
-            if fleet.len() + i + 1 < total { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    let mut totals = vec![ConfigTotals::default(); configs.len()];
-    for fr in fleet {
-        for (t, r) in totals.iter_mut().zip(&fr.results) {
-            t.add(r);
-        }
-    }
-    out.push_str(&totals_json(configs, &totals));
-    out.push_str("}\n");
-    out
-}
-
-/// Roll-up JSON for a streamed run: the same field names as
-/// [`rollup_json`] (downstream tooling parses both), built from the
-/// O(1)-per-module summaries and incrementally folded totals — the full
-/// results were spilled through the completion sink, never retained —
-/// plus a `"stream"` block recording the admission window and the
-/// peak-residency counters it bounds.
-fn stream_rollup_json(
     configs: &[PipelineConfig],
     summaries: &[StreamSummary],
     totals: &[ConfigTotals],
@@ -446,7 +330,19 @@ fn stream_rollup_json(
         "  \"modules_failed\": {}, \"load_failures\": {load_failures},",
         stats.failed
     );
-    let _ = writeln!(out, "  \"fleet\": {},", fleet_block_json(stats, wall_ms));
+    let _ = writeln!(
+        out,
+        "  \"fleet\": {{\"analyses\": {}, \"substrates\": {}, \"unique_rows\": {}, \
+         \"row_hits\": {}, \"row_words\": {}, \"certifications\": {}, \
+         \"certify_unsound\": {}, \"wall_ms\": {wall_ms:.3}}},",
+        stats.analyses,
+        stats.substrates,
+        stats.unique_rows,
+        stats.row_hits,
+        stats.row_words,
+        stats.certifications,
+        stats.certify_unsound
+    );
     let window_json = match window {
         Some(w) => w.to_string(),
         None => "null".to_string(),
@@ -467,37 +363,35 @@ fn stream_rollup_json(
             if i + 1 < summaries.len() { "," } else { "" }
         );
     }
-    out.push_str("  ],\n");
-    out.push_str(&totals_json(configs, totals));
-    out.push_str("}\n");
-    out
-}
-
-/// Resolves every spec. Unresolvable built-in specs (typo'd names,
-/// unknown families) are fatal; a file-backed spec whose file is missing
-/// or unparsable is quarantined as a [`LoadFailure`] — the batch runs on.
-fn resolve_all(cli: &Cli) -> Result<(Vec<ManifestEntry>, Vec<LoadFailure>), String> {
-    let mut entries = Vec::new();
-    let mut load_failures = Vec::new();
-    for s in &cli.specs {
-        let resolved = match &s.origin {
-            Some((file, line)) => resolve_spec_at(&s.spec, &cli.params, file, *line),
-            None => resolve_spec(&s.spec, &cli.params),
-        };
-        match resolved {
-            Ok(batch) => entries.extend(batch),
-            Err(e) if is_file_backed(&s.spec) => load_failures.push(LoadFailure {
-                name: s.spec.clone(),
-                error: e.to_string(),
-            }),
-            Err(e) => return Err(e.to_string()),
-        }
+    out.push_str("  ],\n  \"totals\": [\n");
+    for (c, (config, t)) in configs.iter().zip(totals).enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{\"variant\": \"{}\", \"target\": \"{}\", \"full_fences\": {}, \
+             \"compiler_fences\": {}, \"acquires\": {}, \"fence_points\": {}}}{}",
+            json_escape(config.variant.name()),
+            target_name(config.target),
+            t.full_fences,
+            t.compiler_fences,
+            t.acquires,
+            t.fence_points,
+            if c + 1 < configs.len() { "," } else { "" }
+        );
     }
-    Ok((entries, load_failures))
+    out.push_str("  ]\n}\n");
+    out
 }
 
 /// Runs the batch. `Ok(0)` = clean, `Ok(2)` = partial success, `Err` =
 /// fatal (exit 1).
+///
+/// Every spec resolves through a [`ModuleSource`]: built-in families up
+/// front (a typo is fatal), file-backed specs lazily (each problem
+/// becomes a quarantined slot). Module texts parse as pool work units,
+/// and only O(1) state per module is retained (its [`StreamSummary`]
+/// plus the folded totals): each report is written to `--out` the
+/// moment its module retires, except under `--fail-fast`, whose
+/// all-or-nothing contract holds the reports until the run drains.
 fn run(cli: &Cli) -> Result<u8, String> {
     if cli.list {
         for spec in available() {
@@ -512,134 +406,19 @@ fn run(cli: &Cli) -> Result<u8, String> {
     if cli.specs.is_empty() {
         return Err("no programs: pass --program SPEC or --manifest FILE (see --help)".into());
     }
-    if cli.stream {
-        return run_streamed(cli);
-    }
-    let (entries, load_failures) = resolve_all(cli)?;
-    if entries.is_empty() && load_failures.is_empty() {
-        return Err("no programs resolved".into());
-    }
-    // Overlapping specs (`kernel:*` + `kernel:Dekker`) would run a module
-    // twice, double-count the roll-up totals, and overwrite its report
-    // file — fail loudly instead.
-    let mut seen = std::collections::HashSet::new();
-    for e in &entries {
-        if !seen.insert(e.name.as_str()) {
-            return Err(format!(
-                "duplicate program `{}`: specs overlap (e.g. a wildcard plus a named spec)",
-                e.name
-            ));
-        }
-    }
-    let jobs: Vec<FleetJob<'_>> = entries
-        .iter()
-        .map(|e| FleetJob::new(e.name.clone(), &e.module, cli.configs.clone()))
-        .collect();
-
-    let opts = FleetOptions {
-        parallel: cli.parallel,
-        budget: cli.budget,
-        certify: cli.certify,
-        ..FleetOptions::default()
-    };
-    let t = Instant::now();
-    let (fleet, stats) = run_fleet_opts(&jobs, &opts);
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    if cli.fail_fast {
-        if let Some(lf) = load_failures.first() {
-            return Err(format!(
-                "--fail-fast: `{}` failed to load: {}",
-                lf.name, lf.error
-            ));
-        }
-        if let Some(fr) = fleet.iter().find(|fr| !fr.outcome.is_ok()) {
-            return Err(format!("--fail-fast: module `{}` {}", fr.name, fr.outcome));
-        }
-    }
-
-    if let Some(dir) = &cli.out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-        for fr in &fleet {
-            let path = format!("{dir}/{}.json", file_stem(&fr.name));
-            std::fs::write(&path, module_json(&fr.name, &cli.configs, fr))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-        let summary = format!("{dir}/fleet_summary.json");
-        std::fs::write(
-            &summary,
-            rollup_json(&cli.configs, &fleet, &load_failures, &stats, wall_ms),
-        )
-        .map_err(|e| format!("cannot write {summary}: {e}"))?;
-        eprintln!(
-            "wrote {} module reports + fleet_summary.json to {dir}",
-            fleet.len()
-        );
-    }
-    print!(
-        "{}",
-        rollup_json(&cli.configs, &fleet, &load_failures, &stats, wall_ms)
-    );
-    let failed = stats.failed + load_failures.len();
-    if failed > 0 {
-        for fr in fleet.iter().filter(|fr| !fr.outcome.is_ok()) {
-            eprintln!("quarantined: {} — {}", fr.name, fr.outcome);
-        }
-        for lf in &load_failures {
-            eprintln!("quarantined: {} — failed to load: {}", lf.name, lf.error);
-        }
-        eprintln!(
-            "{failed} of {} modules quarantined (exit 2: partial success)",
-            fleet.len() + load_failures.len()
-        );
-        return Ok(2);
-    }
-    if stats.certify_unsound > 0 {
-        for fr in &fleet {
-            for (config, cr) in cli.configs.iter().zip(&fr.certifications) {
-                if cr.status() == fenceplace::CertifyStatus::Unsound {
-                    eprintln!(
-                        "unsound: {} [{}:{}] — a race-free thread group reaches a non-SC outcome",
-                        fr.name,
-                        config.variant.name(),
-                        target_name(config.target)
-                    );
-                }
-            }
-        }
-        eprintln!(
-            "{} certification(s) unsound (exit 2: partial success)",
-            stats.certify_unsound
-        );
-        return Ok(2);
-    }
-    Ok(0)
-}
-
-/// Runs the batch under streamed ingestion (`--stream`/`--window`):
-/// file-backed specs resolve lazily through a [`ModuleSource`], texts
-/// parse as pool work units, each per-module report is spilled to
-/// `--out` the moment that module retires, and only O(1) state per
-/// module (its [`StreamSummary`] plus the folded totals) is retained.
-fn run_streamed(cli: &Cli) -> Result<u8, String> {
     let mut source = ModuleSource::new(cli.params);
     for s in &cli.specs {
         let pushed = match &s.origin {
             Some((file, line)) => source.push_spec_at(&s.spec, file, *line),
             None => source.push_spec(&s.spec),
         };
-        // Built-in families resolve (and can fail) eagerly, exactly like
-        // the resident path; file-backed specs defer, surfacing any
-        // problem later as a quarantined load_failed item.
         pushed.map_err(|e| e.to_string())?;
     }
-    if let Some(dir) = &cli.out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    }
 
-    // Admission-time dedup: the resident path refuses overlapping specs
-    // up front, but a lazy stream cannot look ahead — so the duplicate
-    // itself is quarantined (exit 2) and the batch runs on.
+    // Overlapping specs (`kernel:*` + `kernel:Dekker`) would run a module
+    // twice and double-count the roll-up totals. A lazy stream cannot
+    // look ahead, so the duplicate itself is quarantined at admission
+    // (exit 2) and the batch runs on.
     let mut seen = std::collections::HashSet::new();
     let items = stream_items(source).map(move |item| {
         let name = match &item {
@@ -665,11 +444,23 @@ fn run_streamed(cli: &Cli) -> Result<u8, String> {
         window: cli.window,
         ..FleetOptions::default()
     };
+    let create_out =
+        |dir: &str| std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"));
+    let write_report = |dir: &str, (name, report): &(String, String)| {
+        let path = format!("{dir}/{}.json", file_stem(name));
+        std::fs::write(&path, report).map_err(|e| format!("cannot write {path}: {e}"))
+    };
+    // Reports spill as modules retire, unless --fail-fast holds them.
+    let spill_dir = cli.out_dir.as_deref().filter(|_| !cli.fail_fast);
+    if let Some(dir) = spill_dir {
+        create_out(dir)?;
+    }
 
     // Everything the roll-up needs is folded here as modules retire; the
-    // full FleetResult is spilled to disk and dropped.
+    // full FleetResult is spilled (or held, rendered) and dropped.
     let mut totals = vec![ConfigTotals::default(); cli.configs.len()];
     let mut unsound: Vec<String> = Vec::new();
+    let mut held: Vec<(String, String)> = Vec::new();
     let mut spill_err: Option<String> = None;
     let mut written = 0usize;
     let t = Instant::now();
@@ -687,14 +478,20 @@ fn run_streamed(cli: &Cli) -> Result<u8, String> {
                 ));
             }
         }
-        if let Some(dir) = &cli.out_dir {
-            if spill_err.is_none() {
-                let path = format!("{dir}/{}.json", file_stem(&fr.name));
-                match std::fs::write(&path, module_json(&fr.name, &cli.configs, &fr)) {
-                    Ok(()) => written += 1,
-                    Err(e) => spill_err = Some(format!("cannot write {path}: {e}")),
+        // A load_failed slot writes no report: a quarantined duplicate
+        // would overwrite the report of the module it duplicates.
+        if cli.out_dir.is_none() || matches!(fr.outcome, ModuleOutcome::LoadFailed { .. }) {
+            return;
+        }
+        let report = (fr.name.clone(), module_json(&fr.name, &cli.configs, &fr));
+        match spill_dir {
+            None => held.push(report),
+            Some(dir) => match write_report(dir, &report) {
+                Ok(()) => written += 1,
+                Err(e) => {
+                    spill_err.get_or_insert(e);
                 }
-            }
+            },
         }
     });
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -704,8 +501,13 @@ fn run_streamed(cli: &Cli) -> Result<u8, String> {
     if summaries.is_empty() {
         return Err("no programs resolved".into());
     }
+    if cli.fail_fast {
+        if let Some(s) = summaries.iter().find(|s| !s.outcome.is_ok()) {
+            return Err(format!("--fail-fast: module `{}` {}", s.name, s.outcome));
+        }
+    }
 
-    let rollup = stream_rollup_json(
+    let rollup = rollup_json(
         &cli.configs,
         &summaries,
         &totals,
@@ -714,20 +516,17 @@ fn run_streamed(cli: &Cli) -> Result<u8, String> {
         wall_ms,
     );
     if let Some(dir) = &cli.out_dir {
+        create_out(dir)?;
+        for report in &held {
+            write_report(dir, report)?;
+            written += 1;
+        }
         let summary = format!("{dir}/fleet_summary.json");
         std::fs::write(&summary, &rollup).map_err(|e| format!("cannot write {summary}: {e}"))?;
         eprintln!("wrote {written} module reports + fleet_summary.json to {dir}");
     }
     print!("{rollup}");
 
-    // --fail-fast is necessarily post-hoc under streaming (the failure
-    // may surface after later modules already retired); reports spilled
-    // before the trip remain on disk.
-    if cli.fail_fast {
-        if let Some(s) = summaries.iter().find(|s| !s.outcome.is_ok()) {
-            return Err(format!("--fail-fast: module `{}` {}", s.name, s.outcome));
-        }
-    }
     if stats.failed > 0 {
         for s in summaries.iter().filter(|s| !s.outcome.is_ok()) {
             eprintln!("quarantined: {} — {}", s.name, s.outcome);

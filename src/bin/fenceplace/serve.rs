@@ -13,19 +13,20 @@
 //!
 //! Analysis requests either carry inline module text or a manifest
 //! `spec` (`corpus:FFT`, `kernel:*`, `dir:...`, `pack:...`) the daemon
-//! expands server-side; spec batches stream one `report` response per
-//! module (`"final":false`) and terminate with a `batch` summary.
+//! expands server-side through the same `corpus::ModuleSource` as the
+//! batch CLI; spec batches stream one `report` response per module
+//! (`"final":false`), quarantined per item, and terminate with a `batch`
+//! summary.
 //!
 //! The daemon installs no signal handlers (it is std-only): SIGINT and
 //! SIGTERM terminate it with the cache lost, which is safe — the cache
 //! is a performance artifact, never the source of truth.
 
-use corpus::manifest::resolve_spec;
-use corpus::Params;
+use corpus::{ModuleSource, Params};
 use fenceplace::json;
 use fenceplace::service::wire::{self, Request, PROTOCOL_VERSION};
 use fenceplace::service::{CacheDisposition, Service, ServiceOptions};
-use fenceplace::ModuleOutcome;
+use fenceplace::{stream_items, ModuleOutcome, PipelineConfig, StreamItem};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,53 +214,13 @@ fn handle_line(
                         &r.report,
                     ));
                 }
-                (None, Some(spec)) => match resolve_spec(&spec, params) {
-                    Ok(entries) => {
-                        let (mut hits, mut failed) = (0usize, 0usize);
-                        for e in &entries {
-                            let text = fence_ir::printer::print_module(&e.module);
-                            let r = svc.analyze(&e.name, &text, &configs, budget);
-                            if r.cache == CacheDisposition::Hit {
-                                hits += 1;
-                            }
-                            if !r.outcome.is_ok() {
-                                failed += 1;
-                            }
-                            out.push(wire::report_json(
-                                id,
-                                &e.name,
-                                r.cache.name(),
-                                r.outcome.kind(),
-                                Some(&r.hash),
-                                true,
-                                &r.report,
-                            ));
-                        }
-                        out.push(wire::batch_json(id, entries.len(), hits, failed));
+                (None, Some(spec)) => {
+                    let mut source = ModuleSource::new(*params);
+                    match source.push_spec(&spec) {
+                        Ok(()) => expand_spec(&mut svc, id, source, &configs, budget, out),
+                        Err(e) => out.push(wire::error_json(Some(id), "bad_spec", &e.to_string())),
                     }
-                    Err(e) if crate::is_file_backed(&spec) => {
-                        // Parity with the batch CLI: an unreadable
-                        // file-backed spec is quarantined as one
-                        // load_failed slot, not a protocol error.
-                        let outcome = ModuleOutcome::LoadFailed {
-                            error: e.to_string(),
-                        };
-                        let report = json::module_json_parts(&spec, &outcome, &[], &[]);
-                        out.push(wire::report_json(
-                            id,
-                            &spec,
-                            CacheDisposition::Miss.name(),
-                            outcome.kind(),
-                            None,
-                            true,
-                            &report,
-                        ));
-                        out.push(wire::batch_json(id, 1, 0, 1));
-                    }
-                    Err(e) => {
-                        out.push(wire::error_json(Some(id), "bad_spec", &e.to_string()));
-                    }
-                },
+                }
                 (None, None) => unreachable!("parse_request requires text or spec"),
             }
         }
@@ -286,6 +247,60 @@ fn handle_line(
         }
     }
     Flow::Continue
+}
+
+/// Streams one `report` member per item of a spec batch, then the
+/// `batch` summary. Items come through the same [`ModuleSource`] and
+/// adapter as the batch CLI, so quarantine is per item: a file text is
+/// analyzed as read (an unparsable one comes back `invalid_ir`), a
+/// built-in module is printed for its content hash, and an item the
+/// loader could not produce is one `load_failed` member with
+/// `"hash":null`.
+fn expand_spec(
+    svc: &mut Service,
+    id: u64,
+    source: ModuleSource,
+    configs: &[PipelineConfig],
+    budget: Option<u64>,
+    out: &mut Vec<String>,
+) {
+    let (mut modules, mut hits, mut failed) = (0usize, 0usize, 0usize);
+    for item in stream_items(source) {
+        modules += 1;
+        let (name, text) = match item {
+            StreamItem::Module { name, module } => (name, fence_ir::printer::print_module(&module)),
+            StreamItem::Text { name, text } => (name, text),
+            StreamItem::Failed { name, error } => {
+                failed += 1;
+                let outcome = ModuleOutcome::LoadFailed { error };
+                let report = json::module_json_parts(&name, &outcome, &[], &[]);
+                let cache = CacheDisposition::Miss.name();
+                out.push(wire::report_json(
+                    id,
+                    &name,
+                    cache,
+                    outcome.kind(),
+                    None,
+                    true,
+                    &report,
+                ));
+                continue;
+            }
+        };
+        let r = svc.analyze(&name, &text, configs, budget);
+        hits += usize::from(r.cache == CacheDisposition::Hit);
+        failed += usize::from(!r.outcome.is_ok());
+        out.push(wire::report_json(
+            id,
+            &name,
+            r.cache.name(),
+            r.outcome.kind(),
+            Some(&r.hash),
+            true,
+            &r.report,
+        ));
+    }
+    out.push(wire::batch_json(id, modules, hits, failed));
 }
 
 fn serve_stdio(service: &Mutex<Service>, params: &Params) -> Result<u8, String> {

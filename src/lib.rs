@@ -12,28 +12,3 @@ pub use fence_analysis as analysis;
 pub use fence_ir as ir;
 pub use fenceplace;
 pub use memsim;
-
-/// Adapts a lazily-resolving [`corpus::ModuleSource`] into the item
-/// stream consumed by [`fenceplace::run_fleet_streamed`]: built-in
-/// entries arrive as ready modules, file-backed specs as unparsed texts
-/// (so the fleet's ingest stage parses them off-thread), and loader
-/// errors as [`fenceplace::StreamItem::Failed`] — one unreadable file
-/// quarantines that item without aborting the stream.
-pub fn stream_items(
-    source: corpus::ModuleSource,
-) -> impl Iterator<Item = fenceplace::StreamItem> + Send {
-    source.map(|item| match item {
-        Ok(corpus::SourceItem::Module(entry)) => fenceplace::StreamItem::Module {
-            name: entry.name,
-            module: entry.module,
-        },
-        Ok(corpus::SourceItem::Text { name, text }) => fenceplace::StreamItem::Text { name, text },
-        Err(e) => {
-            let name = e.spec.clone();
-            fenceplace::StreamItem::Failed {
-                name,
-                error: e.to_string(),
-            }
-        }
-    })
-}

@@ -408,3 +408,26 @@ fn streamed_unparsable_text_is_quarantined_as_invalid_ir() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn quarantined_duplicate_keeps_the_report_it_duplicates() {
+    let dir = scratch("duplicate");
+    let reports = dir.join("reports");
+    let out = fenceplace(&[
+        "--program",
+        "kernel:Dekker",
+        "--program",
+        "kernel:Dekker",
+        "--out",
+        reports.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("\"programs\": 2"), "{text}");
+    assert!(text.contains("\"status\": \"load_failed\""), "{text}");
+    assert!(text.contains("duplicate program"), "{text}");
+    let body = std::fs::read_to_string(reports.join("kernel_Dekker.json")).unwrap();
+    assert!(body.contains("\"status\": \"ok\""), "{body}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -511,6 +511,114 @@ fn lru_eviction_under_capacity() {
 }
 
 // ---------------------------------------------------------------------
+// Server-side spec expansion: quarantine per item, like the batch CLI.
+// ---------------------------------------------------------------------
+
+/// Runs one `serve --stdio --seq` session: the handshake, then
+/// `requests`. Returns every response line after the hello.
+fn stdio_session(requests: &[String]) -> Vec<String> {
+    let mut child = Command::new(bin())
+        .args(["serve", "--stdio", "--seq"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve --stdio");
+    {
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        writeln!(stdin, "{{\"id\":1,\"type\":\"hello\",\"version\":1}}").expect("hello");
+        for line in requests {
+            writeln!(stdin, "{line}").expect("write request");
+        }
+    }
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "daemon exit: {:?}", out.status);
+    let text = String::from_utf8(out.stdout).expect("utf8 output");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert!(lines.remove(0).contains("\"type\":\"hello\""));
+    lines
+}
+
+#[test]
+fn spec_batches_quarantine_per_item_like_the_cli() {
+    use fenceplace::service::wire::{parse_json, Json};
+    let dir = scratch("spec");
+    let mods = dir.join("mods");
+    std::fs::create_dir_all(&mods).expect("mods dir");
+    let texts = fleet_texts();
+    std::fs::write(mods.join("a.ir"), &texts[0].1).expect("write a");
+    std::fs::write(mods.join("b.ir"), "not IR at all\n").expect("write b");
+    std::fs::write(mods.join("c.ir"), &texts[1].1).expect("write c");
+    let spec = format!("dir:{}", mods.display());
+    let missing = format!("dir:{}", dir.join("no-such-dir").display());
+
+    // The default CLI run over the same directory quarantines only the
+    // bad member and still writes one report file per member; the
+    // member checks below pin those files' bytes and statuses.
+    let reports = dir.join("reports");
+    let cli = Command::new(bin())
+        .args(["--seq", "--program", &spec, "--out"])
+        .arg(&reports)
+        .output()
+        .expect("run fenceplace");
+    assert_eq!(cli.status.code(), Some(2), "one member is quarantined");
+
+    let analyze = |id: u32, spec: &str| {
+        format!(
+            "{{\"id\":{id},\"type\":\"analyze\",\"spec\":\"{}\"}}",
+            fenceplace::json::json_escape(spec)
+        )
+    };
+    let lines = stdio_session(&[
+        analyze(2, &spec),
+        analyze(3, &missing),
+        analyze(4, "kernel:NoSuch"),
+    ]);
+    assert_eq!(lines.len(), 7, "{lines:#?}");
+    let parsed: Vec<Json> = lines
+        .iter()
+        .map(|l| parse_json(l).expect("response is JSON"))
+        .collect();
+    let field = |i: usize, key: &str| parsed[i].get(key).cloned().unwrap_or(Json::Null);
+
+    // The dir streams three members, each the CLI's report byte for byte.
+    for (i, (file, status)) in [("a.ir", "ok"), ("b.ir", "invalid_ir"), ("c.ir", "ok")]
+        .into_iter()
+        .enumerate()
+    {
+        let name = format!("file:{}", mods.join(file).display());
+        assert_eq!(field(i, "module"), Json::Str(name.clone()), "member {i}");
+        assert_eq!(field(i, "status"), Json::Str(status.into()), "member {i}");
+        assert_eq!(field(i, "final"), Json::Bool(false), "member {i}");
+        let stem = fenceplace::json::file_stem(&name);
+        let want = std::fs::read_to_string(reports.join(format!("{stem}.json")))
+            .expect("the CLI wrote this member's report");
+        assert_eq!(
+            field(i, "report"),
+            Json::Str(want),
+            "member {i}: report bytes"
+        );
+    }
+    assert!(
+        lines[3].starts_with("{\"id\":2,\"type\":\"batch\",\"modules\":3,")
+            && lines[3].contains("\"failed\":1,"),
+        "{}",
+        lines[3]
+    );
+
+    // A missing dir is one load_failed member with no content hash.
+    assert_eq!(field(4, "module"), Json::Str(missing));
+    assert_eq!(field(4, "status"), Json::Str("load_failed".into()));
+    assert!(lines[4].contains("\"hash\":null"), "{}", lines[4]);
+    assert!(lines[5].contains("\"modules\":1,") && lines[5].contains("\"failed\":1,"));
+
+    // A typo'd built-in spec is a protocol error, not a batch.
+    assert_eq!(field(6, "type"), Json::Str("error".into()));
+    assert_eq!(field(6, "code"), Json::Str("bad_spec".into()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // Socket end-to-end: daemon + client, warm second pass, clean shutdown.
 // ---------------------------------------------------------------------
 
@@ -612,5 +720,53 @@ fn socket_daemon_serves_warm_second_pass_and_shuts_down() {
     let status = daemon.wait().expect("daemon exit");
     assert!(status.success(), "daemon exit status: {status:?}");
     assert!(!sock.exists(), "daemon removes its socket file on shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn client_sends_file_texts_as_read() {
+    let dir = scratch("client-files");
+    let sock = dir.join("d.sock");
+    let mut daemon = Command::new(bin())
+        .args(["serve", "--seq", "--socket"])
+        .arg(&sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve --socket");
+    for _ in 0..200 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    assert!(sock.exists(), "daemon never bound its socket");
+
+    let good = dir.join("good.ir");
+    let bad = dir.join("bad.ir");
+    std::fs::write(&good, &fleet_texts()[0].1).expect("write good");
+    std::fs::write(&bad, "not IR at all\n").expect("write bad");
+    let files = format!("file:{},file:{}", good.display(), bad.display());
+    let missing = format!("file:{}", dir.join("no-such.ir").display());
+    let sent = client(&sock, &["--program", &files]);
+    let unreadable = client(&sock, &["--program", &missing]);
+    assert!(client(&sock, &["--shutdown"]).status.success());
+    assert!(daemon.wait().expect("daemon exit").success());
+
+    // An unparsable file is the daemon's verdict (invalid_ir, exit 2),
+    // not a local parse failure; its neighbor still completes.
+    let stdout = String::from_utf8_lossy(&sent.stdout);
+    assert_eq!(sent.status.code(), Some(2), "{stdout}");
+    assert!(
+        stdout.contains(&format!("file:{}: ok (miss)", good.display())),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!("file:{}: invalid_ir (miss)", bad.display())),
+        "{stdout}"
+    );
+    // A file that cannot be read stays fatal.
+    assert_eq!(unreadable.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }

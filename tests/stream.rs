@@ -6,11 +6,12 @@
 //! underneath), `window: Some(w)` bit-identical per module via the
 //! fleet≡per-module-batch equivalence — while peak residency stays
 //! bounded by the window. The `dir:`/`pack:` corpus specs round-trip
-//! through [`corpus::ModuleSource`] and the [`fence_suite::stream_items`]
-//! adapter into the same results.
+//! through [`corpus::ModuleSource`] and the [`fenceplace::stream_items`]
+//! adapter — the one way every front end loads file-backed specs — into
+//! the same results.
 
 use corpus::{ModuleSource, Params};
-use fence_suite::stream_items;
+use fenceplace::stream_items;
 use fenceplace::{
     run_fleet_opts, run_fleet_streamed, FleetJob, FleetOptions, FleetResult, PipelineConfig,
     StreamItem, TargetModel, Variant,
@@ -171,7 +172,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// `dir:` and `pack:` specs stream through [`ModuleSource`] and the
-/// umbrella adapter into the same placements as a resident run over the
+/// fleet's adapter into the same placements as a resident run over the
 /// same texts, with load failures quarantined in place.
 #[test]
 fn dir_and_pack_specs_round_trip_through_the_adapter() {
