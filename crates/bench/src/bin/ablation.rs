@@ -8,7 +8,7 @@
 //!    always-place rule, measured as extra static fences.
 //!
 //! ```text
-//! cargo run --release -p fence-bench --bin ablation
+//! cargo run --release -p fence_bench --bin ablation
 //! ```
 
 use corpus::Params;

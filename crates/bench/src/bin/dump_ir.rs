@@ -2,9 +2,9 @@
 //! useful for inspecting what the analyses actually see.
 //!
 //! ```text
-//! cargo run -p fence-bench --bin dump_ir -- Matrix
-//! cargo run -p fence-bench --bin dump_ir -- "MCS Lock"
-//! cargo run -p fence-bench --bin dump_ir            # lists names
+//! cargo run -p fence_bench --bin dump_ir -- Matrix
+//! cargo run -p fence_bench --bin dump_ir -- "MCS Lock"
+//! cargo run -p fence_bench --bin dump_ir            # lists names
 //! ```
 
 use corpus::Params;

@@ -2,7 +2,7 @@
 //! placement, normalized against the expert manual placement.
 //!
 //! ```text
-//! cargo run -p fence-bench --release --bin fig10
+//! cargo run -p fence_bench --release --bin fig10
 //! ```
 
 use corpus::Params;

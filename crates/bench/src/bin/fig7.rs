@@ -3,7 +3,7 @@
 //! program, for `Address+Control` and `Control`.
 //!
 //! ```text
-//! cargo run -p fence-bench --release --bin fig7
+//! cargo run -p fence_bench --release --bin fig7
 //! ```
 
 use corpus::Params;

@@ -2,7 +2,7 @@
 //! (= 100%), Address+Control, and Control, per program.
 //!
 //! ```text
-//! cargo run -p fence-bench --release --bin fig8
+//! cargo run -p fence_bench --release --bin fig8
 //! ```
 
 use corpus::Params;

@@ -2,7 +2,7 @@
 //! on x86-TSO after pruning, relative to Pensieve.
 //!
 //! ```text
-//! cargo run -p fence-bench --release --bin fig9
+//! cargo run -p fence_bench --release --bin fig9
 //! ```
 
 use corpus::Params;

@@ -2,7 +2,7 @@
 //! synchronization kernels.
 //!
 //! ```text
-//! cargo run -p fence-bench --release --bin table2
+//! cargo run -p fence_bench --release --bin table2
 //! ```
 
 fn mark(b: bool) -> &'static str {

@@ -12,7 +12,10 @@
 //! * **points-to** (`pointsto_scaling`): the seed fixpoint-by-
 //!   re-execution Andersen solver — every constraint re-applied every
 //!   round with two owned `BitSet` clones per operand visit — measured
-//!   against the sharded constraint-graph worklist solver.
+//!   against the sharded constraint-graph worklist solver;
+//! * **parse** (`parse_scaling`, `tests/parser_differential.rs`): the
+//!   seed textual-IR parser ([`seed_parse_module`]), which allocates per
+//!   line and per token and tokenizes each body line four times.
 //!
 //! Nothing in the pipeline uses this module; it exists so the
 //! quadratic→near-linear wins stay measurable after the seed code is
@@ -27,6 +30,9 @@ use fence_ir::{BlockId, FuncId, Function, InstId, InstKind, Module, Value};
 use fenceplace::acquire::{AcquireInfo, DetectMode};
 use fenceplace::minimize::{FencePoint, TargetModel};
 use fenceplace::orderings::{Access, AccessKind, OrderKind};
+
+mod parse;
+pub use parse::seed_parse_module;
 
 /// Seed reachability: one DFS per block.
 pub struct NaiveReachability {

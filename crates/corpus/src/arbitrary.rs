@@ -18,6 +18,11 @@
 //! The sync family also ships a greedy shrinker ([`shrink_sync`]) — the
 //! vendored proptest stub has no shrinking, so counterexample reduction
 //! to a minimal litmus-shaped repro is done here.
+//!
+//! [`mutate`] holds the text mutations the parser fuzzers apply to
+//! printed modules of both families.
+
+pub mod mutate;
 
 use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
 use fence_ir::{FuncId, Module, Value};

@@ -32,8 +32,8 @@ pub mod splash;
 pub mod synthetic;
 
 pub use manifest::{
-    resolve_spec, resolve_spec_at, resolve_specs, split_corpus, ManifestEntry, ManifestError,
-    ModuleSource, ModuleSplitter, SourceItem,
+    resolve_spec, resolve_specs, split_corpus, ManifestEntry, ManifestError, ModuleSource,
+    ModuleSplitter, SourceItem,
 };
 pub use synthetic::synthetic_scaled;
 

@@ -23,8 +23,8 @@
 //! kernels). Unknown families and names are [`ManifestError`]s, not
 //! silent skips — a batch service must fail loudly on a typo'd
 //! manifest — and a spec read from a manifest file carries the file and
-//! line it came from ([`resolve_spec_at`]) so the operator can fix the
-//! right entry.
+//! line it came from ([`ModuleSource::push_spec_at`]) so the operator can
+//! fix the right entry.
 //!
 //! # Two resolvers
 //!
@@ -45,6 +45,7 @@
 //! or aborts the run.
 
 use crate::{programs, Params};
+use fence_ir::parser::{first_token, TopLevel};
 use fence_ir::Module;
 use std::collections::VecDeque;
 use std::fmt;
@@ -169,18 +170,6 @@ pub fn resolve_spec(spec: &str, params: &Params) -> Result<Vec<ManifestEntry>, M
     }
 }
 
-/// [`resolve_spec`], attaching the manifest-file origin (`file`,
-/// 1-based `line`) to any error — the CLI's manifest reader uses this so
-/// a typo'd entry reports exactly where to fix it.
-pub fn resolve_spec_at(
-    spec: &str,
-    params: &Params,
-    file: &str,
-    line: u32,
-) -> Result<Vec<ManifestEntry>, ManifestError> {
-    resolve_spec(spec, params).map_err(|e| e.at(file, line))
-}
-
 fn unknown<'a>(spec: &str, family: &str, valid: impl Iterator<Item = &'a str>) -> ManifestError {
     ManifestError::new(
         spec,
@@ -225,75 +214,87 @@ pub fn full_fleet(params: &Params) -> Vec<ManifestEntry> {
 }
 
 /// Incremental module-boundary splitter for concatenated textual-IR
-/// corpora (`pack:` specs): feed lines, get back a completed module text
-/// whenever a new top-level `module` header begins.
-///
-/// The boundary rule mirrors the parser's top-level scan exactly: a line
-/// whose first token (after stripping a `;` comment) is `fn` opens a
-/// function body, a `}` line closes it, and only a `module` token seen
-/// *outside* a body starts a new chunk. A `module` token inside an
-/// unterminated body is body content, not a boundary — so a corrupted
-/// chunk mis-splits into text that fails to parse (and gets quarantined)
-/// rather than silently swallowing its neighbor. The splitter itself is
-/// total: it never panics, whatever bytes it is fed.
+/// corpora (`pack:` specs). Boundaries follow the parser's own line
+/// classifier ([`fence_ir::parser::first_token`] and
+/// [`fence_ir::parser::TopLevel`]): only a `module` line outside a function
+/// body starts a new chunk, so a corrupted chunk mis-splits into text that
+/// fails to parse (and is quarantined) instead of swallowing its neighbor.
+/// A line that is not UTF-8 is classified by its lossy decoding and
+/// taints only its own chunk. The splitter never panics, whatever it is fed.
 #[derive(Debug, Default)]
 pub struct ModuleSplitter {
-    buf: String,
-    in_body: bool,
+    buf: Vec<u8>,
+    scan: TopLevel,
+    /// A non-blank line is buffered.
     any: bool,
+    /// Lines fed so far.
+    lines: usize,
+    /// Lines fed before the buffered chunk.
+    lines_before: usize,
 }
 
 impl ModuleSplitter {
-    /// A fresh splitter with no buffered text.
-    pub fn new() -> Self {
-        ModuleSplitter::default()
-    }
-
-    /// Feeds one line (without its trailing newline). Returns the
-    /// previous module's complete text when `line` starts the next one.
-    pub fn push_line(&mut self, line: &str) -> Option<String> {
-        let code = line.split(';').next().unwrap_or("");
-        let first = code.split_whitespace().next();
-        let mut completed = None;
-        match first {
-            Some("}") if self.in_body => self.in_body = false,
-            _ if self.in_body => {}
-            Some("module") if self.any => {
-                completed = Some(std::mem::take(&mut self.buf));
-                self.any = false;
+    /// Reads lines from `reader` straight into the buffer until a module
+    /// is complete, and returns it; at the end of the input, returns the
+    /// last one, then `None`. A module is its text (line endings as
+    /// [`str::lines`] reads them, each then `\n`), or `Err` with the
+    /// 1-based input line of its first line that is not UTF-8.
+    pub fn next_chunk(
+        &mut self,
+        reader: &mut impl BufRead,
+    ) -> std::io::Result<Option<Result<String, usize>>> {
+        loop {
+            let start = self.buf.len();
+            if reader.read_until(b'\n', &mut self.buf)? == 0 {
+                return Ok(self.finish());
             }
-            Some("fn") => self.in_body = true,
-            _ => {}
+            if self.buf.pop_if(|b| *b == b'\n').is_some() {
+                self.buf.pop_if(|b| *b == b'\r');
+            }
+            let line = String::from_utf8_lossy(&self.buf[start..]);
+            // A top-level `module` line after buffered content starts the
+            // next module; the finished one is cut off before it.
+            let boundary = first_token(&line).is_some_and(|tok| {
+                let starts = self.scan.is_top_level(tok) && tok == "module" && self.any;
+                self.any = true;
+                starts
+            });
+            let done = boundary.then(|| self.cut(start));
+            self.lines += 1;
+            self.buf.push(b'\n');
+            if done.is_some() {
+                return Ok(done);
+            }
         }
-        if first.is_some() {
-            self.any = true;
-        }
-        self.buf.push_str(line);
-        self.buf.push('\n');
-        completed
     }
 
-    /// Flushes the final buffered module, if any non-blank line was seen
-    /// since the last boundary.
-    pub fn finish(self) -> Option<String> {
-        if self.any {
-            Some(self.buf)
-        } else {
-            None
-        }
+    /// Flushes the buffered module, if any non-blank line was fed since
+    /// the last boundary.
+    fn finish(&mut self) -> Option<Result<String, usize>> {
+        std::mem::take(&mut self.any).then(|| self.cut(self.buf.len()))
+    }
+
+    /// Splits the buffered text before byte `at` off as a chunk.
+    fn cut(&mut self, at: usize) -> Result<String, usize> {
+        let rest = self.buf.split_off(at);
+        let text = std::mem::replace(&mut self.buf, rest);
+        let before = std::mem::replace(&mut self.lines_before, self.lines);
+        String::from_utf8(text).map_err(|e| {
+            let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            before + 1 + valid.iter().filter(|&&b| b == b'\n').count()
+        })
     }
 }
 
-/// Splits a whole concatenated corpus in memory (the eager counterpart
-/// of feeding [`ModuleSplitter`] line by line from a reader).
+/// Splits a whole concatenated corpus in memory, exactly as a `pack:`
+/// file holding `text` streams.
 pub fn split_corpus(text: &str) -> Vec<String> {
-    let mut splitter = ModuleSplitter::new();
-    let mut out = Vec::new();
-    for line in text.lines() {
-        out.extend(splitter.push_line(line));
-    }
-    out.extend(splitter.finish());
-    out
+    let mut splitter = ModuleSplitter::default();
+    let mut reader = text.as_bytes();
+    // Reading a byte slice cannot fail, and `text` is UTF-8 throughout.
+    std::iter::from_fn(|| splitter.next_chunk(&mut reader).ok().flatten())
+        .filter_map(Result::ok)
+        .collect()
 }
 
 /// One item yielded by a [`ModuleSource`].
@@ -330,7 +331,7 @@ enum Pending {
 
 struct PackState {
     reader: std::io::BufReader<std::fs::File>,
-    splitter: Option<ModuleSplitter>,
+    splitter: ModuleSplitter,
     index: usize,
 }
 
@@ -439,70 +440,53 @@ impl Iterator for ModuleSource {
                     // Files queued; loop to yield the first one.
                 }
                 Pending::Pack { path, state } => {
+                    let pack_spec = format!("pack:{path}");
                     let mut state = match state {
                         Some(s) => s,
                         None => match std::fs::File::open(&path) {
                             Ok(f) => PackState {
                                 reader: std::io::BufReader::new(f),
-                                splitter: Some(ModuleSplitter::new()),
+                                splitter: ModuleSplitter::default(),
                                 index: 0,
                             },
                             Err(e) => {
                                 return Some(Err(ManifestError::new(
-                                    &format!("pack:{path}"),
+                                    &pack_spec,
                                     format!("cannot read `{path}`: {e}"),
                                 )));
                             }
                         },
                     };
-                    let mut line = String::new();
-                    loop {
-                        line.clear();
-                        match state.reader.read_line(&mut line) {
-                            Ok(0) => {
-                                // EOF: flush the last module, drop the pack.
-                                let last = state.splitter.take().and_then(|s| s.finish());
-                                match last {
-                                    Some(text) => {
-                                        let name = format!("pack:{path}#{}", state.index);
-                                        return Some(Ok(SourceItem::Text { name, text }));
-                                    }
-                                    None if state.index == 0 => {
-                                        return Some(Err(ManifestError::new(
-                                            &format!("pack:{path}"),
-                                            format!("no modules in `{path}`"),
-                                        )));
-                                    }
-                                    None => break,
-                                }
-                            }
-                            Ok(_) => {
-                                let trimmed = line.trim_end_matches(['\n', '\r']);
-                                let chunk = state
-                                    .splitter
-                                    .as_mut()
-                                    .expect("splitter live until EOF")
-                                    .push_line(trimmed);
-                                if let Some(text) = chunk {
-                                    let name = format!("pack:{path}#{}", state.index);
-                                    state.index += 1;
-                                    self.queue.push_front(Pending::Pack {
-                                        path,
-                                        state: Some(state),
-                                    });
-                                    return Some(Ok(SourceItem::Text { name, text }));
-                                }
-                            }
-                            Err(e) => {
-                                // Mid-stream read error: report once under the
-                                // pack spec and abandon the rest of the file.
-                                return Some(Err(ManifestError::new(
-                                    &format!("pack:{path}"),
-                                    format!("read error in `{path}`: {e}"),
-                                )));
-                            }
+                    let name = format!("{pack_spec}#{}", state.index);
+                    let item = match state.splitter.next_chunk(&mut state.reader) {
+                        Ok(Some(Ok(text))) => Ok(SourceItem::Text { name, text }),
+                        // Quarantine just this module; the rest streams on.
+                        Ok(Some(Err(line))) => Err(ManifestError::new(
+                            &name,
+                            format!("line {line} of `{path}` is not valid UTF-8"),
+                        )),
+                        Ok(None) if state.index == 0 => {
+                            return Some(Err(ManifestError::new(
+                                &pack_spec,
+                                format!("no modules in `{path}`"),
+                            )));
                         }
-                    }
+                        Ok(None) => continue,
+                        Err(e) => {
+                            // Mid-stream read error: report once under the
+                            // pack spec and abandon the rest of the file.
+                            return Some(Err(ManifestError::new(
+                                &pack_spec,
+                                format!("read error in `{path}`: {e}"),
+                            )));
+                        }
+                    };
+                    state.index += 1;
+                    self.queue.push_front(Pending::Pack {
+                        path,
+                        state: Some(state),
+                    });
+                    return Some(item);
                 }
             }
         }
@@ -566,20 +550,18 @@ mod tests {
 
     #[test]
     fn origin_is_attached_and_displayed() {
-        let p = Params::tiny();
-        let err = resolve_spec_at("kernel:NoSuch", &p, "jobs.txt", 7).unwrap_err();
+        let mut src = ModuleSource::new(Params::tiny());
+        let err = src
+            .push_spec_at("kernel:NoSuch", "jobs.txt", 7)
+            .unwrap_err();
         assert_eq!(err.file.as_deref(), Some("jobs.txt"));
         assert_eq!(err.line, Some(7));
         let shown = err.to_string();
         assert!(shown.starts_with("jobs.txt:7: "), "{shown}");
         assert!(shown.contains("bad spec `kernel:NoSuch`"));
         // And a good spec at an origin resolves normally.
-        assert_eq!(
-            resolve_spec_at("kernel:Dekker", &p, "jobs.txt", 1)
-                .unwrap()
-                .len(),
-            1
-        );
+        src.push_spec_at("kernel:Dekker", "jobs.txt", 1).unwrap();
+        assert_eq!(src.count(), 1);
     }
 
     /// Drains a source holding the one spec.

@@ -4,13 +4,20 @@
 //! for the grammar by example. Parsing is two-phase so that forward
 //! references (mutually recursive calls, instruction results used across
 //! blocks) resolve without declaration order constraints.
+//!
+//! Each line is tokenized once, into slices of the input. The phases run
+//! in a fixed order (all headers; then per function its header extras, a
+//! label pre-pass and the instructions), so the first error in that order
+//! is the one reported. Names from the text live in std's randomly keyed
+//! `HashMap`: with the unkeyed [`crate::util::FastMap`] hash, crafted
+//! names can all collide and make parsing quadratic.
 
 use crate::func::{Block, Function, Inst};
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, LocalId};
 use crate::inst::{BinOp, CmpOp, FenceKind, InstKind, Intrinsic, RmwOp};
 use crate::module::{GlobalDecl, Module};
-use crate::util::FastMap;
 use crate::value::Value;
+use std::collections::HashMap;
 
 /// A parse diagnostic with its 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,40 +43,113 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Splits a line into tokens; `, ( ) =` are single-char tokens.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut toks = Vec::new();
-    let mut cur = String::new();
-    for ch in line.chars() {
-        match ch {
-            ',' | '(' | ')' | '=' | '{' | '}' => {
-                if !cur.is_empty() {
-                    toks.push(std::mem::take(&mut cur));
-                }
-                toks.push(ch.to_string());
+/// A name table keyed by text borrowed from the input.
+type Names<'a, T> = HashMap<&'a str, T>;
+
+/// Feeds the tokens of `line` before its first `;` to `sink`, until it
+/// returns false, and returns the comment after the `;`. A token is a
+/// maximal run of non-whitespace, except that each of `, ( ) = { }` is a
+/// token of its own.
+fn tokenize<'a>(line: &'a str, mut sink: impl FnMut(&'a str) -> bool) -> &'a str {
+    let (mut i, mut word) = (0, None);
+    while i < line.len() {
+        let (space, punct, width) = match line.as_bytes()[i] {
+            b';' => break,
+            b' ' | b'\t'..=b'\r' => (true, false, 1),
+            b',' | b'(' | b')' | b'=' | b'{' | b'}' => (false, true, 1),
+            b if b.is_ascii() => (false, false, 1),
+            _ => {
+                let c = line[i..].chars().next().unwrap_or_default();
+                (c.is_whitespace(), false, c.len_utf8())
             }
-            c if c.is_whitespace() => {
-                if !cur.is_empty() {
-                    toks.push(std::mem::take(&mut cur));
-                }
-            }
-            c => cur.push(c),
+        };
+        if !(space || punct) {
+            word.get_or_insert(i);
+        } else if word.take().is_some_and(|w| !sink(&line[w..i])) || punct && !sink(&line[i..i + 1])
+        {
+            return "";
+        }
+        i += width;
+    }
+    if let Some(w) = word {
+        sink(&line[w..i]);
+    }
+    line.get(i + 1..).unwrap_or_default()
+}
+
+/// The first token of `line`, or `None` for a blank or comment-only line.
+/// With [`TopLevel`] this is the line classifier of the parser's header
+/// pass, shared with the `pack:` splitter.
+pub fn first_token(line: &str) -> Option<&str> {
+    let mut first = None;
+    tokenize(line, |tok| {
+        first = Some(tok);
+        false
+    });
+    first
+}
+
+/// Where function bodies are: a top-level `fn` line opens one, and a line
+/// whose first token is `}` closes it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TopLevel {
+    in_body: bool,
+}
+
+impl TopLevel {
+    /// Feeds the first token of the next non-blank line. True when the
+    /// line is top-level (`module`, `global`, `fn`, or junk the parser
+    /// rejects); false for body lines and the `}` that closes a body.
+    pub fn is_top_level(&mut self, first: &str) -> bool {
+        if self.in_body {
+            self.in_body = first != "}";
+            false
+        } else {
+            self.in_body = first == "fn";
+            true
         }
     }
-    if !cur.is_empty() {
-        toks.push(cur);
+}
+
+/// One non-blank source line: number (1-based), tokens, and the text
+/// after its first `;`.
+struct Line<'t, 'a> {
+    no: usize,
+    toks: &'t [&'a str],
+    comment: &'a str,
+}
+
+/// The block token of a label line (`bbN:` or `bbN :`).
+fn block_label<'a>(toks: &[&'a str]) -> Option<&'a str> {
+    if toks[0].starts_with("bb") && toks.get(1) == Some(&":") {
+        Some(toks[0])
+    } else {
+        toks[0].strip_suffix(':').filter(|s| s.starts_with("bb"))
     }
-    toks
 }
 
-struct FuncCtx<'a> {
-    globals: &'a FastMap<String, GlobalId>,
-    funcs: &'a FastMap<String, FuncId>,
-    locals: FastMap<String, LocalId>,
-    inst_labels: FastMap<String, InstId>,
+/// The label a `%label = ...` line binds.
+fn result_label<'a>(toks: &[&'a str]) -> Option<&'a str> {
+    toks[0]
+        .strip_prefix('%')
+        .filter(|_| toks.get(1) == Some(&"="))
 }
 
-impl FuncCtx<'_> {
+fn parse_block_ref(tok: &str, line: usize) -> Result<BlockId, ParseError> {
+    match tok.strip_prefix("bb").and_then(|r| r.parse::<usize>().ok()) {
+        Some(i) => Ok(BlockId::new(i)),
+        None => err(line, format!("expected block reference, got `{tok}`")),
+    }
+}
+
+struct FuncCtx<'s, 'a> {
+    globals: &'s Names<'a, GlobalId>,
+    funcs: &'s Names<'a, FuncId>,
+    locals: Names<'a, LocalId>,
+    inst_labels: Names<'a, InstId>,
+}
+
+impl FuncCtx<'_, '_> {
     fn value(&self, tok: &str, line: usize) -> Result<Value, ParseError> {
         if let Some(rest) = tok.strip_prefix('c') {
             if let Ok(v) = rest.parse::<i64>() {
@@ -102,237 +182,365 @@ impl FuncCtx<'_> {
             None => err(line, format!("unknown local `{tok}`")),
         }
     }
-}
 
-fn parse_block_ref(tok: &str, line: usize) -> Result<BlockId, ParseError> {
-    match tok.strip_prefix("bb").and_then(|r| r.parse::<usize>().ok()) {
-        Some(i) => Ok(BlockId::new(i)),
-        None => err(line, format!("expected block reference, got `{tok}`")),
-    }
-}
-
-/// Parses operand lists of the shape `a, b, c` (given already-split tokens).
-fn parse_args(toks: &[String], ctx: &FuncCtx, line: usize) -> Result<Vec<Value>, ParseError> {
-    let mut args = Vec::new();
-    let mut expect_value = true;
-    for t in toks {
-        if t == "," {
-            if expect_value {
-                return err(line, "misplaced comma");
+    /// Resolves an operand list `a, b, c` left to right into `sink`.
+    fn args(
+        &self,
+        toks: &[&str],
+        line: usize,
+        mut sink: impl FnMut(Value),
+    ) -> Result<(), ParseError> {
+        let mut expect_value = true;
+        let mut any = false;
+        for &t in toks {
+            if t == "," {
+                if expect_value {
+                    return err(line, "misplaced comma");
+                }
+                expect_value = true;
+            } else {
+                if !expect_value {
+                    return err(line, format!("expected comma before `{t}`"));
+                }
+                sink(self.value(t, line)?);
+                expect_value = false;
+                any = true;
             }
-            expect_value = true;
-        } else {
-            if !expect_value {
-                return err(line, format!("expected comma before `{t}`"));
-            }
-            args.push(ctx.value(t, line)?);
-            expect_value = false;
         }
+        if expect_value && any {
+            return err(line, "trailing comma");
+        }
+        Ok(())
     }
-    if expect_value && !args.is_empty() {
-        return err(line, "trailing comma");
+
+    /// An operand list of exactly `N` values; `unit` names them in the
+    /// count diagnostic (`store takes 2 operands`).
+    fn operands<const N: usize>(
+        &self,
+        toks: &[&str],
+        line: usize,
+        what: &str,
+        unit: &str,
+    ) -> Result<[Value; N], ParseError> {
+        let mut out = [Value::Const(0); N];
+        let mut n = 0;
+        self.args(toks, line, |v| {
+            if let Some(slot) = out.get_mut(n) {
+                *slot = v;
+            }
+            n += 1;
+        })?;
+        if n != N {
+            let plural = if N == 1 { "" } else { "s" };
+            return err(line, format!("{what} takes {N} {unit}{plural}"));
+        }
+        Ok(out)
     }
-    Ok(args)
+
+    fn inst(&self, toks: &[&str], ln: usize) -> Result<InstKind, ParseError> {
+        let Some((&mn, rest)) = toks.split_first() else {
+            return err(ln, "empty instruction");
+        };
+        Ok(match mn {
+            "load" => {
+                let [addr] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::Load { addr }
+            }
+            "store" => {
+                let [addr, val] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::Store { addr, val }
+            }
+            "rmw" => {
+                let Some(&name) = rest.first() else {
+                    return err(ln, "rmw needs an operator");
+                };
+                let Some(op) = RmwOp::from_name(name) else {
+                    return err(ln, format!("bad rmw op `{name}`"));
+                };
+                let [addr, val] = self.operands(&rest[1..], ln, mn, "operand")?;
+                InstKind::AtomicRmw { op, addr, val }
+            }
+            "cas" => {
+                let [addr, expected, new] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::AtomicCas {
+                    addr,
+                    expected,
+                    new,
+                }
+            }
+            "fence" => {
+                let kind = match rest.first() {
+                    Some(&"full") => FenceKind::Full,
+                    Some(&"compiler") => FenceKind::Compiler,
+                    _ => return err(ln, "fence kind must be `full` or `compiler`"),
+                };
+                InstKind::Fence { kind }
+            }
+            "alloc" => {
+                let [words] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::Alloc { words }
+            }
+            "cmp" => {
+                let Some(&name) = rest.first() else {
+                    return err(ln, "cmp needs an operator");
+                };
+                let Some(op) = CmpOp::from_name(name) else {
+                    return err(ln, format!("bad cmp op `{name}`"));
+                };
+                let [lhs, rhs] = self.operands(&rest[1..], ln, mn, "operand")?;
+                InstKind::Cmp { op, lhs, rhs }
+            }
+            "select" => {
+                let [cond, then_val, else_val] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::Select {
+                    cond,
+                    then_val,
+                    else_val,
+                }
+            }
+            "gep" => {
+                let [base, index] = self.operands(rest, ln, mn, "operand")?;
+                InstKind::Gep { base, index }
+            }
+            "read_local" => {
+                if rest.len() != 1 {
+                    return err(ln, "read_local takes 1 local name");
+                }
+                InstKind::ReadLocal {
+                    local: self.local(rest[0], ln)?,
+                }
+            }
+            "write_local" => {
+                if rest.len() < 3 || rest[1] != "," {
+                    return err(ln, "expected `write_local <local>, <value>`");
+                }
+                let local = self.local(rest[0], ln)?;
+                let [val] = self.operands(&rest[2..], ln, mn, "value")?;
+                InstKind::WriteLocal { local, val }
+            }
+            "call" | "intrinsic" => {
+                if rest.len() < 3 || rest[1] != "(" || rest.last() != Some(&")") {
+                    return err(ln, format!("expected `{mn} <name>(args)`"));
+                }
+                let callee = rest[0];
+                let mut args = Vec::new();
+                self.args(&rest[2..rest.len() - 1], ln, |v| args.push(v))?;
+                if mn == "call" {
+                    match self.funcs.get(callee) {
+                        Some(&f) => InstKind::Call { callee: f, args },
+                        None => return err(ln, format!("unknown function `{callee}`")),
+                    }
+                } else {
+                    match Intrinsic::from_name(callee) {
+                        Some(intr) => InstKind::CallIntrinsic { intr, args },
+                        None => return err(ln, format!("unknown intrinsic `{callee}`")),
+                    }
+                }
+            }
+            "br" => {
+                if rest.len() != 1 {
+                    return err(ln, "br takes 1 block");
+                }
+                InstKind::Br {
+                    target: parse_block_ref(rest[0], ln)?,
+                }
+            }
+            "condbr" => {
+                if rest.len() != 5 || rest[1] != "," || rest[3] != "," {
+                    return err(ln, "expected `condbr <val>, bbN, bbM`");
+                }
+                InstKind::CondBr {
+                    cond: self.value(rest[0], ln)?,
+                    then_bb: parse_block_ref(rest[2], ln)?,
+                    else_bb: parse_block_ref(rest[4], ln)?,
+                }
+            }
+            "ret" => match rest {
+                [] => InstKind::Ret { val: None },
+                [v] => InstKind::Ret {
+                    val: Some(self.value(v, ln)?),
+                },
+                _ => return err(ln, "ret takes at most 1 operand"),
+            },
+            // Binary ops come last: `add a, b` etc.
+            other => match BinOp::from_name(other) {
+                Some(op) => {
+                    let [lhs, rhs] = self.operands(rest, ln, other, "operand")?;
+                    InstKind::Bin { op, lhs, rhs }
+                }
+                None => return err(ln, format!("unknown instruction `{other}`")),
+            },
+        })
+    }
 }
 
 /// Parses a full module from text.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let lines: Vec<(usize, String, String)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            let (no_comment, comment) = match l.find(';') {
-                Some(p) => (&l[..p], l[p + 1..].trim().to_string()),
-                None => (l, String::new()),
-            };
-            (i + 1, no_comment.trim().to_string(), comment)
+    // Tokenize every non-blank line once, into one table of slices,
+    // sized for printed IR so it never regrows.
+    let mut toks: Vec<&str> = Vec::with_capacity(text.len() / 4);
+    let mut spans = Vec::with_capacity(text.len() / 16);
+    for (i, l) in text.lines().enumerate() {
+        let start = toks.len();
+        let comment = tokenize(l, |tok| {
+            toks.push(tok);
+            true
+        });
+        if toks.len() > start {
+            spans.push((i + 1, start..toks.len(), comment));
+        }
+    }
+    let lines: Vec<Line> = spans
+        .into_iter()
+        .map(|(no, range, comment)| Line {
+            no,
+            toks: &toks[range],
+            comment,
         })
         .collect();
 
     let mut module = Module::new("anonymous");
-    let mut global_map: FastMap<String, GlobalId> = FastMap::default();
-    let mut func_map: FastMap<String, FuncId> = FastMap::default();
+    let mut globals: Names<GlobalId> = Names::new();
+    let mut funcs: Names<FuncId> = Names::new();
+    // Line index of each function header, in `FuncId` order.
+    let mut headers = Vec::new();
 
     // ---- phase A: headers ----
-    // Tracks whether we are inside a `fn ... { ... }` body: body lines
-    // are phase B's job, but *top-level* lines must be one of the known
-    // directives — free text is a parse error, not an empty module.
-    let mut in_body = false;
-    for (ln, line, _) in &lines {
-        let toks = tokenize(line);
-        if toks.is_empty() {
+    // Body lines are phase B's job, but *top-level* lines must be one of
+    // the known directives — free text is a parse error, not an empty
+    // module.
+    let mut scan = TopLevel::default();
+    for (i, line) in lines.iter().enumerate() {
+        let (t, ln) = (line.toks, line.no);
+        if !scan.is_top_level(t[0]) {
             continue;
         }
-        match toks[0].as_str() {
-            "}" if in_body => {
-                in_body = false;
-                continue;
-            }
-            _ if in_body => continue, // body lines handled in phase B
-            _ => {}
-        }
-        match toks[0].as_str() {
+        match t[0] {
             "module" => {
-                if toks.len() != 2 {
-                    return err(*ln, "expected `module <name>`");
+                if t.len() != 2 {
+                    return err(ln, "expected `module <name>`");
                 }
-                module.name = toks[1].clone();
+                module.name = t[1].to_string();
             }
             "global" => {
-                if toks.len() < 3 {
-                    return err(*ln, "expected `global <name> <words> [= inits]`");
+                if t.len() < 3 {
+                    return err(ln, "expected `global <name> <words> [= inits]`");
                 }
-                let name = toks[1].clone();
-                let words: u32 = match toks[2].parse() {
-                    Ok(w) => w,
-                    Err(_) => return err(*ln, "bad global size"),
+                let Ok(words) = t[2].parse::<u32>() else {
+                    return err(ln, "bad global size");
                 };
                 let mut init = Vec::new();
-                if toks.len() > 3 {
-                    if toks[3] != "=" {
-                        return err(*ln, "expected `=` before initializers");
+                if t.len() > 3 {
+                    if t[3] != "=" {
+                        return err(ln, "expected `=` before initializers");
                     }
-                    for t in &toks[4..] {
-                        match t.parse::<i64>() {
+                    for v in &t[4..] {
+                        match v.parse::<i64>() {
                             Ok(v) => init.push(v),
-                            Err(_) => return err(*ln, format!("bad initializer `{t}`")),
+                            Err(_) => return err(ln, format!("bad initializer `{v}`")),
                         }
                     }
                     if init.len() > words as usize {
-                        return err(*ln, "more initializers than words");
+                        return err(ln, "more initializers than words");
                     }
                 }
-                if global_map.contains_key(&name) {
-                    return err(*ln, format!("duplicate global {name}"));
-                }
                 let id = GlobalId::new(module.globals.len());
-                global_map.insert(name.clone(), id);
+                if globals.insert(t[1], id).is_some() {
+                    return err(ln, format!("duplicate global {}", t[1]));
+                }
+                let name = t[1].to_string();
                 module.globals.push(GlobalDecl { name, words, init });
             }
             "fn" => {
                 // `fn <name> params = <n> ...`
-                if toks.len() < 5 || toks[2] != "params" || toks[3] != "=" {
-                    return err(*ln, "expected `fn <name> params=<n> locals=(..) {`");
+                if t.len() < 5 || t[2] != "params" || t[3] != "=" {
+                    return err(ln, "expected `fn <name> params=<n> locals=(..) {`");
                 }
-                let name = toks[1].clone();
-                let num_params: u16 = match toks[4].parse() {
-                    Ok(p) => p,
-                    Err(_) => return err(*ln, "bad params count"),
+                let Ok(num_params) = t[4].parse::<u16>() else {
+                    return err(ln, "bad params count");
                 };
-                if func_map.contains_key(&name) {
-                    return err(*ln, format!("duplicate function {name}"));
-                }
                 let id = FuncId::new(module.funcs.len());
-                func_map.insert(name.clone(), id);
-                let mut f = Function::new(name, num_params);
-                f.blocks.clear(); // rebuilt in phase B
-                module.funcs.push(f);
-                in_body = true;
+                if funcs.insert(t[1], id).is_some() {
+                    return err(ln, format!("duplicate function {}", t[1]));
+                }
+                module.funcs.push(Function::new(t[1], num_params));
+                headers.push(i);
             }
             other => {
-                return err(
-                    *ln,
-                    format!(
-                        "unexpected top-level `{other}` (expected `module`, `global`, or `fn`)"
-                    ),
-                );
+                let want = "expected `module`, `global`, or `fn`";
+                return err(ln, format!("unexpected top-level `{other}` ({want})"));
             }
         }
     }
 
     // ---- phase B: function bodies ----
-    let mut i = 0;
-    while i < lines.len() {
-        let (ln, line, _) = &lines[i];
-        let toks = tokenize(line);
-        if toks.first().map(String::as_str) == Some("fn") {
-            // Collect body lines until matching `}` at line start.
-            let start = i;
-            let mut end = None;
-            for (j, (_, l, _)) in lines.iter().enumerate().skip(i + 1) {
-                if l.trim() == "}" {
-                    end = Some(j);
-                    break;
-                }
-                if tokenize(l).first().map(String::as_str) == Some("fn") {
-                    break;
-                }
-            }
-            let end = match end {
-                Some(e) => e,
-                None => return err(*ln, "unterminated function body (missing `}`)"),
-            };
-            let fname = toks[1].clone();
-            let fid = func_map[&fname];
-            let func = parse_function_body(
-                &lines[start..=end],
-                &toks,
-                *ln,
-                &module,
-                &global_map,
-                &func_map,
-            )?;
-            module.funcs[fid.index()] = func;
-            i = end + 1;
-        } else {
-            i += 1;
-        }
+    // A body runs to the first line that is exactly `}`; reaching another
+    // `fn` line first leaves it unterminated.
+    for (f, &h) in headers.iter().enumerate() {
+        let header = &lines[h];
+        let end = lines[h + 1..]
+            .iter()
+            .position(|l| l.toks == ["}"] || l.toks[0] == "fn")
+            .map(|e| h + 1 + e)
+            .filter(|&e| lines[e].toks == ["}"]);
+        let Some(end) = end else {
+            return err(header.no, "unterminated function body (missing `}`)");
+        };
+        let body = &lines[h + 1..end];
+        // Every body line, blank or not, could hold a block label.
+        let body_lines = lines[end].no - header.no - 1;
+        // Fresh tables per function: clearing a reused one costs its
+        // capacity, so one big function would tax every later small one.
+        let mut ctx = FuncCtx {
+            globals: &globals,
+            funcs: &funcs,
+            locals: Names::new(),
+            inst_labels: Names::new(),
+        };
+        parse_function_body(&mut module.funcs[f], &mut ctx, header, body, body_lines)?;
     }
 
     Ok(module)
 }
 
-fn parse_function_body(
-    lines: &[(usize, String, String)],
-    header_toks: &[String],
-    header_ln: usize,
-    module: &Module,
-    global_map: &FastMap<String, GlobalId>,
-    func_map: &FastMap<String, FuncId>,
-) -> Result<Function, ParseError> {
-    let name = header_toks[1].clone();
-    let num_params: u16 = header_toks[4].parse().unwrap();
-    let mut func = Function::new(name, num_params);
-    func.blocks.clear();
-
+/// Fills `func` (as phase A declared it) from its header extras and body.
+fn parse_function_body<'a>(
+    func: &mut Function,
+    ctx: &mut FuncCtx<'_, 'a>,
+    header: &Line<'_, 'a>,
+    body: &[Line<'_, 'a>],
+    body_lines: usize,
+) -> Result<(), ParseError> {
     // Header extras: locals=(..) and optional entry=bbK.
-    let mut ctx = FuncCtx {
-        globals: global_map,
-        funcs: func_map,
-        locals: FastMap::default(),
-        inst_labels: FastMap::default(),
-    };
+    let (h, hl) = (header.toks, header.no);
     let mut t = 5;
     let mut entry: Option<BlockId> = None;
-    while t < header_toks.len() {
-        match header_toks[t].as_str() {
+    while t < h.len() {
+        match h[t] {
             "locals" => {
-                if header_toks.get(t + 1).map(String::as_str) != Some("=")
-                    || header_toks.get(t + 2).map(String::as_str) != Some("(")
-                {
-                    return err(header_ln, "expected `locals=(...)`");
+                if h.get(t + 1) != Some(&"=") || h.get(t + 2) != Some(&"(") {
+                    return err(hl, "expected `locals=(...)`");
                 }
                 t += 3;
-                while t < header_toks.len() && header_toks[t] != ")" {
-                    let lname = header_toks[t].clone();
+                while t < h.len() && h[t] != ")" {
                     let lid = LocalId::new(func.locals.len());
-                    if ctx.locals.insert(lname.clone(), lid).is_some() {
-                        return err(header_ln, format!("duplicate local {lname}"));
+                    if ctx.locals.insert(h[t], lid).is_some() {
+                        return err(hl, format!("duplicate local {}", h[t]));
                     }
-                    func.locals.push(lname);
+                    func.locals.push(h[t].to_string());
                     t += 1;
                 }
                 t += 1; // skip `)`
             }
             "entry" => {
-                if header_toks.get(t + 1).map(String::as_str) != Some("=") {
-                    return err(header_ln, "expected `entry=bbK`");
-                }
-                entry = Some(parse_block_ref(&header_toks[t + 2], header_ln)?);
+                let (Some(&"="), Some(block)) = (h.get(t + 1), h.get(t + 2)) else {
+                    return err(hl, "expected `entry=bbK`");
+                };
+                entry = Some(parse_block_ref(block, hl)?);
                 t += 3;
             }
             "{" => t += 1,
-            other => return err(header_ln, format!("unexpected token `{other}` in header")),
+            other => return err(hl, format!("unexpected token `{other}` in header")),
         }
     }
 
@@ -341,313 +549,66 @@ fn parse_function_body(
     // label index is bounded by the body line count — every block needs
     // its own label line — which keeps a mutated `bb999999999:` label
     // from allocating a billion empty blocks.
-    let max_legal_block = lines.len() - 2;
-    let check_block = |b: BlockId, tok: &str, ln: usize| -> Result<BlockId, ParseError> {
-        if b.index() >= max_legal_block {
-            return err(
-                ln,
-                format!(
-                    "block label `{tok}` out of range (function body has {max_legal_block} lines)"
-                ),
-            );
-        }
-        Ok(b)
-    };
     let mut max_block = 0usize;
     let mut saw_block = false;
     let mut next_inst = 0usize;
-    for (ln, line, _) in &lines[1..lines.len() - 1] {
-        let toks = tokenize(line);
-        if toks.is_empty() {
-            continue;
-        }
-        if toks[0].starts_with("bb") && toks.len() >= 2 && toks[1] == ":" {
-            let b = check_block(parse_block_ref(&toks[0], *ln)?, &toks[0], *ln)?;
+    for line in body {
+        if let Some(tok) = block_label(line.toks) {
+            let b = parse_block_ref(tok, line.no)?;
+            if b.index() >= body_lines {
+                return err(
+                    line.no,
+                    format!(
+                        "block label `{tok}` out of range (function body has {body_lines} lines)"
+                    ),
+                );
+            }
             max_block = max_block.max(b.index());
             saw_block = true;
             continue;
         }
-        // also accept `bbN:` fused by tokenizer? ':' isn't split; handle suffix.
-        if let Some(stripped) = toks[0].strip_suffix(':') {
-            if stripped.starts_with("bb") {
-                let b = check_block(parse_block_ref(stripped, *ln)?, stripped, *ln)?;
-                max_block = max_block.max(b.index());
-                saw_block = true;
-                continue;
-            }
-        }
         if !saw_block {
-            return err(*ln, "instruction before any block label");
+            return err(line.no, "instruction before any block label");
         }
         let id = InstId::new(next_inst);
         next_inst += 1;
-        if toks[0].starts_with('%') && toks.get(1).map(String::as_str) == Some("=") {
-            let label = toks[0][1..].to_string();
-            if ctx.inst_labels.insert(label.clone(), id).is_some() {
-                return err(*ln, format!("duplicate result label %{label}"));
+        if let Some(label) = result_label(line.toks) {
+            if ctx.inst_labels.insert(label, id).is_some() {
+                return err(line.no, format!("duplicate result label %{label}"));
             }
         }
     }
-    for bi in 0..=max_block {
-        func.blocks.push(Block {
-            name: String::new(),
-            insts: Vec::new(),
-        });
-        let _ = bi;
-    }
-    if func.blocks.is_empty() {
-        return err(header_ln, "function has no blocks");
-    }
+    func.blocks = vec![Block::default(); max_block + 1];
     func.entry = entry.unwrap_or(BlockId::new(0));
 
-    // Main pass.
-    let mut current: Option<BlockId> = None;
-    let mut next_id = 0usize;
-    for (ln, line, comment) in &lines[1..lines.len() - 1] {
-        let toks = tokenize(line);
-        if toks.is_empty() {
-            continue;
-        }
-        let block_label =
-            if toks[0].starts_with("bb") && toks.get(1).map(String::as_str) == Some(":") {
-                Some(toks[0].clone())
-            } else {
-                toks[0]
-                    .strip_suffix(':')
-                    .filter(|s| s.starts_with("bb"))
-                    .map(str::to_string)
-            };
-        if let Some(lbl) = block_label {
-            let b = parse_block_ref(&lbl, *ln)?;
+    // Main pass. The pre-pass saw a label before any instruction.
+    let mut current = BlockId::new(0);
+    for line in body {
+        if let Some(tok) = block_label(line.toks) {
+            current = parse_block_ref(tok, line.no)?;
             // A trailing comment on the label line is the block's name.
-            if !comment.is_empty() {
-                func.blocks[b.index()].name = comment.clone();
+            let name = line.comment.trim();
+            if !name.is_empty() {
+                func.blocks[current.index()].name = name.to_string();
             }
-            current = Some(b);
             continue;
         }
-        let cur = match current {
-            Some(c) => c,
-            None => return err(*ln, "instruction before any block label"),
+        let label = result_label(line.toks);
+        let toks = if label.is_some() {
+            &line.toks[2..]
+        } else {
+            line.toks
         };
-        // Strip `%label =` prefix.
-        let (has_result, body) =
-            if toks[0].starts_with('%') && toks.get(1).map(String::as_str) == Some("=") {
-                (true, &toks[2..])
-            } else {
-                (false, &toks[..])
-            };
-        let kind = parse_inst(body, &ctx, module, *ln)?;
-        if has_result && !kind.has_result() {
-            return err(*ln, "instruction produces no result but one is bound");
+        let kind = ctx.inst(toks, line.no)?;
+        if label.is_some() && !kind.has_result() {
+            return err(line.no, "instruction produces no result but one is bound");
         }
-        let id = InstId::new(next_id);
-        next_id += 1;
+        func.blocks[current.index()]
+            .insts
+            .push(InstId::new(func.insts.len()));
         func.insts.push(Inst { kind });
-        func.blocks[cur.index()].insts.push(id);
     }
-
-    Ok(func)
-}
-
-fn parse_inst(
-    toks: &[String],
-    ctx: &FuncCtx,
-    module: &Module,
-    ln: usize,
-) -> Result<InstKind, ParseError> {
-    if toks.is_empty() {
-        return err(ln, "empty instruction");
-    }
-    let mn = toks[0].as_str();
-    let rest = &toks[1..];
-    let kind = match mn {
-        "load" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 1 {
-                return err(ln, "load takes 1 operand");
-            }
-            InstKind::Load { addr: a[0] }
-        }
-        "store" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 2 {
-                return err(ln, "store takes 2 operands");
-            }
-            InstKind::Store {
-                addr: a[0],
-                val: a[1],
-            }
-        }
-        "rmw" => {
-            if rest.is_empty() {
-                return err(ln, "rmw needs an operator");
-            }
-            let op = RmwOp::from_name(&rest[0]).ok_or(ParseError {
-                line: ln,
-                message: format!("bad rmw op `{}`", rest[0]),
-            })?;
-            let a = parse_args(&rest[1..], ctx, ln)?;
-            if a.len() != 2 {
-                return err(ln, "rmw takes 2 operands");
-            }
-            InstKind::AtomicRmw {
-                op,
-                addr: a[0],
-                val: a[1],
-            }
-        }
-        "cas" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 3 {
-                return err(ln, "cas takes 3 operands");
-            }
-            InstKind::AtomicCas {
-                addr: a[0],
-                expected: a[1],
-                new: a[2],
-            }
-        }
-        "fence" => {
-            let kind = match rest.first().map(String::as_str) {
-                Some("full") => FenceKind::Full,
-                Some("compiler") => FenceKind::Compiler,
-                _ => return err(ln, "fence kind must be `full` or `compiler`"),
-            };
-            InstKind::Fence { kind }
-        }
-        "alloc" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 1 {
-                return err(ln, "alloc takes 1 operand");
-            }
-            InstKind::Alloc { words: a[0] }
-        }
-        "cmp" => {
-            if rest.is_empty() {
-                return err(ln, "cmp needs an operator");
-            }
-            let op = CmpOp::from_name(&rest[0]).ok_or(ParseError {
-                line: ln,
-                message: format!("bad cmp op `{}`", rest[0]),
-            })?;
-            let a = parse_args(&rest[1..], ctx, ln)?;
-            if a.len() != 2 {
-                return err(ln, "cmp takes 2 operands");
-            }
-            InstKind::Cmp {
-                op,
-                lhs: a[0],
-                rhs: a[1],
-            }
-        }
-        "select" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 3 {
-                return err(ln, "select takes 3 operands");
-            }
-            InstKind::Select {
-                cond: a[0],
-                then_val: a[1],
-                else_val: a[2],
-            }
-        }
-        "gep" => {
-            let a = parse_args(rest, ctx, ln)?;
-            if a.len() != 2 {
-                return err(ln, "gep takes 2 operands");
-            }
-            InstKind::Gep {
-                base: a[0],
-                index: a[1],
-            }
-        }
-        "read_local" => {
-            if rest.len() != 1 {
-                return err(ln, "read_local takes 1 local name");
-            }
-            InstKind::ReadLocal {
-                local: ctx.local(&rest[0], ln)?,
-            }
-        }
-        "write_local" => {
-            if rest.len() < 3 || rest[1] != "," {
-                return err(ln, "expected `write_local <local>, <value>`");
-            }
-            let local = ctx.local(&rest[0], ln)?;
-            let a = parse_args(&rest[2..], ctx, ln)?;
-            if a.len() != 1 {
-                return err(ln, "write_local takes 1 value");
-            }
-            InstKind::WriteLocal { local, val: a[0] }
-        }
-        "call" | "intrinsic" => {
-            if rest.len() < 3 || rest[1] != "(" || rest.last().map(String::as_str) != Some(")") {
-                return err(ln, format!("expected `{mn} <name>(args)`"));
-            }
-            let callee_name = &rest[0];
-            let args = parse_args(&rest[2..rest.len() - 1], ctx, ln)?;
-            if mn == "call" {
-                match ctx.funcs.get(callee_name.as_str()) {
-                    Some(&f) => InstKind::Call { callee: f, args },
-                    None => return err(ln, format!("unknown function `{callee_name}`")),
-                }
-            } else {
-                match Intrinsic::from_name(callee_name) {
-                    Some(intr) => InstKind::CallIntrinsic { intr, args },
-                    None => return err(ln, format!("unknown intrinsic `{callee_name}`")),
-                }
-            }
-        }
-        "br" => {
-            if rest.len() != 1 {
-                return err(ln, "br takes 1 block");
-            }
-            InstKind::Br {
-                target: parse_block_ref(&rest[0], ln)?,
-            }
-        }
-        "condbr" => {
-            if rest.len() != 5 || rest[1] != "," || rest[3] != "," {
-                return err(ln, "expected `condbr <val>, bbN, bbM`");
-            }
-            InstKind::CondBr {
-                cond: ctx.value(&rest[0], ln)?,
-                then_bb: parse_block_ref(&rest[2], ln)?,
-                else_bb: parse_block_ref(&rest[4], ln)?,
-            }
-        }
-        "ret" => {
-            if rest.is_empty() {
-                InstKind::Ret { val: None }
-            } else if rest.len() == 1 {
-                InstKind::Ret {
-                    val: Some(ctx.value(&rest[0], ln)?),
-                }
-            } else {
-                return err(ln, "ret takes at most 1 operand");
-            }
-        }
-        other => {
-            // binary ops come last: `add a, b` etc.
-            match BinOp::from_name(other) {
-                Some(op) => {
-                    let a = parse_args(rest, ctx, ln)?;
-                    if a.len() != 2 {
-                        return err(ln, format!("{other} takes 2 operands"));
-                    }
-                    InstKind::Bin {
-                        op,
-                        lhs: a[0],
-                        rhs: a[1],
-                    }
-                }
-                None => return err(ln, format!("unknown instruction `{other}`")),
-            }
-        }
-    };
-    let _ = module;
-    Ok(kind)
+    Ok(())
 }
 
 /// Parses many module texts as independent pool units (`parse_module`
@@ -844,5 +805,20 @@ bb0:
         let m = parse_module("module m\nglobal g 4 = 9 8 7\n").unwrap();
         assert_eq!(m.globals[0].init, vec![9, 8, 7]);
         assert_eq!(m.globals[0].words, 4);
+    }
+
+    #[test]
+    fn line_classifier_follows_the_tokenizer() {
+        assert_eq!(first_token("}x"), Some("}"));
+        assert_eq!(first_token("fn{"), Some("fn"));
+        assert_eq!(first_token("  module m ; fn"), Some("module"));
+        assert_eq!(first_token(" \t; only a comment"), None);
+        assert_eq!(first_token("\u{a0}fn\u{2003}f"), Some("fn"));
+        let mut scan = TopLevel::default();
+        let tops: Vec<bool> = ["module", "fn", "module", "}", "global"]
+            .iter()
+            .map(|t| scan.is_top_level(t))
+            .collect();
+        assert_eq!(tops, [true, true, false, false, true]);
     }
 }

@@ -13,7 +13,7 @@
 #   bench    cargo bench --no-run (compile smoke for every bench harness)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
-#   stream   windowed-vs-resident differential + CLI --window smoke
+#   stream   windowed-vs-resident differential + CLI --window and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #   perfbench  the benchmark harness compiles and its tests pass
 #   all      every stage above, in CI order (the default)
@@ -82,6 +82,31 @@ stage_stream() {
   cargo run --release --quiet --bin fenceplace -- \
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
     --window 4
+
+  echo "== fenceplace pack: smoke (dumped kernels + corpus + one malformed module) =="
+  # The smoke above feeds built-in modules only; this one sends printed IR
+  # through the pack splitter and the parser. The malformed module must be
+  # the run's one invalid_ir slot (exit 2), and every other module must run.
+  cargo build --release --quiet --bin fenceplace --bin dump_ir
+  pack_dir="$(mktemp -d)"
+  trap 'rm -rf "$pack_dir"' EXIT
+  for prog in Dekker "MCS Lock" FFT Matrix; do
+    ./target/release/dump_ir "$prog"
+  done > "$pack_dir/smoke.pack"
+  printf 'module malformed\nfn f params=0 locals=() {\nbb0:\n  frob c1\n  ret\n}\n' \
+    >> "$pack_dir/smoke.pack"
+  pack_status=0
+  ./target/release/fenceplace --program "pack:$pack_dir/smoke.pack" --window 4 \
+    > "$pack_dir/rollup.json" || pack_status=$?
+  [ "$pack_status" -eq 2 ] || { echo "pack smoke exited $pack_status, want 2" >&2; exit 1; }
+  pack_ok=$(grep -c '"status": "ok"' "$pack_dir/rollup.json" || true)
+  pack_invalid=$(grep -c '"status": "invalid_ir"' "$pack_dir/rollup.json" || true)
+  [ "$pack_ok" -eq 4 ] && [ "$pack_invalid" -eq 1 ] || {
+    echo "pack smoke: $pack_ok ok and $pack_invalid invalid_ir modules, want 4 and 1" >&2
+    exit 1
+  }
+  rm -rf "$pack_dir"
+  trap - EXIT
 }
 
 stage_serve() {

@@ -288,3 +288,53 @@ fn mid_stream_failures_do_not_stall_the_window() {
         assert_same_results(&format!("{} with sick neighbors", want.name), got, want);
     }
 }
+
+/// A pack module holding a byte that is not UTF-8 is quarantined alone,
+/// as one `load_failed` slot naming its line; the modules after it still
+/// stream and run as if it were not there.
+#[test]
+fn non_utf8_pack_module_is_quarantined_alone() {
+    let texts: Vec<(String, String)> = fleet_texts().into_iter().take(3).collect();
+    let configs = sweep_configs();
+    let dir = scratch("badutf8");
+    let pack_path = dir.join("mixed.pack");
+    // Module b gets a comment line with a 0xff byte right after its header.
+    let (b_header, b_rest) = texts[1].1.split_once('\n').unwrap();
+    let mut pack = texts[0].1.clone().into_bytes();
+    pack.extend_from_slice(format!("{b_header}\n").as_bytes());
+    pack.extend_from_slice(b"; caf\xff comment\n");
+    pack.extend_from_slice(format!("{b_rest}{}", texts[2].1).as_bytes());
+    std::fs::write(&pack_path, &pack).unwrap();
+    let bad_line = texts[0].1.lines().count() + 2;
+
+    let pspec = format!("pack:{}", pack_path.display());
+    let mut source = ModuleSource::new(Params::tiny());
+    source.push_spec(&pspec).unwrap();
+    let items: Vec<StreamItem> = stream_items(source).collect();
+    let opts = FleetOptions {
+        parallel: true,
+        window: Some(2),
+        ..FleetOptions::default()
+    };
+    let (results, stats) = stream_collect(items, &configs, &opts);
+    assert_eq!(stats.modules, 3, "every module of the pack gets a slot");
+    assert_eq!(stats.failed, 1);
+    assert_eq!(results[1].name, format!("{pspec}#1"));
+    assert_eq!(results[1].outcome.kind(), "load_failed");
+    let shown = results[1].outcome.to_string();
+    assert!(shown.contains(&format!("line {bad_line} ")), "{shown}");
+
+    let renamed: Vec<(String, String)> = [0, 2]
+        .into_iter()
+        .map(|k| (format!("{pspec}#{k}"), texts[k].1.clone()))
+        .collect();
+    let baseline = resident_baseline(&renamed, &configs, false);
+    for (got, want) in [&results[0], &results[2]].into_iter().zip(&baseline) {
+        assert_same_results(
+            &format!("{} beside a non-UTF-8 module", want.name),
+            got,
+            want,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
