@@ -36,7 +36,7 @@
 
 use crate::pointsto::{PointsTo, PtsView};
 use fence_ir::util::{BitSet, FastMap};
-use fence_ir::{FuncId, Function, InstId, InstKind, Intrinsic, Module, Value};
+use fence_ir::{FuncId, InstId, InstKind, Module};
 
 /// Reusable scratch state for [`AliasOracle::for_each_potential_writer`]:
 /// a dedup bitset (a writer filed under several locations must be
@@ -101,7 +101,6 @@ impl WriterScratch {
 /// ```
 pub struct AliasOracle<'a> {
     pt: &'a PointsTo,
-    func_id: FuncId,
     /// Interned location-set id of every memory access's address operand
     /// (`None` for non-accesses).
     access_set: Vec<Option<u32>>,
@@ -128,7 +127,6 @@ impl<'a> AliasOracle<'a> {
         let unk = pt.unknown_idx();
         let mut this = AliasOracle {
             pt,
-            func_id,
             access_set: vec![None; func.num_insts()],
             sets: Vec::new(),
             writers: Vec::new(),
@@ -205,18 +203,6 @@ impl<'a> AliasOracle<'a> {
         sa.contains(unk) || sb.contains(unk) || sa.intersects_view(&sb)
     }
 
-    /// May an access alias a raw value used as an address?
-    pub fn may_alias_value(&self, a: InstId, addr: Value) -> bool {
-        let sa = match self.locs_of(a) {
-            Some(x) => x,
-            None => return false,
-        };
-        // Borrowed view — no allocation per query.
-        let sb = self.pt.addr_locs(self.func_id, addr);
-        let unk = self.pt.unknown_idx();
-        sa.contains(unk) || sb.contains(unk) || sb.intersects_view(&sa)
-    }
-
     /// Calls `f` for every memory-writing instruction of this function
     /// that may have written the value read by `read` (paper Listing 2,
     /// line 17) — the push-style, allocation-free form of
@@ -291,22 +277,11 @@ impl<'a> AliasOracle<'a> {
     }
 }
 
-/// Convenience: `true` if the instruction is one of the opaque lock/barrier
-/// intrinsics that the oracle models as writers.
-pub fn is_sync_intrinsic(func: &Function, iid: InstId) -> bool {
-    matches!(
-        &func.inst(iid).kind,
-        InstKind::CallIntrinsic { intr, .. } if matches!(
-            intr,
-            Intrinsic::LockAcquire | Intrinsic::LockRelease | Intrinsic::BarrierWait
-        )
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
+    use fence_ir::Value;
 
     #[test]
     fn distinct_globals_do_not_alias() {

@@ -23,8 +23,6 @@ use fence_ir::{FuncId, InstId, Module};
 
 /// Escape classification for a module.
 pub struct EscapeInfo {
-    /// Escaped abstract locations (indices into the points-to universe).
-    escaped_locs: BitSet,
     /// Per function: set of escaping memory-access instructions.
     escaping_accesses: Vec<BitSet>,
 }
@@ -69,10 +67,7 @@ impl EscapeInfo {
             escaping_accesses.push(set);
         }
 
-        EscapeInfo {
-            escaped_locs: escaped,
-            escaping_accesses,
-        }
+        EscapeInfo { escaping_accesses }
     }
 
     /// `true` if the access may touch thread-shared memory.
@@ -85,12 +80,6 @@ impl EscapeInfo {
     #[inline]
     pub fn escaping_set(&self, f: FuncId) -> &BitSet {
         &self.escaping_accesses[f.index()]
-    }
-
-    /// `true` if abstract location `i` escaped.
-    #[inline]
-    pub fn loc_escaped(&self, i: usize) -> bool {
-        self.escaped_locs.contains(i)
     }
 
     /// Escaping *reads* of a function (the candidate acquires), i.e. the

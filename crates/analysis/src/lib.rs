@@ -17,11 +17,8 @@
 //! * [`slicer`] — the conservative intraprocedural backwards slicer of
 //!   Listing 2: walks def-use chains and, through memory, the
 //!   potential-writer relation, registering every escaping read it meets.
-//! * [`dataflow`] — a small generic bit-vector dataflow framework (used
-//!   for liveness; infrastructure for further passes).
 
 pub mod alias;
-pub mod dataflow;
 pub mod escape;
 pub mod pointsto;
 pub mod slicer;
@@ -52,18 +49,10 @@ pub fn analysis_runs() -> usize {
 }
 
 impl ModuleAnalysis {
-    /// Runs points-to followed by escape analysis, sequentially.
+    /// Runs points-to followed by escape analysis.
     pub fn run(module: &fence_ir::Module) -> Self {
-        Self::run_on(module, false)
-    }
-
-    /// Runs the analyses with the points-to fixpoint rounds optionally
-    /// sharded per function on the persistent [`fence_ir::pool`] thread
-    /// pool. Results are bit-identical to the sequential run (see the
-    /// [`pointsto`] module docs for why).
-    pub fn run_on(module: &fence_ir::Module, parallel: bool) -> Self {
         ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
-        let points_to = PointsTo::analyze_on(module, parallel);
+        let points_to = PointsTo::analyze(module);
         let escape = EscapeInfo::analyze(module, &points_to);
         ModuleAnalysis { points_to, escape }
     }

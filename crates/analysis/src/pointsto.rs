@@ -25,49 +25,38 @@
 //! `locs(p)` resolves an *address* operand: if `pts(p)` is empty, the
 //! address is unknown ⇒ `{Unknown}`.
 //!
-//! ## Solver architecture: a function-sharded constraint graph
+//! ## Solver architecture: one constraint table, one worklist
 //!
 //! The first rewrite replaced fixpoint-by-re-execution with a worklist
-//! over an explicit constraint graph. This version additionally
-//! **shards the graph by function** around a small shared frontier:
+//! over an explicit constraint graph:
 //!
 //! 1. every value/argument/local/return and every abstract location gets
-//!    one dense *node* holding its points-to `BitSet`. Node ids are laid
-//!    out **location nodes first, then one contiguous group per
-//!    function** — the group *is* the shard, so per-shard state splits
-//!    into disjoint slices;
-//! 2. non-memory constraints become static copy edges (`pts(dst) ⊇
-//!    pts(src)`) in one CSR table (two counting passes, two allocations —
-//!    the old per-node `Vec`s and per-node delta `BitSet`s made graph
-//!    construction the dominant cost of the whole analysis); memory
-//!    constraints subscribe to their address node and are wired lazily —
-//!    when the address set gains a location `L`, the solver adds
-//!    `pts(L) → dst` (load) / `src → pts(L)` (store) edges on the fly;
-//!    deltas live in one flat word matrix, wired edges in sparse
-//!    overflow lists;
-//! 3. the initial pass applies every instruction once in program order:
-//!    a single **sequential** pass that replicates the old solver's first
-//!    round bit-for-bit, including the conservative `locs(p) = ∅ ⇒
-//!    {Unknown}` resolution against in-round intermediate states — the
-//!    one order-sensitive rule, which is why this pass cannot shard
-//!    without changing answers;
-//! 4. the remaining fixpoint rounds drain **per-function worklists**.
-//!    Each shard propagates deltas entirely within its own node group;
-//!    effects that cross the shard boundary — copies into the shared
-//!    location frontier, call/return edges into other functions, and
-//!    memory-constraint wiring — are buffered and merged between rounds.
-//!    With `parallel` solving, the shards of one round run on the
-//!    persistent [`fence_ir::pool`] thread pool and the frontier merge
-//!    stays sequential.
+//!    one dense *node* holding its points-to `BitSet`: location nodes
+//!    first, then per function its arguments, local slots, instruction
+//!    results and return value;
+//! 2. the table above is written once, as `Table::each`: it maps each
+//!    instruction, in program order, to its constraints — an alloc seed,
+//!    a copy from a node or a constant global, or a memory access. Every
+//!    phase below reads it;
+//! 3. copies between nodes become static edges in one CSR table (two
+//!    counting passes, two allocations — the old per-node `Vec`s and
+//!    per-node delta `BitSet`s made graph construction the dominant cost
+//!    of the whole analysis); memory constraints subscribe to their
+//!    address node and are wired lazily — when the address set gains a
+//!    location `L`, the solver adds `pts(L) → dst` (load) / `src →
+//!    pts(L)` (store) edges on the fly; deltas live in one flat word
+//!    matrix, wired edges in sparse overflow lists;
+//! 4. the initial pass applies every constraint once in program order:
+//!    it replicates the old solver's first round bit-for-bit, including
+//!    the conservative `locs(p) = ∅ ⇒ {Unknown}` resolution against
+//!    in-round intermediate states — the one order-sensitive rule;
+//! 5. one worklist then drains the pending deltas to the fixpoint.
 //!
-//! Sharding cannot change the answer: after the initial pass pins the
-//! `∅ ⇒ {Unknown}` wiring decisions, the constraint system is monotone,
-//! so its least fixpoint is schedule-independent — parallel and
-//! sequential runs produce bit-identical sets (a golden test and a
-//! property test against the legacy solver pin this). Each
-//! location/edge/constraint is touched `O(1)` times per new bit, so
-//! solving is near-linear in `constraints + propagated bits` instead of
-//! quadratic in program size.
+//! After the initial pass pins the `∅ ⇒ {Unknown}` wiring decisions, the
+//! constraint system is monotone, so its least fixpoint does not depend
+//! on the order the worklist drains it in. Each location/edge/constraint
+//! is touched `O(1)` times per new bit, so solving is near-linear in
+//! `constraints + propagated bits` instead of quadratic in program size.
 //!
 //! **Equivalence contract.** The `∅ ⇒ {Unknown}` fallback is the one
 //! non-monotone rule, so the re-execution solver's result was defined by
@@ -91,7 +80,7 @@
 //! `alias`, the acquire detector) no longer allocate per query.
 
 use fence_ir::util::BitSet;
-use fence_ir::{FuncId, GlobalId, InstId, InstKind, LocalId, Module, Value};
+use fence_ir::{FuncId, GlobalId, InstId, InstKind, Module, Value};
 
 /// An abstract memory location.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -239,7 +228,8 @@ impl Iterator for PtsIter<'_> {
     }
 }
 
-/// The value a `store`-side constraint copies from.
+/// A non-constant operand: a solver node, or a constant global address
+/// (a fixed singleton). Constants contribute nothing and have no `Src`.
 #[derive(Copy, Clone, Debug)]
 enum Src {
     /// A solver node.
@@ -260,14 +250,23 @@ struct MemCon {
     store_src: Option<Src>,
 }
 
-/// Result of the points-to analysis for a whole module.
-pub struct PointsTo {
-    /// All abstract locations; `locs[i]` is the location with index `i`.
-    locs: Vec<AbsLoc>,
-    /// Index of the `Unknown` location (always last).
-    unknown: usize,
-    /// One points-to set per node; locations occupy nodes `0..locs.len()`.
-    pts: Vec<BitSet>,
+/// One row of the constraint table (module docs), operands resolved to
+/// nodes.
+#[derive(Copy, Clone)]
+enum Con {
+    /// `pts(dst) ⊇ {loc}`: an `alloc` site.
+    Alloc { dst: u32, loc: u32 },
+    /// `pts(dst) ⊇ pts(src)`.
+    Copy { src: Src, dst: u32 },
+    /// A load/store/RMW/CAS that moves pointers through `locs(addr)`; a
+    /// constant address (`None`) always resolves to `{Unknown}`.
+    Mem { addr: Option<Src>, con: MemCon },
+}
+
+/// The node layout: location nodes first (`0..num_locs`), then per
+/// function its arguments, local slots, instruction results and return
+/// value.
+struct Nodes {
     /// First argument node of each function.
     arg_base: Vec<u32>,
     /// First local-slot node of each function.
@@ -278,9 +277,64 @@ pub struct PointsTo {
     ret_node: Vec<u32>,
 }
 
+impl Nodes {
+    /// Lays out the nodes of `module`; returns the layout and the node
+    /// count.
+    fn layout(module: &Module, num_locs: usize) -> (Self, usize) {
+        let nf = module.funcs.len();
+        let mut nodes = Nodes {
+            arg_base: Vec::with_capacity(nf),
+            local_base: Vec::with_capacity(nf),
+            val_base: Vec::with_capacity(nf),
+            ret_node: Vec::with_capacity(nf),
+        };
+        let mut next = num_locs as u32;
+        for func in &module.funcs {
+            nodes.arg_base.push(next);
+            next += func.num_params as u32;
+            nodes.local_base.push(next);
+            next += func.locals.len() as u32;
+            nodes.val_base.push(next);
+            next += func.num_insts() as u32;
+            nodes.ret_node.push(next);
+            next += 1;
+        }
+        (nodes, next as usize)
+    }
+
+    #[inline]
+    fn of(&self, f: FuncId, v: Value) -> Option<u32> {
+        match v {
+            Value::Const(_) | Value::Global(_) => None,
+            Value::Arg(a) => Some(self.arg_base[f.index()] + a as u32),
+            Value::Inst(i) => Some(self.val_base[f.index()] + i.index() as u32),
+        }
+    }
+
+    #[inline]
+    fn operand(&self, f: FuncId, v: Value) -> Option<Src> {
+        match v {
+            Value::Const(_) => None,
+            Value::Global(g) => Some(Src::Global(g.index() as u32)),
+            _ => self.of(f, v).map(Src::Node),
+        }
+    }
+}
+
+/// Result of the points-to analysis for a whole module.
+pub struct PointsTo {
+    /// All abstract locations; `locs[i]` is the location with index `i`.
+    locs: Vec<AbsLoc>,
+    /// Index of the `Unknown` location (always last).
+    unknown: usize,
+    /// One points-to set per node; locations occupy nodes `0..locs.len()`.
+    pts: Vec<BitSet>,
+    /// Node ids of arguments and instruction results.
+    nodes: Nodes,
+}
+
 impl PointsTo {
-    /// Runs the analysis to fixpoint over the whole module,
-    /// sequentially.
+    /// Runs the analysis to fixpoint over the whole module.
     ///
     /// ```
     /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
@@ -300,23 +354,32 @@ impl PointsTo {
     /// assert!(pt.value_set(fid, p).contains(x.index()));
     /// ```
     pub fn analyze(module: &Module) -> Self {
-        Self::analyze_on(module, false)
-    }
-
-    /// Runs the analysis with the post-initial-pass fixpoint rounds
-    /// sharded per function; with `parallel`, shards of one round run on
-    /// the persistent [`fence_ir::pool`] thread pool. Bit-identical to
-    /// [`PointsTo::analyze`] (see the module docs).
-    pub fn analyze_on(module: &Module, parallel: bool) -> Self {
-        Solver::build(module).solve(parallel)
-    }
-
-    #[inline]
-    fn node_of(&self, f: FuncId, v: Value) -> Option<u32> {
-        match v {
-            Value::Const(_) | Value::Global(_) => None,
-            Value::Arg(a) => Some(self.arg_base[f.index()] + a as u32),
-            Value::Inst(i) => Some(self.val_base[f.index()] + i.index() as u32),
+        let mut locs: Vec<AbsLoc> = module
+            .iter_globals()
+            .map(|(g, _)| AbsLoc::Global(g))
+            .collect();
+        let first_alloc = locs.len() as u32;
+        for (fid, func) in module.iter_funcs() {
+            for (iid, inst) in func.iter_insts() {
+                if matches!(inst.kind, InstKind::Alloc { .. }) {
+                    locs.push(AbsLoc::Alloc(fid, iid));
+                }
+            }
+        }
+        let unknown = locs.len();
+        locs.push(AbsLoc::Unknown);
+        let (nodes, num_nodes) = Nodes::layout(module, locs.len());
+        let table = Table {
+            module,
+            nodes: &nodes,
+            first_alloc,
+        };
+        let pts = Solver::build(&table, locs.len(), num_nodes).solve(&table);
+        PointsTo {
+            locs,
+            unknown,
+            pts,
+            nodes,
         }
     }
 
@@ -327,7 +390,7 @@ impl PointsTo {
             Value::Const(_) => PtsView::Empty,
             Value::Global(g) => PtsView::Singleton(g.index()),
             _ => {
-                let node = self.node_of(f, v).expect("arg/inst has a node");
+                let node = self.nodes.of(f, v).expect("arg/inst has a node");
                 let set = &self.pts[node as usize];
                 if set.is_empty() {
                     PtsView::Empty
@@ -372,68 +435,119 @@ impl PointsTo {
     pub fn loc_pts(&self, i: usize) -> &BitSet {
         &self.pts[i]
     }
+}
 
-    /// The points-to set of a local slot.
-    pub fn local_set(&self, f: FuncId, l: LocalId) -> &BitSet {
-        &self.pts[(self.local_base[f.index()] + l.index() as u32) as usize]
+/// The constraint table of one module.
+struct Table<'m> {
+    module: &'m Module,
+    nodes: &'m Nodes,
+    /// Location index of the first `alloc` site; sites are numbered in
+    /// program order.
+    first_alloc: u32,
+}
+
+impl Table<'_> {
+    /// The constraint table of the module docs, written once: calls
+    /// `emit` with each instruction's constraints in program order — the
+    /// order the initial pass replays. A store of a constant moves no
+    /// pointers and yields nothing.
+    fn each(&self, mut emit: impl FnMut(Con)) {
+        let nodes = self.nodes;
+        let mut next_alloc = self.first_alloc;
+        for (fid, func) in self.module.iter_funcs() {
+            let fi = fid.index();
+            for (iid, inst) in func.iter_insts() {
+                let dst = nodes.val_base[fi] + iid.index() as u32;
+                let mut copy = |v: Value, dst: u32| {
+                    if let Some(src) = nodes.operand(fid, v) {
+                        emit(Con::Copy { src, dst });
+                    }
+                };
+                // Arms that only copy emit directly; a memory access
+                // comes out as `(address, load result, stored value)`.
+                let access = match &inst.kind {
+                    InstKind::Alloc { .. } => {
+                        emit(Con::Alloc {
+                            dst,
+                            loc: next_alloc,
+                        });
+                        next_alloc += 1;
+                        None
+                    }
+                    InstKind::Gep { base, .. } => {
+                        copy(*base, dst);
+                        None
+                    }
+                    InstKind::Bin { lhs, rhs, .. } => {
+                        copy(*lhs, dst);
+                        copy(*rhs, dst);
+                        None
+                    }
+                    InstKind::Select {
+                        then_val, else_val, ..
+                    } => {
+                        copy(*then_val, dst);
+                        copy(*else_val, dst);
+                        None
+                    }
+                    InstKind::ReadLocal { local } => {
+                        let slot = nodes.local_base[fi] + local.index() as u32;
+                        emit(Con::Copy {
+                            src: Src::Node(slot),
+                            dst,
+                        });
+                        None
+                    }
+                    InstKind::WriteLocal { local, val } => {
+                        copy(*val, nodes.local_base[fi] + local.index() as u32);
+                        None
+                    }
+                    InstKind::Call { callee, args } => {
+                        let cf = callee.index();
+                        let nparams = self.module.funcs[cf].num_params as usize;
+                        for (k, a) in args.iter().take(nparams).enumerate() {
+                            copy(*a, nodes.arg_base[cf] + k as u32);
+                        }
+                        emit(Con::Copy {
+                            src: Src::Node(nodes.ret_node[cf]),
+                            dst,
+                        });
+                        None
+                    }
+                    InstKind::Ret { val: Some(v) } => {
+                        copy(*v, nodes.ret_node[fi]);
+                        None
+                    }
+                    InstKind::Load { addr } => Some((*addr, Some(dst), None)),
+                    InstKind::Store { addr, val } => Some((*addr, None, Some(*val))),
+                    InstKind::AtomicRmw { addr, val, .. } => Some((*addr, Some(dst), Some(*val))),
+                    InstKind::AtomicCas { addr, new, .. } => Some((*addr, Some(dst), Some(*new))),
+                    // Cmp results, fences, intrinsics, branches: no flow.
+                    _ => None,
+                };
+                let Some((addr, load_to, stored)) = access else {
+                    continue;
+                };
+                let store_src = stored.and_then(|v| nodes.operand(fid, v));
+                if load_to.is_some() || store_src.is_some() {
+                    emit(Con::Mem {
+                        addr: nodes.operand(fid, addr),
+                        con: MemCon { load_to, store_src },
+                    });
+                }
+            }
+        }
     }
 }
 
-/// Cross-shard effect buffered by a function shard during a parallel
-/// round, applied by the sequential frontier merge.
-#[derive(Copy, Clone)]
-enum Out {
-    /// `pts(dst) ⊇ pts(src)` across a shard boundary (a store into the
-    /// location frontier, or a call/return edge into another function).
-    /// The merge propagates the *full* source set, which subsumes
-    /// whatever delta the shard held when it buffered the effect.
-    Copy { src: u32, dst: u32 },
-    /// Wire memory constraint `con` against location `loc`.
-    Wire { con: u32, loc: u32 },
-}
-
-/// Worklist control of one shard (the shared location frontier, or one
-/// function's node group).
-struct ShardCtl {
-    /// First node id of the shard's contiguous range.
-    base: u32,
-    /// Pending nodes (global ids).
-    wl: Vec<u32>,
-    /// Dedup mask over the shard's local index space.
-    on_list: BitSet,
-    /// Cross-shard effects buffered during a parallel round.
-    outbox: Vec<Out>,
-}
-
-/// The per-shard working set a parallel round hands to the pool: the
-/// shard's disjoint slices of the points-to table and delta matrix, plus
-/// its worklist control.
-struct ShardJob<'a> {
-    base: u32,
-    len: u32,
-    pts: &'a mut [BitSet],
-    delta: &'a mut [u64],
-    ctl: &'a mut ShardCtl,
-}
-
-/// Constraint-graph solver state, sharded by function.
-///
-/// Node ids are laid out location nodes first (`0..num_locs`, the shared
-/// frontier), then one contiguous group per function — so shard state
-/// splits into disjoint slices and per-function rounds can run on the
-/// thread pool without locks on the hot path.
-struct Solver<'m> {
-    module: &'m Module,
-    result: PointsTo,
+/// Constraint-graph solver state.
+struct Solver {
+    /// One points-to set per node.
+    pts: Vec<BitSet>,
+    /// Index of the `Unknown` location (the last location node).
+    unknown: usize,
     /// Words per points-to row (`num_locs.div_ceil(64)`).
     words: usize,
-    /// First node of each function's group (ascending; the group of
-    /// function `f` ends where group `f + 1` begins, or at `num_nodes`).
-    group_base: Vec<u32>,
-    /// Owning shard of each node (0 = location frontier, `1 + f` =
-    /// function `f`), precomputed so `enqueue` stays O(1) on the
-    /// propagation hot path.
-    shard_of: Vec<u32>,
     /// Static copy edges `from → to`, CSR (`csr_off[n]..csr_off[n + 1]`
     /// indexes `csr_dst`). Built with two counting passes — no per-node
     /// `Vec` growth, which used to dominate analysis time.
@@ -443,251 +557,84 @@ struct Solver<'m> {
     /// `src → loc`). Sparse: only location nodes and store sources are
     /// ever touched.
     dyn_edges: Vec<Vec<u32>>,
-    /// Memory constraints, wired lazily.
+    /// Memory constraints in table order, wired lazily.
     mem_cons: Vec<MemCon>,
     /// Already-wired locations, one flat row per constraint.
     resolved: Vec<u64>,
-    /// Memory-constraint index of an instruction's *result node*
-    /// (`u32::MAX` = none); replaces the old hash map.
-    con_of: Vec<u32>,
     /// `subs[node]` — memory constraints whose address is `node`.
     subs: Vec<Vec<u32>>,
     /// Per-node pending delta bits, one flat row per node.
     delta: Vec<u64>,
-    /// Worklists: `shards[0]` is the shared location frontier,
-    /// `shards[1 + f]` is function `f`.
-    shards: Vec<ShardCtl>,
-    /// Reusable delta-row snapshot for direct drains.
+    /// Pending nodes.
+    wl: Vec<u32>,
+    /// Dedup mask over `wl`.
+    on_list: BitSet,
+    /// Reusable delta-row snapshot for drains.
     scratch: Vec<u64>,
-    /// Dense map from alloc site to its location index.
-    alloc_idx: fence_ir::util::FastMap<(u32, u32), usize>,
 }
 
-impl<'m> Solver<'m> {
-    /// Enumerates locations and nodes, builds the static CSR copy-edge
-    /// table and the memory-constraint records.
-    fn build(module: &'m Module) -> Self {
-        // ---- enumerate abstract locations ----
-        let mut locs: Vec<AbsLoc> = module
-            .iter_globals()
-            .map(|(g, _)| AbsLoc::Global(g))
-            .collect();
-        for (fid, func) in module.iter_funcs() {
-            for (iid, inst) in func.iter_insts() {
-                if matches!(inst.kind, InstKind::Alloc { .. }) {
-                    locs.push(AbsLoc::Alloc(fid, iid));
-                }
-            }
-        }
-        let unknown = locs.len();
-        locs.push(AbsLoc::Unknown);
-        let n = locs.len();
-        let words = n.div_ceil(64);
-
-        let mut alloc_idx: fence_ir::util::FastMap<(u32, u32), usize> =
-            fence_ir::util::FastMap::default();
-        for (i, l) in locs.iter().enumerate() {
-            if let AbsLoc::Alloc(f, inst) = l {
-                alloc_idx.insert((f.index() as u32, inst.index() as u32), i);
-            }
-        }
-
-        // ---- node layout: locations first, then per-function shards ----
-        let nf = module.funcs.len();
-        let mut arg_base = Vec::with_capacity(nf);
-        let mut local_base = Vec::with_capacity(nf);
-        let mut val_base = Vec::with_capacity(nf);
-        let mut ret_node = Vec::with_capacity(nf);
-        let mut group_base = Vec::with_capacity(nf);
-        let mut next = n as u32;
-        for func in &module.funcs {
-            group_base.push(next);
-            arg_base.push(next);
-            next += func.num_params as u32;
-            local_base.push(next);
-            next += func.locals.len() as u32;
-            val_base.push(next);
-            next += func.num_insts() as u32;
-            ret_node.push(next);
-            next += 1;
-        }
-        let num_nodes = next as usize;
-
-        let mut result = PointsTo {
-            locs,
-            unknown,
-            pts: vec![BitSet::new(n); num_nodes],
-            arg_base,
-            local_base,
-            val_base,
-            ret_node,
-        };
+impl Solver {
+    /// Builds the static CSR copy-edge table and the memory-constraint
+    /// records from `table`.
+    fn build(table: &Table<'_>, num_locs: usize, num_nodes: usize) -> Self {
+        let words = num_locs.div_ceil(64);
+        let unknown = num_locs - 1;
+        let mut pts = vec![BitSet::new(num_locs); num_nodes];
         // Unknown memory points to unknown memory.
-        result.pts[unknown].insert(unknown);
+        pts[unknown].insert(unknown);
 
-        // ---- shard worklists ----
-        let mut shards = Vec::with_capacity(nf + 1);
-        shards.push(ShardCtl {
-            base: 0,
-            wl: Vec::new(),
-            on_list: BitSet::new(n),
-            outbox: Vec::new(),
-        });
-        for f in 0..nf {
-            let end = if f + 1 < nf {
-                group_base[f + 1]
-            } else {
-                num_nodes as u32
-            };
-            shards.push(ShardCtl {
-                base: group_base[f],
-                wl: Vec::new(),
-                on_list: BitSet::new((end - group_base[f]) as usize),
-                outbox: Vec::new(),
-            });
-        }
-
-        let mut shard_of = vec![0u32; num_nodes];
-        for f in 0..nf {
-            let end = if f + 1 < nf {
-                group_base[f + 1] as usize
-            } else {
-                num_nodes
-            };
-            shard_of[group_base[f] as usize..end].fill((f + 1) as u32);
-        }
-
-        let mut this = Solver {
-            module,
-            result,
-            words,
-            group_base,
-            shard_of,
-            csr_off: Vec::new(),
-            csr_dst: Vec::new(),
-            dyn_edges: vec![Vec::new(); num_nodes],
-            mem_cons: Vec::new(),
-            resolved: Vec::new(),
-            con_of: vec![u32::MAX; num_nodes],
-            subs: vec![Vec::new(); num_nodes],
-            delta: vec![0u64; num_nodes * words],
-            shards,
-            scratch: vec![0u64; words],
-            alloc_idx,
-        };
-        this.build_static_csr(num_nodes);
-        this.register_mem_cons();
-        this
-    }
-
-    #[inline]
-    fn node_of(&self, f: FuncId, v: Value) -> Option<u32> {
-        self.result.node_of(f, v)
-    }
-
-    /// Walks every instruction once per pass, reporting each static copy
-    /// edge `src → dst` (node sources only — global/constant
-    /// contributions are fixed singletons applied by the initial pass).
-    fn for_each_static_edge(&self, mut f: impl FnMut(u32, u32)) {
-        let r = &self.result;
-        for (fid, func) in self.module.iter_funcs() {
-            let fi = fid.index();
-            let copy = |src: Value, dst: u32, f: &mut dyn FnMut(u32, u32)| {
-                if let Some(s) = r.node_of(fid, src) {
-                    f(s, dst);
+        // Count pass: static edges per source node, and every memory
+        // constraint with its address-node subscription. Node addresses
+        // are wired lazily as their sets grow; global and constant
+        // addresses resolve to fixed sets and are wired once by the
+        // initial pass at their program point.
+        let mut csr_off = vec![0u32; num_nodes + 1];
+        let mut mem_cons = Vec::new();
+        let mut subs = vec![Vec::new(); num_nodes];
+        table.each(|c| match c {
+            Con::Copy {
+                src: Src::Node(s), ..
+            } => csr_off[s as usize + 1] += 1,
+            Con::Mem { addr, con } => {
+                if let Some(Src::Node(a)) = addr {
+                    subs[a as usize].push(mem_cons.len() as u32);
                 }
-            };
-            for (iid, inst) in func.iter_insts() {
-                let dst = r.val_base[fi] + iid.index() as u32;
-                match &inst.kind {
-                    InstKind::Gep { base, .. } => copy(*base, dst, &mut f),
-                    InstKind::Bin { lhs, rhs, .. } => {
-                        copy(*lhs, dst, &mut f);
-                        copy(*rhs, dst, &mut f);
-                    }
-                    InstKind::Select {
-                        then_val, else_val, ..
-                    } => {
-                        copy(*then_val, dst, &mut f);
-                        copy(*else_val, dst, &mut f);
-                    }
-                    InstKind::ReadLocal { local } => {
-                        f(r.local_base[fi] + local.index() as u32, dst);
-                    }
-                    InstKind::WriteLocal { local, val } => {
-                        copy(*val, r.local_base[fi] + local.index() as u32, &mut f);
-                    }
-                    InstKind::Call { callee, args } => {
-                        let cf = callee.index();
-                        let nparams = self.module.funcs[cf].num_params as usize;
-                        for (k, a) in args.iter().enumerate() {
-                            if k < nparams {
-                                copy(*a, r.arg_base[cf] + k as u32, &mut f);
-                            }
-                        }
-                        f(r.ret_node[cf], dst);
-                    }
-                    InstKind::Ret { val: Some(v) } => copy(*v, r.ret_node[fi], &mut f),
-                    // Alloc seeds are applied by the initial pass; cmp
-                    // results, fences, intrinsics, branches: no flow.
-                    _ => {}
-                }
+                mem_cons.push(con);
             }
-        }
-    }
-
-    /// Two-pass CSR construction (count, prefix-sum, fill).
-    fn build_static_csr(&mut self, num_nodes: usize) {
-        let mut count = vec![0u32; num_nodes + 1];
-        self.for_each_static_edge(|s, _| count[s as usize + 1] += 1);
+            _ => {}
+        });
         for i in 0..num_nodes {
-            count[i + 1] += count[i];
+            csr_off[i + 1] += csr_off[i];
         }
-        let total = count[num_nodes] as usize;
-        let mut dst = vec![0u32; total];
-        let mut cursor = count.clone();
-        self.for_each_static_edge(|s, d| {
-            dst[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
-        });
-        self.csr_off = count;
-        self.csr_dst = dst;
-    }
-
-    /// Registers one memory constraint per load/store/RMW/CAS that moves
-    /// pointers, and its address-node subscription.
-    fn register_mem_cons(&mut self) {
-        for (fid, func) in self.module.iter_funcs() {
-            let fi = fid.index();
-            for (iid, inst) in func.iter_insts() {
-                let dst = self.result.val_base[fi] + iid.index() as u32;
-                let (addr, load_to, store_val) = match &inst.kind {
-                    InstKind::Load { addr } => (*addr, Some(dst), None),
-                    InstKind::Store { addr, val } => (*addr, None, Some(*val)),
-                    InstKind::AtomicRmw { addr, val, .. } => (*addr, Some(dst), Some(*val)),
-                    InstKind::AtomicCas { addr, new, .. } => (*addr, Some(dst), Some(*new)),
-                    _ => continue,
-                };
-                let store_src = match store_val {
-                    None | Some(Value::Const(_)) => None,
-                    Some(Value::Global(g)) => Some(Src::Global(g.index() as u32)),
-                    Some(v) => Some(Src::Node(self.node_of(fid, v).expect("arg/inst node"))),
-                };
-                if load_to.is_none() && store_src.is_none() {
-                    continue; // stores of constants move no pointers
-                }
-                let idx = self.mem_cons.len() as u32;
-                self.mem_cons.push(MemCon { load_to, store_src });
-                self.con_of[dst as usize] = idx;
-                // Node addresses are wired lazily as their sets grow;
-                // global addresses resolve to fixed singletons and are
-                // wired once by the initial pass at their program point.
-                if let Some(node) = self.node_of(fid, addr) {
-                    self.subs[node as usize].push(idx);
-                }
+        // Fill pass.
+        let mut csr_dst = vec![0u32; csr_off[num_nodes] as usize];
+        let mut cursor = csr_off.clone();
+        table.each(|c| {
+            if let Con::Copy {
+                src: Src::Node(s),
+                dst,
+            } = c
+            {
+                csr_dst[cursor[s as usize] as usize] = dst;
+                cursor[s as usize] += 1;
             }
+        });
+
+        Solver {
+            pts,
+            unknown,
+            words,
+            csr_off,
+            csr_dst,
+            dyn_edges: vec![Vec::new(); num_nodes],
+            resolved: vec![0u64; mem_cons.len() * words],
+            mem_cons,
+            subs,
+            delta: vec![0u64; num_nodes * words],
+            wl: Vec::new(),
+            on_list: BitSet::new(num_nodes),
+            scratch: vec![0u64; words],
         }
-        self.resolved = vec![0u64; self.mem_cons.len() * self.words];
     }
 
     #[inline]
@@ -696,36 +643,13 @@ impl<'m> Solver<'m> {
     }
 
     fn enqueue(&mut self, node: u32) {
-        let s = self.shard_of[node as usize] as usize;
-        let ctl = &mut self.shards[s];
-        if ctl.on_list.insert((node - ctl.base) as usize) {
-            ctl.wl.push(node);
-        }
-    }
-
-    fn pop_shard(&mut self, s: usize) -> Option<u32> {
-        let ctl = &mut self.shards[s];
-        let g = ctl.wl.pop()?;
-        ctl.on_list.remove((g - ctl.base) as usize);
-        Some(g)
-    }
-
-    /// Applies `pts(dst) ∪= pts(src_value)` *now* (delta-tracked), exactly
-    /// like one visit of the legacy solver.
-    fn union_value_into(&mut self, f: FuncId, src: Value, dst: u32) {
-        match src {
-            Value::Const(_) => {}
-            Value::Global(g) => self.insert_bit(dst, g.index()),
-            _ => {
-                let s = self.node_of(f, src).expect("arg/inst node");
-                self.propagate_full(s, dst);
-            }
+        if self.on_list.insert(node as usize) {
+            self.wl.push(node);
         }
     }
 
     /// Pushes `pts(src)` into `dst` (used when an edge appears late, and
-    /// by the frontier merge, where the full set subsumes any buffered
-    /// delta).
+    /// by the initial pass).
     fn propagate_full(&mut self, src: u32, dst: u32) {
         if src == dst {
             return;
@@ -734,10 +658,10 @@ impl<'m> Solver<'m> {
         let drow = Self::delta_row(&mut self.delta, self.words, d);
         // Split-borrow the pts table around the two nodes.
         let (a, b) = if s < d {
-            let (lo, hi) = self.result.pts.split_at_mut(d);
+            let (lo, hi) = self.pts.split_at_mut(d);
             (&lo[s], &mut hi[0])
         } else {
-            let (lo, hi) = self.result.pts.split_at_mut(s);
+            let (lo, hi) = self.pts.split_at_mut(s);
             (&hi[0], &mut lo[d])
         };
         if b.union_words(a.words(), drow) {
@@ -746,7 +670,7 @@ impl<'m> Solver<'m> {
     }
 
     fn insert_bit(&mut self, node: u32, bit: usize) {
-        if self.result.pts[node as usize].insert(bit) {
+        if self.pts[node as usize].insert(bit) {
             self.delta[node as usize * self.words + bit / 64] |= 1u64 << (bit % 64);
             self.enqueue(node);
         }
@@ -784,88 +708,45 @@ impl<'m> Solver<'m> {
     /// address resolutions exactly as the fixpoint-by-re-execution solver
     /// made them (the empty-set fallback is the one non-monotone rule, so
     /// *when* a set was empty matters); every union the pass performs is
-    /// one the worklist closure implies anyway. Because the rule is
-    /// order-sensitive **across functions** (callers fill callee argument
-    /// nodes, stores fill the shared location frontier), this pass always
-    /// runs sequentially — sharding begins only at the monotone fixpoint
-    /// rounds that follow.
-    fn initial_pass(&mut self) {
-        let mut locs_scratch: Vec<u32> = Vec::new();
-        for (fid, func) in self.module.iter_funcs() {
-            let fi = fid.index();
-            for (iid, inst) in func.iter_insts() {
-                let dst = self.result.val_base[fi] + iid.index() as u32;
-                match &inst.kind {
-                    InstKind::Alloc { .. } => {
-                        let li = self.alloc_idx[&(fi as u32, iid.index() as u32)];
-                        self.insert_bit(dst, li);
+    /// one the worklist closure implies anyway.
+    fn initial_pass(&mut self, table: &Table<'_>) {
+        let mut con = 0u32;
+        let mut locs: Vec<u32> = Vec::new();
+        table.each(|c| match c {
+            Con::Alloc { dst, loc } => self.insert_bit(dst, loc as usize),
+            Con::Copy {
+                src: Src::Node(s),
+                dst,
+            } => self.propagate_full(s, dst),
+            Con::Copy {
+                src: Src::Global(g),
+                dst,
+            } => self.insert_bit(dst, g as usize),
+            Con::Mem { addr, .. } => {
+                locs.clear();
+                match addr {
+                    Some(Src::Node(a)) if !self.pts[a as usize].is_empty() => {
+                        locs.extend(self.pts[a as usize].iter().map(|l| l as u32))
                     }
-                    InstKind::Gep { base, .. } => self.union_value_into(fid, *base, dst),
-                    InstKind::Bin { lhs, rhs, .. } => {
-                        self.union_value_into(fid, *lhs, dst);
-                        self.union_value_into(fid, *rhs, dst);
-                    }
-                    InstKind::Select {
-                        then_val, else_val, ..
-                    } => {
-                        self.union_value_into(fid, *then_val, dst);
-                        self.union_value_into(fid, *else_val, dst);
-                    }
-                    InstKind::Load { addr }
-                    | InstKind::Store { addr, .. }
-                    | InstKind::AtomicRmw { addr, .. }
-                    | InstKind::AtomicCas { addr, .. } => {
-                        let con = self.con_of[dst as usize];
-                        if con == u32::MAX {
-                            continue; // store of a constant: moves no pointers
-                        }
-                        locs_scratch.clear();
-                        match self.result.value_set(fid, *addr) {
-                            PtsView::Empty => locs_scratch.push(self.result.unknown as u32),
-                            view => locs_scratch.extend(view.iter().map(|l| l as u32)),
-                        }
-                        for &l in &locs_scratch {
-                            self.wire(con, l as usize);
-                        }
-                    }
-                    InstKind::ReadLocal { local } => {
-                        let l = self.result.local_base[fi] + local.index() as u32;
-                        self.propagate_full(l, dst);
-                    }
-                    InstKind::WriteLocal { local, val } => {
-                        let l = self.result.local_base[fi] + local.index() as u32;
-                        self.union_value_into(fid, *val, l);
-                    }
-                    InstKind::Call { callee, args } => {
-                        let cf = callee.index();
-                        let nparams = self.module.funcs[cf].num_params as usize;
-                        for (k, a) in args.iter().enumerate() {
-                            if k < nparams {
-                                let p = self.result.arg_base[cf] + k as u32;
-                                self.union_value_into(fid, *a, p);
-                            }
-                        }
-                        let r = self.result.ret_node[cf];
-                        self.propagate_full(r, dst);
-                    }
-                    InstKind::Ret { val: Some(v) } => {
-                        let r = self.result.ret_node[fi];
-                        self.union_value_into(fid, *v, r);
-                    }
-                    _ => {}
+                    Some(Src::Global(g)) => locs.push(g),
+                    _ => locs.push(self.unknown as u32),
                 }
+                for &l in &locs {
+                    self.wire(con, l as usize);
+                }
+                con += 1;
             }
-        }
+        });
     }
 
-    /// Seeds the worklists with every nonempty node's full set so every
+    /// Seeds the worklist with every nonempty node's full set so every
     /// static edge sees its source's initial contents at least once;
     /// from then on only deltas travel.
     fn seed(&mut self) {
         let w = self.words;
-        for node in 0..self.result.pts.len() {
-            if !self.result.pts[node].is_empty() {
-                let (pts, delta) = (&self.result.pts, &mut self.delta);
+        for node in 0..self.pts.len() {
+            if !self.pts[node].is_empty() {
+                let (pts, delta) = (&self.pts, &mut self.delta);
                 for (d, s) in Self::delta_row(delta, w, node)
                     .iter_mut()
                     .zip(pts[node].words())
@@ -877,10 +758,9 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Drains one node, applying every effect directly (used by the
-    /// sequential drain for all shards, and by the sharded drain for the
-    /// shared location frontier and the inter-round merge).
-    fn drain_node_direct(&mut self, g: u32) {
+    /// Drains one node: pushes its pending delta along every static and
+    /// wired edge, and wires the memory constraints it addresses.
+    fn drain_node(&mut self, g: u32) {
         let gi = g as usize;
         let w = self.words;
         // Snapshot the delta row through the reusable scratch, then clear
@@ -923,191 +803,21 @@ impl<'m> Solver<'m> {
             return;
         }
         let drow = Self::delta_row(&mut self.delta, self.words, ti);
-        if self.result.pts[ti].union_words(delta_words, drow) {
+        if self.pts[ti].union_words(delta_words, drow) {
             self.enqueue(t);
         }
     }
 
-    /// Sequential fixpoint: round-robin over the shards, draining each
-    /// directly until everything is quiescent.
-    fn drain_sequential(&mut self) {
-        loop {
-            let mut any = false;
-            for s in 0..self.shards.len() {
-                while let Some(g) = self.pop_shard(s) {
-                    any = true;
-                    self.drain_node_direct(g);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-    }
-
-    /// Sharded fixpoint rounds: the shared location frontier drains
-    /// sequentially, then every pending function shard drains its local
-    /// worklist concurrently on the pool (each confined to its own node
-    /// slices), buffering cross-shard copies and constraint wiring into
-    /// its outbox; the merge applies those effects and the next round
-    /// begins. The constraint system is monotone at this point, so any
-    /// schedule converges to the same least fixpoint — parallel runs are
-    /// bit-identical to sequential ones.
-    fn drain_sharded(&mut self) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let nf = self.module.funcs.len();
-        let w = self.words;
-        loop {
-            // 1. Shared frontier (and anything the merge re-enqueued).
-            while let Some(g) = self.pop_shard(0) {
-                self.drain_node_direct(g);
-            }
-            let pending: Vec<usize> = (0..nf)
-                .filter(|&f| !self.shards[f + 1].wl.is_empty())
-                .collect();
-            if pending.is_empty() {
-                if self.shards[0].wl.is_empty() {
-                    break;
-                }
-                continue;
-            }
-            // 2. Function shards in parallel, each on its own slices.
-            {
-                let n_locs = self.group_base.first().copied().unwrap_or(0) as usize;
-                let Solver {
-                    ref mut result,
-                    ref mut delta,
-                    ref mut shards,
-                    ref csr_off,
-                    ref csr_dst,
-                    ref dyn_edges,
-                    ref subs,
-                    ref group_base,
-                    ..
-                } = *self;
-                let num_nodes = result.pts.len();
-                let (_, mut rest_pts) = result.pts.split_at_mut(n_locs);
-                let (_, mut rest_delta) = delta.split_at_mut(n_locs * w);
-                let (_, func_ctls) = shards.split_at_mut(1);
-                let mut jobs: Vec<Mutex<ShardJob<'_>>> = Vec::with_capacity(nf);
-                for (f, ctl) in func_ctls.iter_mut().enumerate() {
-                    let end = if f + 1 < nf {
-                        group_base[f + 1] as usize
-                    } else {
-                        num_nodes
-                    };
-                    let len = end - ctl.base as usize;
-                    let (p, rp) = rest_pts.split_at_mut(len);
-                    rest_pts = rp;
-                    let (d, rd) = rest_delta.split_at_mut(len * w);
-                    rest_delta = rd;
-                    jobs.push(Mutex::new(ShardJob {
-                        base: ctl.base,
-                        len: len as u32,
-                        pts: p,
-                        delta: d,
-                        ctl,
-                    }));
-                }
-                let next = AtomicUsize::new(0);
-                fence_ir::pool::ThreadPool::global().run_scoped(pending.len(), &|| {
-                    let mut scratch = vec![0u64; w];
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending.len() {
-                            break;
-                        }
-                        let mut job = jobs[pending[i]].lock().unwrap();
-                        drain_shard_local(
-                            &mut job,
-                            csr_off,
-                            csr_dst,
-                            dyn_edges,
-                            subs,
-                            w,
-                            &mut scratch,
-                        );
-                    }
-                });
-            }
-            // 3. Sequential frontier merge: apply buffered cross-shard
-            // copies (full source sets subsume the buffered deltas) and
-            // constraint wiring.
-            for s in 1..=nf {
-                let outbox = std::mem::take(&mut self.shards[s].outbox);
-                for out in outbox {
-                    match out {
-                        Out::Copy { src, dst } => self.propagate_full(src, dst),
-                        Out::Wire { con, loc } => self.wire(con, loc as usize),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs initial pass + fixpoint rounds and returns the result.
-    fn solve(mut self, parallel: bool) -> PointsTo {
-        self.initial_pass();
+    /// Runs the initial pass, then drains the worklist to the fixpoint;
+    /// returns the per-node sets.
+    fn solve(mut self, table: &Table<'_>) -> Vec<BitSet> {
+        self.initial_pass(table);
         self.seed();
-        if parallel && self.module.funcs.len() > 1 {
-            self.drain_sharded();
-        } else {
-            self.drain_sequential();
+        while let Some(g) = self.wl.pop() {
+            self.on_list.remove(g as usize);
+            self.drain_node(g);
         }
-        self.result
-    }
-}
-
-/// Drains one function shard's local worklist: propagation among the
-/// shard's own nodes is applied directly on its disjoint slices;
-/// anything that crosses the shard boundary (stores into the location
-/// frontier, call/return edges, constraint wiring) is buffered into the
-/// shard's outbox for the sequential merge.
-fn drain_shard_local(
-    job: &mut ShardJob<'_>,
-    csr_off: &[u32],
-    csr_dst: &[u32],
-    dyn_edges: &[Vec<u32>],
-    subs: &[Vec<u32>],
-    w: usize,
-    scratch: &mut [u64],
-) {
-    let base = job.base;
-    while let Some(g) = job.ctl.wl.pop() {
-        let li = (g - base) as usize;
-        job.ctl.on_list.remove(li);
-        let drow = &mut job.delta[li * w..(li + 1) * w];
-        scratch.copy_from_slice(drow);
-        drow.fill(0);
-        if scratch.iter().all(|&x| x == 0) {
-            continue;
-        }
-        let gi = g as usize;
-        let statics = csr_dst[csr_off[gi] as usize..csr_off[gi + 1] as usize].iter();
-        for &t in statics.chain(dyn_edges[gi].iter()) {
-            if t == g {
-                continue;
-            }
-            let tl = t.wrapping_sub(base);
-            if tl < job.len {
-                // Shard-local target: apply directly.
-                let tli = tl as usize;
-                let trow = &mut job.delta[tli * w..(tli + 1) * w];
-                if job.pts[tli].union_words(scratch, trow) && job.ctl.on_list.insert(tli) {
-                    job.ctl.wl.push(t);
-                }
-            } else {
-                // Crosses the shard boundary: the merge propagates the
-                // full (monotone) source set, subsuming this delta.
-                job.ctl.outbox.push(Out::Copy { src: g, dst: t });
-            }
-        }
-        for &con in &subs[gi] {
-            for l in fence_ir::util::iter_words(scratch) {
-                job.ctl.outbox.push(Out::Wire { con, loc: l as u32 });
-            }
-        }
+        self.pts
     }
 }
 
@@ -1267,9 +977,9 @@ mod tests {
         assert!(!PtsView::Empty.intersects(&esc));
     }
 
-    /// Cross-shard frontier: a pointer published through a global by one
-    /// function is observed by a load in another function (the flow goes
-    /// function-shard → location frontier → function-shard).
+    /// A pointer published through a global by one function is observed
+    /// by a load in another function (the flow goes function → location
+    /// node → function).
     #[test]
     fn frontier_publish_crosses_functions() {
         let mut mb = ModuleBuilder::new("m");
@@ -1285,18 +995,16 @@ mod tests {
         cb.ret(None);
         let consumer = mb.add_func(cb.build());
         let m = mb.finish();
-        for parallel in [false, true] {
-            let pt = PointsTo::analyze_on(&m, parallel);
-            assert!(
-                pt.value_set(consumer, p).contains(x.index()),
-                "consumer sees the published pointer (parallel={parallel})"
-            );
-        }
+        let pt = PointsTo::analyze(&m);
+        assert!(
+            pt.value_set(consumer, p).contains(x.index()),
+            "consumer sees the published pointer"
+        );
     }
 
-    /// Cross-shard call edges: arguments flow *forward* into a
+    /// Call edges across functions: arguments flow *forward* into a
     /// later-defined callee and return values flow *back* into an
-    /// earlier-defined caller, across shard boundaries both ways.
+    /// earlier-defined caller.
     #[test]
     fn frontier_call_and_return_edges_cross_shards() {
         let mut mb = ModuleBuilder::new("m");
@@ -1311,20 +1019,18 @@ mod tests {
         cb.ret(Some(Value::Arg(0))); // identity: arg flows back out
         mb.define_func(callee, cb.build());
         let m = mb.finish();
-        for parallel in [false, true] {
-            let pt = PointsTo::analyze_on(&m, parallel);
-            assert!(
-                pt.value_set(callee, Value::Arg(0)).contains(g.index()),
-                "arg crosses into the callee shard (parallel={parallel})"
-            );
-            assert!(
-                pt.value_set(caller, r).contains(g.index()),
-                "return value crosses back (parallel={parallel})"
-            );
-        }
+        let pt = PointsTo::analyze(&m);
+        assert!(
+            pt.value_set(callee, Value::Arg(0)).contains(g.index()),
+            "arg flows into the callee"
+        );
+        assert!(
+            pt.value_set(caller, r).contains(g.index()),
+            "return value flows back"
+        );
     }
 
-    /// Cross-shard `Unknown` frontier: a store through an unresolvable
+    /// The shared `Unknown` location: a store through an unresolvable
     /// address in one function reaches unresolvable loads in *another*
     /// function via the shared `Unknown` location.
     #[test]
@@ -1340,17 +1046,15 @@ mod tests {
         rb.ret(None);
         let reader = mb.add_func(rb.build());
         let m = mb.finish();
-        for parallel in [false, true] {
-            let pt = PointsTo::analyze_on(&m, parallel);
-            assert!(
-                pt.value_set(reader, v).contains(g.index()),
-                "unknown-channel flow crosses shards (parallel={parallel})"
-            );
-        }
+        let pt = PointsTo::analyze(&m);
+        assert!(
+            pt.value_set(reader, v).contains(g.index()),
+            "unknown-channel flow crosses functions"
+        );
     }
 
-    /// Mutually recursive functions exchanging pointers: the cross-shard
-    /// cycle must still converge to the same fixpoint in both modes.
+    /// Mutually recursive functions exchanging pointers: the cycle
+    /// across functions must still converge to the fixpoint.
     #[test]
     fn frontier_mutual_recursion_converges() {
         let mut mb = ModuleBuilder::new("m");
@@ -1371,51 +1075,19 @@ mod tests {
         root.ret(Some(r));
         let root_id = mb.add_func(root.build());
         let m = mb.finish();
-        for parallel in [false, true] {
-            let pt = PointsTo::analyze_on(&m, parallel);
-            for (who, v) in [
-                ("fa arg", (fa, Value::Arg(0))),
-                ("fb arg", (fb_id, Value::Arg(0))),
-            ] {
-                let set = pt.value_set(v.0, v.1);
-                assert!(
-                    set.contains(a.index()) && set.contains(b.index()),
-                    "{who} sees both roots (parallel={parallel})"
-                );
-            }
-            let out = pt.value_set(root_id, r);
-            assert!(out.contains(a.index()) && out.contains(b.index()));
-        }
-    }
-
-    /// The parallel sharded solve is bit-identical to the sequential one
-    /// on a module exercising every constraint kind.
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let (m, _) = reference_module();
-        let seq = PointsTo::analyze(&m);
-        let par = PointsTo::analyze_on(&m, true);
-        for (fid, func) in m.iter_funcs() {
-            for (iid, _) in func.iter_insts() {
-                assert_eq!(
-                    seq.value_set(fid, Value::Inst(iid))
-                        .iter()
-                        .collect::<Vec<_>>(),
-                    par.value_set(fid, Value::Inst(iid))
-                        .iter()
-                        .collect::<Vec<_>>(),
-                    "{}/%{}",
-                    func.name,
-                    iid.index()
-                );
-            }
-        }
-        for l in 0..seq.num_locs() {
-            assert_eq!(
-                seq.loc_pts(l).iter().collect::<Vec<_>>(),
-                par.loc_pts(l).iter().collect::<Vec<_>>()
+        let pt = PointsTo::analyze(&m);
+        for (who, v) in [
+            ("fa arg", (fa, Value::Arg(0))),
+            ("fb arg", (fb_id, Value::Arg(0))),
+        ] {
+            let set = pt.value_set(v.0, v.1);
+            assert!(
+                set.contains(a.index()) && set.contains(b.index()),
+                "{who} sees both roots"
             );
         }
+        let out = pt.value_set(root_id, r);
+        assert!(out.contains(a.index()) && out.contains(b.index()));
     }
 
     /// The worklist solver and the legacy fixpoint-by-re-execution solver

@@ -1,12 +1,11 @@
 //! Scaling bench: whole-module points-to on `corpus::synthetic_scaled(n)`,
-//! seed algorithm vs. the function-sharded constraint-graph solver.
+//! seed algorithm vs. the constraint-graph worklist solver.
 //!
 //! The seed stage re-applies every constraint each round with two owned
-//! `BitSet` clones per operand visit; the sharded stage registers the
+//! `BitSet` clones per operand visit; the worklist stage builds the
 //! constraint graph once (CSR + flat delta matrix), replays the legacy
-//! initial pass sequentially, and drains per-function worklists around
-//! the shared globals frontier. Both sequential and pool-parallel shard
-//! scheduling are timed (on a single-core host the two coincide).
+//! initial pass in program order, and drains one worklist of pending
+//! deltas to the fixpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fence_analysis::pointsto::PointsTo;
@@ -18,38 +17,33 @@ fn bench_scaling(c: &mut Criterion) {
     for n in [250usize, 1000, 4000, 16000] {
         let module = corpus::synthetic_scaled(n);
 
-        // The three solvers must agree before we time anything.
+        // The two solvers must agree before we time anything.
         let seed = seed_points_to(&module);
-        for parallel in [false, true] {
-            let fast = PointsTo::analyze_on(&module, parallel);
-            for (fid, func) in module.iter_funcs() {
-                for (iid, _) in func.iter_insts() {
-                    let got: Vec<usize> = fast.value_set(fid, Value::Inst(iid)).iter().collect();
-                    let want: Vec<usize> = seed.val[fid.index()][iid.index()].iter().collect();
-                    assert_eq!(
-                        got,
-                        want,
-                        "{}/%{}: sets diverge at n={n} (parallel={parallel})",
-                        func.name,
-                        iid.index()
-                    );
-                }
+        let fast = PointsTo::analyze(&module);
+        for (fid, func) in module.iter_funcs() {
+            for (iid, _) in func.iter_insts() {
+                let got: Vec<usize> = fast.value_set(fid, Value::Inst(iid)).iter().collect();
+                let want: Vec<usize> = seed.val[fid.index()][iid.index()].iter().collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "{}/%{}: sets diverge at n={n}",
+                    func.name,
+                    iid.index()
+                );
             }
-            for l in 0..fast.num_locs() {
-                let got: Vec<usize> = fast.loc_pts(l).iter().collect();
-                let want: Vec<usize> = seed.loc[l].iter().collect();
-                assert_eq!(got, want, "loc {l}: pointees diverge at n={n}");
-            }
+        }
+        for l in 0..fast.num_locs() {
+            let got: Vec<usize> = fast.loc_pts(l).iter().collect();
+            let want: Vec<usize> = seed.loc[l].iter().collect();
+            assert_eq!(got, want, "loc {l}: pointees diverge at n={n}");
         }
 
         group.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
             b.iter(|| seed_points_to(&module).loc.len())
         });
-        group.bench_with_input(BenchmarkId::new("sharded", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("worklist", n), &n, |b, _| {
             b.iter(|| PointsTo::analyze(&module).num_locs())
-        });
-        group.bench_with_input(BenchmarkId::new("sharded-par", n), &n, |b, _| {
-            b.iter(|| PointsTo::analyze_on(&module, true).num_locs())
         });
     }
     group.finish();

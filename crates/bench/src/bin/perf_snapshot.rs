@@ -9,7 +9,7 @@
 //!
 //! Stages: parse (textual-IR ingestion of the module's printed form, the
 //! unit of work the streamed scheduler overlaps with analysis),
-//! points-to (function-sharded worklist Andersen), escape
+//! points-to (constraint-graph worklist Andersen), escape
 //! closure, acquire detection (Address+Control — the superset detector),
 //! cfg (the cache-once `FuncSubstrate` builds: `Cfg` + `Reachability`,
 //! once per function, exactly as the batch pipeline amortizes them),
@@ -198,7 +198,7 @@ fn snapshot(module: &Module) -> StageMs {
                 break;
             }
             if u == 0 {
-                std::hint::black_box(ModuleAnalysis::run_on(module, false));
+                std::hint::black_box(ModuleAnalysis::run(module));
             } else {
                 std::hint::black_box(FuncSubstrate::new(
                     module.func(fence_ir::FuncId::new(u - 1)),

@@ -12,7 +12,7 @@
 //! * **points-to** (`pointsto_scaling`): the seed fixpoint-by-
 //!   re-execution Andersen solver — every constraint re-applied every
 //!   round with two owned `BitSet` clones per operand visit — measured
-//!   against the sharded constraint-graph worklist solver;
+//!   against the constraint-graph worklist solver;
 //! * **parse** (`parse_scaling`, `tests/parser_differential.rs`): the
 //!   seed textual-IR parser ([`seed_parse_module`]), which allocates per
 //!   line and per token and tokenizes each body line four times.
@@ -534,7 +534,7 @@ pub struct SeedPointsTo {
 /// constraints in program order, repeat until a whole round changes
 /// nothing. `O(rounds · insts · locs/64)` with owned `BitSet` clones on
 /// every operand visit — the baseline `pointsto_scaling` measures the
-/// sharded constraint-graph solver against.
+/// constraint-graph worklist solver against.
 #[allow(clippy::needless_range_loop)] // seed control flow, kept verbatim
 pub fn seed_points_to(module: &Module) -> SeedPointsTo {
     let mut locs: Vec<AbsLoc> = module
@@ -553,7 +553,7 @@ pub fn seed_points_to(module: &Module) -> SeedPointsTo {
     let n = locs.len();
     // Prebuilt alloc-site map, exactly as the seed solver had it — an
     // O(locs) scan here would inflate the baseline on alloc-heavy
-    // modules and overstate the sharded solver's speedup.
+    // modules and overstate the worklist solver's speedup.
     let alloc_idx: fence_ir::util::FastMap<(u32, u32), usize> = locs
         .iter()
         .enumerate()

@@ -727,7 +727,7 @@ pub(crate) fn run_seeded(
         if u < na {
             let job = &jobs[analysis_units[u]];
             faultinject::panic_point(&job.name, FleetStage::Analysis);
-            BuildUnit::Analysis(ModuleAnalysis::run_on(job.module, false))
+            BuildUnit::Analysis(ModuleAnalysis::run(job.module))
         } else {
             let (j, f) = func_units[substrate_units[u - na]];
             let job = &jobs[j as usize];

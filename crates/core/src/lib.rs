@@ -84,9 +84,8 @@ pub(crate) mod faultinject {
 }
 
 /// The persistent per-function thread pool, re-exported from `fence_ir`
-/// (it moved down a layer so the analysis crate can shard its solvers on
-/// the same pool; `fenceplace::pool::ThreadPool` remains the stable
-/// path).
+/// (it lives below every crate that uses it, the pooled parse included;
+/// `fenceplace::pool::ThreadPool` remains the stable path).
 pub use fence_ir::pool;
 
 pub use acquire::{AcquireInfo, DetectMode};

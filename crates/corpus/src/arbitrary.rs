@@ -3,10 +3,10 @@
 //! Two families live here:
 //!
 //! * the **points-to family** ([`PtShape`] / [`build_pt`]) — multi-function
-//!   modules exercising every cross-shard pointer flow (publishes through
-//!   the shared global frontier, call-argument and return edges,
+//!   modules exercising every pointer flow between functions (publishes
+//!   through global cells, call-argument and return edges,
 //!   unknown-address stores, alloc-site publication), extracted from the
-//!   sharded-solver property tests so the parser fuzzer can reuse them;
+//!   points-to property tests so the parser fuzzer can reuse them;
 //! * the **sync family** ([`SyncShape`] / [`build_sync`]) — litmus-shaped
 //!   two-thread synchronization idioms (message passing and store
 //!   buffering) whose sync reads carry the paper's *control* signature,
@@ -39,13 +39,13 @@ pub enum PtOp {
     StoreConst(usize),
     /// `load g`
     LoadGlobal(usize),
-    /// `store cell, &g` — publish a global's address through the frontier.
+    /// `store cell, &g` — publish a global's address through a cell.
     PublishGlobal(usize, usize),
     /// `p = load cell; load p` — pick a published pointer back up.
     DerefCell(usize),
     /// `a = alloc; store cell, a; store a, &g` — publish an alloc site.
     PublishAlloc(usize, usize),
-    /// `call f_k(&g)` — pointer flows into another shard's argument.
+    /// `call f_k(&g)` — pointer flows into another function's argument.
     Call(usize, usize),
     /// `load arg0` — unknown-address read.
     LoadArg,
@@ -107,7 +107,7 @@ pub fn pt_shape_strategy() -> impl Strategy<Value = PtShape> {
 }
 
 /// Builds the module. With `corner_free`, the generated program avoids
-/// the sharded solver's one documented divergence from the legacy
+/// the worklist solver's one documented divergence from the legacy
 /// re-execution fixpoint (an address set that is empty when its
 /// constraint is first visited but non-empty later): function 0
 /// pre-publishes every cell and pre-calls every other function, and
@@ -122,7 +122,7 @@ pub fn build_pt(shape: &PtShape, corner_free: bool) -> Module {
     let cells: Vec<_> = (0..shape.n_cells)
         .map(|i| mb.global(format!("cell{i}"), 1))
         .collect();
-    // Declare every function first so calls can target any shard,
+    // Declare every function first so calls can target any function,
     // including later-defined and self-recursive ones.
     let fids: Vec<FuncId> = (0..shape.funcs.len())
         .map(|i| mb.declare_func(format!("f{i}"), 1))

@@ -13,7 +13,7 @@
 //!   Matrix (Michael-Scott queue work distribution) and SpanningTree
 //!   (Bader-Cong work stealing);
 //! * [`arbitrary`] — randomized-module generators shared by the
-//!   property-test suites: the points-to cross-shard family and the
+//!   property-test suites: the points-to family and the
 //!   litmus-shaped sync family driving the place→certify fuzzer.
 //!
 //! Every [`Program`] comes in two builds: `module` (no fences — the input

@@ -15,6 +15,7 @@
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
 #   stream   windowed-vs-resident differential + CLI --window and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
+#            + restart on a killed daemon's socket
 #   perfbench  the benchmark harness compiles and its tests pass
 #   all      every stage above, in CI order (the default)
 set -euo pipefail
@@ -136,6 +137,36 @@ stage_serve() {
   ./target/release/fenceplace client --socket "$serve_sock" --shutdown
   wait "$serve_daemon"
   [ ! -e "$serve_sock" ] || { echo "daemon left its socket file behind" >&2; exit 1; }
+
+  echo "== serve restart after kill -9 (stale socket replaced) =="
+  # A daemon killed by SIGKILL leaves its socket file behind. A second
+  # daemon on the same path must replace it, answer a request, and
+  # remove the file on clean shutdown.
+  ./target/release/fenceplace serve --socket "$serve_sock" &
+  serve_daemon=$!
+  for _ in $(seq 1 100); do
+    [ -S "$serve_sock" ] && break
+    sleep 0.1
+  done
+  [ -S "$serve_sock" ] || { echo "daemon never bound $serve_sock" >&2; exit 1; }
+  kill -9 "$serve_daemon"
+  wait "$serve_daemon" 2>/dev/null || true
+  [ -S "$serve_sock" ] || { echo "the killed daemon left no socket file" >&2; exit 1; }
+  ./target/release/fenceplace serve --socket "$serve_sock" &
+  serve_daemon=$!
+  served=0
+  for _ in $(seq 1 100); do
+    if ./target/release/fenceplace client --socket "$serve_sock" \
+      --program 'kernel:*' --config Control:x86tso > /dev/null 2>&1; then
+      served=1
+      break
+    fi
+    sleep 0.1
+  done
+  [ "$served" -eq 1 ] || { echo "no daemon served $serve_sock after the restart" >&2; exit 1; }
+  ./target/release/fenceplace client --socket "$serve_sock" --shutdown
+  wait "$serve_daemon"
+  [ ! -e "$serve_sock" ] || { echo "restarted daemon left its socket file behind" >&2; exit 1; }
   rm -rf "$serve_dir"
   trap - EXIT
 }

@@ -5,9 +5,15 @@
 //!
 //! * `--socket PATH` — a Unix domain socket, one thread per
 //!   connection, all connections sharing the one service (and so the
-//!   one cache). The socket file is removed on clean shutdown; a
-//!   daemon killed by a signal leaves it behind, and the next bind
-//!   fails with a hint to remove it.
+//!   one cache). Each accept joins the connection threads that have
+//!   ended, so a long-lived daemon holds stacks only for open
+//!   connections. The socket file is removed on clean shutdown; a
+//!   daemon killed by a signal leaves it behind, and the next `serve`
+//!   on that path replaces it. When the path is in use, a connect to it
+//!   decides: a refused connect to a socket file means a stale socket,
+//!   which is unlinked and bound again; a daemon that answers keeps its
+//!   socket and the new one exits 1. A path that is not a socket is
+//!   never removed.
 //! * `--stdio` — requests on stdin, responses on stdout, for contract
 //!   tests and piping. EOF is a clean shutdown.
 //!
@@ -27,10 +33,12 @@ use fenceplace::json;
 use fenceplace::service::wire::{self, Request, PROTOCOL_VERSION};
 use fenceplace::service::{CacheDisposition, Service, ServiceOptions};
 use fenceplace::{stream_items, ModuleOutcome, PipelineConfig, StreamItem};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 fn usage() -> &'static str {
     "fenceplace serve — resident analysis daemon (newline-delimited JSON)
@@ -40,7 +48,8 @@ USAGE:
 
 OPTIONS:
   --socket PATH      listen on a Unix domain socket at PATH (one thread
-                     per connection; the file is removed on clean exit)
+                     per connection; the file is removed on clean exit,
+                     and a stale one left by a killed daemon is replaced)
   --stdio            speak the protocol on stdin/stdout (EOF = shutdown)
   --seq              run analysis work units sequentially (default:
                      persistent pool; reports are byte-identical)
@@ -58,7 +67,8 @@ docs/PROTOCOL.md; every example there is pinned by tests/service.rs.
 
 EXIT CODES:
   0  clean shutdown (shutdown request, or EOF under --stdio)
-  1  fatal error (bad usage, cannot bind the socket, I/O error on stdio)
+  1  fatal error (bad usage, cannot bind the socket: a live daemon
+     answers there or the path is not a socket, I/O error on stdio)
 "
 }
 
@@ -322,13 +332,47 @@ fn serve_stdio(service: &Mutex<Service>, params: &Params) -> Result<u8, String> 
     Ok(0) // EOF: the client hung up; a clean shutdown.
 }
 
+/// Binds the socket at `path`, replacing a stale socket file left by a
+/// daemon that was killed (see the module docs).
+fn bind(path: &str) -> Result<UnixListener, String> {
+    let in_use = match UnixListener::bind(path) {
+        Ok(listener) => return Ok(listener),
+        Err(e) if e.kind() == ErrorKind::AddrInUse => e,
+        Err(e) => return Err(format!("cannot bind {path}: {e}")),
+    };
+    if !std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+        return Err(format!(
+            "cannot bind {path}: {in_use} (the path is not a socket; it is left in place)"
+        ));
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => Err(format!(
+            "cannot bind {path}: a live daemon is already serving it"
+        )),
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
+            eprintln!("fenceplace serve: replacing the stale socket {path}");
+            std::fs::remove_file(path)
+                .map_err(|e| format!("cannot remove the stale socket {path}: {e}"))?;
+            UnixListener::bind(path).map_err(|e| format!("cannot bind {path}: {e}"))
+        }
+        Err(_) => Err(format!("cannot bind {path}: {in_use}")),
+    }
+}
+
+/// Joins the connection threads that have ended, so each one's stack is
+/// released now rather than at shutdown.
+fn reap(handles: &mut Vec<JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(handles)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *handles = live;
+    for h in done {
+        let _ = h.join();
+    }
+}
+
 fn serve_socket(service: Arc<Mutex<Service>>, params: Params, path: &str) -> Result<u8, String> {
-    let listener = UnixListener::bind(path).map_err(|e| {
-        format!(
-            "cannot bind {path}: {e}\n\
-             (a stale socket file from a daemon that was killed? remove it and retry)"
-        )
-    })?;
+    let listener = bind(path)?;
     eprintln!("fenceplace serve: listening on {path}");
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
@@ -336,6 +380,7 @@ fn serve_socket(service: Arc<Mutex<Service>>, params: Params, path: &str) -> Res
         if stop.load(Ordering::SeqCst) {
             break;
         }
+        reap(&mut handles);
         let stream = match conn {
             Ok(s) => s,
             Err(e) => {

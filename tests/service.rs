@@ -619,7 +619,8 @@ fn spec_batches_quarantine_per_item_like_the_cli() {
 }
 
 // ---------------------------------------------------------------------
-// Socket end-to-end: daemon + client, warm second pass, clean shutdown.
+// Socket end-to-end: daemon + client, warm second pass, clean shutdown,
+// stale-socket replacement and connection-thread reaping.
 // ---------------------------------------------------------------------
 
 fn scratch(tag: &str) -> PathBuf {
@@ -636,26 +637,84 @@ fn client(sock: &Path, extra: &[&str]) -> std::process::Output {
     cmd.output().expect("run client")
 }
 
+fn serve_cmd(sock: &Path) -> Command {
+    let mut cmd = Command::new(bin());
+    cmd.args(["serve", "--seq", "--socket"])
+        .arg(sock)
+        .stdin(Stdio::null());
+    cmd
+}
+
+/// A socket daemon, killed on drop so a failing test leaves no process
+/// behind.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts a socket daemon with its output discarded.
+fn spawn_daemon(sock: &Path) -> Daemon {
+    Daemon(
+        serve_cmd(sock)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn serve --socket"),
+    )
+}
+
+/// One short connection: connect, `hello`, read the reply, hang up.
+/// `true` if the daemon greeted back.
+fn hello(sock: &Path) -> bool {
+    use std::io::BufRead as _;
+    let Ok(mut stream) = std::os::unix::net::UnixStream::connect(sock) else {
+        return false;
+    };
+    if writeln!(stream, "{{\"id\":1,\"type\":\"hello\",\"version\":1}}").is_err() {
+        return false;
+    }
+    let mut line = String::new();
+    std::io::BufReader::new(&stream)
+        .read_line(&mut line)
+        .is_ok()
+        && line.contains("\"type\":\"hello\"")
+}
+
+/// Waits until a daemon at `sock` answers a `hello`.
+fn wait_until_serving(sock: &Path) {
+    for _ in 0..200 {
+        if hello(sock) {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("no daemon answered at {}", sock.display());
+}
+
+/// Shuts the daemon at `sock` down and checks it exited cleanly and
+/// removed its socket file.
+fn shut_down(sock: &Path, mut daemon: Daemon) {
+    let bye = client(sock, &["--shutdown"]);
+    assert!(
+        bye.status.success(),
+        "shutdown client: {}",
+        String::from_utf8_lossy(&bye.stderr)
+    );
+    let status = daemon.0.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exit status: {status:?}");
+    assert!(!sock.exists(), "daemon removes its socket file on shutdown");
+}
+
 #[test]
 fn socket_daemon_serves_warm_second_pass_and_shuts_down() {
     let dir = scratch("socket");
     let sock = dir.join("d.sock");
-    let mut daemon = Command::new(bin())
-        .args(["serve", "--seq", "--socket"])
-        .arg(&sock)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve --socket");
-    // Wait for the daemon to bind.
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    assert!(sock.exists(), "daemon never bound its socket");
+    let daemon = spawn_daemon(&sock);
+    wait_until_serving(&sock);
 
     let out1 = dir.join("pass1");
     let out2 = dir.join("pass2");
@@ -711,15 +770,7 @@ fn socket_daemon_serves_warm_second_pass_and_shuts_down() {
         String::from_utf8_lossy(&p3.stderr)
     );
 
-    let bye = client(&sock, &["--shutdown"]);
-    assert!(
-        bye.status.success(),
-        "shutdown client: {}",
-        String::from_utf8_lossy(&bye.stderr)
-    );
-    let status = daemon.wait().expect("daemon exit");
-    assert!(status.success(), "daemon exit status: {status:?}");
-    assert!(!sock.exists(), "daemon removes its socket file on shutdown");
+    shut_down(&sock, daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -727,21 +778,8 @@ fn socket_daemon_serves_warm_second_pass_and_shuts_down() {
 fn client_sends_file_texts_as_read() {
     let dir = scratch("client-files");
     let sock = dir.join("d.sock");
-    let mut daemon = Command::new(bin())
-        .args(["serve", "--seq", "--socket"])
-        .arg(&sock)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve --socket");
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    assert!(sock.exists(), "daemon never bound its socket");
+    let daemon = spawn_daemon(&sock);
+    wait_until_serving(&sock);
 
     let good = dir.join("good.ir");
     let bad = dir.join("bad.ir");
@@ -751,8 +789,7 @@ fn client_sends_file_texts_as_read() {
     let missing = format!("file:{}", dir.join("no-such.ir").display());
     let sent = client(&sock, &["--program", &files]);
     let unreadable = client(&sock, &["--program", &missing]);
-    assert!(client(&sock, &["--shutdown"]).status.success());
-    assert!(daemon.wait().expect("daemon exit").success());
+    shut_down(&sock, daemon);
 
     // An unparsable file is the daemon's verdict (invalid_ir, exit 2),
     // not a local parse failure; its neighbor still completes.
@@ -769,4 +806,100 @@ fn client_sends_file_texts_as_read() {
     // A file that cannot be read stays fatal.
     assert_eq!(unreadable.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `kill -9` leaves the socket file behind; the next daemon on the same
+/// path finds nothing answering there, replaces the stale file, serves,
+/// and removes it on clean shutdown.
+#[test]
+fn a_killed_daemons_stale_socket_is_replaced() {
+    let dir = scratch("stale");
+    let sock = dir.join("d.sock");
+    let mut killed = spawn_daemon(&sock);
+    wait_until_serving(&sock);
+    killed.0.kill().expect("SIGKILL the daemon");
+    killed.0.wait().expect("reap the killed daemon");
+    assert!(sock.exists(), "a killed daemon leaves its socket file");
+
+    let daemon = spawn_daemon(&sock);
+    wait_until_serving(&sock);
+    let out = client(&sock, &["--program", "synthetic:3"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    shut_down(&sock, daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon on a path where another daemon answers exits 1 and leaves
+/// the live daemon and its socket alone.
+#[test]
+fn a_live_daemons_socket_is_kept() {
+    let dir = scratch("live");
+    let sock = dir.join("d.sock");
+    let live = spawn_daemon(&sock);
+    wait_until_serving(&sock);
+    let second = serve_cmd(&sock).output().expect("run a second daemon");
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert_eq!(second.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("a live daemon is already serving"),
+        "{stderr}"
+    );
+    assert!(hello(&sock), "the live daemon still answers");
+    shut_down(&sock, live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A path that is not a socket is never unlinked, even though a connect
+/// to it is refused like a stale socket's.
+#[test]
+fn a_path_that_is_not_a_socket_is_never_removed() {
+    let dir = scratch("not-a-socket");
+    let path = dir.join("d.sock");
+    std::fs::write(&path, "keep me\n").expect("write a regular file");
+    let out = serve_cmd(&path).output().expect("run serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not a socket"), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("the file is still there"),
+        "keep me\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each accept joins the connection threads that have ended. Unjoined,
+/// every finished thread kept its stack mapped: a daemon grew by about
+/// two mappings per connection and aborted once it reached
+/// `vm.max_map_count`, after some 33k connections.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connection_threads_are_reaped() {
+    const CONNECTIONS: usize = 2000;
+    let dir = scratch("reap");
+    let sock = dir.join("d.sock");
+    let daemon = spawn_daemon(&sock);
+    wait_until_serving(&sock);
+    let maps = format!("/proc/{}/maps", daemon.0.id());
+    let mappings = || {
+        std::fs::read_to_string(&maps)
+            .expect("read the daemon's maps")
+            .lines()
+            .count()
+    };
+    let before = mappings();
+    for _ in 0..CONNECTIONS {
+        assert!(hello(&sock), "the daemon stopped answering");
+    }
+    let grown = mappings().saturating_sub(before);
+    shut_down(&sock, daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        grown < CONNECTIONS / 20,
+        "{grown} new mappings after {CONNECTIONS} connections: \
+         finished connection threads keep their stacks"
+    );
 }
