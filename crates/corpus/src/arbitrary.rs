@@ -237,6 +237,27 @@ pub fn sync_shape_strategy() -> impl Strategy<Value = SyncShape> {
     })
 }
 
+/// The fixed 18-shape sweep of the sync family: both idioms × payload
+/// width 1–3 × padding 0–2, storing the constants 7, 8, 9. The
+/// certification golden and the simulator-in-enumerator containment
+/// test both run over it.
+pub fn sync_grid() -> Vec<SyncShape> {
+    let mut grid = Vec::with_capacity(18);
+    for idiom in [SyncIdiom::MessagePassing, SyncIdiom::StoreBuffering] {
+        for n_data in 1..=3 {
+            for pad_ops in 0..=2 {
+                grid.push(SyncShape {
+                    idiom,
+                    n_data,
+                    consts: (7..).take(n_data).collect(),
+                    pad_ops,
+                });
+            }
+        }
+    }
+    grid
+}
+
 fn pad(fb: &mut FunctionBuilder, n: usize) {
     for i in 0..n {
         let _ = fb.add(i as i64, 1i64);

@@ -8,12 +8,16 @@
 //! The sync reads are branch-shaped (the paper's *control* signature),
 //! so the `Control` variant detects them and the placement is the
 //! pipeline's own — no hand-placed fences anywhere.
+//!
+//! The last test links `memsim`'s two front ends: every outcome of a
+//! deterministic timing-simulator run must be in the litmus
+//! enumerator's exhaustive set for the same model.
 
-use corpus::arbitrary::{build_sync, SyncIdiom, SyncShape};
+use corpus::arbitrary::{build_sync, sync_grid, SyncIdiom, SyncShape};
 use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
 use fence_ir::{FuncId, Module};
 use fenceplace::{run_pipeline, PipelineConfig, TargetModel, Variant};
-use memsim::{enumerate, LitmusModel};
+use memsim::{enumerate, LitmusModel, MemMode, SimConfig, Simulator, ThreadSpec};
 use std::collections::BTreeSet;
 
 const WEAK: LitmusModel = LitmusModel::Weak { window: 4 };
@@ -175,4 +179,59 @@ fn dekker_entry_keeps_mutual_exclusion_after_placement() {
         );
         assert!(after.is_subset(&relaxed));
     }
+}
+
+/// The simulator's outcome is one of the enumerator's: over the sync
+/// grid, unplaced and placed with `Control:x86tso`, for every ordered
+/// pair of functions, a `MemMode::Sc` run returns a member of the `Sc`
+/// set and a `MemMode::Tso` run a member of the `Tso` set. Runs that
+/// fault or hit the step limit are skipped; on this grid none do.
+#[test]
+fn simulator_outcomes_are_enumerated() {
+    let mut compared = 0;
+    for shape in sync_grid() {
+        let unplaced = build_sync(&shape);
+        let placed = place(&unplaced, TargetModel::X86Tso, false);
+        for m in [&unplaced, &placed] {
+            let fids: Vec<FuncId> = m.iter_funcs().map(|(f, _)| f).collect();
+            for &a in &fids {
+                for &b in &fids {
+                    let threads = vec![(a, Vec::new()), (b, Vec::new())];
+                    let specs: Vec<ThreadSpec> = threads
+                        .iter()
+                        .map(|(func, args)| ThreadSpec {
+                            func: *func,
+                            args: args.clone(),
+                        })
+                        .collect();
+                    for (mode, model) in [
+                        (MemMode::Sc, LitmusModel::Sc),
+                        (MemMode::Tso, LitmusModel::Tso),
+                    ] {
+                        let config = SimConfig {
+                            mode,
+                            step_limit: 100_000,
+                            ..Default::default()
+                        };
+                        let Ok(run) = Simulator::with_config(m, config).run(&specs) else {
+                            continue;
+                        };
+                        let set = enumerate(m, &threads, model);
+                        assert!(
+                            set.contains(&run.retvals),
+                            "{shape:?} {}+{} {mode:?}: simulator returned {:?}, enumerator {set:?}",
+                            m.func(a).name,
+                            m.func(b).name,
+                            run.retvals
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        compared, 288,
+        "18 shapes × 2 placements × 4 pairs × 2 models"
+    );
 }
