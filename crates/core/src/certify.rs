@@ -342,6 +342,11 @@ pub fn certify_module(
                 // Unreachable given the pre-filter, but keep it graceful.
                 skipped.push(format!("{func}: {reason}"));
             }
+            Err(e @ CheckError::ImageTooLarge { .. }) => {
+                // Module-wide: every other group would be refused too.
+                skipped.push(format!("{}: {e}", module.name));
+                break;
+            }
         }
     }
 

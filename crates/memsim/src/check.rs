@@ -20,10 +20,18 @@
 //! executed deterministically instead of branched over), which keeps
 //! litmus-shaped state spaces small.
 
+use crate::layout::Layout;
 use crate::litmus::{self, LitmusModel, LitmusOutcome};
 use fence_ir::{FenceKind, FuncId, Function, InstId, InstKind, Module};
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Largest global image, in words, that [`check_threads`] explores.
+/// Every visited state holds its own copy of the image, and the parser
+/// accepts global sizes up to `u32::MAX` words, so without a cap one huge
+/// global aborts the whole process on an allocation failure. The largest
+/// built-in image (Barnes) is 1,290 words.
+const MAX_IMAGE_WORDS: u64 = 4_096;
 
 /// State budget for one [`check_threads`] call, shared across the SC
 /// pass, the relaxed pass, and every per-fence re-exploration.
@@ -102,6 +110,13 @@ pub enum CheckError {
         /// States explored before giving up.
         states: u64,
     },
+    /// The module's globals are too large to copy into every state.
+    ImageTooLarge {
+        /// Words of global memory the module declares.
+        words: u64,
+        /// The cap they exceed.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -112,6 +127,12 @@ impl fmt::Display for CheckError {
             }
             CheckError::BudgetExhausted { states } => {
                 write!(f, "state budget exhausted after {states} states")
+            }
+            CheckError::ImageTooLarge { words, limit } => {
+                write!(
+                    f,
+                    "global image of {words} words exceeds the {limit}-word cap"
+                )
             }
         }
     }
@@ -182,7 +203,9 @@ pub fn is_entry_fence(func: &Function, inst: InstId) -> bool {
 /// Enumerates the SC and relaxed outcome sets, then — for every full
 /// fence in the (distinct) thread functions — weakens that fence and
 /// re-enumerates under the relaxed model to decide whether it is
-/// necessary. All passes draw from the single `budget`.
+/// necessary. All passes draw from the single `budget`. A module whose
+/// global image exceeds 4,096 words is refused before anything is
+/// allocated.
 pub fn check_threads(
     module: &Module,
     threads: &[(FuncId, Vec<i64>)],
@@ -195,6 +218,13 @@ pub fn check_threads(
             func: func.name.clone(),
             reason,
         })?;
+    }
+    let words = (Layout::of(module).heap_start - Layout::GUARD) as u64;
+    if words > MAX_IMAGE_WORDS {
+        return Err(CheckError::ImageTooLarge {
+            words,
+            limit: MAX_IMAGE_WORDS,
+        });
     }
     let mut fuel = budget.max_states;
     let spent = |fuel: u64| budget.max_states - fuel;
@@ -334,5 +364,32 @@ mod tests {
         )
         .expect_err("alloc is not enumerable");
         assert!(matches!(err, CheckError::NotEnumerable { .. }));
+    }
+
+    #[test]
+    fn oversized_image_is_refused_before_allocating() {
+        let mut mb = ModuleBuilder::new("big");
+        let x = mb.global("x", 1);
+        mb.global("g", u32::MAX);
+        let mut fb = FunctionBuilder::new("p", 0);
+        fb.store(x, 1i64);
+        let r = fb.load(x);
+        fb.ret(Some(r));
+        let f = mb.add_func(fb.build());
+        let m = mb.finish();
+        let err = check_threads(
+            &m,
+            &[(f, vec![]), (f, vec![])],
+            LitmusModel::Tso,
+            &CheckBudget::default(),
+        )
+        .expect_err("a 32 GiB image is refused");
+        assert_eq!(
+            err,
+            CheckError::ImageTooLarge {
+                words: 1 + u32::MAX as u64,
+                limit: MAX_IMAGE_WORDS
+            }
+        );
     }
 }

@@ -295,6 +295,66 @@ fn certify_states_budget_is_honored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The SB pair beside a global of `u32::MAX` words: a 32 GiB image that
+/// the model checker must refuse instead of allocating.
+const BIG_IMAGE_IR: &str = "module big
+global x 1
+global y 1
+global g 4294967295
+
+fn p0 params=0 locals=() {
+bb0:
+  store @x, c1
+  %1 = load @y
+  ret %1
+}
+
+fn p1 params=0 locals=() {
+bb0:
+  store @y, c1
+  %1 = load @x
+  ret %1
+}
+";
+
+#[test]
+fn oversized_image_is_skipped_without_aborting_the_run() {
+    let dir = scratch("certify-big");
+    let big = dir.join("big.ir");
+    std::fs::write(&big, BIG_IMAGE_IR).unwrap();
+    let spec = format!("file:{}", big.display());
+    let reports = dir.join("reports");
+
+    let out = fenceplace(&[
+        "--program",
+        &spec,
+        "--program",
+        "kernel:CLH Lock",
+        "--certify",
+        "--seq",
+        "--out",
+        reports.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let names: Vec<String> = std::fs::read_dir(&reports)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n != "fleet_summary.json")
+        .collect();
+    assert_eq!(names.len(), 2, "one report per module: {names:?}");
+    for name in names {
+        let body = std::fs::read_to_string(reports.join(&name)).unwrap();
+        let expect = if name.contains("CLH") {
+            "\"status\": \"certified\""
+        } else {
+            "\"status\": \"skipped\""
+        };
+        assert!(body.contains(expect), "{name}: {body}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn list_exits_zero() {
     let out = fenceplace(&["--list"]);
