@@ -36,6 +36,7 @@
 
 pub mod check;
 pub mod cost;
+mod interp;
 pub mod layout;
 pub mod litmus;
 pub mod race;

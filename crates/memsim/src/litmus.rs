@@ -20,9 +20,17 @@
 //!   runtime effect under any hardware model (they only constrain the
 //!   compiler, and IR is "already compiled").
 //!
+//! One explorer serves all three models. A thread is the interpreter
+//! frame the timing simulator also runs on, plus a TSO store buffer and a
+//! weak window, each left empty when its model does not use it. Under SC
+//! and TSO a thread executes the instruction at its program counter;
+//! under the weak model the program counter is the fetch cursor, and a
+//! thread executes any ready window entry.
+//!
 //! Litmus functions may not call, allocate, or use intrinsics; at most 64
 //! instructions per function.
 
+use crate::interp::{memory_image, Frame};
 use crate::layout::Layout;
 use fence_ir::util::FastSet;
 use fence_ir::{FenceKind, FuncId, Function, InstId, InstKind, Module, Value};
@@ -72,69 +80,11 @@ fn validate(func: &Function) {
     }
 }
 
-fn eval(results: &[i64], args: &[i64], layout: &Layout, v: Value) -> i64 {
-    match v {
-        Value::Const(c) => c,
-        Value::Global(g) => layout.base(g),
-        Value::Arg(a) => args[a as usize],
-        Value::Inst(i) => results[i.index()],
-    }
-}
-
-// ---------------------------------------------------------------------
-// SC / TSO enumeration (program-order execution + buffer retirement)
-// ---------------------------------------------------------------------
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TThread {
-    block: u32,
-    idx: u32,
-    done: bool,
-    ret: i64,
-    results: Vec<i64>,
-    locals: Vec<i64>,
-    args: Vec<i64>,
-    buffer: Vec<(i64, i64)>,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TState {
-    mem: Vec<i64>,
-    threads: Vec<TThread>,
-}
-
-/// Is the PO-model transition "execute `kind` next on a thread whose store
-/// buffer is `buffer_empty`" *invisible* — thread-local, commuting with
-/// every transition of every other thread? Invisible moves touch neither
-/// shared memory nor the buffer-retirement machinery: register ops,
-/// branches, compiler directives, and (on an empty buffer) full fences and
-/// returns, which then degenerate to no-ops + control flow.
-fn invisible_po(kind: &InstKind, tso: bool, buffer_empty: bool) -> bool {
-    match kind {
-        InstKind::Bin { .. }
-        | InstKind::Cmp { .. }
-        | InstKind::Select { .. }
-        | InstKind::Gep { .. }
-        | InstKind::ReadLocal { .. }
-        | InstKind::WriteLocal { .. }
-        | InstKind::Br { .. }
-        | InstKind::CondBr { .. }
-        | InstKind::Fence {
-            kind: FenceKind::Compiler,
-        } => true,
-        InstKind::Fence {
-            kind: FenceKind::Full,
-        }
-        | InstKind::Ret { .. } => !tso || buffer_empty,
-        _ => false,
-    }
-}
-
 /// Index of `addr` in the flat global image, or `None` for a wild
 /// address. Enumerable functions can still *compute* arbitrary addresses
 /// (dereferencing a loaded pointer that holds 0, gep arithmetic), so the
-/// interpreters use total memory semantics: a wild load reads 0, a wild
-/// store is dropped. Both models apply the same rule, so soundness
+/// explorer uses total memory semantics: a wild load reads 0, a wild
+/// store is dropped. Every model applies the same rule, so soundness
 /// comparisons stay apples-to-apples.
 fn mem_index(mem_len: usize, addr: i64) -> Option<usize> {
     let off = addr.wrapping_sub(Layout::GUARD);
@@ -157,577 +107,320 @@ fn mem_write(mem: &mut [i64], addr: i64, val: i64) {
     }
 }
 
-#[allow(clippy::needless_range_loop)] // ti cross-indexes threads + funcs
-fn enumerate_po(
-    module: &Module,
-    layout: &Layout,
-    threads: &[(FuncId, Vec<i64>)],
-    tso: bool,
-    fuel: &mut u64,
-) -> Option<BTreeSet<LitmusOutcome>> {
-    let mem_len = (layout.heap_start - Layout::GUARD) as usize;
-    let mut mem = vec![0i64; mem_len];
-    for (g, decl) in module.iter_globals() {
-        let base = (layout.base(g) - Layout::GUARD) as usize;
-        for (i, &v) in decl.init.iter().enumerate() {
-            mem[base + i] = v;
-        }
-    }
-    let init = TState {
-        mem,
-        threads: threads
-            .iter()
-            .map(|(f, args)| {
-                let func = module.func(*f);
-                validate(func);
-                TThread {
-                    block: func.entry.index() as u32,
-                    idx: 0,
-                    done: false,
-                    ret: 0,
-                    results: vec![0; func.num_insts()],
-                    locals: vec![0; func.locals.len()],
-                    args: args.clone(),
-                    buffer: Vec::new(),
-                }
-            })
-            .collect(),
-    };
-
-    let funcs: Vec<&Function> = threads.iter().map(|(f, _)| module.func(*f)).collect();
-    let mut outcomes = BTreeSet::new();
-    let mut visited: FastSet<TState> = FastSet::default();
-    let mut stack = vec![init];
-
-    while let Some(state) = stack.pop() {
-        if !visited.insert(state.clone()) {
-            continue;
-        }
-        if *fuel == 0 {
-            return None;
-        }
-        *fuel -= 1;
-        if state.threads.iter().all(|t| t.done) {
-            outcomes.insert(state.threads.iter().map(|t| t.ret).collect());
-            continue;
-        }
-        // Ample-set reduction: if some thread's next instruction is
-        // invisible, executing it commutes with every other enabled
-        // transition (it is pure thread-local state and can never be
-        // disabled), so exploring only that single move preserves the
-        // reachable final-outcome set.
-        let ample = (0..state.threads.len()).find(|&ti| {
-            let t = &state.threads[ti];
-            if t.done {
-                return false;
-            }
-            let func = funcs[ti];
-            let iid = func.blocks[t.block as usize].insts[t.idx as usize];
-            invisible_po(&func.inst(iid).kind, tso, t.buffer.is_empty())
-        });
-        if let Some(ti) = ample {
-            let func = funcs[ti];
-            let t = &state.threads[ti];
-            let iid = func.blocks[t.block as usize].insts[t.idx as usize];
-            let mut ns = state.clone();
-            step_po(&mut ns, ti, func, iid, layout, tso);
-            stack.push(ns);
-            continue;
-        }
-        for ti in 0..state.threads.len() {
-            // Transition A: retire the oldest buffered store.
-            if tso && !state.threads[ti].buffer.is_empty() {
-                let mut ns = state.clone();
-                let (addr, val) = ns.threads[ti].buffer.remove(0);
-                mem_write(&mut ns.mem, addr, val);
-                stack.push(ns);
-            }
-            // Transition B: execute the next instruction.
-            let t = &state.threads[ti];
-            if t.done {
-                continue;
-            }
-            let func = funcs[ti];
-            let iid = func.blocks[t.block as usize].insts[t.idx as usize];
-            let kind = &func.inst(iid).kind;
-            // Drain-gated operations.
-            let gated = matches!(
-                kind,
-                InstKind::Fence {
-                    kind: FenceKind::Full
-                } | InstKind::AtomicRmw { .. }
-                    | InstKind::AtomicCas { .. }
-            );
-            if tso && gated && !t.buffer.is_empty() {
-                continue; // must retire first
-            }
-            let mut ns = state.clone();
-            step_po(&mut ns, ti, func, iid, layout, tso);
-            stack.push(ns);
-        }
-    }
-    Some(outcomes)
-}
-
-fn step_po(
-    state: &mut TState,
-    ti: usize,
-    func: &Function,
-    iid: InstId,
-    layout: &Layout,
-    tso: bool,
-) {
-    let kind = func.inst(iid).kind.clone();
-    let t = &mut state.threads[ti];
-    let ev = |t: &TThread, v: Value| eval(&t.results, &t.args, layout, v);
-    let mut advance = true;
-    match kind {
-        InstKind::Bin { op, lhs, rhs } => {
-            t.results[iid.index()] = op.eval(ev(t, lhs), ev(t, rhs));
-        }
-        InstKind::Cmp { op, lhs, rhs } => {
-            t.results[iid.index()] = op.eval(ev(t, lhs), ev(t, rhs));
-        }
-        InstKind::Select {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            t.results[iid.index()] = if ev(t, cond) != 0 {
-                ev(t, then_val)
-            } else {
-                ev(t, else_val)
-            };
-        }
-        InstKind::Gep { base, index } => {
-            t.results[iid.index()] = ev(t, base).wrapping_add(ev(t, index));
-        }
-        InstKind::ReadLocal { local } => {
-            t.results[iid.index()] = t.locals[local.index()];
-        }
-        InstKind::WriteLocal { local, val } => {
-            t.locals[local.index()] = ev(t, val);
-        }
-        InstKind::Load { addr } => {
-            let a = ev(t, addr);
-            let fwd = t
-                .buffer
-                .iter()
-                .rev()
-                .find(|&&(ba, _)| ba == a)
-                .map(|&(_, v)| v);
-            t.results[iid.index()] = fwd.unwrap_or_else(|| mem_read(&state.mem, a));
-        }
-        InstKind::Store { addr, val } => {
-            let a = ev(t, addr);
-            let v = ev(t, val);
-            if tso {
-                t.buffer.push((a, v));
-            } else {
-                mem_write(&mut state.mem, a, v);
-            }
-        }
-        InstKind::AtomicRmw { op, addr, val } => {
-            let a = ev(t, addr);
-            let v = ev(t, val);
-            let old = mem_read(&state.mem, a);
-            t.results[iid.index()] = old;
-            mem_write(&mut state.mem, a, op.eval(old, v));
-        }
-        InstKind::AtomicCas {
-            addr,
-            expected,
-            new,
-        } => {
-            let a = ev(t, addr);
-            let old = mem_read(&state.mem, a);
-            t.results[iid.index()] = old;
-            if old == ev(t, expected) {
-                let nv = ev(t, new);
-                mem_write(&mut state.mem, a, nv);
-            }
-        }
-        InstKind::Fence { .. } => {}
-        InstKind::Br { target } => {
-            t.block = target.index() as u32;
-            t.idx = 0;
-            advance = false;
-        }
-        InstKind::CondBr {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            let c = ev(t, cond);
-            t.block = if c != 0 {
-                then_bb.index() as u32
-            } else {
-                else_bb.index() as u32
-            };
-            t.idx = 0;
-            advance = false;
-        }
-        InstKind::Ret { val } => {
-            t.ret = val.map(|v| ev(t, v)).unwrap_or(0);
-            t.done = true;
-            // Return drains the buffer (join publishes everything).
-            let entries = std::mem::take(&mut t.buffer);
-            for (a, v) in entries {
-                mem_write(&mut state.mem, a, v);
-            }
-            advance = false;
-        }
-        InstKind::Call { .. } | InstKind::CallIntrinsic { .. } | InstKind::Alloc { .. } => {
-            unreachable!("validated")
-        }
-    }
-    if advance {
-        state.threads[ti].idx += 1;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Weak-model enumeration (bounded out-of-order window, no speculation)
-// ---------------------------------------------------------------------
-
+/// One thread of an explored state.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct WThread {
-    fblock: u32,
-    fidx: u32,
-    window: Vec<u32>, // InstIds in program order, fetched but not executed
-    results: Vec<i64>,
-    locals: Vec<i64>,
-    args: Vec<i64>,
+struct Thread {
+    frame: Frame,
     done: bool,
     ret: i64,
+    /// TSO store buffer, oldest first: `(addr, value)`.
+    buffer: Vec<(i64, i64)>,
+    /// Weak window: fetched, unexecuted instruction ids in program order.
+    window: Vec<u32>,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct WState {
+struct State {
     mem: Vec<i64>,
-    threads: Vec<WThread>,
+    threads: Vec<Thread>,
 }
 
-fn is_fetch_blocker(kind: &InstKind) -> bool {
-    matches!(kind, InstKind::CondBr { .. } | InstKind::Ret { .. })
+/// One transition of one thread.
+#[derive(Copy, Clone)]
+enum Move {
+    /// Retire thread `.0`'s oldest buffered store (TSO).
+    Retire(usize),
+    /// Execute slot `.1` of thread `.0`: a window position under the weak
+    /// model, else the program counter (slot 0).
+    Exec(usize, usize),
 }
 
-/// Fetch instructions into the window until full / blocked on an
-/// unresolved branch or return.
-fn fetch_closure(t: &mut WThread, func: &Function, window_cap: usize) {
-    loop {
-        if t.done || t.window.len() >= window_cap {
-            return;
-        }
-        if let Some(&last) = t.window.last() {
-            if is_fetch_blocker(&func.inst(InstId::new(last as usize)).kind) {
-                return;
-            }
-        }
-        // Any blocker anywhere in the window also stops fetch (there can
-        // be at most one, and only as the last entry, by this rule).
-        let iid = func.blocks[t.fblock as usize].insts[t.fidx as usize];
-        match &func.inst(iid).kind {
-            InstKind::Br { target } => {
-                t.fblock = target.index() as u32;
-                t.fidx = 0;
-            }
-            InstKind::Fence {
-                kind: FenceKind::Compiler,
-            } => {
-                // No runtime presence on weak hardware.
-                t.fidx += 1;
-            }
-            _ => {
-                t.window.push(iid.index() as u32);
-                t.fidx += 1;
-            }
-        }
-    }
-}
-
-/// Is the window entry at position `p` ready to execute?
-fn weak_ready(t: &WThread, func: &Function, layout: &Layout, p: usize) -> bool {
-    let iid = InstId::new(t.window[p] as usize);
-    let kind = &func.inst(iid).kind;
-    let in_window = |v: Value| match v {
-        Value::Inst(d) => t.window.iter().any(|&w| w as usize == d.index()),
-        _ => false,
-    };
-    // Data dependences: all operand definitions executed.
-    let mut deps_ok = true;
-    kind.for_each_operand(|v| {
-        if in_window(v) {
-            deps_ok = false;
-        }
-    });
-    if !deps_ok {
-        return false;
-    }
-    // Oldest-only operations.
-    if matches!(
+/// Full fences and atomics: under TSO they wait for an empty store
+/// buffer; in the weak window they execute only as the oldest entry and
+/// hold back every younger one.
+fn is_barrier(kind: &InstKind) -> bool {
+    matches!(
         kind,
         InstKind::Fence {
             kind: FenceKind::Full
         } | InstKind::AtomicRmw { .. }
             | InstKind::AtomicCas { .. }
-            | InstKind::Ret { .. }
-    ) {
-        return p == 0;
-    }
-    // Earlier full fences / atomics block younger memory+everything.
-    for q in 0..p {
-        let qk = &func.inst(InstId::new(t.window[q] as usize)).kind;
-        if matches!(
-            qk,
-            InstKind::Fence {
-                kind: FenceKind::Full
-            } | InstKind::AtomicRmw { .. }
-                | InstKind::AtomicCas { .. }
-        ) {
-            return false;
-        }
-    }
-    // Local-register ordering (conservative).
-    match kind {
-        InstKind::ReadLocal { local } | InstKind::WriteLocal { local, .. } => {
-            let l = local.index();
-            for q in 0..p {
-                match &func.inst(InstId::new(t.window[q] as usize)).kind {
-                    InstKind::WriteLocal { local: m, .. } if m.index() == l => return false,
-                    InstKind::ReadLocal { local: m }
-                        if m.index() == l && matches!(kind, InstKind::WriteLocal { .. }) =>
-                    {
-                        return false
-                    }
-                    _ => {}
-                }
-            }
-        }
-        _ => {}
-    }
-    // Same-address memory ordering.
-    if kind.is_mem_access() {
-        let my_addr = kind.mem_addr().expect("mem access");
-        if in_window(my_addr) {
-            return false; // address not yet computed (also a data dep)
-        }
-        let my = eval(&t.results, &t.args, layout, my_addr);
-        for q in 0..p {
-            let qk = &func.inst(InstId::new(t.window[q] as usize)).kind;
-            if qk.is_mem_access() {
-                let qa = qk.mem_addr().expect("mem access");
-                if in_window(qa) {
-                    return false; // earlier address unknown: conservative
-                }
-                if eval(&t.results, &t.args, layout, qa) == my {
-                    return false; // same address must stay ordered
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Is a *ready* weak-window entry invisible (no shared-memory effect)?
-/// Executing such an entry only touches the thread's own registers,
-/// window, and fetch cursor; it commutes with every transition of every
-/// other thread and can never disable a same-thread ready entry
-/// (execution only removes readiness blockers), so it is a sound ample
-/// set of size one.
-fn invisible_weak(kind: &InstKind) -> bool {
-    !matches!(
-        kind,
-        InstKind::Load { .. }
-            | InstKind::Store { .. }
-            | InstKind::AtomicRmw { .. }
-            | InstKind::AtomicCas { .. }
     )
 }
 
-#[allow(clippy::needless_range_loop)] // ti cross-indexes threads + funcs
-fn enumerate_weak(
-    module: &Module,
-    layout: &Layout,
-    threads: &[(FuncId, Vec<i64>)],
-    window_cap: usize,
-    fuel: &mut u64,
-) -> Option<BTreeSet<LitmusOutcome>> {
-    let mem_len = (layout.heap_start - Layout::GUARD) as usize;
-    let mut mem = vec![0i64; mem_len];
-    for (g, decl) in module.iter_globals() {
-        let base = (layout.base(g) - Layout::GUARD) as usize;
-        for (i, &v) in decl.init.iter().enumerate() {
-            mem[base + i] = v;
+/// Is executing `kind` *invisible* — thread-local, commuting with every
+/// transition of every other thread? Invisible moves touch neither shared
+/// memory nor the store buffer: register ops, branches and compiler
+/// directives; full fences and returns when the store buffer is empty
+/// (they then degenerate to no-ops and control flow); and so, under the
+/// weak model, any ready window entry with no memory effect. Executing
+/// one can never disable another ready move of the same thread either
+/// (it only removes readiness blockers), so it is a sound ample set of
+/// size one.
+fn invisible(kind: &InstKind, buffer_empty: bool) -> bool {
+    match kind {
+        _ if kind.is_mem_access() => false,
+        InstKind::Fence {
+            kind: FenceKind::Full,
         }
+        | InstKind::Ret { .. } => buffer_empty,
+        _ => true,
     }
-    let funcs: Vec<&Function> = threads.iter().map(|(f, _)| module.func(*f)).collect();
-    let mut init = WState {
-        mem,
-        threads: threads
-            .iter()
-            .map(|(f, args)| {
-                let func = module.func(*f);
-                validate(func);
-                WThread {
-                    fblock: func.entry.index() as u32,
-                    fidx: 0,
-                    window: Vec::new(),
-                    results: vec![0; func.num_insts()],
-                    locals: vec![0; func.locals.len()],
-                    args: args.clone(),
-                    done: false,
-                    ret: 0,
-                }
-            })
-            .collect(),
-    };
-    for (ti, t) in init.threads.iter_mut().enumerate() {
-        fetch_closure(t, funcs[ti], window_cap);
-    }
-
-    let mut outcomes = BTreeSet::new();
-    let mut visited: FastSet<WState> = FastSet::default();
-    let mut stack = vec![init];
-    while let Some(state) = stack.pop() {
-        if !visited.insert(state.clone()) {
-            continue;
-        }
-        if *fuel == 0 {
-            return None;
-        }
-        *fuel -= 1;
-        if state.threads.iter().all(|t| t.done) {
-            outcomes.insert(state.threads.iter().map(|t| t.ret).collect());
-            continue;
-        }
-        // Ample-set reduction: a ready invisible entry is executed
-        // deterministically instead of branching over every (thread,
-        // window position) pair. See `invisible_weak` for the argument.
-        let mut ample: Option<(usize, usize)> = None;
-        'scan: for ti in 0..state.threads.len() {
-            let t = &state.threads[ti];
-            if t.done {
-                continue;
-            }
-            for p in 0..t.window.len() {
-                let kind = &funcs[ti].inst(InstId::new(t.window[p] as usize)).kind;
-                if invisible_weak(kind) && weak_ready(t, funcs[ti], layout, p) {
-                    ample = Some((ti, p));
-                    break 'scan;
-                }
-            }
-        }
-        if let Some((ti, p)) = ample {
-            let mut ns = state.clone();
-            weak_execute(&mut ns, ti, funcs[ti], layout, p);
-            fetch_closure(&mut ns.threads[ti], funcs[ti], window_cap);
-            stack.push(ns);
-            continue;
-        }
-        for ti in 0..state.threads.len() {
-            let t = &state.threads[ti];
-            if t.done {
-                continue;
-            }
-            for p in 0..t.window.len() {
-                if weak_ready(t, funcs[ti], layout, p) {
-                    let mut ns = state.clone();
-                    weak_execute(&mut ns, ti, funcs[ti], layout, p);
-                    fetch_closure(&mut ns.threads[ti], funcs[ti], window_cap);
-                    stack.push(ns);
-                }
-            }
-        }
-    }
-    Some(outcomes)
 }
 
-fn weak_execute(state: &mut WState, ti: usize, func: &Function, layout: &Layout, p: usize) {
-    let iid = InstId::new(state.threads[ti].window[p] as usize);
-    let kind = func.inst(iid).kind.clone();
-    let t = &mut state.threads[ti];
-    t.window.remove(p);
-    let ev = |t: &WThread, v: Value| eval(&t.results, &t.args, layout, v);
-    match kind {
-        InstKind::Bin { op, lhs, rhs } => {
-            t.results[iid.index()] = op.eval(ev(t, lhs), ev(t, rhs));
+/// The explorer for one thread group under one model.
+struct Explorer<'m> {
+    funcs: Vec<&'m Function>,
+    layout: Layout,
+    model: LitmusModel,
+}
+
+impl Explorer<'_> {
+    fn weak(&self) -> bool {
+        matches!(self.model, LitmusModel::Weak { .. })
+    }
+
+    /// How many slots thread `t` may execute from.
+    fn slots(&self, t: &Thread) -> usize {
+        if t.done {
+            0
+        } else if self.weak() {
+            t.window.len()
+        } else {
+            1
         }
-        InstKind::Cmp { op, lhs, rhs } => {
-            t.results[iid.index()] = op.eval(ev(t, lhs), ev(t, rhs));
+    }
+
+    /// The instruction in slot `p` of thread `ti`.
+    fn inst(&self, ti: usize, t: &Thread, p: usize) -> InstId {
+        if self.weak() {
+            InstId::new(t.window[p] as usize)
+        } else {
+            t.frame.pc(self.funcs[ti])
         }
-        InstKind::Select {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            t.results[iid.index()] = if ev(t, cond) != 0 {
-                ev(t, then_val)
-            } else {
-                ev(t, else_val)
-            };
+    }
+
+    /// May slot `p` of thread `ti`, holding `kind`, execute now?
+    fn enabled(&self, ti: usize, t: &Thread, p: usize, kind: &InstKind) -> bool {
+        if self.weak() {
+            self.ready(ti, t, p)
+        } else {
+            t.buffer.is_empty() || !is_barrier(kind)
         }
-        InstKind::Gep { base, index } => {
-            t.results[iid.index()] = ev(t, base).wrapping_add(ev(t, index));
-        }
-        InstKind::ReadLocal { local } => {
-            t.results[iid.index()] = t.locals[local.index()];
-        }
-        InstKind::WriteLocal { local, val } => {
-            t.locals[local.index()] = ev(t, val);
-        }
-        InstKind::Load { addr } => {
-            let a = ev(t, addr);
-            t.results[iid.index()] = mem_read(&state.mem, a);
-        }
-        InstKind::Store { addr, val } => {
-            let a = ev(t, addr);
-            let v = ev(t, val);
-            mem_write(&mut state.mem, a, v);
-        }
-        InstKind::AtomicRmw { op, addr, val } => {
-            let a = ev(t, addr);
-            let old = mem_read(&state.mem, a);
-            t.results[iid.index()] = old;
-            let nv = op.eval(old, ev(t, val));
-            mem_write(&mut state.mem, a, nv);
-        }
-        InstKind::AtomicCas {
-            addr,
-            expected,
-            new,
-        } => {
-            let a = ev(t, addr);
-            let old = mem_read(&state.mem, a);
-            t.results[iid.index()] = old;
-            if old == ev(t, expected) {
-                let nv = ev(t, new);
-                mem_write(&mut state.mem, a, nv);
+    }
+
+    /// Fills `out` with the moves to explore from `s`, in push order.
+    /// Ample-set reduction: the first enabled invisible move, if any, is
+    /// explored alone, since it commutes with every other enabled move and
+    /// can never be disabled, which preserves the reachable outcome set.
+    fn moves(&self, s: &State, out: &mut Vec<Move>) {
+        out.clear();
+        for (ti, t) in s.threads.iter().enumerate() {
+            for p in 0..self.slots(t) {
+                let kind = &self.funcs[ti].inst(self.inst(ti, t, p)).kind;
+                if invisible(kind, t.buffer.is_empty()) && self.enabled(ti, t, p, kind) {
+                    out.push(Move::Exec(ti, p));
+                    return;
+                }
             }
         }
-        InstKind::Fence { .. } => {}
-        InstKind::CondBr {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            let c = ev(t, cond);
-            t.fblock = if c != 0 {
-                then_bb.index() as u32
-            } else {
-                else_bb.index() as u32
-            };
-            t.fidx = 0;
+        for (ti, t) in s.threads.iter().enumerate() {
+            if !t.buffer.is_empty() {
+                out.push(Move::Retire(ti));
+            }
+            for p in 0..self.slots(t) {
+                let kind = &self.funcs[ti].inst(self.inst(ti, t, p)).kind;
+                if self.enabled(ti, t, p, kind) {
+                    out.push(Move::Exec(ti, p));
+                }
+            }
         }
-        InstKind::Ret { val } => {
-            t.ret = val.map(|v| ev(t, v)).unwrap_or(0);
-            t.done = true;
-            t.window.clear();
+    }
+
+    fn apply(&self, s: &mut State, m: Move) {
+        match m {
+            Move::Retire(ti) => {
+                let (addr, val) = s.threads[ti].buffer.remove(0);
+                mem_write(&mut s.mem, addr, val);
+            }
+            Move::Exec(ti, p) => {
+                self.exec(s, ti, p);
+                self.fetch(ti, &mut s.threads[ti]);
+            }
         }
-        InstKind::Br { .. }
-        | InstKind::Call { .. }
-        | InstKind::CallIntrinsic { .. }
-        | InstKind::Alloc { .. } => unreachable!("not fetched into window"),
+    }
+
+    /// Executes slot `p` of thread `ti`. Under TSO a store enters the
+    /// buffer and a load forwards from it; under SC and the weak model
+    /// stores write memory directly. Only under SC and TSO does the
+    /// program counter advance: under the weak model it is the fetch
+    /// cursor, which [`Self::fetch`] and conditional branches move.
+    fn exec(&self, s: &mut State, ti: usize, p: usize) {
+        let func = self.funcs[ti];
+        let layout = &self.layout;
+        let t = &mut s.threads[ti];
+        let iid = self.inst(ti, t, p);
+        if self.weak() {
+            t.window.remove(p);
+        }
+        let kind = &func.inst(iid).kind;
+        let f = &mut t.frame;
+        let mut advance = !self.weak();
+        if !f.exec_register(iid, kind, layout) {
+            match *kind {
+                InstKind::Load { addr } => {
+                    let a = f.eval(addr, layout);
+                    let fwd = t.buffer.iter().rev().find(|&&(ba, _)| ba == a);
+                    f.results[iid.index()] = fwd.map_or_else(|| mem_read(&s.mem, a), |&(_, v)| v);
+                }
+                InstKind::Store { addr, val } => {
+                    let (a, v) = (f.eval(addr, layout), f.eval(val, layout));
+                    if self.model == LitmusModel::Tso {
+                        t.buffer.push((a, v));
+                    } else {
+                        mem_write(&mut s.mem, a, v);
+                    }
+                }
+                InstKind::AtomicRmw { op, addr, val } => {
+                    let a = f.eval(addr, layout);
+                    let old = mem_read(&s.mem, a);
+                    f.results[iid.index()] = old;
+                    mem_write(&mut s.mem, a, op.eval(old, f.eval(val, layout)));
+                }
+                InstKind::AtomicCas {
+                    addr,
+                    expected,
+                    new,
+                } => {
+                    let a = f.eval(addr, layout);
+                    let old = mem_read(&s.mem, a);
+                    f.results[iid.index()] = old;
+                    if old == f.eval(expected, layout) {
+                        mem_write(&mut s.mem, a, f.eval(new, layout));
+                    }
+                }
+                InstKind::Fence { .. } => {}
+                InstKind::Br { target } => {
+                    f.jump(target);
+                    advance = false;
+                }
+                InstKind::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => {
+                    let taken = if f.eval(cond, layout) != 0 {
+                        then_bb
+                    } else {
+                        else_bb
+                    };
+                    f.jump(taken);
+                    advance = false;
+                }
+                InstKind::Ret { val } => {
+                    t.ret = val.map_or(0, |v| f.eval(v, layout));
+                    t.done = true;
+                    // Return drains the buffer (join publishes everything).
+                    for (a, v) in t.buffer.drain(..) {
+                        mem_write(&mut s.mem, a, v);
+                    }
+                    t.window.clear();
+                    advance = false;
+                }
+                _ => unreachable!("validated: no calls, intrinsics or alloc"),
+            }
+        }
+        if advance {
+            t.frame.idx += 1;
+        }
+    }
+
+    /// Under the weak model, fetches into `t`'s window until it is full,
+    /// `t` is done, or the newest entry is an unresolved conditional
+    /// branch or a return. Unconditional branches and compiler directives
+    /// are resolved here and never enter the window.
+    fn fetch(&self, ti: usize, t: &mut Thread) {
+        let LitmusModel::Weak { window } = self.model else {
+            return;
+        };
+        let func = self.funcs[ti];
+        while !t.done && t.window.len() < window {
+            if let Some(&last) = t.window.last() {
+                if matches!(
+                    func.inst(InstId::new(last as usize)).kind,
+                    InstKind::CondBr { .. } | InstKind::Ret { .. }
+                ) {
+                    return;
+                }
+            }
+            let iid = t.frame.pc(func);
+            match func.inst(iid).kind {
+                InstKind::Br { target } => t.frame.jump(target),
+                // No runtime presence on weak hardware.
+                InstKind::Fence {
+                    kind: FenceKind::Compiler,
+                } => t.frame.idx += 1,
+                _ => {
+                    t.window.push(iid.index() as u32);
+                    t.frame.idx += 1;
+                }
+            }
+        }
+    }
+
+    /// Is window entry `p` of thread `ti` ready to execute?
+    fn ready(&self, ti: usize, t: &Thread, p: usize) -> bool {
+        let func = self.funcs[ti];
+        let kind = &func.inst(InstId::new(t.window[p] as usize)).kind;
+        let older = || {
+            t.window[..p]
+                .iter()
+                .map(|&q| &func.inst(InstId::new(q as usize)).kind)
+        };
+        let in_window = |v: Value| match v {
+            Value::Inst(d) => t.window.iter().any(|&w| w as usize == d.index()),
+            _ => false,
+        };
+        // Data dependences: all operand definitions executed.
+        let mut deps_ok = true;
+        kind.for_each_operand(|v| deps_ok &= !in_window(v));
+        if !deps_ok {
+            return false;
+        }
+        // Oldest-only operations.
+        if is_barrier(kind) || matches!(kind, InstKind::Ret { .. }) {
+            return p == 0;
+        }
+        // Earlier full fences / atomics block everything younger.
+        if older().any(is_barrier) {
+            return false;
+        }
+        // Local-register ordering (conservative).
+        if let InstKind::ReadLocal { local } | InstKind::WriteLocal { local, .. } = *kind {
+            let writes = matches!(kind, InstKind::WriteLocal { .. });
+            if older().any(|q| match *q {
+                InstKind::WriteLocal { local: m, .. } => m == local,
+                InstKind::ReadLocal { local: m } => m == local && writes,
+                _ => false,
+            }) {
+                return false;
+            }
+        }
+        // Same-address memory ordering.
+        if let Some(my_addr) = kind.mem_addr() {
+            if in_window(my_addr) {
+                return false; // address not yet computed (also a data dep)
+            }
+            let my = t.frame.eval(my_addr, &self.layout);
+            for qa in older().filter_map(InstKind::mem_addr) {
+                // An unknown earlier address is conservatively a conflict;
+                // a known equal one must stay ordered.
+                if in_window(qa) || t.frame.eval(qa, &self.layout) == my {
+                    return false;
+                }
+            }
+        }
+        true
     }
 }
 
@@ -753,13 +446,61 @@ pub fn enumerate_bounded(
     fuel: &mut u64,
 ) -> Option<BTreeSet<LitmusOutcome>> {
     let layout = Layout::of(module);
-    match model {
-        LitmusModel::Sc => enumerate_po(module, &layout, threads, false, fuel),
-        LitmusModel::Tso => enumerate_po(module, &layout, threads, true, fuel),
-        LitmusModel::Weak { window } => {
-            enumerate_weak(module, &layout, threads, window.max(2), fuel)
+    let mut init = State {
+        mem: memory_image(module, &layout, Layout::GUARD, layout.heap_start),
+        threads: threads
+            .iter()
+            .map(|(f, args)| {
+                let func = module.func(*f);
+                validate(func);
+                Thread {
+                    frame: Frame::new(*f, func, args.clone()),
+                    done: false,
+                    ret: 0,
+                    buffer: Vec::new(),
+                    window: Vec::new(),
+                }
+            })
+            .collect(),
+    };
+    let ex = Explorer {
+        funcs: threads.iter().map(|(f, _)| module.func(*f)).collect(),
+        layout,
+        model: match model {
+            LitmusModel::Weak { window } => LitmusModel::Weak {
+                window: window.max(2),
+            },
+            m => m,
+        },
+    };
+    for (ti, t) in init.threads.iter_mut().enumerate() {
+        ex.fetch(ti, t);
+    }
+
+    let mut outcomes = BTreeSet::new();
+    let mut visited: FastSet<State> = FastSet::default();
+    let mut stack = vec![init];
+    let mut moves = Vec::new();
+    while let Some(state) = stack.pop() {
+        if !visited.insert(state.clone()) {
+            continue;
+        }
+        if *fuel == 0 {
+            return None;
+        }
+        *fuel -= 1;
+        if state.threads.iter().all(|t| t.done) {
+            outcomes.insert(state.threads.iter().map(|t| t.ret).collect());
+            continue;
+        }
+        ex.moves(&state, &mut moves);
+        for &m in &moves {
+            let mut next = state.clone();
+            ex.apply(&mut next, m);
+            stack.push(next);
         }
     }
+    Some(outcomes)
 }
 
 #[cfg(test)]

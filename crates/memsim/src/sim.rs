@@ -11,8 +11,14 @@
 //! RMW/CAS, and lock/barrier intrinsics stall until the buffer drains —
 //! exactly the x86-TSO behaviours whose cost Figure 10 measures. In
 //! [`MemMode::Sc`] stores are immediately visible (the reference model).
+//!
+//! Frames, operand evaluation, the register instructions and the initial
+//! memory image come from the interpreter core shared with
+//! [`crate::litmus`]; this module adds the timed store buffer, faults,
+//! the trace, costs, calls and intrinsics.
 
 use crate::cost::*;
+use crate::interp::{memory_image, Frame};
 use crate::layout::Layout;
 use fence_ir::{FenceKind, FuncId, InstId, InstKind, Intrinsic, Module, Value};
 use std::collections::VecDeque;
@@ -168,15 +174,6 @@ impl SimResult {
     }
 }
 
-struct Frame {
-    func: FuncId,
-    block: usize,
-    idx: usize,
-    args: Vec<i64>,
-    locals: Vec<i64>,
-    results: Vec<i64>,
-}
-
 struct StoreEntry {
     addr: i64,
     val: i64,
@@ -226,6 +223,16 @@ impl<'m> Simulator<'m> {
         &self.layout
     }
 
+    /// A fresh frame for `func`, or the error for a declared-but-undefined
+    /// function.
+    fn frame(&self, func: FuncId, args: Vec<i64>) -> Result<Frame, SimError> {
+        let f = self.module.func(func);
+        if f.blocks.is_empty() || f.blocks[f.entry.index()].insts.is_empty() {
+            return Err(SimError::UndefinedFunction(f.name.clone()));
+        }
+        Ok(Frame::new(func, f, args))
+    }
+
     /// Runs `threads` to completion.
     pub fn run(&self, threads: &[ThreadSpec]) -> Result<SimResult, SimError> {
         if threads.is_empty() {
@@ -254,28 +261,10 @@ struct RunState<'m, 's> {
 impl<'m, 's> RunState<'m, 's> {
     fn new(sim: &'s Simulator<'m>, threads: &[ThreadSpec]) -> Result<Self, SimError> {
         let heap_end = sim.layout.heap_start + sim.config.heap_words as i64;
-        let mut mem = vec![0i64; heap_end as usize];
-        for (g, decl) in sim.module.iter_globals() {
-            let base = sim.layout.base(g) as usize;
-            for (i, &v) in decl.init.iter().enumerate() {
-                mem[base + i] = v;
-            }
-        }
         let mut ts = Vec::with_capacity(threads.len());
         for spec in threads {
-            let func = sim.module.func(spec.func);
-            if func.blocks.is_empty() || func.blocks[func.entry.index()].insts.is_empty() {
-                return Err(SimError::UndefinedFunction(func.name.clone()));
-            }
             ts.push(Thread {
-                frames: vec![Frame {
-                    func: spec.func,
-                    block: func.entry.index(),
-                    idx: 0,
-                    args: spec.args.clone(),
-                    locals: vec![0; func.locals.len()],
-                    results: vec![0; func.num_insts()],
-                }],
+                frames: vec![sim.frame(spec.func, spec.args.clone())?],
                 clock: 0,
                 done: false,
                 retval: 0,
@@ -285,7 +274,7 @@ impl<'m, 's> RunState<'m, 's> {
         }
         Ok(RunState {
             sim,
-            mem,
+            mem: memory_image(sim.module, &sim.layout, 0, heap_end),
             heap_next: sim.layout.heap_start,
             heap_end,
             threads: ts,
@@ -371,14 +360,10 @@ impl<'m, 's> RunState<'m, 's> {
     fn record(&mut self, tid: usize, kind: TraceEventKind, addr: i64, aux: u64) {
         if self.sim.config.record_trace {
             let f = self.threads[tid].frames.last().expect("live frame");
-            let func = f.func;
-            let block = f.block;
-            let idx = f.idx;
-            let inst = self.sim.module.func(func).blocks[block].insts[idx];
             self.trace.push(TraceEvent {
                 tid: tid as u32,
-                func,
-                inst,
+                func: f.func,
+                inst: f.pc(self.sim.module.func(f.func)),
                 kind,
                 addr,
                 aux,
@@ -386,29 +371,20 @@ impl<'m, 's> RunState<'m, 's> {
         }
     }
 
-    fn eval(frame: &Frame, v: Value, layout: &Layout) -> i64 {
-        match v {
-            Value::Const(c) => c,
-            Value::Global(g) => layout.base(g),
-            Value::Arg(a) => frame.args[a as usize],
-            Value::Inst(i) => frame.results[i.index()],
-        }
-    }
-
     /// Executes one instruction of thread `tid`.
     fn step(&mut self, tid: usize) -> Result<(), SimError> {
-        let module = self.sim.module;
-        let layout = &self.sim.layout;
-        let tso = self.sim.config.mode == MemMode::Tso;
+        let sim = self.sim;
+        let (module, layout) = (sim.module, &sim.layout);
+        let tso = sim.config.mode == MemMode::Tso;
 
-        // Fetch.
-        let (func_id, kind, inst_id) = {
-            let f = self.threads[tid].frames.last().expect("live frame");
-            let func = module.func(f.func);
-            let iid = func.blocks[f.block].insts[f.idx];
-            (f.func, func.inst(iid).kind.clone(), iid)
-        };
-        let func = module.func(func_id);
+        let f = self.threads[tid].frames.last_mut().expect("live frame");
+        let inst_id = f.pc(module.func(f.func));
+        let kind = &module.func(f.func).inst(inst_id).kind;
+        if f.exec_register(inst_id, kind, layout) {
+            f.idx += 1;
+            self.threads[tid].clock += COST_ALU;
+            return Ok(());
+        }
 
         macro_rules! frame {
             () => {
@@ -416,62 +392,16 @@ impl<'m, 's> RunState<'m, 's> {
             };
         }
         macro_rules! ev {
-            ($v:expr) => {{
-                let f = self.threads[tid].frames.last().expect("live frame");
-                Self::eval(f, $v, layout)
-            }};
+            ($v:expr) => {
+                self.threads[tid]
+                    .frames
+                    .last()
+                    .expect("live frame")
+                    .eval($v, layout)
+            };
         }
 
-        match kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let r = op.eval(ev!(lhs), ev!(rhs));
-                let f = frame!();
-                f.results[inst_id.index()] = r;
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
-            InstKind::Cmp { op, lhs, rhs } => {
-                let r = op.eval(ev!(lhs), ev!(rhs));
-                let f = frame!();
-                f.results[inst_id.index()] = r;
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
-            InstKind::Select {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let r = if ev!(cond) != 0 {
-                    ev!(then_val)
-                } else {
-                    ev!(else_val)
-                };
-                let f = frame!();
-                f.results[inst_id.index()] = r;
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
-            InstKind::Gep { base, index } => {
-                let r = ev!(base).wrapping_add(ev!(index));
-                let f = frame!();
-                f.results[inst_id.index()] = r;
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
-            InstKind::ReadLocal { local } => {
-                let f = frame!();
-                f.results[inst_id.index()] = f.locals[local.index()];
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
-            InstKind::WriteLocal { local, val } => {
-                let v = ev!(val);
-                let f = frame!();
-                f.locals[local.index()] = v;
-                f.idx += 1;
-                self.threads[tid].clock += COST_ALU;
-            }
+        match *kind {
             InstKind::Alloc { words } => {
                 let w = ev!(words).max(0);
                 if self.heap_next + w > self.heap_end {
@@ -590,30 +520,17 @@ impl<'m, 's> RunState<'m, 's> {
                 f.results[inst_id.index()] = old;
                 f.idx += 1;
             }
-            InstKind::CallIntrinsic { intr, args } => {
-                self.step_intrinsic(tid, inst_id, intr, &args)?;
+            InstKind::CallIntrinsic { intr, ref args } => {
+                self.step_intrinsic(tid, inst_id, intr, args)?;
             }
-            InstKind::Call { callee, args } => {
-                let cf = module.func(callee);
-                if cf.blocks.is_empty() || cf.blocks[cf.entry.index()].insts.is_empty() {
-                    return Err(SimError::UndefinedFunction(cf.name.clone()));
-                }
-                let argv: Vec<i64> = args.iter().map(|&a| ev!(a)).collect();
-                let nf = Frame {
-                    func: callee,
-                    block: cf.entry.index(),
-                    idx: 0,
-                    args: argv,
-                    locals: vec![0; cf.locals.len()],
-                    results: vec![0; cf.num_insts()],
-                };
+            InstKind::Call { callee, ref args } => {
+                let argv = args.iter().map(|&a| ev!(a)).collect();
+                let nf = sim.frame(callee, argv)?;
                 self.threads[tid].frames.push(nf);
                 self.threads[tid].clock += COST_CALL;
             }
             InstKind::Br { target } => {
-                let f = frame!();
-                f.block = target.index();
-                f.idx = 0;
+                frame!().jump(target);
                 self.threads[tid].clock += COST_ALU;
             }
             InstKind::CondBr {
@@ -621,14 +538,8 @@ impl<'m, 's> RunState<'m, 's> {
                 then_bb,
                 else_bb,
             } => {
-                let c = ev!(cond);
-                let f = frame!();
-                f.block = if c != 0 {
-                    then_bb.index()
-                } else {
-                    else_bb.index()
-                };
-                f.idx = 0;
+                let taken = if ev!(cond) != 0 { then_bb } else { else_bb };
+                frame!().jump(taken);
                 self.threads[tid].clock += COST_ALU;
             }
             InstKind::Ret { val } => {
@@ -638,8 +549,7 @@ impl<'m, 's> RunState<'m, 's> {
                 match t.frames.last_mut() {
                     Some(caller) => {
                         // The caller's pc still points at the call.
-                        let cfunc = module.func(caller.func);
-                        let call_inst = cfunc.blocks[caller.block].insts[caller.idx];
+                        let call_inst = caller.pc(module.func(caller.func));
                         caller.results[call_inst.index()] = rv;
                         caller.idx += 1;
                         t.clock += COST_CALL;
@@ -654,8 +564,8 @@ impl<'m, 's> RunState<'m, 's> {
                     }
                 }
             }
+            _ => unreachable!("register instructions ran above"),
         }
-        let _ = func;
         Ok(())
     }
 
@@ -669,7 +579,7 @@ impl<'m, 's> RunState<'m, 's> {
         let layout = &self.sim.layout;
         let evx = |st: &RunState, i: usize| {
             let f = st.threads[tid].frames.last().expect("live frame");
-            Self::eval(f, args[i], layout)
+            f.eval(args[i], layout)
         };
         match intr {
             Intrinsic::ThreadId => {
