@@ -15,10 +15,13 @@
 //! Exploration is budget-bounded: every distinct state visited across
 //! the SC pass, the relaxed pass, and each per-fence re-exploration
 //! draws from one shared fuel counter, so the cost of certifying a
-//! module is capped deterministically. The explorers themselves apply an
-//! invisible-move ample-set reduction (thread-local transitions are
-//! executed deterministically instead of branched over), which keeps
-//! litmus-shaped state spaces small.
+//! module is capped deterministically. Every pass runs the one litmus
+//! explorer, which applies an invisible-move ample-set reduction
+//! (thread-local transitions are executed deterministically instead of
+//! branched over) to keep litmus-shaped state spaces small. Each
+//! explored state holds a copy of the module's global image, so a
+//! module whose image exceeds 4,096 words is refused up front
+//! ([`CheckError::ImageTooLarge`]) instead of exhausting memory.
 
 use crate::layout::Layout;
 use crate::litmus::{self, LitmusModel, LitmusOutcome};

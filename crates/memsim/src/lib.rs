@@ -13,11 +13,16 @@
 //!   semantics. Threads advance in smallest-local-clock order, so runs are
 //!   deterministic.
 //! * [`litmus`] — exhaustive state-space enumeration of *small* programs
-//!   under SC, TSO, and a weak (bounded out-of-order window) model.
-//!   This is what validates the soundness story: SB/Dekker exhibit non-SC
-//!   outcomes under TSO without fences and lose them once the pipeline's
-//!   fences are inserted; MP breaks only under the weak model, matching
-//!   x86-TSO's `w→r`-only relaxation.
+//!   under SC, TSO, and a weak (bounded out-of-order window) model, by
+//!   one explorer for all three. This is what validates the soundness
+//!   story: SB/Dekker exhibit non-SC outcomes under TSO without fences
+//!   and lose them once the pipeline's fences are inserted; MP breaks
+//!   only under the weak model, matching x86-TSO's `w→r`-only
+//!   relaxation.
+//!
+//! Both interpreters run on one private core: the activation record,
+//! operand evaluation, the register instructions and the initial memory
+//! image are written once and shared by [`sim`] and [`litmus`].
 //! * [`race`] — a vector-clock (FastTrack-flavoured) race detector over SC
 //!   execution traces, parameterized by a sync classification (which reads
 //!   are acquires, which writes are releases). Used to check that corpus
@@ -25,7 +30,9 @@
 //! * [`check`] — the bounded certifying model checker: proves a
 //!   post-placement thread group **sound** (relaxed outcome set ⊆ SC set)
 //!   and each placed fence **necessary** (weakening it strictly enlarges
-//!   the relaxed set), under a shared per-check state budget.
+//!   the relaxed set), under a shared per-check state budget. It refuses
+//!   modules whose global image exceeds 4,096 words, since every explored
+//!   state copies the image.
 //! * [`layout`] / [`cost`] — memory layout, and the cycle cost constants
 //!   the simulator charges. `cost` serves the simulator only: the
 //!   placement pipeline never consults it (fence minimization is

@@ -12,7 +12,8 @@
 #   docs     cargo doc --no-deps (RUSTDOCFLAGS=-D warnings) + cargo test --doc
 #   bench    cargo bench --no-run (compile smoke for every bench harness)
 #   faults   cargo test --features faultinject (fault-injection matrix)
-#   certify  litmus regressions + differential certify fuzz + CLI smoke
+#   certify  memsim tests + litmus regressions + differential certify fuzz
+#            + certification and simulator goldens + CLI smoke
 #   stream   windowed-vs-resident differential + CLI --window and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #            + restart on a killed daemon's socket
@@ -61,14 +62,18 @@ stage_faults() {
 }
 
 stage_certify() {
-  echo "== litmus regressions + certify fuzz =="
-  cargo test -q -p fence-suite --test litmus_pipeline --test certify_fuzz
+  echo "== memsim unit tests + litmus families =="
+  cargo test -q -p memsim
 
-  echo "== fenceplace --certify smoke (corpus, Control:x86tso) =="
+  echo "== litmus regressions + certify fuzz + certification and simulator goldens =="
+  cargo test -q -p fence-suite --test litmus_pipeline --test certify_fuzz --test golden_certify
+
+  echo "== fenceplace --certify smoke (kernels + corpus, Control:x86tso + Control:weak) =="
   # Bounded state budget keeps the smoke fast; inconclusive/skipped
   # certifications exit 0, an unsound one exits 2 and fails the stage.
   cargo run --release --quiet --bin fenceplace -- \
-    --program 'corpus:*' --config Control:x86tso \
+    --program 'kernel:*' --program 'corpus:*' \
+    --config Control:x86tso --config Control:weak \
     --certify-states 50000 --seq
 }
 
