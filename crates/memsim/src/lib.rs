@@ -19,10 +19,6 @@
 //!   and lose them once the pipeline's fences are inserted; MP breaks
 //!   only under the weak model, matching x86-TSO's `w→r`-only
 //!   relaxation.
-//!
-//! Both interpreters run on one private core: the activation record,
-//! operand evaluation, the register instructions and the initial memory
-//! image are written once and shared by [`sim`] and [`litmus`].
 //! * [`race`] — a vector-clock (FastTrack-flavoured) race detector over SC
 //!   execution traces, parameterized by a sync classification (which reads
 //!   are acquires, which writes are releases). Used to check that corpus
@@ -38,6 +34,10 @@
 //!   placement pipeline never consults it (fence minimization is
 //!   unit-cost), so as a *synthesis* cost model it is vestigial — see
 //!   the ROADMAP's cost-aware synthesis item.
+//!
+//! [`sim`] and [`litmus`] run on one private interpreter core: the
+//! activation record, operand evaluation, the register instructions and
+//! the initial memory image are written once.
 
 #![warn(missing_docs)]
 
