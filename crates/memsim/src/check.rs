@@ -18,10 +18,12 @@
 //! module is capped deterministically. Every pass runs the one litmus
 //! explorer, which applies an invisible-move ample-set reduction
 //! (thread-local transitions are executed deterministically instead of
-//! branched over) to keep litmus-shaped state spaces small. Each
-//! explored state holds a copy of the module's global image, so a
-//! module whose image exceeds 4,096 words is refused up front
-//! ([`CheckError::ImageTooLarge`]) instead of exhausting memory.
+//! branched over) to keep litmus-shaped state spaces small. Explored
+//! states share the module's global image in copy-on-write pages, but
+//! each pass builds the image flat once and every state holds a table
+//! of its pages, so a module whose image exceeds 4,096 words is refused
+//! up front ([`CheckError::ImageTooLarge`]) instead of exhausting
+//! memory.
 
 use crate::layout::Layout;
 use crate::litmus::{self, LitmusModel, LitmusOutcome};
@@ -30,9 +32,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// Largest global image, in words, that [`check_threads`] explores.
-/// Every visited state holds its own copy of the image, and the parser
-/// accepts global sizes up to `u32::MAX` words, so without a cap one huge
-/// global aborts the whole process on an allocation failure. The largest
+/// Each pass builds the image flat once, and every visited state holds a
+/// table of pointers to its pages (128 at the cap). The parser accepts
+/// global sizes up to `u32::MAX` words, so without a cap one huge global
+/// aborts the whole process on an allocation failure. The largest
 /// built-in image (Barnes) is 1,290 words.
 const MAX_IMAGE_WORDS: u64 = 4_096;
 
@@ -113,7 +116,8 @@ pub enum CheckError {
         /// States explored before giving up.
         states: u64,
     },
-    /// The module's globals are too large to copy into every state.
+    /// The module's globals are too large to build into one image and
+    /// to page in every explored state.
     ImageTooLarge {
         /// Words of global memory the module declares.
         words: u64,

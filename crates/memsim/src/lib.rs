@@ -27,8 +27,9 @@
 //!   post-placement thread group **sound** (relaxed outcome set ⊆ SC set)
 //!   and each placed fence **necessary** (weakening it strictly enlarges
 //!   the relaxed set), under a shared per-check state budget. It refuses
-//!   modules whose global image exceeds 4,096 words, since every explored
-//!   state copies the image.
+//!   modules whose global image exceeds 4,096 words: each pass builds the
+//!   image flat once, and every explored state holds a table of its
+//!   copy-on-write pages.
 //! * [`layout`] / [`cost`] — memory layout, and the cycle cost constants
 //!   the simulator charges. `cost` serves the simulator only: the
 //!   placement pipeline never consults it (fence minimization is

@@ -27,6 +27,10 @@
 //! under the weak model the program counter is the fetch cursor, and a
 //! thread executes any ready window entry.
 //!
+//! Explored states share memory: the global image is split into pages
+//! held copy-on-write, and its hash is kept current on every write. The
+//! explorer hashes, allocates and stores each distinct state once.
+//!
 //! Litmus functions may not call, allocate, or use intrinsics; at most 64
 //! instructions per function.
 
@@ -35,6 +39,8 @@ use crate::layout::Layout;
 use fence_ir::util::FastSet;
 use fence_ir::{FenceKind, FuncId, Function, InstId, InstKind, Module, Value};
 use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::rc::Rc;
 
 /// The memory model to enumerate under.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -80,30 +86,106 @@ fn validate(func: &Function) {
     }
 }
 
-/// Index of `addr` in the flat global image, or `None` for a wild
-/// address. Enumerable functions can still *compute* arbitrary addresses
+/// Words per image page. Pages of 16 to 128 words certified Matrix and
+/// Canneal within noise of each other, in time and in peak memory.
+const PAGE: usize = 32;
+
+/// splitmix64's finalizer applied to word `i` holding `v`: one term of
+/// an image's hash.
+fn mix(i: usize, v: i64) -> u64 {
+    let mut z = (v as u64).wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The global memory of one state: fixed-size pages shared copy-on-write
+/// between a state and its successors, so cloning a state copies the
+/// page table and a write copies at most the one page it lands in.
+///
+/// Enumerable functions can still *compute* arbitrary addresses
 /// (dereferencing a loaded pointer that holds 0, gep arithmetic), so the
 /// explorer uses total memory semantics: a wild load reads 0, a wild
 /// store is dropped. Every model applies the same rule, so soundness
 /// comparisons stay apples-to-apples.
-fn mem_index(mem_len: usize, addr: i64) -> Option<usize> {
-    let off = addr.wrapping_sub(Layout::GUARD);
-    if (0..mem_len as i64).contains(&off) {
-        Some(off as usize)
-    } else {
-        None
+#[derive(Clone)]
+struct Image {
+    /// Words `0..len` in pages of [`PAGE`]; the tail of the last page is
+    /// zero and never written.
+    pages: Vec<Rc<[i64; PAGE]>>,
+    len: usize,
+    /// Wrapping sum of [`mix`] over every word, kept current by
+    /// [`Image::write`] so hashing an image never reads its words.
+    hash: u64,
+}
+
+impl Image {
+    fn new(words: &[i64]) -> Self {
+        let pages = words
+            .chunks(PAGE)
+            .map(|chunk| {
+                let mut page = [0; PAGE];
+                page[..chunk.len()].copy_from_slice(chunk);
+                Rc::new(page)
+            })
+            .collect();
+        let terms = words.iter().enumerate().map(|(i, &v)| mix(i, v));
+        Image {
+            pages,
+            len: words.len(),
+            hash: terms.fold(0, u64::wrapping_add),
+        }
+    }
+
+    /// Index of `addr` in the image, or `None` for a wild address.
+    fn index(&self, addr: i64) -> Option<usize> {
+        let off = addr.wrapping_sub(Layout::GUARD);
+        (0..self.len as i64).contains(&off).then_some(off as usize)
+    }
+
+    /// Total-semantics read: 0 for wild addresses.
+    fn read(&self, addr: i64) -> i64 {
+        self.index(addr)
+            .map_or(0, |i| self.pages[i / PAGE][i % PAGE])
+    }
+
+    /// Total-semantics write: dropped for wild addresses. Writing the
+    /// value a word already holds changes nothing and copies nothing.
+    fn write(&mut self, addr: i64, val: i64) {
+        let Some(i) = self.index(addr) else {
+            return;
+        };
+        let old = self.pages[i / PAGE][i % PAGE];
+        if old != val {
+            self.hash = self
+                .hash
+                .wrapping_sub(mix(i, old))
+                .wrapping_add(mix(i, val));
+            Rc::make_mut(&mut self.pages[i / PAGE])[i % PAGE] = val;
+        }
     }
 }
 
-/// Total-semantics read: 0 for wild addresses.
-fn mem_read(mem: &[i64], addr: i64) -> i64 {
-    mem_index(mem.len(), addr).map_or(0, |i| mem[i])
+/// Equality by content: hashes first, then words only of pages that are
+/// not the same allocation, so states that reach equal memory by
+/// different paths still merge.
+impl PartialEq for Image {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.len == other.len
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| Rc::ptr_eq(a, b) || a == b)
+    }
 }
 
-/// Total-semantics write: dropped for wild addresses.
-fn mem_write(mem: &mut [i64], addr: i64, val: i64) {
-    if let Some(i) = mem_index(mem.len(), addr) {
-        mem[i] = val;
+impl Eq for Image {}
+
+impl Hash for Image {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -121,8 +203,23 @@ struct Thread {
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct State {
-    mem: Vec<i64>,
+    mem: Image,
     threads: Vec<Thread>,
+}
+
+/// A visited state with its hash, computed once when the state is
+/// generated: the visited set and the DFS stack share one allocation,
+/// and growing the set never re-hashes a state.
+#[derive(PartialEq, Eq)]
+struct Node {
+    hash: u64,
+    state: State,
+}
+
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// One transition of one thread.
@@ -241,7 +338,7 @@ impl Explorer<'_> {
         match m {
             Move::Retire(ti) => {
                 let (addr, val) = s.threads[ti].buffer.remove(0);
-                mem_write(&mut s.mem, addr, val);
+                s.mem.write(addr, val);
             }
             Move::Exec(ti, p) => {
                 self.exec(s, ti, p);
@@ -271,21 +368,21 @@ impl Explorer<'_> {
                 InstKind::Load { addr } => {
                     let a = f.eval(addr, layout);
                     let fwd = t.buffer.iter().rev().find(|&&(ba, _)| ba == a);
-                    f.results[iid.index()] = fwd.map_or_else(|| mem_read(&s.mem, a), |&(_, v)| v);
+                    f.results[iid.index()] = fwd.map_or_else(|| s.mem.read(a), |&(_, v)| v);
                 }
                 InstKind::Store { addr, val } => {
                     let (a, v) = (f.eval(addr, layout), f.eval(val, layout));
                     if self.model == LitmusModel::Tso {
                         t.buffer.push((a, v));
                     } else {
-                        mem_write(&mut s.mem, a, v);
+                        s.mem.write(a, v);
                     }
                 }
                 InstKind::AtomicRmw { op, addr, val } => {
                     let a = f.eval(addr, layout);
-                    let old = mem_read(&s.mem, a);
+                    let old = s.mem.read(a);
                     f.results[iid.index()] = old;
-                    mem_write(&mut s.mem, a, op.eval(old, f.eval(val, layout)));
+                    s.mem.write(a, op.eval(old, f.eval(val, layout)));
                 }
                 InstKind::AtomicCas {
                     addr,
@@ -293,10 +390,10 @@ impl Explorer<'_> {
                     new,
                 } => {
                     let a = f.eval(addr, layout);
-                    let old = mem_read(&s.mem, a);
+                    let old = s.mem.read(a);
                     f.results[iid.index()] = old;
                     if old == f.eval(expected, layout) {
-                        mem_write(&mut s.mem, a, f.eval(new, layout));
+                        s.mem.write(a, f.eval(new, layout));
                     }
                 }
                 InstKind::Fence { .. } => {}
@@ -322,7 +419,7 @@ impl Explorer<'_> {
                     t.done = true;
                     // Return drains the buffer (join publishes everything).
                     for (a, v) in t.buffer.drain(..) {
-                        mem_write(&mut s.mem, a, v);
+                        s.mem.write(a, v);
                     }
                     t.window.clear();
                     advance = false;
@@ -446,8 +543,9 @@ pub fn enumerate_bounded(
     fuel: &mut u64,
 ) -> Option<BTreeSet<LitmusOutcome>> {
     let layout = Layout::of(module);
+    let words = memory_image(module, &layout, Layout::GUARD, layout.heap_start);
     let mut init = State {
-        mem: memory_image(module, &layout, Layout::GUARD, layout.heap_start),
+        mem: Image::new(&words),
         threads: threads
             .iter()
             .map(|(f, args)| {
@@ -478,26 +576,45 @@ pub fn enumerate_bounded(
     }
 
     let mut outcomes = BTreeSet::new();
-    let mut visited: FastSet<State> = FastSet::default();
-    let mut stack = vec![init];
-    let mut moves = Vec::new();
-    while let Some(state) = stack.pop() {
-        if !visited.insert(state.clone()) {
-            continue;
+    let mut visited: FastSet<Rc<Node>> = FastSet::default();
+    let mut stack = Vec::new();
+    // Hashes a generated state once and drops it if it was seen before.
+    // A new state costs one unit of fuel and one allocation, which the
+    // visited set and the stack share. `false`: the fuel ran out.
+    let mut discover = |state: State, stack: &mut Vec<Rc<Node>>| {
+        let node = Node {
+            hash: visited.hasher().hash_one(&state),
+            state,
+        };
+        if visited.contains(&node) {
+            return true;
         }
         if *fuel == 0 {
-            return None;
+            return false;
         }
         *fuel -= 1;
+        let node = Rc::new(node);
+        visited.insert(Rc::clone(&node));
+        stack.push(node);
+        true
+    };
+    if !discover(init, &mut stack) {
+        return None;
+    }
+    let mut moves = Vec::new();
+    while let Some(node) = stack.pop() {
+        let state = &node.state;
         if state.threads.iter().all(|t| t.done) {
             outcomes.insert(state.threads.iter().map(|t| t.ret).collect());
             continue;
         }
-        ex.moves(&state, &mut moves);
+        ex.moves(state, &mut moves);
         for &m in &moves {
             let mut next = state.clone();
             ex.apply(&mut next, m);
-            stack.push(next);
+            if !discover(next, &mut stack) {
+                return None;
+            }
         }
     }
     Some(outcomes)
@@ -692,6 +809,103 @@ mod tests {
                 BTreeSet::from([vec![0, 1], vec![1, 0]]),
                 "atomicity under {model:?}"
             );
+        }
+    }
+
+    /// The fuel a call spends is its number of distinct states: exactly
+    /// that much finishes with the same outcomes, one unit less runs out,
+    /// and both leave no fuel behind.
+    #[test]
+    fn fuel_runs_out_exactly_past_the_distinct_states() {
+        let (m, t) = sb(false);
+        for (model, states) in [
+            (LitmusModel::Sc, 21),
+            (LitmusModel::Tso, 52),
+            (LitmusModel::Weak { window: 4 }, 41),
+        ] {
+            let mut fuel = u64::MAX;
+            let all = enumerate_bounded(&m, &t, model, &mut fuel);
+            assert!(all.is_some(), "{model:?}");
+            let n = u64::MAX - fuel;
+            assert_eq!(n, states, "distinct states under {model:?}");
+            let mut fuel = n;
+            assert_eq!(
+                enumerate_bounded(&m, &t, model, &mut fuel),
+                all,
+                "{model:?}"
+            );
+            assert_eq!(fuel, 0, "{model:?}");
+            let mut fuel = n - 1;
+            assert_eq!(
+                enumerate_bounded(&m, &t, model, &mut fuel),
+                None,
+                "{model:?}"
+            );
+            assert_eq!(fuel, 0, "{model:?}");
+        }
+    }
+
+    /// The hash the visited set gives an image.
+    fn hash_of(img: &Image) -> u64 {
+        FastSet::<Image>::default().hasher().hash_one(img)
+    }
+
+    /// Seeded random words for the image test (splitmix64).
+    fn next(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        mix(0, *seed as i64)
+    }
+
+    #[test]
+    fn paged_image_behaves_like_a_flat_image() {
+        // Three pages, the last one partial.
+        let init: Vec<i64> = (0..2 * PAGE as i64 + 7)
+            .map(|i| if i % 3 == 0 { i } else { 0 })
+            .collect();
+        let len = init.len() as i64;
+        let at = |i: i64| Layout::GUARD + i;
+        let word = |i: i64| usize::try_from(i).ok().filter(|&w| w < init.len());
+        let fresh = Image::new(&init);
+        let mut seed = 19;
+        for _ in 0..16 {
+            let mut img = fresh.clone();
+            let mut flat = init.clone();
+            for _ in 0..200 {
+                let r = next(&mut seed);
+                // Word -4 up to len + 3: wild below, in range, wild above.
+                let i = (r % (len as u64 + 8)) as i64 - 4;
+                let val = match (r >> 32) % 4 {
+                    0 => word(i).map_or(5, |w| flat[w]), // the value already there
+                    1 => word(i).map_or(0, |w| init[w]), // back to the initial value
+                    _ => (r >> 40) as i64 % 5,           // few values, so words repeat
+                };
+                img.write(at(i), val);
+                if let Some(w) = word(i) {
+                    flat[w] = val;
+                }
+                for j in -3..len + 3 {
+                    let want = word(j).map_or(0, |w| flat[w]);
+                    assert_eq!(img.read(at(j)), want, "word {j}");
+                }
+            }
+            // The same contents written in another order, and built anew.
+            let mut reordered = fresh.clone();
+            for i in (0..len).rev() {
+                reordered.write(at(i), flat[i as usize]);
+            }
+            for other in [reordered, Image::new(&flat)] {
+                assert!(img == other, "equal contents compare equal");
+                assert_eq!(hash_of(&img), hash_of(&other));
+            }
+        }
+        // Writing a word and then its initial value back restores the image.
+        for i in 0..len {
+            let mut img = fresh.clone();
+            img.write(at(i), init[i as usize] + 1);
+            assert!(img != fresh, "word {i} changed");
+            img.write(at(i), init[i as usize]);
+            assert!(img == fresh, "word {i} restored");
+            assert_eq!(hash_of(&img), hash_of(&fresh), "word {i} restored");
         }
     }
 

@@ -13,7 +13,8 @@
 #   bench    cargo bench --no-run (compile smoke for every bench harness)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  memsim tests + litmus regressions + differential certify fuzz
-#            + certification and simulator goldens + CLI smoke
+#            + certification and simulator goldens + explorer memory pin
+#            + CLI smoke
 #   stream   windowed-vs-resident differential + CLI --window and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #            + restart on a killed daemon's socket
@@ -65,8 +66,9 @@ stage_certify() {
   echo "== memsim unit tests + litmus families =="
   cargo test -q -p memsim
 
-  echo "== litmus regressions + certify fuzz + certification and simulator goldens =="
-  cargo test -q -p fence-suite --test litmus_pipeline --test certify_fuzz --test golden_certify
+  echo "== litmus regressions + certify fuzz + certification and simulator goldens + explorer memory pin =="
+  cargo test -q -p fence-suite --test litmus_pipeline --test certify_fuzz --test golden_certify \
+    --test explorer_memory
 
   echo "== fenceplace --certify smoke (kernels + corpus, Control:x86tso + Control:weak) =="
   # Bounded state budget keeps the smoke fast; inconclusive/skipped
