@@ -29,8 +29,8 @@ pub struct Table2Row {
 }
 
 /// Runs acquire detection over the nine kernels (Table II) — one fleet
-/// over all nine modules, so the per-kernel analyses share the pool and
-/// the row interner instead of running in a hand-rolled loop.
+/// over all nine modules, so the per-kernel analyses share the pool
+/// instead of running in a hand-rolled loop.
 pub fn table2() -> Vec<Table2Row> {
     let kernels = corpus::kernels::all();
     let configs = vec![PipelineConfig::for_variant(Variant::AddressControl)];
@@ -135,9 +135,9 @@ impl StaticRow {
 
 /// Runs the static pipeline (Figures 7, 8, 9) over the whole corpus as
 /// **one fleet**: all seventeen programs' per-function work units share
-/// the persistent pool and the fleet-wide row interner, instead of the
-/// old per-program batch loop with a stage barrier at every program
-/// boundary. Results are bit-identical to the loop (the fleet contract).
+/// the persistent pool, instead of the old per-program batch loop with a
+/// stage barrier at every program boundary. Results are bit-identical to
+/// the loop (the fleet contract).
 pub fn static_rows(p: &Params) -> Vec<StaticRow> {
     let progs = corpus::programs(p);
     let configs = vec![

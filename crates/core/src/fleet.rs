@@ -21,10 +21,8 @@
 //!    [`ModuleAnalysis`] unit per module (the per-module analysis runs
 //!    sequentially inside its unit, so independent modules fill the
 //!    cores with no nested pool entry) *and* one [`FuncSubstrate`] unit
-//!    per function of any module, built through one fleet-wide
-//!    [`RowInterner`] so identical reachability rows across repeated
-//!    corpus kernels are stored once. A substrate depends only on the
-//!    IR, never on points-to, so CFG builds overlap the points-to solves;
+//!    per function of any module. A substrate depends only on the IR,
+//!    never on points-to, so CFG builds overlap the points-to solves;
 //! 3. *contexts* — one [`FuncContext`] (alias oracle + escape set +
 //!    orderings) per function of any module; the first stage with a
 //!    true dependency edge on both the analysis and the substrate;
@@ -94,7 +92,7 @@ use crate::pipeline::{
 use crate::pool::ThreadPool;
 use crate::report::{FleetStage, FuncReport, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
-use fence_ir::cfg::{FuncSubstrate, RowInterner};
+use fence_ir::cfg::FuncSubstrate;
 use fence_ir::{FuncId, Function, Module};
 use std::sync::{Arc, Mutex};
 
@@ -205,8 +203,8 @@ pub struct FleetResult {
 }
 
 /// Work accounting for one fleet run — the observables behind the
-/// "exactly one analysis / substrate build per module" contract and the
-/// row-interning savings, surfaced in CLI roll-ups and pinned by tests.
+/// "exactly one analysis / substrate build per module" contract,
+/// surfaced in CLI roll-ups and pinned by tests.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct FleetStats {
     /// Jobs in the fleet.
@@ -225,13 +223,6 @@ pub struct FleetStats {
     /// the analysis units, so a module quarantined by its analysis still
     /// counts its discarded substrate builds here).
     pub substrates: usize,
-    /// Distinct reachability rows retained by the fleet-wide interner.
-    pub unique_rows: usize,
-    /// Row-intern lookups served by an already-stored row — each one a
-    /// row allocation the per-module loop would have paid.
-    pub row_hits: usize,
-    /// Total `u64` words retained across the distinct rows.
-    pub row_words: usize,
     /// Modules quarantined with a non-[`ModuleOutcome::Ok`] outcome.
     pub failed: usize,
     /// Certification reports produced (0 when the stage is disabled).
@@ -254,16 +245,11 @@ pub struct FleetStats {
 /// Folds the per-module stats of one streamed inner run into the
 /// stream-wide accumulator. `modules`/`failed` and the residency peaks
 /// are tracked by the streamed scheduler itself; the work counters sum.
-/// Note `unique_rows`/`row_hits` sum *per-module* interners here — a
-/// bounded window cannot hold a fleet-wide row table.
 fn fold_stats(acc: &mut FleetStats, s: &FleetStats) {
     acc.functions += s.functions;
     acc.configs += s.configs;
     acc.analyses += s.analyses;
     acc.substrates += s.substrates;
-    acc.unique_rows += s.unique_rows;
-    acc.row_hits += s.row_hits;
-    acc.row_words += s.row_words;
     acc.failed += s.failed;
     acc.certifications += s.certifications;
     acc.certify_unsound += s.certify_unsound;
@@ -551,12 +537,8 @@ pub fn run_fleet_with(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, F
 /// Runs the fleet under explicit [`FleetOptions`]. See the module docs
 /// for the stage structure and the failure-isolation contract.
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
-    let interner = RowInterner::new();
     let mut seeds: Vec<Seed> = jobs.iter().map(|_| Seed::default()).collect();
-    let (placed, mut stats) = run_seeded(jobs, &mut seeds, opts, &interner);
-    stats.unique_rows = interner.unique_rows();
-    stats.row_hits = interner.hits();
-    stats.row_words = interner.retained_words();
+    let (placed, stats) = run_seeded(jobs, &mut seeds, opts);
     let results = jobs
         .iter()
         .zip(placed)
@@ -626,13 +608,11 @@ pub(crate) struct Placed {
 /// The fleet executor. Runs every job's stage sequence, taking from its
 /// [`Seed`] whatever is already done: units run only for what the seed
 /// lacks, while every stage boundary charges the plan of the *full*
-/// request. Interner statistics are the caller's, since the interner
-/// is.
+/// request.
 pub(crate) fn run_seeded(
     jobs: &[FleetJob],
     seeds: &mut [Seed],
     opts: &FleetOptions,
-    interner: &RowInterner,
 ) -> (Vec<Placed>, FleetStats) {
     let nj = jobs.len();
     let (parallel, isolate) = (opts.parallel, opts.isolate);
@@ -691,10 +671,10 @@ pub(crate) fn run_seeded(
     // A `FuncSubstrate` depends only on the IR, never on the module
     // analysis, so one combined unit list holds every missing
     // `ModuleAnalysis` (sequential *inside* its unit — nesting the pool
-    // would deadlock) followed by every missing substrate, rows interned
-    // through one interner. While one worker grinds a big module's
-    // points-to, others already build CFGs — of that module and every
-    // other. Only the context stage carries a true edge on both.
+    // would deadlock) followed by every missing substrate. While one
+    // worker grinds a big module's points-to, others already build CFGs
+    // — of that module and every other. Only the context stage carries a
+    // true edge on both.
     //
     // Analysis units come *first* in the combined list and their results
     // are absorbed first, so a module failing both stages is attributed
@@ -732,10 +712,7 @@ pub(crate) fn run_seeded(
             let (j, f) = func_units[substrate_units[u - na]];
             let job = &jobs[j as usize];
             faultinject::panic_point(&job.name, FleetStage::Substrates);
-            BuildUnit::Substrate(FuncSubstrate::new_interned(
-                job.module.func(FuncId::new(f as usize)),
-                interner,
-            ))
+            BuildUnit::Substrate(FuncSubstrate::new(job.module.func(FuncId::new(f as usize))))
         }
     });
     let mut bres = bres.into_iter();
@@ -968,7 +945,6 @@ pub(crate) fn run_seeded(
         // are exactly the fleet size.
         peak_resident_modules: nj,
         peak_resident_insts: jobs.iter().map(|j| j.module.total_insts() as u64).sum(),
-        ..FleetStats::default()
     };
 
     let mut out = Vec::with_capacity(nj);
@@ -1236,19 +1212,18 @@ impl<I> StreamState<I> {
 ///
 /// * `None` — the whole stream is materialized (texts parsed in one
 ///   pooled ingest pass) and handed to [`run_fleet_opts`]: per-module
-///   results are **bit-identical** to a resident run, including the
-///   fleet-wide row interning. `on_complete` fires in admission order.
+///   results are **bit-identical** to a resident run. `on_complete`
+///   fires in admission order.
 /// * `Some(w)` — at most `w` items are resident at once; a new item is
 ///   admitted the moment a prior one retires, and each admitted text's
 ///   ingest parse runs as its own pool task overlapped with other
 ///   modules' analysis. Each module is analyzed by an exact per-module
 ///   [`run_fleet_opts`] invocation, so quarantine, budget charging, and
 ///   per-module results match the resident scheduler bit-for-bit (the
-///   fleet≡per-module-batch equivalence is pinned by `tests/fleet.rs`);
-///   only cross-module row-interner sharing is forgone. `on_complete`
-///   may fire in any order — every delivery carries its admission index,
-///   and summaries/stats are index-keyed, so sequential and pooled runs
-///   produce identical summaries.
+///   fleet≡per-module-batch equivalence is pinned by `tests/fleet.rs`).
+///   `on_complete` may fire in any order — every delivery carries its
+///   admission index, and summaries/stats are index-keyed, so sequential
+///   and pooled runs produce identical summaries.
 ///
 /// Quarantine semantics extend to ingestion: a [`StreamItem::Failed`]
 /// loads as [`ModuleOutcome::LoadFailed`], an unparsable text as
@@ -1578,7 +1553,6 @@ mod tests {
         assert!(results.is_empty());
         assert_eq!(stats.modules, 0);
         assert_eq!(stats.analyses, 0);
-        assert_eq!(stats.unique_rows, 0);
         assert_eq!(stats.failed, 0);
     }
 
@@ -1636,27 +1610,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn identical_modules_share_interned_rows() {
-        let a = spin_module("a", 4);
-        let b = spin_module("b", 4);
-        let configs = vec![PipelineConfig::for_variant(Variant::Control)];
-        let (_, solo) = run_fleet_with(&[FleetJob::new("a", &a, configs.clone())], false);
-        let (_, both) = run_fleet_with(
-            &[
-                FleetJob::new("a", &a, configs.clone()),
-                FleetJob::new("b", &b, configs.clone()),
-            ],
-            false,
-        );
-        assert_eq!(
-            both.unique_rows, solo.unique_rows,
-            "a structurally identical module adds no distinct rows"
-        );
-        assert!(both.row_hits > solo.row_hits);
-        assert_eq!(both.substrates, 2 * solo.substrates);
     }
 
     #[test]

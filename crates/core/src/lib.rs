@@ -35,9 +35,8 @@
 //! sweep. Multi-module callers (corpus sweeps, the `fenceplace` CLI,
 //! figure harnesses) use [`run_fleet`], which schedules per-(module,
 //! function) work units from *many* modules onto the persistent pool in
-//! single cross-module passes, with reachability rows interned
-//! fleet-wide. The resident [`Service`] seeds the same executor with the
-//! work its cache already holds.
+//! single cross-module passes. The resident [`Service`] seeds the same
+//! executor with the work its cache already holds.
 
 #![warn(missing_docs)]
 

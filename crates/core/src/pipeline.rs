@@ -138,8 +138,8 @@ pub struct PipelineResult {
 /// Built once per function and shared across both slicer passes of
 /// `detect_acquires` and across every config of a batch run.
 ///
-/// The CFG substrate ([`FuncSubstrate`]: `Cfg` + `Reachability`) is built
-/// exactly **once** per function per run — the fleet executor holds
+/// The CFG substrate ([`FuncSubstrate`]: the `Reachability` table) is
+/// built exactly **once** per function per run — the fleet executor holds
 /// one per function and every stage downstream (ordering generation,
 /// pruning, fence minimization) borrows it; a counter test below pins
 /// that nothing rebuilds it behind the cache's back.
@@ -150,9 +150,8 @@ pub struct FuncContext<'a> {
     pub oracle: AliasOracle<'a>,
     /// The function's escaping-access set (borrowed from the analysis).
     pub escaping: &'a BitSet,
-    /// The cache-once CFG + reachability substrate.
-    pub substrate: &'a FuncSubstrate,
-    /// Block-aggregated ordering relation (borrows `substrate`).
+    /// Block-aggregated ordering relation (borrows the function's
+    /// cache-once CFG substrate).
     pub orderings: FuncOrderings<'a>,
     /// Per-variant [`SyncAggregates`] (sync tallies + per-SCC sync sums),
     /// computed lazily on first use and then shared between the
@@ -177,7 +176,6 @@ impl<'a> FuncContext<'a> {
             fid,
             oracle: AliasOracle::new(module, &analysis.points_to, fid),
             escaping: analysis.escape.escaping_set(fid),
-            substrate,
             orderings: FuncOrderings::generate(module, &analysis.escape, fid, substrate),
             sync_aggs: [const { OnceLock::new() }; 4],
             total_counts: OnceLock::new(),

@@ -19,9 +19,9 @@
 //!    dirty sets** possible: when a name re-arrives with changed text,
 //!    the previous version's per-function hashes
 //!    ([`corpus::hash::func_hashes`]) say exactly which functions
-//!    changed, and only those rebuild their interned
-//!    [`FuncSubstrate`]s — the same per-(module, function) work units
-//!    the fleet schedules, just filtered to the dirty set. The
+//!    changed, and only those rebuild their [`FuncSubstrate`]s — the
+//!    same per-(module, function) work units the fleet schedules, just
+//!    filtered to the dirty set. The
 //!    module-wide [`ModuleAnalysis`] (points-to + escape) re-runs on any
 //!    change — it is a whole-module fixpoint and caching it per function
 //!    would be unsound.
@@ -39,9 +39,9 @@
 //!
 //! Eviction is LRU over whole entries, opt-in via
 //! [`ServiceOptions::capacity`]: when the entry count exceeds the
-//! capacity, least-recently-used entries are dropped (their interned
-//! reachability rows stay in the service-wide [`RowInterner`], which is
-//! append-only — the streaming roadmap's row-LRU applies here too).
+//! capacity, least-recently-used entries are dropped with everything
+//! they hold — each substrate owns its reachability rows, so a capped
+//! service's memory stays bounded (pinned by `tests/service_memory.rs`).
 //!
 //! The wire protocol over this engine lives in [`wire`]; the transport
 //! loops (Unix socket, stdio) live in the `fenceplace` binary.
@@ -55,7 +55,7 @@ use crate::pipeline::PipelineConfig;
 use crate::report::{FleetStage, ModuleOutcome};
 use corpus::hash::{content_hash, func_hashes, ContentHash};
 use fence_analysis::ModuleAnalysis;
-use fence_ir::cfg::{FuncSubstrate, RowInterner};
+use fence_ir::cfg::FuncSubstrate;
 use fence_ir::Module;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,8 +155,8 @@ pub struct ServiceStats {
 }
 
 /// One resident module: parsed IR, per-function content hashes, the
-/// module-wide analysis, interned substrates, and every config report
-/// line rendered so far.
+/// module-wide analysis, substrates, and every config report line
+/// rendered so far.
 struct Entry {
     /// Parsed module (`None` for quarantined entries).
     module: Option<Module>,
@@ -168,7 +168,7 @@ struct Entry {
     funcs: Vec<(String, ContentHash)>,
     /// Module-wide analysis (absent until a non-`Manual` config needs it).
     analysis: Option<ModuleAnalysis>,
-    /// Interned substrates, aligned with `funcs` (`None` until built).
+    /// Substrates, aligned with `funcs` (`None` until built).
     substrates: Vec<Option<Arc<FuncSubstrate>>>,
     /// Rendered config report lines keyed by `(variant, target)` index.
     reports: HashMap<(usize, usize), String>,
@@ -182,7 +182,6 @@ struct Entry {
 /// [`ServiceStats`] snapshot.
 pub struct Service {
     opts: ServiceOptions,
-    interner: RowInterner,
     entries: HashMap<ContentHash, Entry>,
     names: HashMap<String, ContentHash>,
     tick: u64,
@@ -226,7 +225,6 @@ impl Service {
     pub fn new(opts: ServiceOptions) -> Self {
         Service {
             opts,
-            interner: RowInterner::new(),
             entries: HashMap::new(),
             names: HashMap::new(),
             tick: 0,
@@ -453,8 +451,7 @@ impl Service {
             substrates: std::mem::take(&mut entry.substrates),
             cached,
         }];
-        let (mut fleet, stats) =
-            run_seeded(std::slice::from_ref(&job), &mut seeds, opts, &self.interner);
+        let (mut fleet, stats) = run_seeded(std::slice::from_ref(&job), &mut seeds, opts);
         self.stats.analyses += stats.analyses as u64;
         self.stats.substrates_built += stats.substrates as u64;
         let [seed] = seeds;

@@ -11,29 +11,16 @@
 //! ## Shared substrate
 //!
 //! Building a [`Cfg`] and its [`Reachability`] is pure per-function work
-//! that several downstream stages consume (ordering generation, fence
-//! minimization, reports). [`FuncSubstrate`] bundles the two so callers
-//! build them **exactly once per function** and thread borrowed
+//! whose table several downstream stages consume (ordering generation,
+//! fence minimization, reports). [`FuncSubstrate`] holds the table so
+//! callers build both **exactly once per function** and thread borrowed
 //! references everywhere else; the thread-local [`cfg_builds`] /
 //! [`reachability_builds`] counters let tests pin that no stage rebuilds
 //! them behind the cache's back.
-//!
-//! ## Row interning
-//!
-//! Reachability rows are stored behind `Arc`s: within one function every
-//! block of an SCC already shares a single row, and a [`RowInterner`]
-//! extends that sharing *across* functions and modules — a fleet run over
-//! a corpus with repeated kernels hands every substrate build the same
-//! interner, so structurally identical rows (same universe, same bits —
-//! ubiquitous across straight-line functions and stamped-out corpus
-//! kernels) are stored once process-wide instead of once per function.
-//! The SCC-sum walks of ordering generation then traverse one shared
-//! allocation instead of per-function clones.
 
 use crate::func::Function;
 use crate::ids::BlockId;
-use crate::util::{BitSet, FastSet};
-use std::sync::{Arc, Mutex};
+use crate::util::BitSet;
 
 thread_local! {
     static CFG_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -51,92 +38,6 @@ pub fn cfg_builds() -> usize {
 /// thread** (see [`cfg_builds`]).
 pub fn reachability_builds() -> usize {
     REACH_BUILDS.with(|c| c.get())
-}
-
-/// A thread-safe deduplicating store for reachability rows.
-///
-/// [`Reachability::new_interned`] hands every finished row to the
-/// interner; structurally identical rows (same universe, same bits) come
-/// back as clones of one shared `Arc<BitSet>`, so a batch over many
-/// structurally similar functions — repeated corpus kernels, stamped-out
-/// synthetic workers — stores each distinct row exactly once. The hit
-/// counter records how many row lookups were served from the store
-/// rather than allocated fresh.
-///
-/// ```
-/// use fence_ir::builder::FunctionBuilder;
-/// use fence_ir::cfg::{FuncSubstrate, RowInterner};
-///
-/// let interner = RowInterner::new();
-/// let funcs: Vec<_> = (0..3)
-///     .map(|i| {
-///         let mut fb = FunctionBuilder::new(format!("f{i}"), 0);
-///         fb.ret(None);
-///         fb.build()
-///     })
-///     .collect();
-/// let subs: Vec<FuncSubstrate> = funcs
-///     .iter()
-///     .map(|f| FuncSubstrate::new_interned(f, &interner))
-///     .collect();
-/// // Three structurally identical functions share one stored row.
-/// assert_eq!(interner.unique_rows(), 1);
-/// assert_eq!(interner.hits(), 2);
-/// assert!(std::ptr::eq(
-///     subs[0].reach.row(funcs[0].entry),
-///     subs[2].reach.row(funcs[2].entry),
-/// ));
-/// ```
-#[derive(Default)]
-pub struct RowInterner {
-    inner: Mutex<InternerInner>,
-}
-
-#[derive(Default)]
-struct InternerInner {
-    rows: FastSet<Arc<BitSet>>,
-    hits: usize,
-}
-
-impl RowInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the shared `Arc` for `row`, storing it on first sight.
-    pub fn intern(&self, row: BitSet) -> Arc<BitSet> {
-        let mut g = self.inner.lock().unwrap();
-        if let Some(existing) = g.rows.get(&row).map(Arc::clone) {
-            g.hits += 1;
-            return existing;
-        }
-        let arc = Arc::new(row);
-        g.rows.insert(Arc::clone(&arc));
-        arc
-    }
-
-    /// Number of distinct rows stored.
-    pub fn unique_rows(&self) -> usize {
-        self.inner.lock().unwrap().rows.len()
-    }
-
-    /// Number of `intern` calls answered by an already-stored row.
-    pub fn hits(&self) -> usize {
-        self.inner.lock().unwrap().hits
-    }
-
-    /// Total `u64` words retained across all distinct rows — the storage
-    /// actually paid, for memory accounting in fleet roll-ups.
-    pub fn retained_words(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .rows
-            .iter()
-            .map(|r| r.words().len())
-            .sum()
-    }
 }
 
 /// Successor / predecessor maps of a function's CFG.
@@ -231,10 +132,8 @@ pub struct Reachability {
     /// SCC id of each block; ids are assigned in Tarjan completion order,
     /// which is reverse-topological over the condensation.
     scc: Vec<u32>,
-    /// One reachable-block row per SCC, shared by all its members — and,
-    /// when built through a [`RowInterner`], shared with every other
-    /// function whose SCC reaches an identical block set.
-    rows: Vec<Arc<BitSet>>,
+    /// One reachable-block row per SCC, shared by all its members.
+    rows: Vec<BitSet>,
     /// Per SCC: more than one member, or a self edge.
     cyclic: Vec<bool>,
     /// Per SCC: a successor SCC in the condensation whose row is a
@@ -248,17 +147,6 @@ pub struct Reachability {
 impl Reachability {
     /// Computes all-pairs reachability via SCC condensation.
     pub fn new(cfg: &Cfg) -> Self {
-        Self::build(cfg, None)
-    }
-
-    /// Like [`Reachability::new`], but hands every finished row to
-    /// `interner` so identical rows across functions share one
-    /// allocation. Queries are unaffected; only storage is deduplicated.
-    pub fn new_interned(cfg: &Cfg, interner: &RowInterner) -> Self {
-        Self::build(cfg, Some(interner))
-    }
-
-    fn build(cfg: &Cfg, interner: Option<&RowInterner>) -> Self {
         REACH_BUILDS.with(|c| c.set(c.get() + 1));
         let n = cfg.num_blocks();
         let scc = tarjan_sccs(cfg);
@@ -283,14 +171,14 @@ impl Reachability {
         // `merged` is a generation stamp deduplicating successor SCCs, so
         // each distinct successor row is unioned once per source SCC (not
         // once per edge).
-        let mut rows: Vec<Arc<BitSet>> = Vec::with_capacity(num_sccs);
+        let mut rows: Vec<BitSet> = Vec::with_capacity(num_sccs);
         let mut merged = vec![u32::MAX; num_sccs];
         let mut base = vec![u32::MAX; num_sccs];
         // Row popcounts, memoized lazily: only rows actually *compared*
         // (successors of SCCs with several distinct successors) pay the
         // count sweep — an SCC with one successor picks it unconditionally.
         let mut sizes: Vec<u32> = vec![u32::MAX; num_sccs];
-        fn size_of(sizes: &mut [u32], rows: &[Arc<BitSet>], s: usize) -> u32 {
+        fn size_of(sizes: &mut [u32], rows: &[BitSet], s: usize) -> u32 {
             if sizes[s] == u32::MAX {
                 sizes[s] = rows[s].count() as u32;
             }
@@ -325,10 +213,7 @@ impl Reachability {
                 }
             }
             base[s] = best;
-            rows.push(match interner {
-                Some(i) => i.intern(row),
-                None => Arc::new(row),
-            });
+            rows.push(row);
         }
 
         Reachability {
@@ -400,11 +285,10 @@ impl Reachability {
     }
 }
 
-/// The cache-once per-function CFG substrate: a [`Cfg`] and the
-/// [`Reachability`] table derived from it, built together exactly once
-/// and then shared by reference across every stage that needs
-/// control-flow structure (ordering generation, pruning, fence
-/// minimization, reports).
+/// The cache-once per-function CFG substrate: the [`Reachability`] table
+/// of the function's [`Cfg`], built exactly once and then shared by
+/// reference across every stage that needs control-flow structure
+/// (ordering generation, pruning, fence minimization, reports).
 ///
 /// The fence-placement pipeline owns one `FuncSubstrate` per function
 /// (inside its per-function analysis context) for the lifetime of a
@@ -412,27 +296,16 @@ impl Reachability {
 /// [`Reachability::new`] again.
 #[derive(Clone, Debug)]
 pub struct FuncSubstrate {
-    /// Successor/predecessor maps.
-    pub cfg: Cfg,
-    /// All-pairs reachability over `cfg`, one shared row per SCC.
+    /// All-pairs reachability over the function's CFG, one row per SCC.
     pub reach: Reachability,
 }
 
 impl FuncSubstrate {
-    /// Builds the CFG and its reachability table for `func`.
+    /// Builds the CFG of `func` and its reachability table.
     pub fn new(func: &Function) -> Self {
-        let cfg = Cfg::new(func);
-        let reach = Reachability::new(&cfg);
-        FuncSubstrate { cfg, reach }
-    }
-
-    /// Like [`FuncSubstrate::new`], but interns reachability rows through
-    /// the shared `interner` so substrates of structurally identical
-    /// functions (repeated corpus kernels in a fleet) share row storage.
-    pub fn new_interned(func: &Function, interner: &RowInterner) -> Self {
-        let cfg = Cfg::new(func);
-        let reach = Reachability::new_interned(&cfg, interner);
-        FuncSubstrate { cfg, reach }
+        FuncSubstrate {
+            reach: Reachability::new(&Cfg::new(func)),
+        }
     }
 }
 
@@ -820,43 +693,6 @@ mod tests {
         assert!(reach.row(BlockId::new(1)).contains(2));
         assert!(reach.row(BlockId::new(1)).contains(3));
         assert!(!reach.row(BlockId::new(1)).contains(0));
-    }
-
-    #[test]
-    fn interned_rows_dedup_identical_functions() {
-        let f = diamond();
-        let interner = RowInterner::new();
-        let a = FuncSubstrate::new_interned(&f, &interner);
-        let rows_after_one = interner.unique_rows();
-        let hits_after_one = interner.hits();
-        let b = FuncSubstrate::new_interned(&f, &interner);
-        assert_eq!(
-            interner.unique_rows(),
-            rows_after_one,
-            "an identical function must add no new rows"
-        );
-        assert!(
-            interner.hits() > hits_after_one,
-            "second build hits the store"
-        );
-        assert!(interner.retained_words() > 0);
-        // Storage is shared across the two functions…
-        assert!(std::ptr::eq(a.reach.row(f.entry), b.reach.row(f.entry)));
-        // …and queries are unaffected by interning.
-        let plain = FuncSubstrate::new(&f);
-        for x in 0..f.num_blocks() {
-            for y in 0..f.num_blocks() {
-                assert_eq!(
-                    a.reach.reaches(BlockId::new(x), BlockId::new(y)),
-                    plain.reach.reaches(BlockId::new(x), BlockId::new(y)),
-                    "reaches({x}, {y})"
-                );
-            }
-            assert_eq!(
-                a.reach.in_cycle(BlockId::new(x)),
-                plain.reach.in_cycle(BlockId::new(x))
-            );
-        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod value;
 pub mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
-pub use cfg::{Cfg, FuncSubstrate, Reachability, RowInterner};
+pub use cfg::{Cfg, FuncSubstrate, Reachability};
 pub use func::{Block, Function, Inst};
 pub use ids::{BlockId, FuncId, GlobalId, InstId, LocalId};
 pub use inst::{BinOp, CmpOp, FenceKind, InstKind, Intrinsic, RmwOp};

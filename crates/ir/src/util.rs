@@ -68,10 +68,8 @@ pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 /// A fixed-capacity dense bitset over `usize` indices.
 ///
 /// Used for reachability matrices, escape sets and worklist "seen" sets
-/// where the universe is a dense id space. Hashable (words + universe),
-/// so identical sets can be interned and shared (see
-/// [`crate::cfg::RowInterner`]).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// where the universe is a dense id space.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

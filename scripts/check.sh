@@ -16,8 +16,8 @@
 #            + certification and simulator goldens + explorer memory pin
 #            + CLI smoke
 #   stream   windowed-vs-resident differential + CLI --window and pack: smokes
-#   serve    service suite (protocol contract + cache pins) + daemon smoke
-#            + restart on a killed daemon's socket
+#   serve    service suite (protocol contract + cache pins) + capped-cache
+#            memory pin + daemon smoke + restart on a killed daemon's socket
 #   perfbench  the benchmark harness compiles and its tests pass
 #   all      every stage above, in CI order (the default)
 set -euo pipefail
@@ -118,8 +118,8 @@ stage_stream() {
 }
 
 stage_serve() {
-  echo "== service suite (protocol contract, service≡CLI differential, cache pins) =="
-  cargo test -q -p fence-suite --test service
+  echo "== service suite (protocol contract, service≡CLI differential, cache pins, memory pin) =="
+  cargo test -q -p fence-suite --test service --test service_memory
 
   echo "== serve daemon smoke (cold corpus, warm --expect-hit corpus, shutdown) =="
   # Start a daemon, run the full corpus through it twice — the second

@@ -37,8 +37,8 @@
 //! # Streaming
 //!
 //! File-backed specs are always read lazily. Without `--window`, every
-//! module is resident at once and the fleet interns reachability rows
-//! across all of them. `--window N` is the one streaming knob: at most
+//! module is resident at once and the fleet schedules all of them in
+//! one pass per stage. `--window N` is the one streaming knob: at most
 //! N modules are resident at once, and each per-module report is written
 //! to `--out` the moment its module retires. Per-module reports are
 //! byte-identical either way. `--stream` is accepted and does nothing.
@@ -332,16 +332,9 @@ fn rollup_json(
     );
     let _ = writeln!(
         out,
-        "  \"fleet\": {{\"analyses\": {}, \"substrates\": {}, \"unique_rows\": {}, \
-         \"row_hits\": {}, \"row_words\": {}, \"certifications\": {}, \
+        "  \"fleet\": {{\"analyses\": {}, \"substrates\": {}, \"certifications\": {}, \
          \"certify_unsound\": {}, \"wall_ms\": {wall_ms:.3}}},",
-        stats.analyses,
-        stats.substrates,
-        stats.unique_rows,
-        stats.row_hits,
-        stats.row_words,
-        stats.certifications,
-        stats.certify_unsound
+        stats.analyses, stats.substrates, stats.certifications, stats.certify_unsound
     );
     let window_json = match window {
         Some(w) => w.to_string(),

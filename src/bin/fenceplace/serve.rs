@@ -158,6 +158,35 @@ enum Flow {
     Shutdown,
 }
 
+/// Runs one session until EOF or a `shutdown` request (then returns
+/// [`Flow::Shutdown`]). Request lines are read as bytes, so a line that
+/// is not UTF-8 is answered by [`handle_line`] like any other malformed
+/// line instead of ending the session.
+fn session(
+    service: &Mutex<Service>,
+    params: &Params,
+    reader: &mut dyn BufRead,
+    writer: &mut dyn Write,
+) -> std::io::Result<Flow> {
+    let mut greeted = false;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(Flow::Continue); // EOF: the client hung up
+        }
+        let mut out = Vec::new();
+        let flow = handle_line(service, params, &mut greeted, &line, &mut out);
+        for resp in &out {
+            writeln!(writer, "{resp}")?;
+        }
+        writer.flush()?;
+        if matches!(flow, Flow::Shutdown) {
+            return Ok(flow);
+        }
+    }
+}
+
 /// Handles one request line, pushing zero or more response lines onto
 /// `out`. `greeted` is the per-connection handshake latch: nothing but
 /// `hello` is served before it, and a failed handshake leaves the
@@ -166,10 +195,20 @@ fn handle_line(
     service: &Mutex<Service>,
     params: &Params,
     greeted: &mut bool,
-    line: &str,
+    line: &[u8],
     out: &mut Vec<String>,
 ) -> Flow {
-    let line = line.trim();
+    let line = match std::str::from_utf8(line) {
+        Ok(line) => line.trim(),
+        Err(e) => {
+            out.push(wire::error_json(
+                None,
+                "bad_json",
+                &format!("bad JSON: {e}"),
+            ));
+            return Flow::Continue;
+        }
+    };
     if line.is_empty() {
         return Flow::Continue;
     }
@@ -314,22 +353,9 @@ fn expand_spec(
 }
 
 fn serve_stdio(service: &Mutex<Service>, params: &Params) -> Result<u8, String> {
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    let mut greeted = false;
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        let mut out = Vec::new();
-        let flow = handle_line(service, params, &mut greeted, &line, &mut out);
-        for resp in &out {
-            writeln!(stdout, "{resp}").map_err(|e| format!("stdout: {e}"))?;
-        }
-        stdout.flush().map_err(|e| format!("stdout: {e}"))?;
-        if matches!(flow, Flow::Shutdown) {
-            return Ok(0);
-        }
-    }
-    Ok(0) // EOF: the client hung up; a clean shutdown.
+    let (mut stdin, mut stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+    session(service, params, &mut stdin, &mut stdout).map_err(|e| format!("stdio: {e}"))?;
+    Ok(0) // a shutdown request or EOF: a clean shutdown either way
 }
 
 /// Binds the socket at `path`, replacing a stale socket file left by a
@@ -414,29 +440,11 @@ fn handle_conn(
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut greeted = false;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return, // client hung up
-            Ok(_) => {}
-        }
-        let mut out = Vec::new();
-        let flow = handle_line(service, &params, &mut greeted, &line, &mut out);
-        for resp in &out {
-            if writeln!(writer, "{resp}").is_err() {
-                return;
-            }
-        }
-        let _ = writer.flush();
-        if matches!(flow, Flow::Shutdown) {
-            stop.store(true, Ordering::SeqCst);
-            // The accept loop is blocked in `incoming()`; a throwaway
-            // connection wakes it so it can observe `stop` and exit.
-            let _ = UnixStream::connect(path);
-            return;
-        }
+    // An I/O error ends the connection like a hang-up.
+    if let Ok(Flow::Shutdown) = session(service, &params, &mut reader, &mut &stream) {
+        stop.store(true, Ordering::SeqCst);
+        // The accept loop is blocked in `incoming()`; a throwaway
+        // connection wakes it so it can observe `stop` and exit.
+        let _ = UnixStream::connect(path);
     }
 }

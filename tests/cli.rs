@@ -397,7 +397,7 @@ fn streamed_reports_are_byte_identical_to_resident() {
     assert_eq!(exit_code(&streamed), 0, "stderr: {}", stderr(&streamed));
 
     // Every per-module report matches byte for byte; only the summary
-    // (wall-clock, interner stats, stream block) may differ.
+    // (wall-clock, stream block) may differ.
     let mut names: Vec<String> = std::fs::read_dir(&out_r)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())

@@ -112,13 +112,6 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
         total_funcs,
         "one Reachability build per function for the whole fleet"
     );
-    // Row interning across the corpus pays: strictly fewer distinct rows
-    // than intern calls (corpus kernels share CFG shapes).
-    assert!(stats.unique_rows > 0);
-    assert!(
-        stats.row_hits > 0,
-        "a 26-module corpus must share at least one reachability row"
-    );
 }
 
 /// Edge cases: an empty fleet, a job with no configs at all, and an

@@ -903,3 +903,75 @@ fn finished_connection_threads_are_reaped() {
          finished connection threads keep their stacks"
     );
 }
+
+// ---------------------------------------------------------------------
+// A request line that is not UTF-8 is a `bad_json` error on either
+// transport, and the session goes on.
+// ---------------------------------------------------------------------
+
+/// `hello`, a line that is not UTF-8, `stats` and `shutdown`.
+const NON_UTF8_SESSION: &[u8] = b"{\"id\":1,\"type\":\"hello\",\"version\":1}\n\
+    {\"id\":2,\xff\xfe}\n\
+    {\"id\":3,\"type\":\"stats\"}\n\
+    {\"id\":4,\"type\":\"shutdown\"}\n";
+
+/// Checks the daemon answered each of the four lines of
+/// [`NON_UTF8_SESSION`] in order.
+fn assert_non_utf8_replies(out: &[u8]) {
+    let text = String::from_utf8(out.to_vec()).expect("utf8 output");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "one reply per request line:\n{text}");
+    assert!(lines[0].contains("\"type\":\"hello\""), "{}", lines[0]);
+    assert!(
+        lines[1].starts_with("{\"id\":null,\"type\":\"error\",\"code\":\"bad_json\","),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        lines[2].starts_with("{\"id\":3,\"type\":\"stats\","),
+        "{}",
+        lines[2]
+    );
+    assert_eq!(lines[3], "{\"id\":4,\"type\":\"bye\"}");
+}
+
+#[test]
+fn stdio_session_survives_a_non_utf8_line() {
+    let mut child = Command::new(bin())
+        .args(["serve", "--stdio", "--seq"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve --stdio");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(NON_UTF8_SESSION)
+        .expect("send the session");
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "daemon exit: {:?}", out.status);
+    assert_non_utf8_replies(&out.stdout);
+}
+
+#[test]
+fn socket_connection_survives_a_non_utf8_line() {
+    use std::io::Read as _;
+    let dir = scratch("non-utf8");
+    let sock = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&sock);
+    wait_until_serving(&sock);
+    let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    stream
+        .write_all(NON_UTF8_SESSION)
+        .expect("send the session");
+    // The daemon closes the connection after `bye`.
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).expect("read the replies");
+    assert_non_utf8_replies(&out);
+    let status = daemon.0.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exit status: {status:?}");
+    assert!(!sock.exists(), "daemon removes its socket file on shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
