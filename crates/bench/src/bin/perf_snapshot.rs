@@ -32,8 +32,8 @@
 //!
 //! A `stream` section times the same multi-module workload fed as
 //! printed texts: serial vs pooled parse throughput, and the full
-//! resident streamed run (`window: None`) against the windowed admission
-//! scheduler — recorded, like `fleet`, but not gated.
+//! resident streamed run (`window: None`) against the windowed worker
+//! loop — recorded, like `fleet`, but not gated.
 //!
 //! A `service` section times the analysis service (`fenceplace serve`'s
 //! core) over the same workload: a cold pass through a fresh
@@ -274,9 +274,9 @@ fn fleet_vs_loop(entries: &[corpus::ManifestEntry]) -> (f64, f64) {
 
 /// Streamed-ingestion timings over the multi-module workload fed as
 /// printed texts: serial vs pooled parse throughput, and resident
-/// (`window: None`) vs windowed streamed runs of the same single-config
-/// fleet. Demonstrates that windowed admission with off-thread parsing
-/// keeps wall-clock at (or under, multi-core) the resident run.
+/// (`window: None`) vs windowed (`window: Some(STREAM_WINDOW)`) streamed
+/// runs of the same single-config fleet, each the best of its reps.
+/// Recorded side by side, not compared or gated.
 fn stream_snapshot(entries: &[corpus::ManifestEntry]) -> String {
     let texts: Vec<(String, String)> = entries
         .iter()

@@ -162,9 +162,10 @@ pub struct FleetOptions {
     /// non-minimal placement) is a result, not a quarantine. `None`
     /// (the default) skips the stage entirely.
     pub certify: Option<CertifyOptions>,
-    /// Streamed-admission window for [`run_fleet_streamed`]: at most
-    /// this many modules are resident (admitted but not yet retired) at
-    /// once, bounding peak memory at O(window) instead of O(corpus).
+    /// Streamed-admission window for [`run_fleet_streamed`]: up to
+    /// `min(window, pool workers + 1)` workers (one when sequential) each
+    /// hold one module from take to delivery, so at most that many are
+    /// resident at once, bounding peak memory at O(window), not O(corpus).
     /// `None` (the default) materializes the whole stream and runs the
     /// exact resident scheduler — results are **bit-identical** to
     /// [`run_fleet_opts`] on the same corpus. Resident entry points
@@ -231,20 +232,24 @@ pub struct FleetStats {
     /// [`CertifyStatus::Unsound`] — placements that leak a non-SC
     /// outcome in a race-free thread group.
     pub certify_unsound: usize,
-    /// High-water mark of simultaneously resident modules. Resident
-    /// runs pin this at the job count; a streamed run with
-    /// [`FleetOptions::window`] `= Some(w)` never exceeds `w` (pinned by
-    /// `tests/stream.rs`).
+    /// High-water mark of simultaneously resident modules; a load
+    /// failure never holds one. Resident runs pin this at the module
+    /// count; a streamed run with [`FleetOptions::window`] `= Some(w)`
+    /// never exceeds `w` (pinned by `tests/stream.rs`) and reads 1 when
+    /// sequential. A pooled windowed run *measures* it, so it follows
+    /// worker timing and can differ from run to run.
     pub peak_resident_modules: usize,
     /// High-water mark of total instructions across the simultaneously
     /// resident modules — the allocation-counter proxy for peak module
-    /// memory (texts are counted once parsed).
+    /// memory (texts are counted once parsed). Measured like
+    /// `peak_resident_modules`: a sequential windowed run reads the
+    /// largest module's count, a pooled one follows worker timing.
     pub peak_resident_insts: u64,
 }
 
-/// Folds the per-module stats of one streamed inner run into the
-/// stream-wide accumulator. `modules`/`failed` and the residency peaks
-/// are tracked by the streamed scheduler itself; the work counters sum.
+/// Folds the work counters of one streamed item (its inner run, or its
+/// quarantine before any stage) into the stream-wide accumulator.
+/// `modules` and the residency peaks are the streamed run's own.
 fn fold_stats(acc: &mut FleetStats, s: &FleetStats) {
     acc.functions += s.functions;
     acc.configs += s.configs;
@@ -1093,112 +1098,24 @@ pub(crate) fn ingest(name: &str, text: &str, opts: &FleetOptions) -> Result<Modu
     finish_ingest(name, attempt, opts.budget)
 }
 
-/// An empty [`FleetResult`] for an item quarantined before any pipeline
-/// stage ran (load failure or ingest quarantine).
-fn empty_result(name: String, outcome: ModuleOutcome) -> FleetResult {
-    FleetResult {
+/// An item quarantined before any pipeline stage ran: its empty
+/// [`FleetResult`] and its work accounting. A load failure never held a
+/// module; an ingest quarantine had its configs scheduled, like any
+/// module quarantined mid-run.
+fn quarantined(name: String, outcome: ModuleOutcome, configs: usize) -> (FleetResult, FleetStats) {
+    let admitted = !matches!(outcome, ModuleOutcome::LoadFailed { .. });
+    let stats = FleetStats {
+        failed: 1,
+        configs: if admitted { configs } else { 0 },
+        ..FleetStats::default()
+    };
+    let result = FleetResult {
         name,
         outcome,
         results: Vec::new(),
         certifications: Vec::new(),
-    }
-}
-
-/// A task of the windowed scheduler. `Ingest` and `Run` are separate
-/// tasks so a module's parse and a *different* module's analysis
-/// interleave freely on the pool — parse is never serial prologue.
-enum StreamTask {
-    Ingest {
-        index: usize,
-        name: String,
-        text: String,
-    },
-    Run {
-        index: usize,
-        name: String,
-        module: Module,
-    },
-    Fail {
-        index: usize,
-        name: String,
-        error: String,
-    },
-}
-
-/// Shared scheduler state behind one mutex: the (lazy) source, the task
-/// queue, window occupancy, residency counters, and the accumulating
-/// summaries/stats.
-struct StreamState<I> {
-    source: I,
-    exhausted: bool,
-    queue: std::collections::VecDeque<StreamTask>,
-    /// Tasks currently executing on some worker.
-    active: usize,
-    /// Items admitted but not yet retired (bounded by the window).
-    in_flight: usize,
-    resident_modules: usize,
-    resident_insts: u64,
-    summaries: Vec<Option<StreamSummary>>,
-    stats: FleetStats,
-}
-
-impl<I> StreamState<I> {
-    fn bump_peaks(&mut self) {
-        self.stats.peak_resident_modules =
-            self.stats.peak_resident_modules.max(self.resident_modules);
-        self.stats.peak_resident_insts = self.stats.peak_resident_insts.max(self.resident_insts);
-    }
-
-    /// Admits one source item: allocates its admission index, occupies a
-    /// window slot, and queues its first task.
-    fn admit(&mut self, item: StreamItem) {
-        let index = self.summaries.len();
-        self.summaries.push(None);
-        self.in_flight += 1;
-        match item {
-            StreamItem::Module { name, module } => {
-                self.resident_modules += 1;
-                self.resident_insts += module.total_insts() as u64;
-                self.bump_peaks();
-                self.queue.push_back(StreamTask::Run {
-                    index,
-                    name,
-                    module,
-                });
-            }
-            StreamItem::Text { name, text } => {
-                self.resident_modules += 1;
-                self.bump_peaks();
-                self.queue
-                    .push_back(StreamTask::Ingest { index, name, text });
-            }
-            StreamItem::Failed { name, error } => {
-                self.queue
-                    .push_back(StreamTask::Fail { index, name, error });
-            }
-        }
-    }
-
-    /// Records an item's terminal summary and frees its window slot.
-    /// `residency` is the instruction count to release, for items that
-    /// held residency (`None` for load failures, which never did).
-    fn retire(
-        &mut self,
-        index: usize,
-        name: &str,
-        outcome: &ModuleOutcome,
-        residency: Option<u64>,
-    ) {
-        self.summaries[index] = Some(StreamSummary {
-            name: name.to_string(),
-            outcome: outcome.clone(),
-        });
-        self.in_flight -= 1;
-        if let Some(insts) = residency {
-            self.resident_modules -= 1;
-            self.resident_insts -= insts;
-        }
-    }
+    };
+    (result, stats)
 }
 
 /// Runs fence placement over a **streamed** corpus: items are admitted
@@ -1214,16 +1131,22 @@ impl<I> StreamState<I> {
 ///   pooled ingest pass) and handed to [`run_fleet_opts`]: per-module
 ///   results are **bit-identical** to a resident run. `on_complete`
 ///   fires in admission order.
-/// * `Some(w)` — at most `w` items are resident at once; a new item is
-///   admitted the moment a prior one retires, and each admitted text's
-///   ingest parse runs as its own pool task overlapped with other
-///   modules' analysis. Each module is analyzed by an exact per-module
-///   [`run_fleet_opts`] invocation, so quarantine, budget charging, and
+/// * `Some(w)` — one worker loop on `min(w, pool workers + 1)` threads
+///   (one when sequential). Each worker takes the next item, parses it
+///   if it is a text, runs it as an exact single-module
+///   [`run_fleet_opts`] and delivers the result, so an item is resident
+///   only from take to delivery. Quarantine, budget charging and
 ///   per-module results match the resident scheduler bit-for-bit (the
 ///   fleet≡per-module-batch equivalence is pinned by `tests/fleet.rs`).
-///   `on_complete` may fire in any order — every delivery carries its
-///   admission index, and summaries/stats are index-keyed, so sequential
-///   and pooled runs produce identical summaries.
+///   `on_complete` may fire in any order; every delivery carries its
+///   admission index.
+///
+/// Summaries are index-keyed and the work counters are sums, so
+/// sequential and pooled runs return the same summaries and the same
+/// [`FleetStats`], except the two residency peaks. Those are measured
+/// high-water marks: under a pooled window they follow worker timing
+/// and can differ from run to run, while a sequential window always
+/// reads one module and the largest module's instruction count.
 ///
 /// Quarantine semantics extend to ingestion: a [`StreamItem::Failed`]
 /// loads as [`ModuleOutcome::LoadFailed`], an unparsable text as
@@ -1304,9 +1227,12 @@ where
     let (fleet, mut stats) = run_fleet_opts(&jobs, &inner);
 
     // Deliver in admission order; quarantined-at-ingest items get empty
-    // results, and the whole stream was resident at once.
+    // results. Every item but a load failure was resident at once.
     stats.modules = slots.len();
-    stats.peak_resident_modules = slots.len();
+    stats.peak_resident_modules = slots
+        .iter()
+        .filter(|s| !matches!(s, Slot::Quarantined(_, ModuleOutcome::LoadFailed { .. })))
+        .count();
     let mut fleet = fleet.into_iter();
     let mut summaries = Vec::with_capacity(slots.len());
     for (index, slot) in slots.into_iter().enumerate() {
@@ -1314,13 +1240,9 @@ where
             Slot::Pending => unreachable!("every text slot was resolved"),
             Slot::Run(..) => fleet.next().expect("one fleet result per job"),
             Slot::Quarantined(name, outcome) => {
-                stats.failed += 1;
-                if !matches!(outcome, ModuleOutcome::LoadFailed { .. }) {
-                    // The item was admitted with its configs scheduled,
-                    // like any module quarantined mid-run.
-                    stats.configs += configs.len();
-                }
-                empty_result(name, outcome)
+                let (fr, qstats) = quarantined(name, outcome, configs.len());
+                fold_stats(&mut stats, &qstats);
+                fr
             }
         };
         summaries.push(StreamSummary {
@@ -1332,11 +1254,11 @@ where
     (summaries, stats)
 }
 
-/// `window: Some(w)`: the windowed admission scheduler. Workers (pool
-/// plus caller) pull tasks from a shared queue; when the queue is empty
-/// and a window slot is free, the next source item is admitted. A
-/// retiring module frees its slot and wakes a waiting worker, so
-/// admission chases retirement with no barrier.
+/// `window: Some(w)`: one worker loop on up to `window` threads (the
+/// pool caps them at its workers plus the caller; one when sequential).
+/// No worker waits on another, so with `isolate: false` a panic ends
+/// its own worker, the others drain the source, and
+/// [`ThreadPool::run_scoped`] re-raises it on the caller.
 fn stream_windowed<I, F>(
     source: I,
     window: usize,
@@ -1348,25 +1270,36 @@ where
     I: Iterator<Item = StreamItem> + Send,
     F: FnMut(usize, FleetResult) + Send,
 {
-    use std::sync::{Condvar, Mutex};
+    /// The delivered items' summaries by admission index, the folded
+    /// stats and the live residency (modules, instructions).
+    struct Tally {
+        summaries: Vec<(usize, StreamSummary)>,
+        stats: FleetStats,
+        resident: (usize, u64),
+    }
+    impl Tally {
+        fn hold(&mut self, modules: usize, insts: u64) {
+            self.resident.0 += modules;
+            self.resident.1 += insts;
+            let s = &mut self.stats;
+            s.peak_resident_modules = s.peak_resident_modules.max(self.resident.0);
+            s.peak_resident_insts = s.peak_resident_insts.max(self.resident.1);
+        }
+    }
 
-    let state = Mutex::new(StreamState {
-        source,
-        exhausted: false,
-        queue: std::collections::VecDeque::new(),
-        active: 0,
-        in_flight: 0,
-        resident_modules: 0,
-        resident_insts: 0,
+    // The source has a lock of its own, so reading the next item never
+    // stalls another worker's bookkeeping; fused, it ends at its first `None`.
+    let source = Mutex::new(source.fuse().enumerate());
+    let tally = Mutex::new(Tally {
         summaries: Vec::new(),
         stats: FleetStats::default(),
+        resident: (0, 0),
     });
-    let work = Condvar::new();
     let sink = Mutex::new(on_complete);
-    // Per-module inner runs execute inside one worker task: sequential
-    // internally (units of *different* modules provide the parallelism),
-    // windowless, otherwise under the caller's options — preserving
-    // quarantine, budget, and result semantics exactly.
+    // Only a panicking source or sink poisons a lock; `run_scoped` re-raises it.
+    const POISONED: &str = "the stream's source or sink panicked";
+    // Sequential and windowless inside (the other workers' modules are the
+    // parallelism); every other option is the caller's.
     let inner = FleetOptions {
         parallel: false,
         window: None,
@@ -1374,106 +1307,46 @@ where
     };
 
     let worker = || loop {
-        let task = {
-            let mut st = state.lock().unwrap();
-            loop {
-                if let Some(t) = st.queue.pop_front() {
-                    st.active += 1;
-                    break Some(t);
-                }
-                if !st.exhausted && st.in_flight < window {
-                    match st.source.next() {
-                        Some(item) => st.admit(item),
-                        None => st.exhausted = true,
-                    }
-                    continue;
-                }
-                if st.exhausted && st.active == 0 && st.queue.is_empty() {
-                    break None;
-                }
-                st = work.wait(st).unwrap();
-            }
-        };
-        let Some(task) = task else {
-            work.notify_all();
+        let Some((index, item)) = source.lock().expect(POISONED).next() else {
             break;
         };
-        match task {
-            StreamTask::Fail { index, name, error } => {
-                let outcome = ModuleOutcome::LoadFailed { error };
-                {
-                    let mut st = state.lock().unwrap();
-                    st.stats.failed += 1;
-                    st.retire(index, &name, &outcome, None);
-                }
-                sink.lock().unwrap()(index, empty_result(name, outcome));
+        // A load failure never holds a module.
+        let held = usize::from(!matches!(item, StreamItem::Failed { .. }));
+        tally.lock().expect(POISONED).hold(held, 0);
+        let (module, name) = match item {
+            StreamItem::Module { name, module } => (Ok(module), name),
+            StreamItem::Text { name, text } => (ingest(&name, &text, opts), name),
+            StreamItem::Failed { name, error } => (Err(ModuleOutcome::LoadFailed { error }), name),
+        };
+        let insts = module.as_ref().map_or(0, |m| m.total_insts() as u64);
+        tally.lock().expect(POISONED).hold(0, insts);
+        let (fr, stats) = match module {
+            Ok(module) => {
+                let job = FleetJob::new(name, &module, configs.to_vec());
+                let (mut results, stats) = run_fleet_opts(std::slice::from_ref(&job), &inner);
+                (results.pop().expect("one result per job"), stats)
             }
-            StreamTask::Ingest { index, name, text } => {
-                match ingest(&name, &text, opts) {
-                    Ok(module) => {
-                        let mut st = state.lock().unwrap();
-                        st.resident_insts += module.total_insts() as u64;
-                        st.bump_peaks();
-                        st.queue.push_back(StreamTask::Run {
-                            index,
-                            name,
-                            module,
-                        });
-                    }
-                    Err(outcome) => {
-                        {
-                            let mut st = state.lock().unwrap();
-                            st.stats.failed += 1;
-                            // Admitted with configs scheduled, like any
-                            // module quarantined mid-run.
-                            st.stats.configs += configs.len();
-                            st.retire(index, &name, &outcome, Some(0));
-                        }
-                        sink.lock().unwrap()(index, empty_result(name, outcome));
-                    }
-                }
-            }
-            StreamTask::Run {
-                index,
-                name,
-                module,
-            } => {
-                let insts = module.total_insts() as u64;
-                let job = FleetJob::new(name.clone(), &module, configs.to_vec());
-                let (mut results, istats) = run_fleet_opts(std::slice::from_ref(&job), &inner);
-                let fr = results.pop().expect("one result per job");
-                {
-                    let mut st = state.lock().unwrap();
-                    fold_stats(&mut st.stats, &istats);
-                    st.retire(index, &name, &fr.outcome, Some(insts));
-                }
-                sink.lock().unwrap()(index, fr);
-            }
-        }
-        {
-            let mut st = state.lock().unwrap();
-            st.active -= 1;
-        }
-        work.notify_all();
+            Err(outcome) => quarantined(name, outcome, configs.len()),
+        };
+        let summary = StreamSummary {
+            name: fr.name.clone(),
+            outcome: fr.outcome.clone(),
+        };
+        sink.lock().expect(POISONED)(index, fr);
+        let mut t = tally.lock().expect(POISONED);
+        t.summaries.push((index, summary));
+        fold_stats(&mut t.stats, &stats);
+        t.resident.0 -= held;
+        t.resident.1 -= insts;
     };
+    ThreadPool::global().run_scoped(if opts.parallel { window } else { 1 }, &worker);
 
-    let pool = crate::pool::ThreadPool::global();
-    let tasks = if opts.parallel {
-        window.min(pool.workers() + 1)
-    } else {
-        1
-    };
-    pool.run_scoped(tasks, &worker);
-
-    let mut st = state.into_inner().unwrap();
-    debug_assert_eq!(st.in_flight, 0, "every admitted item retired");
-    st.stats.modules = st.summaries.len();
-    let summaries = st
-        .summaries
-        .into_iter()
-        .map(|s| s.expect("every admitted item produced a summary"))
-        .collect();
-    (summaries, st.stats)
+    // Every taken item was delivered, or `run_scoped` re-raised a panic.
+    let mut t = tally.into_inner().expect(POISONED);
+    t.summaries.sort_unstable_by_key(|&(i, _)| i);
+    t.stats.modules = t.summaries.len();
+    let summaries = t.summaries.into_iter().map(|(_, s)| s).collect();
+    (summaries, t.stats)
 }
 
 #[cfg(test)]

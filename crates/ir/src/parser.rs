@@ -617,10 +617,9 @@ fn parse_function_body<'a>(
 /// including *which* texts failed. With `parallel: false` this is a
 /// plain serial map.
 ///
-/// This is the streamed-ingestion building block: the fleet's windowed
-/// scheduler feeds texts here (or as individual ingest units) so parse
-/// time overlaps analysis of already-admitted modules instead of being
-/// serial prologue.
+/// The fleet's streamed path parses the same way, one ingest unit per
+/// text: one pooled pass without a window, and on each worker under one,
+/// where a worker's parse overlaps the other workers' analysis.
 pub fn parse_modules<S: AsRef<str> + Sync>(
     texts: &[S],
     parallel: bool,

@@ -16,6 +16,7 @@
 #            + certification and simulator goldens + explorer memory pin
 #            + CLI smoke
 #   stream   windowed-vs-resident differential + CLI --window and pack: smokes
+#            (the pack: smoke runs pooled and --seq and diffs the two)
 #   serve    service suite (protocol contract + cache pins) + capped-cache
 #            memory pin + daemon smoke + restart on a killed daemon's socket
 #   perfbench  the benchmark harness compiles and its tests pass
@@ -91,7 +92,7 @@ stage_stream() {
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
     --window 4
 
-  echo "== fenceplace pack: smoke (dumped kernels + corpus + one malformed module) =="
+  echo "== fenceplace pack: smoke (dumped kernels + corpus + one malformed module), pooled and --seq =="
   # The smoke above feeds built-in modules only; this one sends printed IR
   # through the pack splitter and the parser. The malformed module must be
   # the run's one invalid_ir slot (exit 2), and every other module must run.
@@ -103,16 +104,29 @@ stage_stream() {
   done > "$pack_dir/smoke.pack"
   printf 'module malformed\nfn f params=0 locals=() {\nbb0:\n  frob c1\n  ret\n}\n' \
     >> "$pack_dir/smoke.pack"
-  pack_status=0
-  ./target/release/fenceplace --program "pack:$pack_dir/smoke.pack" --window 4 \
-    > "$pack_dir/rollup.json" || pack_status=$?
-  [ "$pack_status" -eq 2 ] || { echo "pack smoke exited $pack_status, want 2" >&2; exit 1; }
-  pack_ok=$(grep -c '"status": "ok"' "$pack_dir/rollup.json" || true)
-  pack_invalid=$(grep -c '"status": "invalid_ir"' "$pack_dir/rollup.json" || true)
+  # run_pack NAME [FLAG]...: one windowed run, reports in $pack_dir/NAME,
+  # roll-up in $pack_dir/NAME.json.
+  run_pack() {
+    local name=$1 status=0
+    shift
+    ./target/release/fenceplace --program "pack:$pack_dir/smoke.pack" --window 4 \
+      --out "$pack_dir/$name" "$@" > "$pack_dir/$name.json" || status=$?
+    [ "$status" -eq 2 ] || { echo "pack smoke ($name) exited $status, want 2" >&2; exit 1; }
+  }
+  run_pack pooled
+  run_pack seq --seq
+  pack_ok=$(grep -c '"status": "ok"' "$pack_dir/pooled.json" || true)
+  pack_invalid=$(grep -c '"status": "invalid_ir"' "$pack_dir/pooled.json" || true)
   [ "$pack_ok" -eq 4 ] && [ "$pack_invalid" -eq 1 ] || {
     echo "pack smoke: $pack_ok ok and $pack_invalid invalid_ir modules, want 4 and 1" >&2
     exit 1
   }
+  # Sequential and pooled windowed runs agree: the same per-module
+  # reports, and the same roll-up apart from wall_ms and the "stream"
+  # line, whose residency peaks are measured and follow worker timing.
+  diff -r -x fleet_summary.json "$pack_dir/pooled" "$pack_dir/seq"
+  rollup_core() { grep -v '^  "stream": ' "$1" | sed 's/, "wall_ms": [0-9.]*//'; }
+  diff <(rollup_core "$pack_dir/pooled.json") <(rollup_core "$pack_dir/seq.json")
   rm -rf "$pack_dir"
   trap - EXIT
 }

@@ -38,10 +38,13 @@
 //!
 //! File-backed specs are always read lazily. Without `--window`, every
 //! module is resident at once and the fleet schedules all of them in
-//! one pass per stage. `--window N` is the one streaming knob: at most
-//! N modules are resident at once, and each per-module report is written
-//! to `--out` the moment its module retires. Per-module reports are
-//! byte-identical either way. `--stream` is accepted and does nothing.
+//! one pass per stage. `--window N` is the one streaming knob: up to N
+//! workers (at most one per core, one under `--seq`) each take the next
+//! module, place its fences and write its report to `--out`, so at most
+//! that many modules are resident at once. Per-module reports are
+//! byte-identical either way. The roll-up's `stream` peaks are measured,
+//! so a pooled windowed run's can differ from run to run. `--stream` is
+//! accepted and does nothing.
 //!
 //! # Failure model and exit codes
 //!
@@ -122,11 +125,11 @@ OPTIONS:
   --threads N        corpus build parameter (default 8)
   --scale N          corpus build parameter (default 16)
   --seq              run the fleet sequentially (default: persistent pool)
-  --window N         admit at most N modules at once: a new module is
-                     admitted as a prior one retires, and each report is
-                     written the moment its module retires, so peak memory
-                     is O(window), not O(corpus); reports are byte-identical
-                     to a run without --window
+  --window N         stream with up to N workers (at most one per core, one
+                     with --seq): each takes the next module, places its
+                     fences and writes its report, so at most N modules are
+                     resident and peak memory is O(window), not O(corpus);
+                     reports are byte-identical to a run without --window
   --stream           accepted for compatibility; does nothing
   --budget N         deterministic per-module step budget: a module whose
                      static instruction-count spend exceeds N is quarantined

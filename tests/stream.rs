@@ -11,12 +11,14 @@
 //! the same results.
 
 use corpus::{ModuleSource, Params};
+use fence_ir::{BlockId, Function, Inst, InstId, InstKind, Module};
 use fenceplace::stream_items;
 use fenceplace::{
-    run_fleet_opts, run_fleet_streamed, FleetJob, FleetOptions, FleetResult, PipelineConfig,
-    StreamItem, TargetModel, Variant,
+    run_fleet_opts, run_fleet_streamed, FleetJob, FleetOptions, FleetResult, FleetStats,
+    PipelineConfig, StreamItem, StreamSummary, TargetModel, Variant,
 };
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn sweep_configs() -> Vec<PipelineConfig> {
     vec![
@@ -97,7 +99,7 @@ fn stream_collect(
     items: Vec<StreamItem>,
     configs: &[PipelineConfig],
     opts: &FleetOptions,
-) -> (Vec<FleetResult>, fenceplace::FleetStats) {
+) -> (Vec<StreamSummary>, Vec<FleetResult>, FleetStats) {
     let n = items.len();
     let mut slots: Vec<Option<FleetResult>> = (0..n).map(|_| None).collect();
     let (summaries, stats) = run_fleet_streamed(items, configs, opts, |i, fr| {
@@ -112,21 +114,32 @@ fn stream_collect(
     for (s, fr) in summaries.iter().zip(&results) {
         assert_eq!(s.name, fr.name, "summary order mirrors admission order");
     }
-    (results, stats)
+    (summaries, results, stats)
 }
 
 /// The core differential: every window (including `None`) × scheduling
 /// mode reproduces the resident run over the full 26-module fleet, and
-/// the windowed runs pin peak residency at or below the window.
+/// the windowed runs pin peak residency at or below the window. Pooled
+/// and sequential runs return the same summaries and the same stats,
+/// except the two residency peaks: those are measured high-water marks,
+/// and a pooled window's follow worker timing. A sequential window holds
+/// one module at a time, so its peaks are exact.
 #[test]
 fn streamed_fleet_matches_resident_for_every_window() {
     let texts = fleet_texts();
     assert_eq!(texts.len(), 26, "the full evaluation fleet");
     let configs = sweep_configs();
+    let largest = texts
+        .iter()
+        .map(|(_, text)| fence_ir::parser::parse_module(text).unwrap().total_insts() as u64)
+        .max()
+        .unwrap();
+    // Per window, the sequential run's summaries and peak-free stats.
+    let mut sequential: Vec<(String, String)> = Vec::new();
 
     for parallel in [false, true] {
         let baseline = resident_baseline(&texts, &configs, parallel);
-        for window in [None, Some(1), Some(3)] {
+        for (k, window) in [None, Some(1), Some(3)].into_iter().enumerate() {
             let opts = FleetOptions {
                 parallel,
                 window,
@@ -139,7 +152,7 @@ fn streamed_fleet_matches_resident_for_every_window() {
                     text: text.clone(),
                 })
                 .collect();
-            let (results, stats) = stream_collect(items, &configs, &opts);
+            let (summaries, results, stats) = stream_collect(items, &configs, &opts);
             assert_eq!(results.len(), baseline.len());
             assert_eq!(stats.modules, baseline.len());
             assert_eq!(stats.failed, 0);
@@ -159,7 +172,86 @@ fn streamed_fleet_matches_resident_for_every_window() {
                 None => assert_eq!(stats.peak_resident_modules, texts.len()),
             }
             assert!(stats.peak_resident_insts > 0);
+            if window.is_some() && !parallel {
+                assert_eq!(stats.peak_resident_modules, 1, "window={window:?}, seq");
+                assert_eq!(stats.peak_resident_insts, largest, "window={window:?}, seq");
+            }
+            let run = (
+                format!("{summaries:?}"),
+                format!(
+                    "{:?}",
+                    FleetStats {
+                        peak_resident_modules: 0,
+                        peak_resident_insts: 0,
+                        ..stats
+                    }
+                ),
+            );
+            if parallel {
+                assert_eq!(
+                    run, sequential[k],
+                    "window={window:?}: pooled summaries or stats differ from sequential"
+                );
+            } else {
+                sequential.push(run);
+            }
         }
+    }
+}
+
+/// A pooled window with `isolate: false` hands a worker's panic to the
+/// caller. The first module's CFG build panics and four healthy modules
+/// follow; the call must unwind within 20 s instead of leaving the other
+/// workers waiting. It runs on a helper thread, so a hang fails this
+/// test instead of stalling the suite.
+#[test]
+fn pooled_window_propagates_an_unisolated_panic() {
+    // Block 0 branches to block 9, which does not exist: the verifier
+    // would refuse it, so validation is off and the CFG build panics.
+    let mut boom = Function::new("boom", 0);
+    boom.insts.push(Inst {
+        kind: InstKind::Br {
+            target: BlockId::new(9),
+        },
+    });
+    boom.blocks[0].insts.push(InstId::new(0));
+    let mut broken = Module::new("broken");
+    broken.funcs.push(boom);
+    let mut items = vec![StreamItem::Module {
+        name: "broken".into(),
+        module: broken,
+    }];
+    items.extend(
+        corpus::manifest::full_fleet(&Params::tiny())
+            .into_iter()
+            .take(4)
+            .map(|e| StreamItem::Module {
+                name: e.name,
+                module: e.module,
+            }),
+    );
+    let opts = FleetOptions {
+        parallel: true,
+        isolate: false,
+        validate: false,
+        window: Some(2),
+        ..FleetOptions::default()
+    };
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_fleet_streamed(items, &sweep_configs(), &opts, |_, _| {})
+        }));
+        let _ = tx.send(run.is_err());
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(panicked) => {
+            helper.join().expect("the helper catches the run's panic");
+            assert!(panicked, "the CFG build panic must reach the caller");
+        }
+        // A hung helper cannot be joined; the test process exits past it.
+        Err(_) => panic!("the pooled window still runs 20 s after a worker panicked"),
     }
 }
 
@@ -214,7 +306,7 @@ fn dir_and_pack_specs_round_trip_through_the_adapter() {
         ..FleetOptions::default()
     };
     let items: Vec<StreamItem> = stream_items(source).collect();
-    let (results, stats) = stream_collect(items, &configs, &opts);
+    let (_, results, stats) = stream_collect(items, &configs, &opts);
     assert_eq!(results.len(), 6);
     assert_eq!(stats.failed, 0);
     assert!(stats.peak_resident_modules <= 2);
@@ -230,6 +322,47 @@ fn dir_and_pack_specs_round_trip_through_the_adapter() {
         assert_same_results(&format!("{} via dir/pack", want.name), got, want);
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both paths count residency the same way: every item but a load
+/// failure holds a module. A `dir:` of two modules and one file that
+/// cannot be read as text reads 2 resident modules without a window, 1
+/// under a sequential window, and at most 2 under a pooled one.
+#[test]
+fn load_failures_hold_no_residency_on_either_path() {
+    let texts: Vec<(String, String)> = fleet_texts().into_iter().take(2).collect();
+    let configs = sweep_configs();
+    let dir = scratch("residency");
+    std::fs::write(dir.join("a.ir"), &texts[0].1).unwrap();
+    // Not UTF-8, so the source cannot read it: one load_failed slot.
+    std::fs::write(dir.join("b.ir"), b"module b\n; caf\xff\n").unwrap();
+    std::fs::write(dir.join("c.ir"), &texts[1].1).unwrap();
+
+    for (parallel, window, peak) in [
+        (false, None, 2),
+        (true, None, 2),
+        (false, Some(3), 1),
+        (true, Some(3), 2),
+    ] {
+        let mut source = ModuleSource::new(Params::tiny());
+        source.push_spec(&format!("dir:{}", dir.display())).unwrap();
+        let opts = FleetOptions {
+            parallel,
+            window,
+            ..FleetOptions::default()
+        };
+        let tag = format!("par={parallel} window={window:?}");
+        let (_, results, stats) = stream_collect(stream_items(source).collect(), &configs, &opts);
+        assert_eq!(stats.modules, 3, "{tag}");
+        assert_eq!(stats.failed, 1, "{tag}");
+        assert_eq!(results[1].outcome.kind(), "load_failed", "{tag}");
+        if parallel && window.is_some() {
+            assert!(stats.peak_resident_modules <= peak, "{tag}");
+        } else {
+            assert_eq!(stats.peak_resident_modules, peak, "{tag}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -269,7 +402,7 @@ fn mid_stream_failures_do_not_stall_the_window() {
         window: Some(2),
         ..FleetOptions::default()
     };
-    let (results, stats) = stream_collect(items, &configs, &opts);
+    let (_, results, stats) = stream_collect(items, &configs, &opts);
     assert_eq!(stats.modules, 5);
     assert_eq!(stats.failed, 2);
     assert_eq!(results[1].outcome.kind(), "load_failed");
@@ -316,7 +449,7 @@ fn non_utf8_pack_module_is_quarantined_alone() {
         window: Some(2),
         ..FleetOptions::default()
     };
-    let (results, stats) = stream_collect(items, &configs, &opts);
+    let (_, results, stats) = stream_collect(items, &configs, &opts);
     assert_eq!(stats.modules, 3, "every module of the pack gets a slot");
     assert_eq!(stats.failed, 1);
     assert_eq!(results[1].name, format!("{pspec}#1"));
