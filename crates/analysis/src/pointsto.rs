@@ -25,38 +25,41 @@
 //! `locs(p)` resolves an *address* operand: if `pts(p)` is empty, the
 //! address is unknown ⇒ `{Unknown}`.
 //!
-//! ## Solver architecture: one constraint table, one worklist
-//!
-//! The first rewrite replaced fixpoint-by-re-execution with a worklist
-//! over an explicit constraint graph:
+//! ## Solver architecture: one walk, one worklist
 //!
 //! 1. every value/argument/local/return and every abstract location gets
-//!    one dense *node* holding its points-to `BitSet`: location nodes
-//!    first, then per function its arguments, local slots, instruction
-//!    results and return value;
-//! 2. the table above is written once, as `Table::each`: it maps each
-//!    instruction, in program order, to its constraints — an alloc seed,
-//!    a copy from a node or a constant global, or a memory access. Every
-//!    phase below reads it;
-//! 3. copies between nodes become static edges in one CSR table (two
-//!    counting passes, two allocations — the old per-node `Vec`s and
-//!    per-node delta `BitSet`s made graph construction the dominant cost
-//!    of the whole analysis); memory constraints subscribe to their
-//!    address node and are wired lazily — when the address set gains a
-//!    location `L`, the solver adds `pts(L) → dst` (load) / `src →
-//!    pts(L)` (store) edges on the fly; deltas live in one flat word
-//!    matrix, wired edges in sparse overflow lists;
-//! 4. the initial pass applies every constraint once in program order:
-//!    it replicates the old solver's first round bit-for-bit, including
-//!    the conservative `locs(p) = ∅ ⇒ {Unknown}` resolution against
-//!    in-round intermediate states — the one order-sensitive rule;
-//! 5. one worklist then drains the pending deltas to the fixpoint.
+//!    one dense *node*: location nodes first, then per function its
+//!    arguments, local slots, instruction results and return value. A
+//!    node costs a row index and two list heads. A location node's
+//!    points-to `BitSet` row is allocated up front, a value node's only
+//!    when the first location reaches it (1,424 of 42,268 nodes at
+//!    `synthetic:16000`);
+//! 2. one walk over the instructions in program order adds each
+//!    instruction's constraints from the table above to the graph and
+//!    applies each once against the state so far. An alloc inserts its
+//!    site; a copy becomes the edge `src → dst` in `src`'s successor list
+//!    and unions `pts(src)` into `dst`; a memory access subscribes to its
+//!    address node and is *wired* against the address's current
+//!    locations, or `{Unknown}` if it has none. Wiring location `L` adds
+//!    the edge `L → dst` (load) or `src → L` (store) and applies it. The
+//!    walk makes direct unions only, so it replays the re-execution
+//!    solver's first round bit-for-bit, including the conservative
+//!    `locs(p) = ∅ ⇒ {Unknown}` resolution against in-round intermediate
+//!    states — the one order-sensitive rule;
+//! 3. one worklist then drains to the fixpoint. A node is pending
+//!    whenever its set grew; draining it pushes its whole set along its
+//!    successor list and wires the memory constraints it addresses
+//!    against every location in it. Each constraint's `resolved` row
+//!    makes re-wiring a location a no-op, and an edge added late gets its
+//!    source's whole set when it is added.
 //!
-//! After the initial pass pins the `∅ ⇒ {Unknown}` wiring decisions, the
+//! After the walk pins the `∅ ⇒ {Unknown}` wiring decisions, the
 //! constraint system is monotone, so its least fixpoint does not depend
-//! on the order the worklist drains it in. Each location/edge/constraint
-//! is touched `O(1)` times per new bit, so solving is near-linear in
-//! `constraints + propagated bits` instead of quadratic in program size.
+//! on the order the worklist drains it in. A node is drained at most once
+//! per growth, and a drain costs one word-wise union per successor and
+//! one `resolved` probe per (constraint, location) pair, so solving is
+//! near-linear in `constraints + propagated bits` instead of quadratic in
+//! program size.
 //!
 //! **Equivalence contract.** The `∅ ⇒ {Unknown}` fallback is the one
 //! non-monotone rule, so the re-execution solver's result was defined by
@@ -70,7 +73,9 @@
 //! corpus program hits it: `tests/golden_pipeline.rs` pins every
 //! pipeline output, and both the `matches_naive_fixpoint_reference`
 //! unit test below and `tests/pointsto_sharded.rs` diff every set
-//! against the preserved seed solver (`fence_bench::naive`).
+//! against the preserved seed solver (`fence_bench::naive`). On
+//! generated modules, the corner included, that file also requires
+//! exactly the sets of the seed's `Unknown`-pinning replay.
 //!
 //! ## Borrowed query API
 //!
@@ -238,29 +243,14 @@ enum Src {
     Global(u32),
 }
 
-/// One memory constraint, wired lazily as its address set grows. The
-/// already-wired location set lives in the solver's flat `resolved`
-/// matrix (one row per constraint) rather than one `BitSet` per
-/// constraint.
+/// One memory constraint, wired lazily as its address set grows; its
+/// wired locations are one row of the solver's flat `resolved` matrix.
 #[derive(Copy, Clone)]
 struct MemCon {
     /// Destination node of the read part (`load`/`rmw`/`cas` result).
     load_to: Option<u32>,
     /// Source of the written value, if any.
     store_src: Option<Src>,
-}
-
-/// One row of the constraint table (module docs), operands resolved to
-/// nodes.
-#[derive(Copy, Clone)]
-enum Con {
-    /// `pts(dst) ⊇ {loc}`: an `alloc` site.
-    Alloc { dst: u32, loc: u32 },
-    /// `pts(dst) ⊇ pts(src)`.
-    Copy { src: Src, dst: u32 },
-    /// A load/store/RMW/CAS that moves pointers through `locs(addr)`; a
-    /// constant address (`None`) always resolves to `{Unknown}`.
-    Mem { addr: Option<Src>, con: MemCon },
 }
 
 /// The node layout: location nodes first (`0..num_locs`), then per
@@ -327,8 +317,11 @@ pub struct PointsTo {
     locs: Vec<AbsLoc>,
     /// Index of the `Unknown` location (always last).
     unknown: usize,
-    /// One points-to set per node; locations occupy nodes `0..locs.len()`.
-    pts: Vec<BitSet>,
+    /// Points-to set rows: location `i`'s pointees in row `i`, then one
+    /// row per value node that points anywhere.
+    rows: Vec<BitSet>,
+    /// Each node's row, or `END` for a value node that points nowhere.
+    row: Vec<u32>,
     /// Node ids of arguments and instruction results.
     nodes: Nodes,
 }
@@ -369,16 +362,14 @@ impl PointsTo {
         let unknown = locs.len();
         locs.push(AbsLoc::Unknown);
         let (nodes, num_nodes) = Nodes::layout(module, locs.len());
-        let table = Table {
-            module,
-            nodes: &nodes,
-            first_alloc,
-        };
-        let pts = Solver::build(&table, locs.len(), num_nodes).solve(&table);
+        let mut solver = Solver::new(locs.len(), num_nodes);
+        solver.walk(module, &nodes, first_alloc);
+        solver.drain();
         PointsTo {
             locs,
             unknown,
-            pts,
+            rows: solver.rows,
+            row: solver.row,
             nodes,
         }
     }
@@ -391,11 +382,9 @@ impl PointsTo {
             Value::Global(g) => PtsView::Singleton(g.index()),
             _ => {
                 let node = self.nodes.of(f, v).expect("arg/inst has a node");
-                let set = &self.pts[node as usize];
-                if set.is_empty() {
-                    PtsView::Empty
-                } else {
-                    PtsView::Set(set)
+                match self.row[node as usize] {
+                    END => PtsView::Empty,
+                    r => PtsView::Set(&self.rows[r as usize]),
                 }
             }
         }
@@ -433,89 +422,116 @@ impl PointsTo {
     /// Pointee set of a location.
     #[inline]
     pub fn loc_pts(&self, i: usize) -> &BitSet {
-        &self.pts[i]
+        &self.rows[i]
     }
 }
 
-/// The constraint table of one module.
-struct Table<'m> {
-    module: &'m Module,
-    nodes: &'m Nodes,
-    /// Location index of the first `alloc` site; sites are numbered in
-    /// program order.
-    first_alloc: u32,
+/// No row (for a node), or the end of a list in `Solver::links`.
+const END: u32 = u32::MAX;
+
+/// Constraint-graph solver state.
+struct Solver {
+    /// Points-to set rows. Location `i`'s row is row `i`, allocated up
+    /// front; a value node gets a row when the first location reaches it.
+    rows: Vec<BitSet>,
+    /// Each node's row, or `END` while a value node points nowhere.
+    row: Vec<u32>,
+    /// Number of abstract locations; `Unknown` is the last.
+    num_locs: usize,
+    /// Head in `links` of each node's copy edges, static and wired alike.
+    succ: Vec<u32>,
+    /// Head in `links` of the memory constraints each node addresses.
+    subs: Vec<u32>,
+    /// The lists behind `succ` and `subs`, newest first, as `(successor
+    /// node or constraint, next entry or END)`.
+    links: Vec<(u32, u32)>,
+    /// Memory constraints in program order.
+    mem_cons: Vec<MemCon>,
+    /// Already-wired locations, one flat row of `num_locs` bits per
+    /// memory constraint.
+    resolved: Vec<u64>,
+    /// Pending nodes.
+    wl: Vec<u32>,
+    /// Dedup mask over `wl`.
+    on_list: BitSet,
 }
 
-impl Table<'_> {
-    /// The constraint table of the module docs, written once: calls
-    /// `emit` with each instruction's constraints in program order — the
-    /// order the initial pass replays. A store of a constant moves no
-    /// pointers and yields nothing.
-    fn each(&self, mut emit: impl FnMut(Con)) {
-        let nodes = self.nodes;
-        let mut next_alloc = self.first_alloc;
-        for (fid, func) in self.module.iter_funcs() {
+impl Solver {
+    fn new(num_locs: usize, num_nodes: usize) -> Self {
+        let mut rows = vec![BitSet::new(num_locs); num_locs];
+        // Unknown memory points to unknown memory.
+        rows[num_locs - 1].insert(num_locs - 1);
+        let mut row: Vec<u32> = (0..num_locs as u32).collect();
+        row.resize(num_nodes, END);
+        Solver {
+            rows,
+            row,
+            num_locs,
+            succ: vec![END; num_nodes],
+            subs: vec![END; num_nodes],
+            links: Vec::new(),
+            mem_cons: Vec::new(),
+            resolved: Vec::new(),
+            wl: Vec::new(),
+            on_list: BitSet::new(num_nodes),
+        }
+    }
+
+    /// The one walk: adds every constraint of the module docs' table to
+    /// the graph, in program order, and applies it once against the state
+    /// so far. This replays the re-execution solver's first round, so each
+    /// `∅ ⇒ {Unknown}` wiring decision sees the in-round state that solver
+    /// saw; every union it makes is one the fixpoint implies anyway.
+    fn walk(&mut self, module: &Module, nodes: &Nodes, mut next_alloc: u32) {
+        let mut locs = Vec::new();
+        for (fid, func) in module.iter_funcs() {
             let fi = fid.index();
+            let operand = |v: Value| nodes.operand(fid, v);
             for (iid, inst) in func.iter_insts() {
                 let dst = nodes.val_base[fi] + iid.index() as u32;
-                let mut copy = |v: Value, dst: u32| {
-                    if let Some(src) = nodes.operand(fid, v) {
-                        emit(Con::Copy { src, dst });
-                    }
-                };
-                // Arms that only copy emit directly; a memory access
-                // comes out as `(address, load result, stored value)`.
+                // Arms that only copy apply directly; a memory access comes
+                // out as `(address, load result, stored value)`.
                 let access = match &inst.kind {
                     InstKind::Alloc { .. } => {
-                        emit(Con::Alloc {
-                            dst,
-                            loc: next_alloc,
-                        });
+                        self.insert(dst, next_alloc as usize);
                         next_alloc += 1;
                         None
                     }
                     InstKind::Gep { base, .. } => {
-                        copy(*base, dst);
+                        self.copy(operand(*base), dst);
                         None
                     }
-                    InstKind::Bin { lhs, rhs, .. } => {
-                        copy(*lhs, dst);
-                        copy(*rhs, dst);
-                        None
-                    }
-                    InstKind::Select {
-                        then_val, else_val, ..
+                    InstKind::Bin { lhs: a, rhs: b, .. }
+                    | InstKind::Select {
+                        then_val: a,
+                        else_val: b,
+                        ..
                     } => {
-                        copy(*then_val, dst);
-                        copy(*else_val, dst);
+                        self.copy(operand(*a), dst);
+                        self.copy(operand(*b), dst);
                         None
                     }
                     InstKind::ReadLocal { local } => {
                         let slot = nodes.local_base[fi] + local.index() as u32;
-                        emit(Con::Copy {
-                            src: Src::Node(slot),
-                            dst,
-                        });
+                        self.copy(Some(Src::Node(slot)), dst);
                         None
                     }
                     InstKind::WriteLocal { local, val } => {
-                        copy(*val, nodes.local_base[fi] + local.index() as u32);
+                        let slot = nodes.local_base[fi] + local.index() as u32;
+                        self.copy(operand(*val), slot);
                         None
                     }
                     InstKind::Call { callee, args } => {
                         let cf = callee.index();
-                        let nparams = self.module.funcs[cf].num_params as usize;
+                        let nparams = module.funcs[cf].num_params as usize;
                         for (k, a) in args.iter().take(nparams).enumerate() {
-                            copy(*a, nodes.arg_base[cf] + k as u32);
+                            self.copy(operand(*a), nodes.arg_base[cf] + k as u32);
                         }
-                        emit(Con::Copy {
-                            src: Src::Node(nodes.ret_node[cf]),
-                            dst,
-                        });
+                        self.copy(Some(Src::Node(nodes.ret_node[cf])), dst);
                         None
                     }
                     InstKind::Ret { val: Some(v) } => {
-                        copy(*v, nodes.ret_node[fi]);
+                        self.copy(operand(*v), nodes.ret_node[fi]);
                         None
                     }
                     InstKind::Load { addr } => Some((*addr, Some(dst), None)),
@@ -528,157 +544,71 @@ impl Table<'_> {
                 let Some((addr, load_to, stored)) = access else {
                     continue;
                 };
-                let store_src = stored.and_then(|v| nodes.operand(fid, v));
-                if load_to.is_some() || store_src.is_some() {
-                    emit(Con::Mem {
-                        addr: nodes.operand(fid, addr),
-                        con: MemCon { load_to, store_src },
-                    });
+                // A store of a constant moves no pointers.
+                let store_src = stored.and_then(operand);
+                if load_to.is_none() && store_src.is_none() {
+                    continue;
+                }
+                let con = self.mem_cons.len() as u32;
+                self.mem_cons.push(MemCon { load_to, store_src });
+                let end = self.resolved.len() + self.num_locs.div_ceil(64);
+                self.resolved.resize(end, 0);
+                // A node address is wired as its set grows; a global one
+                // is fixed; a constant or still-empty one is `{Unknown}`
+                // and stays wired to it.
+                locs.clear();
+                match operand(addr) {
+                    Some(Src::Node(a)) => {
+                        Self::link(&mut self.subs[a as usize], &mut self.links, con);
+                        let r = self.row[a as usize];
+                        if r != END {
+                            locs.extend(self.rows[r as usize].iter());
+                        }
+                    }
+                    Some(Src::Global(g)) => locs.push(g as usize),
+                    None => {}
+                }
+                if locs.is_empty() {
+                    locs.push(self.num_locs - 1);
+                }
+                for &l in &locs {
+                    self.wire(con, l);
                 }
             }
         }
     }
-}
 
-/// Constraint-graph solver state.
-struct Solver {
-    /// One points-to set per node.
-    pts: Vec<BitSet>,
-    /// Index of the `Unknown` location (the last location node).
-    unknown: usize,
-    /// Words per points-to row (`num_locs.div_ceil(64)`).
-    words: usize,
-    /// Static copy edges `from → to`, CSR (`csr_off[n]..csr_off[n + 1]`
-    /// indexes `csr_dst`). Built with two counting passes — no per-node
-    /// `Vec` growth, which used to dominate analysis time.
-    csr_off: Vec<u32>,
-    csr_dst: Vec<u32>,
-    /// Dynamically wired edges (loads: `loc → dst`; stores:
-    /// `src → loc`). Sparse: only location nodes and store sources are
-    /// ever touched.
-    dyn_edges: Vec<Vec<u32>>,
-    /// Memory constraints in table order, wired lazily.
-    mem_cons: Vec<MemCon>,
-    /// Already-wired locations, one flat row per constraint.
-    resolved: Vec<u64>,
-    /// `subs[node]` — memory constraints whose address is `node`.
-    subs: Vec<Vec<u32>>,
-    /// Per-node pending delta bits, one flat row per node.
-    delta: Vec<u64>,
-    /// Pending nodes.
-    wl: Vec<u32>,
-    /// Dedup mask over `wl`.
-    on_list: BitSet,
-    /// Reusable delta-row snapshot for drains.
-    scratch: Vec<u64>,
-}
-
-impl Solver {
-    /// Builds the static CSR copy-edge table and the memory-constraint
-    /// records from `table`.
-    fn build(table: &Table<'_>, num_locs: usize, num_nodes: usize) -> Self {
-        let words = num_locs.div_ceil(64);
-        let unknown = num_locs - 1;
-        let mut pts = vec![BitSet::new(num_locs); num_nodes];
-        // Unknown memory points to unknown memory.
-        pts[unknown].insert(unknown);
-
-        // Count pass: static edges per source node, and every memory
-        // constraint with its address-node subscription. Node addresses
-        // are wired lazily as their sets grow; global and constant
-        // addresses resolve to fixed sets and are wired once by the
-        // initial pass at their program point.
-        let mut csr_off = vec![0u32; num_nodes + 1];
-        let mut mem_cons = Vec::new();
-        let mut subs = vec![Vec::new(); num_nodes];
-        table.each(|c| match c {
-            Con::Copy {
-                src: Src::Node(s), ..
-            } => csr_off[s as usize + 1] += 1,
-            Con::Mem { addr, con } => {
-                if let Some(Src::Node(a)) = addr {
-                    subs[a as usize].push(mem_cons.len() as u32);
+    /// Drains the worklist to the fixpoint: each pending node pushes its
+    /// whole set along its successors and wires the memory constraints it
+    /// addresses against every location in it.
+    fn drain(&mut self) {
+        while let Some(n) = self.wl.pop() {
+            let ni = n as usize;
+            self.on_list.remove(ni);
+            let mut e = self.succ[ni];
+            while e != END {
+                let (t, next) = self.links[e as usize];
+                self.push(n, t);
+                e = next;
+            }
+            // A pending node grew, so it has a row.
+            let r = self.row[ni] as usize;
+            let mut e = self.subs[ni];
+            while e != END {
+                let (con, next) = self.links[e as usize];
+                let mut l = self.rows[r].next_set_bit(0);
+                while let Some(found) = l {
+                    self.wire(con, found);
+                    l = self.rows[r].next_set_bit(found + 1);
                 }
-                mem_cons.push(con);
+                e = next;
             }
-            _ => {}
-        });
-        for i in 0..num_nodes {
-            csr_off[i + 1] += csr_off[i];
-        }
-        // Fill pass.
-        let mut csr_dst = vec![0u32; csr_off[num_nodes] as usize];
-        let mut cursor = csr_off.clone();
-        table.each(|c| {
-            if let Con::Copy {
-                src: Src::Node(s),
-                dst,
-            } = c
-            {
-                csr_dst[cursor[s as usize] as usize] = dst;
-                cursor[s as usize] += 1;
-            }
-        });
-
-        Solver {
-            pts,
-            unknown,
-            words,
-            csr_off,
-            csr_dst,
-            dyn_edges: vec![Vec::new(); num_nodes],
-            resolved: vec![0u64; mem_cons.len() * words],
-            mem_cons,
-            subs,
-            delta: vec![0u64; num_nodes * words],
-            wl: Vec::new(),
-            on_list: BitSet::new(num_nodes),
-            scratch: vec![0u64; words],
         }
     }
 
-    #[inline]
-    fn delta_row(delta: &mut [u64], words: usize, node: usize) -> &mut [u64] {
-        &mut delta[node * words..(node + 1) * words]
-    }
-
-    fn enqueue(&mut self, node: u32) {
-        if self.on_list.insert(node as usize) {
-            self.wl.push(node);
-        }
-    }
-
-    /// Pushes `pts(src)` into `dst` (used when an edge appears late, and
-    /// by the initial pass).
-    fn propagate_full(&mut self, src: u32, dst: u32) {
-        if src == dst {
-            return;
-        }
-        let (s, d) = (src as usize, dst as usize);
-        let drow = Self::delta_row(&mut self.delta, self.words, d);
-        // Split-borrow the pts table around the two nodes.
-        let (a, b) = if s < d {
-            let (lo, hi) = self.pts.split_at_mut(d);
-            (&lo[s], &mut hi[0])
-        } else {
-            let (lo, hi) = self.pts.split_at_mut(s);
-            (&hi[0], &mut lo[d])
-        };
-        if b.union_words(a.words(), drow) {
-            self.enqueue(dst);
-        }
-    }
-
-    fn insert_bit(&mut self, node: u32, bit: usize) {
-        if self.pts[node as usize].insert(bit) {
-            self.delta[node as usize * self.words + bit / 64] |= 1u64 << (bit % 64);
-            self.enqueue(node);
-        }
-    }
-
-    /// Wires constraint `con` against location `l` (idempotent).
+    /// Wires memory constraint `con` against location `l`, once.
     fn wire(&mut self, con: u32, l: usize) {
-        let slot = con as usize * self.words + l / 64;
+        let slot = con as usize * self.num_locs.div_ceil(64) + l / 64;
         let bit = 1u64 << (l % 64);
         if self.resolved[slot] & bit != 0 {
             return;
@@ -686,138 +616,71 @@ impl Solver {
         self.resolved[slot] |= bit;
         let c = self.mem_cons[con as usize];
         if let Some(dst) = c.load_to {
-            self.dyn_edges[l].push(dst);
-            self.propagate_full(l as u32, dst);
+            self.copy(Some(Src::Node(l as u32)), dst);
         }
-        match c.store_src {
+        self.copy(c.store_src, l as u32);
+    }
+
+    /// Adds the copy edge `src → dst` and applies it once; a constant
+    /// global source is a fixed singleton and needs no edge.
+    fn copy(&mut self, src: Option<Src>, dst: u32) {
+        match src {
             Some(Src::Node(s)) => {
-                self.dyn_edges[s as usize].push(l as u32);
-                self.propagate_full(s, l as u32);
+                Self::link(&mut self.succ[s as usize], &mut self.links, dst);
+                self.push(s, dst);
             }
-            Some(Src::Global(g)) => {
-                self.insert_bit(l as u32, g as usize);
-            }
+            Some(Src::Global(g)) => self.insert(dst, g as usize),
             None => {}
         }
     }
 
-    /// Replays the legacy solver's first round: every constraint is
-    /// applied exactly once, in program order, against the in-round
-    /// intermediate state — direct unions only, no transitive
-    /// propagation. This pins down the conservative `∅ ⇒ {Unknown}`
-    /// address resolutions exactly as the fixpoint-by-re-execution solver
-    /// made them (the empty-set fallback is the one non-monotone rule, so
-    /// *when* a set was empty matters); every union the pass performs is
-    /// one the worklist closure implies anyway.
-    fn initial_pass(&mut self, table: &Table<'_>) {
-        let mut con = 0u32;
-        let mut locs: Vec<u32> = Vec::new();
-        table.each(|c| match c {
-            Con::Alloc { dst, loc } => self.insert_bit(dst, loc as usize),
-            Con::Copy {
-                src: Src::Node(s),
-                dst,
-            } => self.propagate_full(s, dst),
-            Con::Copy {
-                src: Src::Global(g),
-                dst,
-            } => self.insert_bit(dst, g as usize),
-            Con::Mem { addr, .. } => {
-                locs.clear();
-                match addr {
-                    Some(Src::Node(a)) if !self.pts[a as usize].is_empty() => {
-                        locs.extend(self.pts[a as usize].iter().map(|l| l as u32))
-                    }
-                    Some(Src::Global(g)) => locs.push(g),
-                    _ => locs.push(self.unknown as u32),
-                }
-                for &l in &locs {
-                    self.wire(con, l as usize);
-                }
-                con += 1;
-            }
-        });
-    }
-
-    /// Seeds the worklist with every nonempty node's full set so every
-    /// static edge sees its source's initial contents at least once;
-    /// from then on only deltas travel.
-    fn seed(&mut self) {
-        let w = self.words;
-        for node in 0..self.pts.len() {
-            if !self.pts[node].is_empty() {
-                let (pts, delta) = (&self.pts, &mut self.delta);
-                for (d, s) in Self::delta_row(delta, w, node)
-                    .iter_mut()
-                    .zip(pts[node].words())
-                {
-                    *d |= s;
-                }
-                self.enqueue(node as u32);
-            }
-        }
-    }
-
-    /// Drains one node: pushes its pending delta along every static and
-    /// wired edge, and wires the memory constraints it addresses.
-    fn drain_node(&mut self, g: u32) {
-        let gi = g as usize;
-        let w = self.words;
-        // Snapshot the delta row through the reusable scratch, then clear
-        // it — a drain step allocates nothing.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let drow = Self::delta_row(&mut self.delta, w, gi);
-        scratch.copy_from_slice(drow);
-        drow.fill(0);
-        if scratch.iter().all(|&x| x == 0) {
-            self.scratch = scratch;
+    /// `pts(dst) ∪= pts(src)`, enqueueing `dst` if it grew.
+    fn push(&mut self, src: u32, dst: u32) {
+        let s = self.row[src as usize];
+        if src == dst || s == END || self.rows[s as usize].is_empty() {
             return;
         }
-        // Static copy edges: pushing just the delta is enough because
-        // every edge propagates the full source set when first created.
-        for k in self.csr_off[gi]..self.csr_off[gi + 1] {
-            let t = self.csr_dst[k as usize];
-            self.apply_delta(&scratch, t, gi);
-        }
-        // Dynamically wired edges.
-        let dyns = std::mem::take(&mut self.dyn_edges[gi]);
-        for &t in &dyns {
-            self.apply_delta(&scratch, t, gi);
-        }
-        self.dyn_edges[gi] = dyns;
-        // Memory constraints subscribed to this address node.
-        let subs = std::mem::take(&mut self.subs[gi]);
-        for &con in &subs {
-            for l in fence_ir::util::iter_words(&scratch) {
-                self.wire(con, l);
-            }
-        }
-        self.subs[gi] = subs;
-        self.scratch = scratch;
-    }
-
-    /// `pts(t) ∪= delta_words` with delta tracking and enqueue.
-    fn apply_delta(&mut self, delta_words: &[u64], t: u32, src: usize) {
-        let ti = t as usize;
-        if ti == src {
-            return;
-        }
-        let drow = Self::delta_row(&mut self.delta, self.words, ti);
-        if self.pts[ti].union_words(delta_words, drow) {
-            self.enqueue(t);
+        let (s, d) = (s as usize, self.row_of(dst));
+        // Split-borrow the two rows.
+        let (from, to) = if s < d {
+            let (lo, hi) = self.rows.split_at_mut(d);
+            (&lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = self.rows.split_at_mut(s);
+            (&hi[0], &mut lo[d])
+        };
+        if to.union_with(from) {
+            self.enqueue(dst);
         }
     }
 
-    /// Runs the initial pass, then drains the worklist to the fixpoint;
-    /// returns the per-node sets.
-    fn solve(mut self, table: &Table<'_>) -> Vec<BitSet> {
-        self.initial_pass(table);
-        self.seed();
-        while let Some(g) = self.wl.pop() {
-            self.on_list.remove(g as usize);
-            self.drain_node(g);
+    /// Inserts location `bit` into `pts(node)`, enqueueing it if new.
+    fn insert(&mut self, node: u32, bit: usize) {
+        let r = self.row_of(node);
+        if self.rows[r].insert(bit) {
+            self.enqueue(node);
         }
-        self.pts
+    }
+
+    /// `node`'s row, allocated empty if it has none yet.
+    fn row_of(&mut self, node: u32) -> usize {
+        if self.row[node as usize] == END {
+            self.row[node as usize] = self.rows.len() as u32;
+            self.rows.push(BitSet::new(self.num_locs));
+        }
+        self.row[node as usize] as usize
+    }
+
+    /// Prepends `item` to the list that starts at `head`.
+    fn link(head: &mut u32, links: &mut Vec<(u32, u32)>, item: u32) {
+        links.push((item, *head));
+        *head = (links.len() - 1) as u32;
+    }
+
+    fn enqueue(&mut self, node: u32) {
+        if self.on_list.insert(node as usize) {
+            self.wl.push(node);
+        }
     }
 }
 

@@ -3,9 +3,10 @@
 //!
 //! The seed stage re-applies every constraint each round with two owned
 //! `BitSet` clones per operand visit; the worklist stage builds the
-//! constraint graph once (CSR + flat delta matrix), replays the legacy
-//! initial pass in program order, and drains one worklist of pending
-//! deltas to the fixpoint.
+//! constraint graph in one walk that also replays the seed's first round
+//! in program order, then drains one worklist in which a node pushes its
+//! whole set along its successor list, with set rows allocated on
+//! demand.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fence_analysis::pointsto::PointsTo;

@@ -535,8 +535,23 @@ pub struct SeedPointsTo {
 /// nothing. `O(rounds · insts · locs/64)` with owned `BitSet` clones on
 /// every operand visit — the baseline `pointsto_scaling` measures the
 /// constraint-graph worklist solver against.
-#[allow(clippy::needless_range_loop)] // seed control flow, kept verbatim
 pub fn seed_points_to(module: &Module) -> SeedPointsTo {
+    seed_fixpoint::<false>(module)
+}
+
+/// [`seed_points_to`] in its `Unknown`-pinning mode: a memory access
+/// whose address set is empty when round 1 visits it keeps `Unknown` in
+/// its location set in every later round. This is the wiring
+/// [`PointsTo`] documents for its `∅ ⇒ {Unknown}` corner, so on verified
+/// modules its sets equal the solver's exactly, corner included.
+pub fn seed_points_to_pinned(module: &Module) -> SeedPointsTo {
+    seed_fixpoint::<true>(module)
+}
+
+/// The seed solver's rounds; `PIN` selects the `Unknown`-pinning mode
+/// (compiled out of the default path).
+#[allow(clippy::needless_range_loop)] // seed control flow, kept verbatim
+fn seed_fixpoint<const PIN: bool>(module: &Module) -> SeedPointsTo {
     let mut locs: Vec<AbsLoc> = module
         .iter_globals()
         .map(|(g, _)| AbsLoc::Global(g))
@@ -593,17 +608,40 @@ pub fn seed_points_to(module: &Module) -> SeedPointsTo {
         Value::Arg(a) => arg[f.index()][a as usize].clone(),
         Value::Inst(i) => val[f.index()][i.index()].clone(),
     };
-    let addr_locs = |val: &[Vec<BitSet>], arg: &[Vec<BitSet>], f: FuncId, a: Value| {
+    // Per function, the memory accesses pinned to `Unknown` (`PIN` only).
+    let mut pinned: Vec<BitSet> = if PIN {
+        module
+            .funcs
+            .iter()
+            .map(|f| BitSet::new(f.num_insts()))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let addr_locs = |val: &[Vec<BitSet>],
+                     arg: &[Vec<BitSet>],
+                     pinned: &mut [BitSet],
+                     round: usize,
+                     f: FuncId,
+                     i: InstId,
+                     a: Value| {
         let mut s = value_set(val, arg, f, a);
         if s.is_empty() {
+            s.insert(unknown);
+            if PIN && round == 1 {
+                pinned[f.index()].insert(i.index());
+            }
+        } else if PIN && pinned[f.index()].contains(i.index()) {
             s.insert(unknown);
         }
         s
     };
 
     let mut changed = true;
+    let mut round = 0;
     while changed {
         changed = false;
+        round += 1;
         for (fid, func) in module.iter_funcs() {
             let fi = fid.index();
             for (iid, inst) in func.iter_insts() {
@@ -630,7 +668,7 @@ pub fn seed_points_to(module: &Module) -> SeedPointsTo {
                         }
                     }
                     InstKind::Load { addr } => {
-                        let als = addr_locs(&val, &arg, fid, *addr);
+                        let als = addr_locs(&val, &arg, &mut pinned, round, fid, iid, *addr);
                         let mut acc = BitSet::new(n);
                         for l in als.iter() {
                             acc.union_with(&loc[l]);
@@ -639,14 +677,14 @@ pub fn seed_points_to(module: &Module) -> SeedPointsTo {
                     }
                     InstKind::Store { addr, val: v } => {
                         let s = value_set(&val, &arg, fid, *v);
-                        let als = addr_locs(&val, &arg, fid, *addr);
+                        let als = addr_locs(&val, &arg, &mut pinned, round, fid, iid, *addr);
                         for l in als.iter() {
                             changed |= loc[l].union_with(&s);
                         }
                     }
                     InstKind::AtomicRmw { addr, val: v, .. }
                     | InstKind::AtomicCas { addr, new: v, .. } => {
-                        let als = addr_locs(&val, &arg, fid, *addr);
+                        let als = addr_locs(&val, &arg, &mut pinned, round, fid, iid, *addr);
                         let mut acc = BitSet::new(n);
                         for l in als.iter() {
                             acc.union_with(&loc[l]);

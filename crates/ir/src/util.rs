@@ -138,32 +138,6 @@ impl BitSet {
         changed
     }
 
-    /// Unions `other` into `self` and records the bits that were actually
-    /// new into `delta` (word-level). Returns `true` if `self` changed.
-    ///
-    /// This is the primitive behind sparse worklist propagation: a solver
-    /// keeps one `delta` accumulator per node and only ever re-propagates
-    /// the genuinely new bits.
-    pub fn union_with_into(&mut self, other: &BitSet, delta: &mut BitSet) -> bool {
-        debug_assert_eq!(self.len, other.len);
-        debug_assert_eq!(self.len, delta.len);
-        let mut changed = false;
-        for ((a, b), d) in self
-            .words
-            .iter_mut()
-            .zip(&other.words)
-            .zip(&mut delta.words)
-        {
-            let new = b & !*a;
-            if new != 0 {
-                *a |= new;
-                *d |= new;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     /// Returns `true` if the sets share any element.
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
@@ -290,49 +264,6 @@ impl BitSet {
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
-
-    /// The backing words, little-endian within each `u64`. Exposed so
-    /// solvers can keep *flat* per-node delta storage (one `Vec<u64>` for
-    /// thousands of rows) and still union against `BitSet`s word-wise.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Unions a raw word row (same universe, see [`BitSet::words`]) into
-    /// `self`, recording the genuinely new bits into the raw `delta` row.
-    /// Returns `true` if `self` changed.
-    pub fn union_words(&mut self, src: &[u64], delta: &mut [u64]) -> bool {
-        debug_assert_eq!(self.words.len(), src.len());
-        debug_assert_eq!(self.words.len(), delta.len());
-        let mut changed = false;
-        for ((a, b), d) in self.words.iter_mut().zip(src).zip(delta) {
-            let new = b & !*a;
-            if new != 0 {
-                *a |= new;
-                *d |= new;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
-/// Iterates the set indices of a raw word row in ascending order (the
-/// flat-storage sibling of [`BitSet::iter`]).
-pub fn iter_words(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        let mut bits = w;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + b)
-            }
-        })
-    })
 }
 
 #[cfg(test)]
@@ -414,27 +345,6 @@ mod tests {
         assert!(!s.remove(68));
         assert!(s.remove(69));
         assert!(!s.contains(69));
-    }
-
-    #[test]
-    fn union_with_into_records_only_new_bits() {
-        let mut a = BitSet::new(130);
-        a.insert(5);
-        a.insert(64);
-        let mut b = BitSet::new(130);
-        b.insert(64); // already present — must not land in delta
-        b.insert(65);
-        b.insert(129);
-        let mut delta = BitSet::new(130);
-        assert!(a.union_with_into(&b, &mut delta));
-        assert_eq!(delta.iter().collect::<Vec<_>>(), vec![65, 129]);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![5, 64, 65, 129]);
-        let mut delta2 = BitSet::new(130);
-        assert!(
-            !a.union_with_into(&b, &mut delta2),
-            "second union is a no-op"
-        );
-        assert!(delta2.is_empty());
     }
 
     #[test]

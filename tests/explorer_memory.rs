@@ -3,68 +3,18 @@
 //!
 //! Explored states share their global image pages copy-on-write, so a
 //! visited state costs its page table, its threads and the pages it
-//! wrote, not a copy of the whole image. A counting global allocator
-//! tracks live and peak bytes; the file holds a single test, so nothing
-//! else allocates while a certification runs. Certification is
-//! single-threaded and the visited set's hasher is fixed, so the numbers
-//! are deterministic.
+//! wrote, not a copy of the whole image. The counting global allocator
+//! in `common/` tracks live and peak bytes; the file holds a single
+//! test, so nothing else allocates while a certification runs.
+//! Certification is single-threaded and the visited set's hasher is
+//! fixed, so the numbers are deterministic.
 
 use corpus::Params;
 use fenceplace::{certify, run_pipeline, CertifyOptions, PipelineConfig, TargetModel, Variant};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Bytes allocated now.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most bytes allocated at once since the test last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting live and peak bytes.
-struct Counting;
-
-/// Counts `bytes` more of live heap and raises the peak to match.
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards its caller's arguments unchanged to the
-// system allocator and returns its result, so `System`'s contract is the
-// caller's; the counters are plain atomics and never touch the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+mod common;
+use common::{LIVE, PEAK};
 
 /// Peak live heap a certification may add, in bytes. Copying the image
 /// into every state took 181–223 MB here; shared pages take 36–74 MB.

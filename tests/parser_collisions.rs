@@ -77,19 +77,24 @@ fn module_with(labels: &[String]) -> String {
     text
 }
 
-/// Best of a few parses, to shed scheduling noise; `check` sees each
-/// parsed module.
-fn parse_time(text: &str, check: impl Fn(&Module)) -> Duration {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            let m = fence_ir::parser::parse_module(text).expect("module parses");
-            let elapsed = t.elapsed();
-            check(&m);
-            elapsed
-        })
-        .min()
-        .unwrap()
+/// Best of three parses of each text, to shed scheduling noise. The two
+/// texts alternate within each round, so a burst of load from another
+/// process slows both sides rather than one. `check` sees each parsed
+/// module.
+fn parse_times(a: &str, b: &str, check: impl Fn(&Module)) -> (Duration, Duration) {
+    let time = |text: &str| {
+        let t = Instant::now();
+        let m = fence_ir::parser::parse_module(text).expect("module parses");
+        let elapsed = t.elapsed();
+        check(&m);
+        elapsed
+    };
+    let (mut ta, mut tb) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        ta = ta.min(time(a));
+        tb = tb.min(time(b));
+    }
+    (ta, tb)
 }
 
 #[test]
@@ -104,10 +109,7 @@ fn crafted_label_collisions_cost_no_more_than_benign_labels() {
     let benign_text = module_with(&benign);
     assert_eq!(crafted_text.len(), benign_text.len());
     let check = |m: &Module| assert_eq!(m.funcs[0].num_insts(), LABELS + 1);
-    let (c, b) = (
-        parse_time(&crafted_text, check),
-        parse_time(&benign_text, check),
-    );
+    let (c, b) = parse_times(&crafted_text, &benign_text, check);
     assert!(
         c <= 3 * b,
         "crafted labels parse in {c:?}, benign ones in {b:?}: name tables are collision-prone"
@@ -146,10 +148,7 @@ fn a_big_function_does_not_slow_the_functions_after_it() {
         let n: usize = m.funcs.iter().map(|f| f.locals.len()).sum();
         assert_eq!(n, BIG_LOCALS + SMALL_FUNCS);
     };
-    let (first, last) = (
-        parse_time(&big_first, locals),
-        parse_time(&big_last, locals),
-    );
+    let (first, last) = parse_times(&big_first, &big_last, locals);
     assert!(
         3 * first <= 4 * last,
         "big function first parses in {first:?}, last in {last:?}: per-function tables are reused"

@@ -6,8 +6,11 @@
 //! * On randomly generated multi-function modules exercising every flow
 //!   between functions (publishes through global cells, call-argument
 //!   and return edges, unknown-address stores, alloc-site publication),
-//!   the solver must produce exactly the seed's sets, or on modules that
-//!   reach the documented `∅ ⇒ {Unknown}` corner, supersets of them.
+//!   the solver must produce exactly the seed's sets. On modules that
+//!   reach the documented `∅ ⇒ {Unknown}` corner, it must produce
+//!   exactly the sets of the seed's `Unknown`-pinning replay
+//!   ([`fence_bench::naive::seed_points_to_pinned`]), which are supersets
+//!   of the seed's.
 //! * Solving stays near-linear when values flow against program order:
 //!   on a call chain where each return value reaches its caller only
 //!   after the caller was visited, the seed needs one round per link,
@@ -16,7 +19,7 @@
 
 use corpus::arbitrary::{build_pt, pt_shape_strategy, PtOp, PtShape};
 use fence_analysis::pointsto::PointsTo;
-use fence_bench::naive::{seed_points_to, SeedPointsTo};
+use fence_bench::naive::{seed_points_to, seed_points_to_pinned, SeedPointsTo};
 use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
 use fence_ir::{FuncId, Module, Value};
 use proptest::prelude::*;
@@ -108,17 +111,58 @@ proptest! {
     }
 
     /// On *unrestricted* modules — including ones that hit the documented
-    /// `∅ ⇒ {Unknown}` divergence corner — the solve never loses a
-    /// location the legacy fixpoint derives (soundness: only
-    /// conservative supersets).
+    /// `∅ ⇒ {Unknown}` divergence corner — the solve equals the seed's
+    /// `Unknown`-pinning replay bit-for-bit, and never loses a location
+    /// the legacy fixpoint derives (soundness: only conservative
+    /// supersets).
     #[test]
     fn sharded_solve_sound_and_schedule_independent(shape in pt_shape_strategy()) {
         let m = build_pt(&shape, false);
         prop_assert!(fence_ir::verify_module(&m).is_empty(), "module verifies");
-        let reference = seed_points_to(&m);
         let pt = PointsTo::analyze(&m);
-        assert_matches(&m, &pt, &reference, "unrestricted", false);
+        assert_matches(&m, &pt, &seed_points_to_pinned(&m), "pinned", true);
+        assert_matches(&m, &pt, &seed_points_to(&m), "unrestricted", false);
     }
+}
+
+/// The `∅ ⇒ {Unknown}` corner on a fixed module. `a` loads `%x` from
+/// `@cell` and then loads through `%x`; `b` stores `@h` into `@cell` and
+/// `@g` through its unknown argument. In round 1, `%x` is still empty
+/// when `a`'s second load is visited, so that load is wired to `Unknown`,
+/// and it stays wired after `%x` becomes `{h}`. The `@g` that `b` later
+/// stores to `Unknown` therefore reaches `%y`; the seed's later rounds
+/// read `%y` through `{h}` only and cut it off.
+#[test]
+fn a_load_wired_to_unknown_in_round_one_stays_wired() {
+    let mut mb = ModuleBuilder::new("corner");
+    let cell = mb.global("cell", 1);
+    let h = mb.global("h", 1);
+    let g = mb.global("g", 1);
+    let mut fa = FunctionBuilder::new("a", 0);
+    let x = fa.load(cell);
+    let y = fa.load(x);
+    fa.ret(None);
+    let a = mb.add_func(fa.build());
+    let mut fb = FunctionBuilder::new("b", 1);
+    fb.store(cell, h);
+    fb.store(Value::Arg(0), g);
+    fb.ret(None);
+    mb.add_func(fb.build());
+    let m = mb.finish();
+    assert!(fence_ir::verify_module(&m).is_empty(), "module verifies");
+
+    let pt = PointsTo::analyze(&m);
+    let unknown = pt.unknown_idx();
+    let got: Vec<usize> = pt.value_set(a, y).iter().collect();
+    assert_eq!(got, vec![g.index(), unknown], "solver: %y");
+    let Value::Inst(yi) = y else {
+        unreachable!("a load yields an instruction result")
+    };
+    let seed = seed_points_to(&m);
+    let want: Vec<usize> = seed.val[a.index()][yi.index()].iter().collect();
+    assert_eq!(want, vec![unknown], "seed: %y");
+    assert_matches(&m, &pt, &seed_points_to_pinned(&m), "pinned", true);
+    assert_matches(&m, &pt, &seed, "corner", false);
 }
 
 /// A chain of `n` functions without parameters: `f_i` returns

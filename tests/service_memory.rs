@@ -7,58 +7,17 @@
 //! growing. Any store that outlives the evicted entries, such as a
 //! service-wide table of reachability rows, breaks that.
 //!
-//! A counting global allocator tracks live bytes; the file holds a
-//! single test, so nothing else allocates while it measures. The
-//! service runs sequentially, so every allocation is this test's.
+//! The counting global allocator in `common/` tracks live bytes; the
+//! file holds a single test, so nothing else allocates while it
+//! measures. The service runs sequentially, so every allocation is this
+//! test's.
 
 use fenceplace::{PipelineConfig, Service, ServiceOptions, TargetModel, Variant};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Bytes allocated now.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-// SAFETY: every method forwards its caller's arguments unchanged to the
-// system allocator and returns its result, so `System`'s contract is the
-// caller's; the counter is a plain atomic and never touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            LIVE.fetch_add(new_size, Relaxed);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+mod common;
+use common::LIVE;
 
 /// Requests sent, and the request after which the baseline is read.
 const REQUESTS: usize = 60;
