@@ -201,16 +201,20 @@ impl PerfRow {
 
 /// Runs one program under one placement variant on the TSO simulator.
 pub fn simulate_variant(prog: &Program, variant: Variant) -> memsim::SimResult {
+    let placed;
     let module = match variant {
-        Variant::Manual => prog.manual_module.clone(),
-        v => run_pipeline(&prog.module, &PipelineConfig::for_variant(v)).module,
+        Variant::Manual => &prog.manual_module,
+        v => {
+            placed = run_pipeline(&prog.module, &PipelineConfig::for_variant(v));
+            placed.module()
+        }
     };
-    let sim = Simulator::with_config(&module, SimConfig::default());
+    let sim = Simulator::with_config(module, SimConfig::default());
     let result = sim
         .run(&prog.threads)
         .unwrap_or_else(|e| panic!("{} under {variant:?}: {e}", prog.name));
     if let Some(check) = prog.check {
-        check(&result, &module, &prog.params)
+        check(&result, module, &prog.params)
             .unwrap_or_else(|e| panic!("{} under {variant:?}: {e}", prog.name));
     }
     result

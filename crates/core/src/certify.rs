@@ -373,8 +373,9 @@ pub fn certify_module(
     }
 }
 
-/// Certifies a pipeline result: derives the sync classification for
-/// `variant` from the instrumented module (instruction ids are preserved
+/// Certifies a pipeline result: builds its instrumented module
+/// ([`PipelineResult::module`]) unless it is built already, derives the
+/// sync classification for `variant` from it (instruction ids are preserved
 /// by fence insertion, and acquire detection ignores fences, so the
 /// classification agrees with the pre-placement one) and runs
 /// [`certify_module`] against `target`.
@@ -384,8 +385,9 @@ pub fn certify(
     target: TargetModel,
     opts: &CertifyOptions,
 ) -> CertifyReport {
-    let class = sync_classification(&result.module, variant);
-    certify_module(&result.module, &class, target, opts)
+    let module = result.module();
+    let class = sync_classification(module, variant);
+    certify_module(module, &class, target, opts)
 }
 
 #[cfg(test)]
@@ -464,28 +466,21 @@ mod tests {
             target: TargetModel::Weak,
             parallel: false,
         };
-        let mut result = run_pipeline(&m, &config);
+        let result = run_pipeline(&m, &config);
         // Sabotage: weaken every placed full fence in the producer.
+        let mut module = result.module().clone();
         let sites = check::full_fence_sites(
-            &result.module,
-            &result
-                .module
-                .iter_funcs()
-                .map(|(f, _)| f)
-                .collect::<Vec<_>>(),
+            &module,
+            &module.iter_funcs().map(|(f, _)| f).collect::<Vec<_>>(),
         );
         assert!(!sites.is_empty(), "placement put down full fences");
         for site in sites {
-            if !check::is_entry_fence(result.module.func(site.func), site.inst) {
-                result.module = check::weaken_fence(&result.module, site);
+            if !check::is_entry_fence(module.func(site.func), site.inst) {
+                module = check::weaken_fence(&module, site);
             }
         }
-        let report = certify(
-            &result,
-            config.variant,
-            config.target,
-            &CertifyOptions::default(),
-        );
+        let class = sync_classification(&module, config.variant);
+        let report = certify_module(&module, &class, config.target, &CertifyOptions::default());
         assert_eq!(report.status(), CertifyStatus::Unsound, "{report:?}");
         assert!(report.first_violation().is_some());
     }

@@ -28,11 +28,19 @@
 //!    true dependency edge on both the analysis and the substrate;
 //! 4. *acquire detection* — one [`AcquireInfo`] per (module, distinct
 //!    automatic variant, function) triple;
-//! 5. *config tails* — pruning + minimization + insertion per (module,
-//!    config) pair;
+//! 5. *config tails* — pruning + minimization per (module, config,
+//!    function), collected into one placement (fence points + report)
+//!    per (module, config) pair;
 //! 6. *certify* (opt-in, [`FleetOptions::certify`]) — bounded model
-//!    checking of every assembled (module, config) placement against its
-//!    target memory model ([`crate::certify()`]), one unit per pair.
+//!    checking of every (module, config) placement, fences inserted,
+//!    against its target memory model ([`crate::certify()`]), one unit
+//!    per pair.
+//!
+//! No stage builds a fenced module for a result: a [`PipelineResult`]
+//! holds its points, its report and an `Arc` of its source module, shared
+//! by every result of the job, and inserts the fences when its
+//! [`PipelineResult::module`] is first called. The reports the CLI and
+//! the service render need only points and reports.
 //!
 //! Barriers fall only on true dependency edges (a context needs its
 //! module's analysis and substrate), and never on a *module* boundary:
@@ -104,7 +112,7 @@ pub const MAX_IR_DIAGNOSTICS: usize = 8;
 
 /// One unit of fleet work: a module plus the pipeline configs to run it
 /// under. The fleet shares one analysis stack across all of a job's
-/// configs.
+/// configs, and its results share one copy of the module.
 pub struct FleetJob<'m> {
     /// Display name used in reports and roll-ups.
     pub name: String,
@@ -195,7 +203,9 @@ pub struct FleetResult {
     pub outcome: ModuleOutcome,
     /// One [`PipelineResult`] per config, bit-identical to what
     /// [`run_pipeline_batch`](crate::run_pipeline_batch) would produce.
-    /// Empty when the module was quarantined.
+    /// Empty when the module was quarantined. The results share one
+    /// source module, and each inserts its fences into a copy only when
+    /// its [`PipelineResult::module`] is called.
     pub results: Vec<PipelineResult>,
     /// One [`CertifyReport`] per config when
     /// [`FleetOptions::certify`] is enabled (in config order); empty when
@@ -541,21 +551,44 @@ pub fn run_fleet_with(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, F
 
 /// Runs the fleet under explicit [`FleetOptions`]. See the module docs
 /// for the stage structure and the failure-isolation contract.
+///
+/// The jobs are borrowed, so each job's results share one copy of its
+/// module (taken only when the job has results); the streamed drivers
+/// own their modules and lend them instead, copying none.
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
+    run_fleet_lent(jobs, opts, |j| Arc::new(jobs[j].module.clone()))
+}
+
+/// [`run_fleet_opts`] with each job's source module supplied by
+/// `source(j)`: called once per job that has results, and shared by all
+/// of them, which build their instrumented modules from it on demand.
+fn run_fleet_lent(
+    jobs: &[FleetJob],
+    opts: &FleetOptions,
+    mut source: impl FnMut(usize) -> Arc<Module>,
+) -> (Vec<FleetResult>, FleetStats) {
     let mut seeds: Vec<Seed> = jobs.iter().map(|_| Seed::default()).collect();
     let (placed, stats) = run_seeded(jobs, &mut seeds, opts);
     let results = jobs
         .iter()
         .zip(placed)
-        .map(|(job, p)| FleetResult {
-            name: job.name.clone(),
-            outcome: p.outcome,
-            results: p
-                .placements
-                .into_iter()
-                .map(|pl| pl.assemble(job.module))
-                .collect(),
-            certifications: p.certifications,
+        .enumerate()
+        .map(|(j, (job, p))| {
+            let results = if p.placements.is_empty() {
+                Vec::new()
+            } else {
+                let module = source(j);
+                p.placements
+                    .into_iter()
+                    .map(|pl| PipelineResult::new(Arc::clone(&module), pl.points, pl.report))
+                    .collect()
+            };
+            FleetResult {
+                name: job.name.clone(),
+                outcome: p.outcome,
+                results,
+                certifications: p.certifications,
+            }
         })
         .collect();
     (results, stats)
@@ -580,28 +613,17 @@ pub(crate) struct Seed {
     pub cached: Vec<bool>,
 }
 
-/// One config's placement before fence insertion: the chosen fence
-/// points and the per-function report.
+/// One config's placement: the chosen fence points and the
+/// per-function report. No stage inserts the fences; a
+/// [`PipelineResult`] does, when its module is asked for.
 pub(crate) struct Placement {
     pub points: Vec<FencePoint>,
     pub report: ModuleReport,
 }
 
-impl Placement {
-    /// The placement as a [`PipelineResult`]: `module` with its fences
-    /// inserted.
-    fn assemble(self, module: &Module) -> PipelineResult {
-        PipelineResult {
-            module: insert_fences(module, &self.points),
-            points: self.points,
-            report: self.report,
-        }
-    }
-}
-
-/// What [`run_seeded`] produced for one job: a [`FleetResult`] whose
-/// placements are not yet assembled into instrumented modules, so a
-/// caller that only renders reports (the service) never builds them.
+/// What [`run_seeded`] produced for one job: its outcome, placements and
+/// certifications. [`run_fleet_opts`] wraps the placements in
+/// [`PipelineResult`]s; the service renders them directly.
 pub(crate) struct Placed {
     pub outcome: ModuleOutcome,
     /// One placement per uncached config, in config order; empty when
@@ -824,8 +846,9 @@ pub(crate) fn run_seeded(
     // ---- stage 5: config tails ----
     // Per-(module, config, *function*) units, so a large module's
     // pruning/minimization shards across the pool; the per-config
-    // assembly (fence insertion into a fresh module clone, report
-    // collection) then runs on the caller.
+    // collection of points and reports then runs on the caller. No
+    // fences are inserted here: a result builds its instrumented module
+    // when asked (`PipelineResult::module`).
     let tails_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
     let mut tail_units: Vec<(u32, u32, u32)> = Vec::new();
     for j in (0..nj).filter(|&j| tails_alive[j]) {
@@ -1172,7 +1195,8 @@ where
 }
 
 /// `window: None`: materialize everything (one pooled ingest pass over
-/// the texts), then run the exact resident scheduler.
+/// the texts), then run the exact resident scheduler. Each module moves
+/// into the `Arc` its results share, so no module is copied.
 fn stream_resident<I, F>(
     items: I,
     configs: &[PipelineConfig],
@@ -1185,14 +1209,14 @@ where
 {
     enum Slot {
         Pending,
-        Run(String, Module),
+        Run(String, Arc<Module>),
         Quarantined(String, ModuleOutcome),
     }
     let mut slots: Vec<Slot> = Vec::new();
     let mut texts: Vec<(usize, String, String)> = Vec::new();
     for item in items {
         match item {
-            StreamItem::Module { name, module } => slots.push(Slot::Run(name, module)),
+            StreamItem::Module { name, module } => slots.push(Slot::Run(name, Arc::new(module))),
             StreamItem::Failed { name, error } => {
                 slots.push(Slot::Quarantined(name, ModuleOutcome::LoadFailed { error }))
             }
@@ -1209,22 +1233,24 @@ where
     });
     for ((i, name, _), attempt) in texts.into_iter().zip(attempts) {
         slots[i] = match finish_ingest(&name, attempt, opts.budget) {
-            Ok(module) => Slot::Run(name, module),
+            Ok(module) => Slot::Run(name, Arc::new(module)),
             Err(outcome) => Slot::Quarantined(name, outcome),
         };
     }
 
     let mut jobs: Vec<FleetJob> = Vec::new();
+    let mut sources: Vec<&Arc<Module>> = Vec::new();
     for slot in &slots {
         if let Slot::Run(name, module) = slot {
             jobs.push(FleetJob::new(name.clone(), module, configs.to_vec()));
+            sources.push(module);
         }
     }
     let inner = FleetOptions {
         window: None,
         ..*opts
     };
-    let (fleet, mut stats) = run_fleet_opts(&jobs, &inner);
+    let (fleet, mut stats) = run_fleet_lent(&jobs, &inner, |j| Arc::clone(sources[j]));
 
     // Deliver in admission order; quarantined-at-ingest items get empty
     // results. Every item but a load failure was resident at once.
@@ -1322,8 +1348,11 @@ where
         tally.lock().expect(POISONED).hold(0, insts);
         let (fr, stats) = match module {
             Ok(module) => {
+                // The results share the module itself: it is not copied.
+                let module = Arc::new(module);
                 let job = FleetJob::new(name, &module, configs.to_vec());
-                let (mut results, stats) = run_fleet_opts(std::slice::from_ref(&job), &inner);
+                let (mut results, stats) =
+                    run_fleet_lent(std::slice::from_ref(&job), &inner, |_| Arc::clone(&module));
                 (results.pop().expect("one result per job"), stats)
             }
             Err(outcome) => quarantined(name, outcome, configs.len()),

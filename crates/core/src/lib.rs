@@ -19,7 +19,8 @@
 //!    et al. 2003) against a [`TargetModel`], emitting full fences for
 //!    orderings the hardware relaxes and compiler directives for the rest;
 //! 5. [`insert`] materializes the chosen [`minimize::FencePoint`]s as
-//!    `fence` instructions in a fresh module.
+//!    `fence` instructions in a fresh module, when a result's
+//!    [`PipelineResult::module`] is first asked for.
 //!
 //! The [`Variant`] enum selects which sync-read set drives pruning:
 //! `Pensieve` (every escaping read — the baseline), `Control`,

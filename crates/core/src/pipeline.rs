@@ -23,7 +23,9 @@
 //! and one [`FuncContext`] per function (oracle + escaping set +
 //! orderings borrowing the substrate), computes acquire info once per
 //! *distinct variant*, and only the cheap tail — pruning, fence
-//! minimization, fence insertion, report assembly — runs per config.
+//! minimization, report assembly — runs per config. Fence insertion runs
+//! only for a result whose [`PipelineResult::module`] is asked for: the
+//! fence counts of Figures 7–9 come from the points and the report.
 //! Callers sweeping variants and targets (golden tests, figure binaries)
 //! get the whole sweep for roughly the price of one run. [`run_pipeline`]
 //! is the single-config special case.
@@ -42,6 +44,7 @@
 
 use crate::acquire::{detect_acquires_with, pensieve_all_reads, AcquireInfo, DetectMode};
 use crate::fleet::{run_fleet_opts, FleetJob, FleetOptions};
+use crate::insert::insert_fences;
 use crate::minimize::{count_module_fences, minimize_function, FencePoint, TargetModel};
 use crate::orderings::{FuncOrderings, OrderingSelection, SyncAggregates};
 use crate::report::{FuncReport, ModuleReport};
@@ -50,7 +53,7 @@ use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::FuncSubstrate;
 use fence_ir::util::BitSet;
 use fence_ir::{FenceKind, FuncId, Module};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Which sync-read set drives pruning.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -123,14 +126,43 @@ impl PipelineConfig {
     }
 }
 
-/// Everything the pipeline produced.
+/// Everything the pipeline produced for one config: the fence points
+/// and the report, which are the placement, and the instrumented module,
+/// which is built from them only when [`PipelineResult::module`] asks.
+///
+/// A result shares its source module with the other results of its job
+/// (one `Arc` per job), so a config sweep holds one copy of the module,
+/// not one per config.
 pub struct PipelineResult {
-    /// The instrumented module (fences inserted).
-    pub module: Module,
     /// The chosen fence points (empty for `Manual`).
     pub points: Vec<FencePoint>,
     /// Per-function statistics.
     pub report: ModuleReport,
+    /// The module the points were placed in.
+    source: Arc<Module>,
+    /// `source` with `points` inserted, built on first use.
+    instrumented: OnceLock<Module>,
+}
+
+impl PipelineResult {
+    /// A placement of `points` in `source`, with its report.
+    pub(crate) fn new(source: Arc<Module>, points: Vec<FencePoint>, report: ModuleReport) -> Self {
+        PipelineResult {
+            points,
+            report,
+            source,
+            instrumented: OnceLock::new(),
+        }
+    }
+
+    /// The instrumented module: the source module with every fence point
+    /// inserted ([`insert_fences`]). Built from `points` on the first call
+    /// and kept, so a caller that only reads `points` and `report` never
+    /// pays for the copy.
+    pub fn module(&self) -> &Module {
+        self.instrumented
+            .get_or_init(|| insert_fences(&self.source, &self.points))
+    }
 }
 
 /// The per-function analysis cache: everything acquire detection and
@@ -356,7 +388,8 @@ pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<Pi
 ///
 /// let result = run_pipeline(&module, &PipelineConfig::for_variant(Variant::Control));
 /// assert_eq!(result.report.acquires(), 1, "only the flag spin-read");
-/// assert!(fence_ir::verify_module(&result.module).is_empty());
+/// // The instrumented module is built on first use.
+/// assert!(fence_ir::verify_module(result.module()).is_empty());
 /// ```
 pub fn run_pipeline(module: &Module, config: &PipelineConfig) -> PipelineResult {
     run_pipeline_batch(module, std::slice::from_ref(config))
@@ -444,7 +477,7 @@ mod tests {
         for v in Variant::automatic() {
             let r = run_pipeline(&m, &PipelineConfig::for_variant(v));
             assert!(
-                fence_ir::verify_module(&r.module).is_empty(),
+                fence_ir::verify_module(r.module()).is_empty(),
                 "{v:?} output verifies"
             );
             let (full, dir) = placed_fences(&r);
@@ -492,7 +525,7 @@ mod tests {
         let r = run_pipeline(&m, &PipelineConfig::for_variant(Variant::Manual));
         assert_eq!(r.report.full_fences(), 1);
         assert!(r.points.is_empty());
-        assert_eq!(r.module.total_insts(), m.total_insts());
+        assert_eq!(r.module().total_insts(), m.total_insts());
     }
 
     #[test]
@@ -564,8 +597,8 @@ mod tests {
                 "report diverges under {config:?}"
             );
             assert_eq!(
-                fence_ir::printer::print_module(&b.module),
-                fence_ir::printer::print_module(&i.module),
+                fence_ir::printer::print_module(b.module()),
+                fence_ir::printer::print_module(i.module()),
                 "instrumented module diverges under {config:?}"
             );
         }

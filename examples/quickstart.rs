@@ -46,7 +46,9 @@ fn main() {
         );
 
         // --- 3. execute the instrumented module on the TSO simulator ---
-        let sim = Simulator::new(&result.module);
+        // The result holds the placement (points + report); `module()`
+        // inserts its fences into a copy of the input on first use.
+        let sim = Simulator::new(result.module());
         let run = sim
             .run(&[
                 ThreadSpec {

@@ -15,8 +15,9 @@
 #   certify  memsim tests + litmus regressions + differential certify fuzz
 #            + certification and simulator goldens + explorer memory pin
 #            + CLI smoke
-#   stream   windowed-vs-resident differential + CLI --window and pack: smokes
-#            (the pack: smoke runs pooled and --seq and diffs the two)
+#   stream   windowed-vs-resident differential + the fleet's result-heap pin
+#            + CLI --window and pack: smokes (the pack: smoke runs pooled
+#            and --seq and diffs the two)
 #   serve    service suite (protocol contract + cache pins) + capped-cache
 #            memory pin + daemon smoke + restart on a killed daemon's socket
 #   perfbench  the benchmark harness compiles and its tests pass
@@ -81,8 +82,10 @@ stage_certify() {
 }
 
 stage_stream() {
-  echo "== windowed-vs-resident differential =="
-  cargo test -q -p fence-suite --test stream
+  echo "== windowed-vs-resident differential + fleet result-heap pin =="
+  # fleet_memory streams a config sweep resident and windowed and pins
+  # the heap it adds: results hold no fenced module copies.
+  cargo test -q -p fence-suite --test stream --test fleet_memory
 
   echo "== fenceplace --window smoke (kernels) =="
   # Windowed admission over the built-in kernels must complete cleanly;

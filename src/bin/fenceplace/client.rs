@@ -6,7 +6,9 @@
 //! daemon's content addressing, not the client's naming, decides what is
 //! cached. A file's text is sent as read (the daemon parses it, so an
 //! unparsable file comes back `invalid_ir`: exit 2); a built-in module is
-//! printed. A file that cannot be read is fatal. Per module it prints
+//! printed. A file that cannot be read is fatal, and so is a module whose
+//! report file an earlier module of the batch already claims (`a-b.ir`
+//! and `a_b.ir` both write `…a_b_ir.json`). Per module it prints
 //! `name: status (cache)`; `--out DIR` additionally writes each returned
 //! report document (byte-identical to what `fenceplace --out DIR` would
 //! write) to `DIR/<module>.json`.
@@ -20,6 +22,7 @@ use corpus::{ModuleSource, Params};
 use fenceplace::json::{file_stem, json_escape};
 use fenceplace::service::wire::{self, config_label, Json, PROTOCOL_VERSION};
 use fenceplace::{stream_items, PipelineConfig, StreamItem};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
@@ -48,8 +51,8 @@ OPTIONS:
 
 EXIT CODES:
   0  every module completed (and was a hit, under --expect-hit)
-  1  fatal error (connect/handshake/I/O failure, unreadable file) or
-     --expect-hit violated
+  1  fatal error (connect/handshake/I/O failure, unreadable file, two
+     modules with one report file) or --expect-hit violated
   2  some module was quarantined (reports still printed/written)
 "
 }
@@ -207,12 +210,24 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         .collect::<Vec<_>>()
         .join(",");
     let (mut sent, mut misses, mut failed) = (0usize, 0usize, 0usize);
+    // Report file stem -> the first name that claimed it.
+    let mut stems: HashMap<String, String> = HashMap::new();
     for item in stream_items(source) {
         let (name, text) = match item {
             StreamItem::Module { name, module } => (name, fence_ir::printer::print_module(&module)),
             StreamItem::Text { name, text } => (name, text),
             StreamItem::Failed { error, .. } => return Err(error),
         };
+        // Two names with one report file (`a-b.ir`, `a_b.ir`) would
+        // overwrite each other's report: like a load failure, fatal.
+        let stem = file_stem(&name);
+        let first = stems.entry(stem.clone()).or_insert_with(|| name.clone());
+        if *first != name {
+            return Err(format!(
+                "report file collision: `{first}` already writes `{stem}.json`, \
+                 so `{name}` is refused"
+            ));
+        }
         sent += 1;
         let budget = match cli.budget {
             Some(b) => format!(",\"budget\":{b}"),

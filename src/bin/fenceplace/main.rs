@@ -55,8 +55,10 @@
 //! other module completes normally. Loading quarantines the same way: a
 //! file that cannot be read becomes a `load_failed` slot, a text that
 //! does not parse an `invalid_ir` slot, and a duplicate module name
-//! (overlapping specs) a `load_failed` slot at admission. A `load_failed`
-//! slot gets no report file of its own; the roll-up lists it.
+//! (overlapping specs) or a name whose report file an earlier module
+//! already claimed (`a_b.ir` after `a-b.ir`: [`file_stem`] maps both
+//! names to one file) a `load_failed` slot at admission. A `load_failed` slot gets
+//! no report file of its own; the roll-up lists it.
 //!
 //! | exit | meaning                                                    |
 //! |------|------------------------------------------------------------|
@@ -75,6 +77,7 @@ use fenceplace::{
     run_fleet_streamed, stream_items, CertifyOptions, FleetOptions, FleetStats, ModuleOutcome,
     PipelineConfig, PipelineResult, StreamItem, StreamSummary,
 };
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -148,9 +151,11 @@ OPTIONS:
   --list             print every concrete program spec and exit
   --help             this text
 
-Files that cannot be read, texts that do not parse and duplicate module
-names (overlapping specs) are quarantined as load_failed / invalid_ir
-slots; a load_failed slot is listed in the roll-up but gets no report file.
+Files that cannot be read, texts that do not parse, duplicate module
+names (overlapping specs) and names whose report file an earlier module
+already writes (a-b.ir and a_b.ir) are quarantined as load_failed /
+invalid_ir slots; a load_failed slot is listed in the roll-up but gets
+no report file.
 
 EXIT CODES:
   0  every module completed
@@ -412,25 +417,34 @@ fn run(cli: &Cli) -> Result<u8, String> {
     }
 
     // Overlapping specs (`kernel:*` + `kernel:Dekker`) would run a module
-    // twice and double-count the roll-up totals. A lazy stream cannot
-    // look ahead, so the duplicate itself is quarantined at admission
-    // (exit 2) and the batch runs on.
-    let mut seen = std::collections::HashSet::new();
+    // twice and double-count the roll-up totals, and two names with one
+    // report file (`a-b.ir`, `a_b.ir`) would overwrite each other's
+    // report. A lazy stream cannot look ahead, so the later module is
+    // quarantined at admission (exit 2), with or without `--out`, and the
+    // batch runs on. Each report file stem maps to the first name that
+    // claimed it.
+    let mut stems: HashMap<String, String> = HashMap::new();
     let items = stream_items(source).map(move |item| {
         let name = match &item {
             StreamItem::Module { name, .. }
             | StreamItem::Text { name, .. }
             | StreamItem::Failed { name, .. } => name.clone(),
         };
-        if seen.insert(name.clone()) {
-            item
-        } else {
-            StreamItem::Failed {
-                name,
-                error: "duplicate program: specs overlap (e.g. a wildcard plus a named spec)"
-                    .into(),
+        let error = match stems.entry(file_stem(&name)) {
+            Entry::Vacant(slot) => {
+                slot.insert(name);
+                return item;
             }
-        }
+            Entry::Occupied(first) if *first.get() == name => {
+                "duplicate program: specs overlap (e.g. a wildcard plus a named spec)".into()
+            }
+            Entry::Occupied(first) => format!(
+                "report file collision: `{}` already writes `{}.json`",
+                first.get(),
+                first.key()
+            ),
+        };
+        StreamItem::Failed { name, error }
     });
 
     let opts = FleetOptions {
@@ -474,8 +488,8 @@ fn run(cli: &Cli) -> Result<u8, String> {
                 ));
             }
         }
-        // A load_failed slot writes no report: a quarantined duplicate
-        // would overwrite the report of the module it duplicates.
+        // A load_failed slot writes no report: a quarantined duplicate or
+        // collision would overwrite the report of the module it follows.
         if cli.out_dir.is_none() || matches!(fr.outcome, ModuleOutcome::LoadFailed { .. }) {
             return;
         }

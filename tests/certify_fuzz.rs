@@ -44,21 +44,22 @@ fn place_and_certify(shape: &SyncShape, target: TargetModel) -> fenceplace::Cert
 /// when the placement put down nothing to sabotage.
 fn certify_weakened(shape: &SyncShape, target: TargetModel) -> Option<CertifyStatus> {
     let m = build_sync(shape);
-    let mut result = run_pipeline(&m, &config(target));
-    let fids: Vec<_> = result.module.iter_funcs().map(|(f, _)| f).collect();
-    let sites: Vec<_> = full_fence_sites(&result.module, &fids)
+    let result = run_pipeline(&m, &config(target));
+    let mut module = result.module().clone();
+    let fids: Vec<_> = module.iter_funcs().map(|(f, _)| f).collect();
+    let sites: Vec<_> = full_fence_sites(&module, &fids)
         .into_iter()
-        .filter(|s| !is_entry_fence(result.module.func(s.func), s.inst))
+        .filter(|s| !is_entry_fence(module.func(s.func), s.inst))
         .collect();
     if sites.is_empty() {
         return None;
     }
     for site in sites {
-        result.module = weaken_fence(&result.module, site);
+        module = weaken_fence(&module, site);
     }
-    let report = certify(
-        &result,
-        Variant::Control,
+    let report = fenceplace::certify_module(
+        &module,
+        &sync_classification(&module, Variant::Control),
         target,
         &CertifyOptions::default(),
     );
@@ -161,14 +162,15 @@ fn weakened_fences_are_refuted_with_shrunk_repro() {
 
     // Reconstruct the shrunk sabotaged module and round-trip it.
     let m = build_sync(&small);
-    let mut result = run_pipeline(&m, &config(TargetModel::X86Tso));
-    let fids: Vec<_> = result.module.iter_funcs().map(|(f, _)| f).collect();
-    for site in full_fence_sites(&result.module, &fids) {
-        if !is_entry_fence(result.module.func(site.func), site.inst) {
-            result.module = weaken_fence(&result.module, site);
+    let result = run_pipeline(&m, &config(TargetModel::X86Tso));
+    let mut module = result.module().clone();
+    let fids: Vec<_> = module.iter_funcs().map(|(f, _)| f).collect();
+    for site in full_fence_sites(&module, &fids) {
+        if !is_entry_fence(module.func(site.func), site.inst) {
+            module = weaken_fence(&module, site);
         }
     }
-    let text = fence_ir::printer::print_module(&result.module);
+    let text = fence_ir::printer::print_module(&module);
     eprintln!("minimal unsound repro:\n{text}");
     let reparsed = fence_ir::parser::parse_module(&text).expect("repro parses");
     assert!(fence_ir::verify_module(&reparsed).is_empty());

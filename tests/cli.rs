@@ -491,3 +491,73 @@ fn quarantined_duplicate_keeps_the_report_it_duplicates() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `a-b.ir` and `a_b.ir` share one report file (`file_stem` maps every
+/// non-alphanumeric character to `_`). The later one is quarantined at
+/// admission, with or without `--out` and windowed or not, so the
+/// earlier module's report survives and the roll-up names the collision.
+#[test]
+fn report_file_collision_quarantines_the_later_module() {
+    let dir = scratch("collision");
+    let mods = dir.join("mods");
+    std::fs::create_dir_all(&mods).unwrap();
+    std::fs::write(mods.join("a-b.ir"), FENCED_SB_IR).unwrap();
+    std::fs::write(
+        mods.join("a_b.ir"),
+        FENCED_SB_IR.replacen("module sb", "module sb2", 1),
+    )
+    .unwrap();
+    let spec = format!("dir:{}", mods.display());
+    let first = format!("file:{}", mods.join("a-b.ir").display());
+    let later = format!("file:{}", mods.join("a_b.ir").display());
+
+    let out = fenceplace(&["--program", &spec]);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+    let without_out = stdout(&out);
+    for (tag, extra) in [("resident", &[][..]), ("windowed", &["--window", "2"][..])] {
+        let reports = dir.join(tag);
+        let mut args = vec!["--program", &spec, "--out", reports.to_str().unwrap()];
+        args.extend(extra);
+        let out = fenceplace(&args);
+        assert_eq!(exit_code(&out), 2, "{tag} stderr: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("\"modules_failed\": 1"), "{tag}: {text}");
+        assert!(text.contains("\"load_failures\": 1"), "{tag}: {text}");
+        assert!(text.contains("report file collision"), "{tag}: {text}");
+        assert!(
+            text.contains(&format!("{later}\", \"status\": \"load_failed\"")),
+            "{tag}: {text}"
+        );
+        assert!(
+            text.contains(&format!("`{first}` already writes")),
+            "{tag}: {text}"
+        );
+        assert!(stderr(&out).contains("wrote 1 module reports"), "{tag}");
+
+        let files: Vec<PathBuf> = std::fs::read_dir(&reports)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| !p.ends_with("fleet_summary.json"))
+            .collect();
+        assert_eq!(files.len(), 1, "{tag}: {files:?}");
+        let body = std::fs::read_to_string(&files[0]).unwrap();
+        assert!(
+            body.contains(&format!("\"module\": \"{first}\"")),
+            "{tag}: {body}"
+        );
+        assert!(body.contains("\"status\": \"ok\""), "{tag}: {body}");
+    }
+    // The roll-up does not depend on --out (apart from wall_ms and the
+    // stream block, which record how the run went).
+    let rollup_core = |s: &str| -> String {
+        s.lines()
+            .filter(|l| !l.contains("\"fleet\": ") && !l.contains("\"stream\": "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let resident =
+        std::fs::read_to_string(dir.join("resident").join("fleet_summary.json")).unwrap();
+    assert_eq!(rollup_core(&without_out), rollup_core(&resident));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,5 +1,5 @@
 //! A counting global allocator for the heap pins (`explorer_memory.rs`,
-//! `pointsto_memory.rs`, `service_memory.rs`).
+//! `fleet_memory.rs`, `pointsto_memory.rs`, `service_memory.rs`).
 //!
 //! A test file that declares `mod common;` runs on the system allocator,
 //! wrapped to track the bytes allocated now ([`LIVE`]) and the most

@@ -15,16 +15,16 @@ fn every_program_runs_correctly_under_every_placement() {
         for variant in [Variant::Pensieve, Variant::AddressControl, Variant::Control] {
             let placed = run_pipeline(&prog.module, &PipelineConfig::for_variant(variant));
             assert!(
-                fence_ir::verify_module(&placed.module).is_empty(),
+                fence_ir::verify_module(placed.module()).is_empty(),
                 "{} instrumented under {variant:?} verifies",
                 prog.name
             );
-            let sim = Simulator::new(&placed.module);
+            let sim = Simulator::new(placed.module());
             let r = sim
                 .run(&prog.threads)
                 .unwrap_or_else(|e| panic!("{} under {variant:?}: {e}", prog.name));
             if let Some(check) = prog.check {
-                check(&r, &placed.module, &prog.params)
+                check(&r, placed.module(), &prog.params)
                     .unwrap_or_else(|e| panic!("{} under {variant:?}: {e}", prog.name));
             }
         }

@@ -63,7 +63,7 @@ fn instrumented_mp_still_delivers() {
     let y_addr = layout.base(m.global_by_name("y").unwrap());
     for variant in [Variant::Pensieve, Variant::AddressControl, Variant::Control] {
         let result = run_pipeline(&m, &PipelineConfig::for_variant(variant));
-        let sim = Simulator::new(&result.module);
+        let sim = Simulator::new(result.module());
         let run = sim
             .run(&[
                 ThreadSpec {
@@ -86,7 +86,7 @@ fn all_variants_verify_and_are_deterministic() {
     for variant in Variant::automatic() {
         let r1 = run_pipeline(&m, &PipelineConfig::for_variant(variant));
         let r2 = run_pipeline(&m, &PipelineConfig::for_variant(variant));
-        assert!(fence_ir::verify_module(&r1.module).is_empty());
+        assert!(fence_ir::verify_module(r1.module()).is_empty());
         assert_eq!(r1.points, r2.points, "pipeline deterministic");
     }
 }

@@ -62,8 +62,8 @@ fn fleet_matches_per_module_batch_over_full_corpus() {
                     job.name
                 );
                 assert_eq!(
-                    fence_ir::printer::print_module(&w.module),
-                    fence_ir::printer::print_module(&g.module),
+                    fence_ir::printer::print_module(w.module()),
+                    fence_ir::printer::print_module(g.module()),
                     "{} under {config:?} (par={parallel}): instrumented module diverges",
                     job.name
                 );

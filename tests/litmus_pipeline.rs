@@ -44,18 +44,15 @@ fn place(module: &Module, target: TargetModel, expect_full: bool) -> Module {
             parallel: false,
         },
     );
+    let module = result.module();
     let placed = memsim::check::full_fence_sites(
-        &result.module,
-        &result
-            .module
-            .iter_funcs()
-            .map(|(f, _)| f)
-            .collect::<Vec<_>>(),
+        module,
+        &module.iter_funcs().map(|(f, _)| f).collect::<Vec<_>>(),
     );
     if expect_full {
         assert!(!placed.is_empty(), "placement put down no full fences");
     }
-    result.module
+    module.clone()
 }
 
 /// Store buffering (the Dekker entry protocol): each thread publishes

@@ -135,7 +135,7 @@ proptest! {
         let (m, _, _) = build(&shape);
         for variant in Variant::automatic() {
             let r = run_pipeline(&m, &PipelineConfig::for_variant(variant));
-            prop_assert!(fence_ir::verify_module(&r.module).is_empty());
+            prop_assert!(fence_ir::verify_module(r.module()).is_empty());
         }
     }
 

@@ -787,8 +787,19 @@ fn client_sends_file_texts_as_read() {
     std::fs::write(&bad, "not IR at all\n").expect("write bad");
     let files = format!("file:{},file:{}", good.display(), bad.display());
     let missing = format!("file:{}", dir.join("no-such.ir").display());
+    // `a-b.ir` and `a_b.ir` share one report file.
+    let (twin, later) = (dir.join("a-b.ir"), dir.join("a_b.ir"));
+    for path in [&twin, &later] {
+        std::fs::write(path, &fleet_texts()[0].1).expect("write twin");
+    }
+    let twins = format!("file:{},file:{}", twin.display(), later.display());
+    let reports = dir.join("reports");
     let sent = client(&sock, &["--program", &files]);
     let unreadable = client(&sock, &["--program", &missing]);
+    let collided = client(
+        &sock,
+        &["--program", &twins, "--out", reports.to_str().unwrap()],
+    );
     shut_down(&sock, daemon);
 
     // An unparsable file is the daemon's verdict (invalid_ir, exit 2),
@@ -805,6 +816,30 @@ fn client_sends_file_texts_as_read() {
     );
     // A file that cannot be read stays fatal.
     assert_eq!(unreadable.status.code(), Some(1));
+    // So is a name whose report file an earlier module writes: it is
+    // refused before its request, and the earlier report stands.
+    let stdout = String::from_utf8_lossy(&collided.stdout);
+    let stderr = String::from_utf8_lossy(&collided.stderr);
+    assert_eq!(collided.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("report file collision"), "{stderr}");
+    assert!(
+        stdout.contains(&format!("file:{}: ok", twin.display())),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains(&format!("file:{}:", later.display())),
+        "{stdout}"
+    );
+    let written: Vec<_> = std::fs::read_dir(&reports)
+        .expect("reports dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(written.len(), 1, "{written:?}");
+    let report = std::fs::read_to_string(&written[0]).expect("report");
+    assert!(
+        report.contains(&format!("\"module\": \"file:{}\"", twin.display())),
+        "{report}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

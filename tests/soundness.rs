@@ -50,7 +50,7 @@ fn dekker_fixed_by_control_placement_on_tso() {
     // w→r fences; the violation disappears.
     let placed = run_pipeline(&m, &PipelineConfig::for_variant(Variant::Control));
     let t2: Vec<(FuncId, Vec<i64>)> = threads.clone();
-    let fixed = enumerate(&placed.module, &t2, LitmusModel::Tso);
+    let fixed = enumerate(placed.module(), &t2, LitmusModel::Tso);
     assert!(
         !fixed.contains(&vec![1, 1]),
         "Control placement restores exclusion: {fixed:?}"
@@ -105,7 +105,7 @@ fn mp_fixed_by_weak_target_placement() {
         parallel: false,
     };
     let placed = run_pipeline(&m, &config);
-    let fixed = enumerate(&placed.module, &threads, LitmusModel::Weak { window: 4 });
+    let fixed = enumerate(placed.module(), &threads, LitmusModel::Weak { window: 4 });
     assert!(
         !fixed.iter().any(|o| o[1] == 0),
         "Weak-target placement restores MP: {fixed:?}"
@@ -119,7 +119,7 @@ fn tso_placement_never_adds_outcomes() {
         let sc = enumerate(&m, &threads, LitmusModel::Sc);
         for variant in [Variant::Pensieve, Variant::AddressControl, Variant::Control] {
             let placed = run_pipeline(&m, &PipelineConfig::for_variant(variant));
-            let got = enumerate(&placed.module, &threads, LitmusModel::Tso);
+            let got = enumerate(placed.module(), &threads, LitmusModel::Tso);
             for o in &got {
                 assert!(
                     sc.contains(o),
