@@ -19,11 +19,12 @@
 //! explorer, which applies an invisible-move ample-set reduction
 //! (thread-local transitions are executed deterministically instead of
 //! branched over) to keep litmus-shaped state spaces small. Explored
-//! states share the module's global image in copy-on-write pages, but
-//! each pass builds the image flat once and every state holds a table
-//! of its pages, so a module whose image exceeds 4,096 words is refused
-//! up front ([`CheckError::ImageTooLarge`]) instead of exhausting
-//! memory.
+//! states share their threads, store buffers and the module's global
+//! image (copy-on-write pages behind a shared page table), but each
+//! pass builds the image flat once and every move that writes memory
+//! copies the page table, so a module whose image exceeds 4,096 words
+//! is refused up front ([`CheckError::ImageTooLarge`]) instead of
+//! exhausting memory.
 
 use crate::layout::Layout;
 use crate::litmus::{self, LitmusModel, LitmusOutcome};
@@ -32,11 +33,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// Largest global image, in words, that [`check_threads`] explores.
-/// Each pass builds the image flat once, and every visited state holds a
-/// table of pointers to its pages (128 at the cap). The parser accepts
-/// global sizes up to `u32::MAX` words, so without a cap one huge global
-/// aborts the whole process on an allocation failure. The largest
-/// built-in image (Barnes) is 1,290 words.
+/// Each pass builds the image flat once, and every move that writes
+/// memory copies the table of pointers to its pages (128 at the cap).
+/// The parser accepts global sizes up to `u32::MAX` words, so without a
+/// cap one huge global aborts the whole process on an allocation
+/// failure. The largest built-in image (Barnes) is 1,290 words.
 const MAX_IMAGE_WORDS: u64 = 4_096;
 
 /// State budget for one [`check_threads`] call, shared across the SC
@@ -117,7 +118,7 @@ pub enum CheckError {
         states: u64,
     },
     /// The module's globals are too large to build into one image and
-    /// to page in every explored state.
+    /// to page in explored states.
     ImageTooLarge {
         /// Words of global memory the module declares.
         words: u64,

@@ -26,10 +26,11 @@
 //! * [`check`] — the bounded certifying model checker: proves a
 //!   post-placement thread group **sound** (relaxed outcome set ⊆ SC set)
 //!   and each placed fence **necessary** (weakening it strictly enlarges
-//!   the relaxed set), under a shared per-check state budget. It refuses
-//!   modules whose global image exceeds 4,096 words: each pass builds the
-//!   image flat once, and every explored state holds a table of its
-//!   copy-on-write pages.
+//!   the relaxed set), under a shared per-check state budget. Explored
+//!   states share their threads, store buffers and copy-on-write image
+//!   pages. It refuses modules whose global image exceeds 4,096 words:
+//!   each pass builds the image flat once, and every move that writes
+//!   memory copies the image's page table.
 //! * [`layout`] / [`cost`] — memory layout, and the cycle cost constants
 //!   the simulator charges. `cost` serves the simulator only: the
 //!   placement pipeline never consults it (fence minimization is

@@ -27,8 +27,19 @@
 //! under the weak model the program counter is the fetch cursor, and a
 //! thread executes any ready window entry.
 //!
-//! Explored states share memory: the global image is split into pages
-//! held copy-on-write, and its hash is kept current on every write. The
+//! Explored states share whatever a move leaves unchanged, copy-on-write:
+//!
+//! * a state holds its threads behind `Rc`, each with its hash, so a move
+//!   copies and rehashes only the thread that moved;
+//! * a TSO store buffer is a shared FIFO: a retire advances a head index
+//!   and copies nothing, and a rolling hash is kept current on push and
+//!   retire;
+//! * the global image is pages behind a shared page table, with its hash
+//!   kept current on every write, so a move that writes no memory copies
+//!   no table, and a write copies the table and one page.
+//!
+//! Equality is by content (hashes, then pointers, then contents), so
+//! states that reach equal contents by different paths still merge. The
 //! explorer hashes, allocates and stores each distinct state once.
 //!
 //! Litmus functions may not call, allocate, or use intrinsics; at most 64
@@ -36,10 +47,10 @@
 
 use crate::interp::{memory_image, Frame};
 use crate::layout::Layout;
-use fence_ir::util::FastSet;
+use fence_ir::util::{FastSet, FxHasher};
 use fence_ir::{FenceKind, FuncId, Function, InstId, InstKind, Module, Value};
 use std::collections::BTreeSet;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 
 /// The memory model to enumerate under.
@@ -91,7 +102,7 @@ fn validate(func: &Function) {
 const PAGE: usize = 32;
 
 /// splitmix64's finalizer applied to word `i` holding `v`: one term of
-/// an image's hash.
+/// an image's hash, or of a store buffer's with a store's address as `i`.
 fn mix(i: usize, v: i64) -> u64 {
     let mut z = (v as u64).wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -100,8 +111,9 @@ fn mix(i: usize, v: i64) -> u64 {
 }
 
 /// The global memory of one state: fixed-size pages shared copy-on-write
-/// between a state and its successors, so cloning a state copies the
-/// page table and a write copies at most the one page it lands in.
+/// between a state and its successors, behind a page table that is
+/// shared too. Cloning a state copies neither; a write copies the table
+/// and the one page it lands in.
 ///
 /// Enumerable functions can still *compute* arbitrary addresses
 /// (dereferencing a loaded pointer that holds 0, gep arithmetic), so the
@@ -112,7 +124,7 @@ fn mix(i: usize, v: i64) -> u64 {
 struct Image {
     /// Words `0..len` in pages of [`PAGE`]; the tail of the last page is
     /// zero and never written.
-    pages: Vec<Rc<[i64; PAGE]>>,
+    pages: Rc<[Rc<[i64; PAGE]>]>,
     len: usize,
     /// Wrapping sum of [`mix`] over every word, kept current by
     /// [`Image::write`] so hashing an image never reads its words.
@@ -161,7 +173,8 @@ impl Image {
                 .hash
                 .wrapping_sub(mix(i, old))
                 .wrapping_add(mix(i, val));
-            Rc::make_mut(&mut self.pages[i / PAGE])[i % PAGE] = val;
+            let pages = Rc::make_mut(&mut self.pages);
+            Rc::make_mut(&mut pages[i / PAGE])[i % PAGE] = val;
         }
     }
 }
@@ -173,11 +186,12 @@ impl PartialEq for Image {
     fn eq(&self, other: &Self) -> bool {
         self.hash == other.hash
             && self.len == other.len
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(a, b)| Rc::ptr_eq(a, b) || a == b)
+            && (Rc::ptr_eq(&self.pages, &other.pages)
+                || self
+                    .pages
+                    .iter()
+                    .zip(other.pages.iter())
+                    .all(|(a, b)| Rc::ptr_eq(a, b) || a == b))
     }
 }
 
@@ -189,34 +203,171 @@ impl Hash for Image {
     }
 }
 
+/// Odd base of a store buffer's rolling hash. Being odd, it has an
+/// inverse modulo 2^64, so retiring the oldest store can take its term
+/// back out.
+const BASE: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// [`BASE`]'s inverse modulo 2^64, by Newton's iteration: an odd `b`
+/// is its own inverse modulo 8, and each step doubles the correct low
+/// bits (3, 6, 12, 24, 48, 96).
+const BASE_INV: u64 = {
+    let mut x = BASE;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(BASE.wrapping_mul(x)));
+        step += 1;
+    }
+    x
+};
+
+/// A TSO store buffer, oldest first: `(addr, value)` pairs shared
+/// copy-on-write between a state and its successors. Retiring the oldest
+/// store advances a head index and copies nothing; a push copies the
+/// live stores.
+///
+/// Its hash is the polynomial Σ mix(aᵢ, vᵢ)·BASEⁿ⁻¹⁻ⁱ over its `n`
+/// stores, oldest first, kept current by push and retire: equal stores
+/// hash equally whatever their history.
+#[derive(Clone)]
+struct Buffer {
+    /// The stores are `entries[head..]`.
+    entries: Rc<Vec<(i64, i64)>>,
+    head: usize,
+    hash: u64,
+    /// `BASE` to the power of the number of stores.
+    pow: u64,
+}
+
+impl Buffer {
+    fn new() -> Self {
+        Buffer {
+            entries: Rc::default(),
+            head: 0,
+            hash: 0,
+            pow: 1,
+        }
+    }
+
+    /// The buffered stores, oldest first.
+    fn stores(&self) -> &[(i64, i64)] {
+        &self.entries[self.head..]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.entries.len()
+    }
+
+    /// The value of the youngest buffered store to `addr`, if any.
+    fn forward(&self, addr: i64) -> Option<i64> {
+        let youngest = self.stores().iter().rev().find(|&&(a, _)| a == addr);
+        youngest.map(|&(_, val)| val)
+    }
+
+    /// Appends a store. Every visited state keeps its buffer, so a push
+    /// copies the live stores into a vector of its own.
+    fn push(&mut self, addr: i64, val: i64) {
+        let mut entries = Vec::with_capacity(self.stores().len() + 1);
+        entries.extend_from_slice(self.stores());
+        entries.push((addr, val));
+        self.entries = Rc::new(entries);
+        self.head = 0;
+        self.hash = self
+            .hash
+            .wrapping_mul(BASE)
+            .wrapping_add(mix(addr as usize, val));
+        self.pow = self.pow.wrapping_mul(BASE);
+    }
+
+    /// Removes and returns the oldest store; the buffer must not be
+    /// empty.
+    fn retire(&mut self) -> (i64, i64) {
+        let (addr, val) = self.entries[self.head];
+        self.head += 1;
+        self.pow = self.pow.wrapping_mul(BASE_INV);
+        self.hash = self
+            .hash
+            .wrapping_sub(mix(addr as usize, val).wrapping_mul(self.pow));
+        (addr, val)
+    }
+}
+
+/// Equality by content, as [`Image`] does it: hashes, then the stores
+/// unless both are the same stores of the same allocation.
+impl PartialEq for Buffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Rc::ptr_eq(&self.entries, &other.entries) && self.head == other.head
+                || self.stores() == other.stores())
+    }
+}
+
+impl Eq for Buffer {}
+
+impl Hash for Buffer {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// One thread of an explored state.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Thread {
     frame: Frame,
     done: bool,
     ret: i64,
-    /// TSO store buffer, oldest first: `(addr, value)`.
-    buffer: Vec<(i64, i64)>,
+    buffer: Buffer,
     /// Weak window: fetched, unexecuted instruction ids in program order.
     window: Vec<u32>,
 }
 
+/// One explored state. Its threads are shared with the state it came
+/// from, so a move copies and rehashes only the thread that moved.
+/// Equality is by content: `Rc` of an `Eq` type compares pointers first,
+/// then values.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct State {
     mem: Image,
-    threads: Vec<Thread>,
+    threads: Vec<Rc<Hashed<Thread>>>,
 }
 
-/// A visited state with its hash, computed once when the state is
-/// generated: the visited set and the DFS stack share one allocation,
-/// and growing the set never re-hashes a state.
-#[derive(PartialEq, Eq)]
-struct Node {
+/// The hash the explorer gives a value: the visited set's hasher.
+fn hash_of<T: Hash>(value: &T) -> u64 {
+    BuildHasherDefault::<FxHasher>::default().hash_one(value)
+}
+
+/// A value with its hash, computed once: a thread when a move changes
+/// it, a state when it is generated. Equality compares the hashes before
+/// the values, and the visited set hashes the stored hash, so growing the
+/// set never re-hashes a state.
+#[derive(Clone)]
+struct Hashed<T> {
     hash: u64,
-    state: State,
+    value: T,
 }
 
-impl Hash for Node {
+impl<T: Hash> Hashed<T> {
+    fn new(value: T) -> Self {
+        let mut hashed = Hashed { hash: 0, value };
+        hashed.rehash();
+        hashed
+    }
+
+    /// Brings the hash up to date after the value changed.
+    fn rehash(&mut self) {
+        self.hash = hash_of(&self.value);
+    }
+}
+
+impl<T: Eq> PartialEq for Hashed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.value == other.value
+    }
+}
+
+impl<T: Eq> Eq for Hashed<T> {}
+
+impl<T> Hash for Hashed<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
@@ -312,7 +463,8 @@ impl Explorer<'_> {
     /// can never be disabled, which preserves the reachable outcome set.
     fn moves(&self, s: &State, out: &mut Vec<Move>) {
         out.clear();
-        for (ti, t) in s.threads.iter().enumerate() {
+        let threads = || s.threads.iter().map(|t| &t.value).enumerate();
+        for (ti, t) in threads() {
             for p in 0..self.slots(t) {
                 let kind = &self.funcs[ti].inst(self.inst(ti, t, p)).kind;
                 if invisible(kind, t.buffer.is_empty()) && self.enabled(ti, t, p, kind) {
@@ -321,7 +473,7 @@ impl Explorer<'_> {
                 }
             }
         }
-        for (ti, t) in s.threads.iter().enumerate() {
+        for (ti, t) in threads() {
             if !t.buffer.is_empty() {
                 out.push(Move::Retire(ti));
             }
@@ -334,17 +486,22 @@ impl Explorer<'_> {
         }
     }
 
+    /// Applies `m` to `s`: copies the moving thread if `s` shares it,
+    /// and rehashes it.
     fn apply(&self, s: &mut State, m: Move) {
+        let (Move::Retire(ti) | Move::Exec(ti, _)) = m;
+        let t = Rc::make_mut(&mut s.threads[ti]);
         match m {
-            Move::Retire(ti) => {
-                let (addr, val) = s.threads[ti].buffer.remove(0);
+            Move::Retire(_) => {
+                let (addr, val) = t.value.buffer.retire();
                 s.mem.write(addr, val);
             }
-            Move::Exec(ti, p) => {
-                self.exec(s, ti, p);
-                self.fetch(ti, &mut s.threads[ti]);
+            Move::Exec(_, p) => {
+                self.exec(&mut s.mem, ti, &mut t.value, p);
+                self.fetch(ti, &mut t.value);
             }
         }
+        t.rehash();
     }
 
     /// Executes slot `p` of thread `ti`. Under TSO a store enters the
@@ -352,10 +509,9 @@ impl Explorer<'_> {
     /// stores write memory directly. Only under SC and TSO does the
     /// program counter advance: under the weak model it is the fetch
     /// cursor, which [`Self::fetch`] and conditional branches move.
-    fn exec(&self, s: &mut State, ti: usize, p: usize) {
+    fn exec(&self, mem: &mut Image, ti: usize, t: &mut Thread, p: usize) {
         let func = self.funcs[ti];
         let layout = &self.layout;
-        let t = &mut s.threads[ti];
         let iid = self.inst(ti, t, p);
         if self.weak() {
             t.window.remove(p);
@@ -367,22 +523,21 @@ impl Explorer<'_> {
             match *kind {
                 InstKind::Load { addr } => {
                     let a = f.eval(addr, layout);
-                    let fwd = t.buffer.iter().rev().find(|&&(ba, _)| ba == a);
-                    f.results[iid.index()] = fwd.map_or_else(|| s.mem.read(a), |&(_, v)| v);
+                    f.results[iid.index()] = t.buffer.forward(a).unwrap_or_else(|| mem.read(a));
                 }
                 InstKind::Store { addr, val } => {
                     let (a, v) = (f.eval(addr, layout), f.eval(val, layout));
                     if self.model == LitmusModel::Tso {
-                        t.buffer.push((a, v));
+                        t.buffer.push(a, v);
                     } else {
-                        s.mem.write(a, v);
+                        mem.write(a, v);
                     }
                 }
                 InstKind::AtomicRmw { op, addr, val } => {
                     let a = f.eval(addr, layout);
-                    let old = s.mem.read(a);
+                    let old = mem.read(a);
                     f.results[iid.index()] = old;
-                    s.mem.write(a, op.eval(old, f.eval(val, layout)));
+                    mem.write(a, op.eval(old, f.eval(val, layout)));
                 }
                 InstKind::AtomicCas {
                     addr,
@@ -390,10 +545,10 @@ impl Explorer<'_> {
                     new,
                 } => {
                     let a = f.eval(addr, layout);
-                    let old = s.mem.read(a);
+                    let old = mem.read(a);
                     f.results[iid.index()] = old;
                     if old == f.eval(expected, layout) {
-                        s.mem.write(a, f.eval(new, layout));
+                        mem.write(a, f.eval(new, layout));
                     }
                 }
                 InstKind::Fence { .. } => {}
@@ -418,8 +573,8 @@ impl Explorer<'_> {
                     t.ret = val.map_or(0, |v| f.eval(v, layout));
                     t.done = true;
                     // Return drains the buffer (join publishes everything).
-                    for (a, v) in t.buffer.drain(..) {
-                        s.mem.write(a, v);
+                    for &(a, v) in std::mem::replace(&mut t.buffer, Buffer::new()).stores() {
+                        mem.write(a, v);
                     }
                     t.window.clear();
                     advance = false;
@@ -544,23 +699,6 @@ pub fn enumerate_bounded(
 ) -> Option<BTreeSet<LitmusOutcome>> {
     let layout = Layout::of(module);
     let words = memory_image(module, &layout, Layout::GUARD, layout.heap_start);
-    let mut init = State {
-        mem: Image::new(&words),
-        threads: threads
-            .iter()
-            .map(|(f, args)| {
-                let func = module.func(*f);
-                validate(func);
-                Thread {
-                    frame: Frame::new(*f, func, args.clone()),
-                    done: false,
-                    ret: 0,
-                    buffer: Vec::new(),
-                    window: Vec::new(),
-                }
-            })
-            .collect(),
-    };
     let ex = Explorer {
         funcs: threads.iter().map(|(f, _)| module.func(*f)).collect(),
         layout,
@@ -571,21 +709,35 @@ pub fn enumerate_bounded(
             m => m,
         },
     };
-    for (ti, t) in init.threads.iter_mut().enumerate() {
-        ex.fetch(ti, t);
-    }
+    let init = State {
+        mem: Image::new(&words),
+        threads: threads
+            .iter()
+            .enumerate()
+            .map(|(ti, (f, args))| {
+                let func = module.func(*f);
+                validate(func);
+                let mut t = Thread {
+                    frame: Frame::new(*f, func, args.clone()),
+                    done: false,
+                    ret: 0,
+                    buffer: Buffer::new(),
+                    window: Vec::new(),
+                };
+                ex.fetch(ti, &mut t);
+                Rc::new(Hashed::new(t))
+            })
+            .collect(),
+    };
 
     let mut outcomes = BTreeSet::new();
-    let mut visited: FastSet<Rc<Node>> = FastSet::default();
+    let mut visited: FastSet<Rc<Hashed<State>>> = FastSet::default();
     let mut stack = Vec::new();
     // Hashes a generated state once and drops it if it was seen before.
     // A new state costs one unit of fuel and one allocation, which the
     // visited set and the stack share. `false`: the fuel ran out.
-    let mut discover = |state: State, stack: &mut Vec<Rc<Node>>| {
-        let node = Node {
-            hash: visited.hasher().hash_one(&state),
-            state,
-        };
+    let mut discover = |state: State, stack: &mut Vec<Rc<Hashed<State>>>| {
+        let node = Hashed::new(state);
         if visited.contains(&node) {
             return true;
         }
@@ -603,9 +755,9 @@ pub fn enumerate_bounded(
     }
     let mut moves = Vec::new();
     while let Some(node) = stack.pop() {
-        let state = &node.state;
-        if state.threads.iter().all(|t| t.done) {
-            outcomes.insert(state.threads.iter().map(|t| t.ret).collect());
+        let state = &node.value;
+        if state.threads.iter().all(|t| t.value.done) {
+            outcomes.insert(state.threads.iter().map(|t| t.value.ret).collect());
             continue;
         }
         ex.moves(state, &mut moves);
@@ -624,6 +776,7 @@ pub fn enumerate_bounded(
 mod tests {
     use super::*;
     use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
+    use std::collections::VecDeque;
 
     /// SB (store buffering): x=1; r=y || y=1; r=x.
     fn sb(with_fence: bool) -> (Module, Vec<(FuncId, Vec<i64>)>) {
@@ -812,42 +965,51 @@ mod tests {
         }
     }
 
+    /// SB with `n` stores per thread: x=1..=n; r=y || y=1..=n; r=x. Under
+    /// TSO each thread buffers up to `n` stores.
+    fn sb_stores(n: i64) -> (Module, Vec<(FuncId, Vec<i64>)>) {
+        let mut mb = ModuleBuilder::new("sbn");
+        let x = mb.global("x", 1);
+        let y = mb.global("y", 1);
+        let mk = |mb: &mut ModuleBuilder, name: &str, a, b| {
+            let mut fb = FunctionBuilder::new(name, 0);
+            for v in 1..=n {
+                fb.store(a, v);
+            }
+            let r = fb.load(b);
+            fb.ret(Some(r));
+            mb.add_func(fb.build())
+        };
+        let p0 = mk(&mut mb, "p0", x, y);
+        let p1 = mk(&mut mb, "p1", y, x);
+        (mb.finish(), vec![(p0, vec![]), (p1, vec![])])
+    }
+
     /// The fuel a call spends is its number of distinct states: exactly
     /// that much finishes with the same outcomes, one unit less runs out,
     /// and both leave no fuel behind.
     #[test]
     fn fuel_runs_out_exactly_past_the_distinct_states() {
-        let (m, t) = sb(false);
-        for (model, states) in [
-            (LitmusModel::Sc, 21),
-            (LitmusModel::Tso, 52),
-            (LitmusModel::Weak { window: 4 }, 41),
+        let sb1 = sb(false);
+        let sb4 = sb_stores(4);
+        for ((m, t), model, states) in [
+            (&sb1, LitmusModel::Sc, 21),
+            (&sb1, LitmusModel::Tso, 52),
+            (&sb1, LitmusModel::Weak { window: 4 }, 41),
+            (&sb4, LitmusModel::Tso, 1000),
         ] {
             let mut fuel = u64::MAX;
-            let all = enumerate_bounded(&m, &t, model, &mut fuel);
+            let all = enumerate_bounded(m, t, model, &mut fuel);
             assert!(all.is_some(), "{model:?}");
             let n = u64::MAX - fuel;
-            assert_eq!(n, states, "distinct states under {model:?}");
+            assert_eq!(n, states, "distinct states of {} under {model:?}", m.name);
             let mut fuel = n;
-            assert_eq!(
-                enumerate_bounded(&m, &t, model, &mut fuel),
-                all,
-                "{model:?}"
-            );
+            assert_eq!(enumerate_bounded(m, t, model, &mut fuel), all, "{model:?}");
             assert_eq!(fuel, 0, "{model:?}");
             let mut fuel = n - 1;
-            assert_eq!(
-                enumerate_bounded(&m, &t, model, &mut fuel),
-                None,
-                "{model:?}"
-            );
+            assert_eq!(enumerate_bounded(m, t, model, &mut fuel), None, "{model:?}");
             assert_eq!(fuel, 0, "{model:?}");
         }
-    }
-
-    /// The hash the visited set gives an image.
-    fn hash_of(img: &Image) -> u64 {
-        FastSet::<Image>::default().hasher().hash_one(img)
     }
 
     /// Seeded random words for the image test (splitmix64).
@@ -906,6 +1068,77 @@ mod tests {
             img.write(at(i), init[i as usize]);
             assert!(img == fresh, "word {i} restored");
             assert_eq!(hash_of(&img), hash_of(&fresh), "word {i} restored");
+        }
+    }
+
+    /// A buffer holding `stores`, reached by pushing `junk` other stores
+    /// first and retiring them: a fresh allocation with a nonzero head.
+    fn buffer_of(stores: &VecDeque<(i64, i64)>, junk: i64) -> Buffer {
+        let mut buf = Buffer::new();
+        for j in 0..junk {
+            buf.push(j, -j - 1);
+        }
+        for &(addr, val) in stores {
+            buf.push(addr, val);
+        }
+        for _ in 0..junk {
+            buf.retire();
+        }
+        buf
+    }
+
+    /// Compares `buf` with the flat FIFO `flat`: contents, forwarding, and
+    /// equality and hash against the same stores reached other ways.
+    fn assert_buffer_is(buf: &Buffer, flat: &VecDeque<(i64, i64)>) {
+        assert!(buf.stores().iter().eq(flat.iter()), "stores");
+        assert_eq!(buf.is_empty(), flat.is_empty());
+        for addr in -1..6 {
+            let youngest = flat.iter().rev().find(|&&(a, _)| a == addr);
+            assert_eq!(buf.forward(addr), youngest.map(|&(_, v)| v), "addr {addr}");
+        }
+        for other in [buf.clone(), buffer_of(flat, 0), buffer_of(flat, 3)] {
+            assert!(*buf == other, "equal stores compare equal");
+            assert_eq!(hash_of(buf), hash_of(&other));
+        }
+        let mut longer = buf.clone();
+        longer.push(0, 0);
+        assert!(*buf != longer, "one more store");
+    }
+
+    #[test]
+    fn shared_buffer_behaves_like_a_flat_fifo() {
+        assert_eq!(BASE.wrapping_mul(BASE_INV), 1, "BASE_INV inverts BASE");
+        let mut seed = 23;
+        for _ in 0..16 {
+            let mut buf = Buffer::new();
+            let mut flat = VecDeque::new();
+            // Earlier versions, shared with `buf` until it moves on.
+            let mut kept = Vec::new();
+            for _ in 0..200 {
+                let r = next(&mut seed);
+                if r.is_multiple_of(4) {
+                    kept.push((buf.clone(), flat.clone()));
+                }
+                // Pushes outnumber retires, so the buffer grows and shrinks.
+                if (r >> 8) % 5 < 2 && !flat.is_empty() {
+                    assert_eq!(Some(buf.retire()), flat.pop_front());
+                } else {
+                    // Few addresses and values, so stores repeat.
+                    let (addr, val) = ((r >> 16) % 6, (r >> 24) % 3);
+                    buf.push(addr as i64, val as i64);
+                    flat.push_back((addr as i64, val as i64));
+                }
+                assert_buffer_is(&buf, &flat);
+            }
+            for (old, old_flat) in &kept {
+                assert_buffer_is(old, old_flat);
+            }
+            // Retired down to nothing, it equals a new buffer.
+            while flat.pop_front().is_some() {
+                buf.retire();
+            }
+            assert!(buf == Buffer::new(), "fully retired");
+            assert_eq!(hash_of(&buf), hash_of(&Buffer::new()));
         }
     }
 

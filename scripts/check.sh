@@ -14,7 +14,7 @@
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  memsim tests + litmus regressions + differential certify fuzz
 #            + certification and simulator goldens + explorer memory pin
-#            + CLI smoke
+#            + CLI smoke, which prints the verdict tally per target
 #   stream   windowed-vs-resident differential + the fleet's result-heap pin
 #            + CLI --window and pack: smokes (the pack: smoke runs pooled
 #            and --seq and diffs the two)
@@ -75,10 +75,26 @@ stage_certify() {
   echo "== fenceplace --certify smoke (kernels + corpus, Control:x86tso + Control:weak) =="
   # Bounded state budget keeps the smoke fast; inconclusive/skipped
   # certifications exit 0, an unsound one exits 2 and fails the stage.
+  # The verdict tally per target is printed either way; it does not gate.
+  local certify_out status=0
+  certify_out="$(mktemp -d)"
   cargo run --release --quiet --bin fenceplace -- \
     --program 'kernel:*' --program 'corpus:*' \
     --config Control:x86tso --config Control:weak \
-    --certify-states 50000 --seq
+    --certify-states 50000 --seq --out "$certify_out" || status=$?
+  echo "-- certification verdicts per target --"
+  { grep -ho '"target": "[^"]*", "status": "[^"]*"' "$certify_out"/*.json || true; } |
+    awk -F'"' '{ n[$4, $8]++; seen[$4] = 1 }
+      END {
+        split("certified not_minimal inconclusive skipped unsound", verdicts, " ")
+        for (target in seen) {
+          line = target ":"
+          for (i = 1; i <= 5; i++) line = line " " verdicts[i] " " (n[target, verdicts[i]] + 0)
+          print line
+        }
+      }' | sort
+  rm -rf "$certify_out"
+  return "$status"
 }
 
 stage_stream() {

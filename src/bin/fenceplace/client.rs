@@ -6,9 +6,10 @@
 //! daemon's content addressing, not the client's naming, decides what is
 //! cached. A file's text is sent as read (the daemon parses it, so an
 //! unparsable file comes back `invalid_ir`: exit 2); a built-in module is
-//! printed. A file that cannot be read is fatal, and so is a module whose
-//! report file an earlier module of the batch already claims (`a-b.ir`
-//! and `a_b.ir` both write `…a_b_ir.json`). Per module it prints
+//! printed. A file that cannot be read is fatal, and so is a module that
+//! an earlier spec of the batch already named, or whose report file an
+//! earlier module already claims (`a-b.ir` and `a_b.ir` both write
+//! `…a_b_ir.json`). Per module it prints
 //! `name: status (cache)`; `--out DIR` additionally writes each returned
 //! report document (byte-identical to what `fenceplace --out DIR` would
 //! write) to `DIR/<module>.json`.
@@ -22,6 +23,7 @@ use corpus::{ModuleSource, Params};
 use fenceplace::json::{file_stem, json_escape};
 use fenceplace::service::wire::{self, config_label, Json, PROTOCOL_VERSION};
 use fenceplace::{stream_items, PipelineConfig, StreamItem};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -218,15 +220,25 @@ pub fn run(args: &[String]) -> Result<u8, String> {
             StreamItem::Text { name, text } => (name, text),
             StreamItem::Failed { error, .. } => return Err(error),
         };
-        // Two names with one report file (`a-b.ir`, `a_b.ir`) would
-        // overwrite each other's report: like a load failure, fatal.
-        let stem = file_stem(&name);
-        let first = stems.entry(stem.clone()).or_insert_with(|| name.clone());
-        if *first != name {
-            return Err(format!(
-                "report file collision: `{first}` already writes `{stem}.json`, \
-                 so `{name}` is refused"
-            ));
+        // A repeated name would be sent twice, and two names with one
+        // report file (`a-b.ir`, `a_b.ir`) would overwrite each other's
+        // report: like a load failure, both are fatal.
+        match stems.entry(file_stem(&name)) {
+            Entry::Vacant(slot) => {
+                slot.insert(name.clone());
+            }
+            Entry::Occupied(first) if *first.get() == name => {
+                return Err(format!(
+                    "duplicate program `{name}`: specs overlap (e.g. a wildcard plus a named spec)"
+                ));
+            }
+            Entry::Occupied(first) => {
+                return Err(format!(
+                    "report file collision: `{}` already writes `{}.json`, so `{name}` is refused",
+                    first.get(),
+                    first.key()
+                ));
+            }
         }
         sent += 1;
         let budget = match cli.budget {

@@ -800,6 +800,19 @@ fn client_sends_file_texts_as_read() {
         &sock,
         &["--program", &twins, "--out", reports.to_str().unwrap()],
     );
+    // `kernel:*` names Dekker a second time.
+    let repeat_reports = dir.join("repeat-reports");
+    let repeated = client(
+        &sock,
+        &[
+            "--program",
+            "kernel:Dekker",
+            "--program",
+            "kernel:*",
+            "--out",
+            repeat_reports.to_str().unwrap(),
+        ],
+    );
     shut_down(&sock, daemon);
 
     // An unparsable file is the daemon's verdict (invalid_ir, exit 2),
@@ -840,6 +853,18 @@ fn client_sends_file_texts_as_read() {
         report.contains(&format!("\"module\": \"file:{}\"", twin.display())),
         "{report}"
     );
+    // A repeated name is refused before its request, as the batch CLI
+    // quarantines it: Dekker is sent and reported once, and every module
+    // sent before the repeat has its report.
+    let stdout = String::from_utf8_lossy(&repeated.stdout);
+    let stderr = String::from_utf8_lossy(&repeated.stderr);
+    assert_eq!(repeated.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("duplicate program"), "{stderr}");
+    assert_eq!(stdout.matches("kernel:Dekker:").count(), 1, "{stdout}");
+    let written = std::fs::read_dir(&repeat_reports)
+        .expect("repeat reports dir")
+        .count();
+    assert_eq!(written, stdout.lines().count(), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
