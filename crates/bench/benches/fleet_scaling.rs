@@ -18,7 +18,7 @@ use corpus::Params;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fence_ir::Module;
 use fenceplace::{
-    run_fleet_streamed, run_fleet_with, run_pipeline_batch, stream_items, FleetJob, FleetOptions,
+    run_fleet_opts, run_fleet_streamed, run_pipeline_batch, stream_items, FleetJob, FleetOptions,
     FleetResult, FleetStats, PipelineConfig, Variant,
 };
 
@@ -73,8 +73,8 @@ fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_scaling");
     for (label, jobs) in &workloads {
         // The fleet must agree with the loop before we time anything.
-        let (fleet, _) = run_fleet_with(jobs, true);
-        for (job, fr) in jobs.iter().zip(&fleet) {
+        let (results, _) = run_fleet_opts(jobs, &FleetOptions::default());
+        for (job, fr) in jobs.iter().zip(&results) {
             let want = run_pipeline_batch(job.module, &job.configs);
             for (w, g) in want.iter().zip(&fr.results) {
                 assert_eq!(w.points, g.points, "{}: fleet diverges from loop", job.name);
@@ -92,12 +92,15 @@ fn bench_fleet(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("fleet_seq", label), jobs, |b, jobs| {
-            b.iter(|| criterion::black_box(run_fleet_with(jobs, false)))
-        });
-        group.bench_with_input(BenchmarkId::new("fleet_pool", label), jobs, |b, jobs| {
-            b.iter(|| criterion::black_box(run_fleet_with(jobs, true)))
-        });
+        for (id, parallel) in [("fleet_seq", false), ("fleet_pool", true)] {
+            let opts = FleetOptions {
+                parallel,
+                ..FleetOptions::default()
+            };
+            group.bench_with_input(BenchmarkId::new(id, label), jobs, |b, jobs| {
+                b.iter(|| criterion::black_box(run_fleet_opts(jobs, &opts)))
+            });
+        }
     }
     group.finish();
 }

@@ -59,7 +59,7 @@ use fenceplace::acquire::{detect_acquires, DetectMode};
 use fenceplace::minimize::minimize_function;
 use fenceplace::orderings::FuncOrderings;
 use fenceplace::{
-    run_fleet_streamed, run_fleet_with, run_pipeline_batch, FleetJob, FleetOptions, PipelineConfig,
+    run_fleet_opts, run_fleet_streamed, run_pipeline_batch, FleetJob, FleetOptions, PipelineConfig,
     Service, ServiceOptions, StreamItem, TargetModel, Variant,
 };
 use std::time::Instant;
@@ -263,7 +263,7 @@ fn fleet_vs_loop(entries: &[corpus::ManifestEntry]) -> (f64, f64) {
         .iter()
         .map(|e| FleetJob::new(e.name.clone(), &e.module, configs.clone()))
         .collect();
-    let fleet_ms = time_min(|| run_fleet_with(&jobs, true));
+    let fleet_ms = time_min(|| run_fleet_opts(&jobs, &FleetOptions::default()));
     let loop_ms = time_min(|| {
         for e in entries {
             std::hint::black_box(run_pipeline_batch(&e.module, &configs));

@@ -21,6 +21,7 @@
 //! validated) simplifying assumption is that the synchronizing read and
 //! the branch/address use occur in the same function.
 
+use crate::pipeline::Variant;
 use fence_analysis::alias::AliasOracle;
 use fence_analysis::escape::EscapeInfo;
 use fence_analysis::pointsto::PointsTo;
@@ -159,6 +160,26 @@ pub fn pensieve_all_reads(module: &Module, escape: &EscapeInfo, fid: FuncId) -> 
         address: BitSet::new(func.num_insts()),
         sync_reads,
     }
+}
+
+/// The acquires `variant` detects in function `fid`: every escaping read
+/// for [`Variant::Pensieve`], Listing 1 for [`Variant::Control`] and
+/// Listing 3 for [`Variant::AddressControl`]. `oracle` is the function's
+/// alias oracle. [`Variant::Manual`] has no acquire information.
+pub(crate) fn variant_acquires(
+    module: &Module,
+    escape: &EscapeInfo,
+    oracle: &AliasOracle<'_>,
+    fid: FuncId,
+    variant: Variant,
+) -> AcquireInfo {
+    let mode = match variant {
+        Variant::Pensieve => return pensieve_all_reads(module, escape, fid),
+        Variant::Control => DetectMode::Control,
+        Variant::AddressControl => DetectMode::AddressControl,
+        Variant::Manual => unreachable!("Manual has no acquire info"),
+    };
+    detect_acquires_with(module.func(fid), oracle, escape.escaping_set(fid), mode)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! calls, intrinsics, or allocation are listed in
 //! [`CertifyReport::skipped`].
 
-use crate::acquire::{detect_acquires_with, pensieve_all_reads, DetectMode};
+use crate::acquire::variant_acquires;
 use crate::minimize::TargetModel;
 use crate::pipeline::{PipelineResult, Variant};
 use fence_analysis::{AliasOracle, ModuleAnalysis};
@@ -43,8 +43,6 @@ pub struct CertifyOptions {
     /// all thread groups). Exhaustion yields
     /// [`CertifyStatus::Inconclusive`], never a wrong verdict.
     pub max_states: u64,
-    /// Out-of-order window used when the target is [`TargetModel::Weak`].
-    pub weak_window: usize,
     /// Maximum number of thread groups checked per module.
     pub max_groups: usize,
 }
@@ -53,7 +51,6 @@ impl Default for CertifyOptions {
     fn default() -> Self {
         CertifyOptions {
             max_states: 400_000,
-            weak_window: 4,
             max_groups: 16,
         }
     }
@@ -168,11 +165,15 @@ impl CertifyReport {
     }
 }
 
-fn litmus_model(target: TargetModel, weak_window: usize) -> LitmusModel {
+/// Out-of-order window of the litmus model that stands for
+/// [`TargetModel::Weak`].
+const WEAK_WINDOW: usize = 4;
+
+fn litmus_model(target: TargetModel) -> LitmusModel {
     match target {
         TargetModel::X86Tso => LitmusModel::Tso,
         TargetModel::Weak => LitmusModel::Weak {
-            window: weak_window,
+            window: WEAK_WINDOW,
         },
         TargetModel::ScHardware => LitmusModel::Sc,
     }
@@ -187,30 +188,10 @@ fn litmus_model(target: TargetModel, weak_window: usize) -> LitmusModel {
 pub fn sync_classification(module: &Module, variant: Variant) -> SyncClassification {
     let analysis = ModuleAnalysis::run(module);
     let mut class = SyncClassification::new();
-    for (fid, func) in module.iter_funcs() {
+    for (fid, _) in module.iter_funcs() {
         if variant != Variant::Manual {
-            let info = match variant {
-                Variant::Pensieve => pensieve_all_reads(module, &analysis.escape, fid),
-                Variant::Control => {
-                    let oracle = AliasOracle::new(module, &analysis.points_to, fid);
-                    detect_acquires_with(
-                        func,
-                        &oracle,
-                        analysis.escape.escaping_set(fid),
-                        DetectMode::Control,
-                    )
-                }
-                Variant::AddressControl => {
-                    let oracle = AliasOracle::new(module, &analysis.points_to, fid);
-                    detect_acquires_with(
-                        func,
-                        &oracle,
-                        analysis.escape.escaping_set(fid),
-                        DetectMode::AddressControl,
-                    )
-                }
-                Variant::Manual => unreachable!(),
-            };
+            let oracle = AliasOracle::new(module, &analysis.points_to, fid);
+            let info = variant_acquires(module, &analysis.escape, &oracle, fid, variant);
             for iid in info.sync_read_ids() {
                 class.add_acquire(fid, iid);
             }
@@ -266,7 +247,7 @@ pub fn certify_module(
     target: TargetModel,
     opts: &CertifyOptions,
 ) -> CertifyReport {
-    let model = litmus_model(target, opts.weak_window);
+    let model = litmus_model(target);
     let mut skipped = Vec::new();
     let mut eligible: Vec<FuncId> = Vec::new();
     for (fid, func) in module.iter_funcs() {

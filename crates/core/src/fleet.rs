@@ -2,30 +2,35 @@
 //! cross-module pool reuse and per-module fault isolation — and the one
 //! place the stage sequence is implemented.
 //!
-//! Every driver is a thin caller of this executor:
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) is a fleet of one
-//! (no validation gate, panics propagate), the windowed stream runs one
-//! single-module fleet per admitted module, and the analysis service
-//! ([`crate::service`]) hands the executor a *seed* — the state its cache
-//! already holds — so only the missing units run. Fleet ≡ batch ≡
-//! service therefore holds by construction.
+//! Every entry point is a thin caller of this executor, and every run
+//! takes one path: each module passes the validation gate and each work
+//! unit runs isolated. [`run_pipeline_batch`](crate::run_pipeline_batch)
+//! is a fleet of one that re-raises a quarantine as a panic, the
+//! windowed stream runs one single-module fleet per admitted module, and
+//! the analysis service ([`crate::service`]) hands the executor a *seed*
+//! — the state its cache already holds — so only the missing units run.
+//! Fleet ≡ batch ≡ service therefore holds by construction.
 //!
-//! [`run_fleet`] schedules **per-(module, function) work units from every
-//! module at once**. Each pipeline stage becomes one flat cross-module
-//! unit list executed in a single pool pass:
+//! [`run_fleet_opts`] schedules **per-(module, function) work units from
+//! every module at once**. Each pipeline stage becomes one flat
+//! cross-module unit list executed in a single pool pass:
 //!
 //! 1. *validate* — the pre-analysis IR gate
 //!    ([`fence_ir::verify_module_checked`]): malformed modules are
-//!    rejected with structured diagnostics before any analysis runs;
+//!    rejected with structured diagnostics before any analysis runs, and
+//!    a well-formed module hands on the [`Cfg`] the gate built for each
+//!    of its functions;
 //! 2. *analysis + substrates* — **one overlapped pass**: one
 //!    [`ModuleAnalysis`] unit per module (the per-module analysis runs
 //!    sequentially inside its unit, so independent modules fill the
 //!    cores with no nested pool entry) *and* one [`FuncSubstrate`] unit
-//!    per function of any module. A substrate depends only on the IR,
-//!    never on points-to, so CFG builds overlap the points-to solves;
-//! 3. *contexts* — one [`FuncContext`] (alias oracle + escape set +
-//!    orderings) per function of any module; the first stage with a
-//!    true dependency edge on both the analysis and the substrate;
+//!    per function of any module, built from the gate's `Cfg`
+//!    ([`FuncSubstrate::from_cfg`]), so a run builds each function's CFG
+//!    once. A substrate depends only on the IR, never on points-to, so
+//!    reachability builds overlap the points-to solves;
+//! 3. *contexts* — one [`FuncContext`] (alias oracle + orderings) per
+//!    function of any module; the first stage with a true dependency
+//!    edge on both the analysis and the substrate;
 //! 4. *acquire detection* — one [`AcquireInfo`] per (module, distinct
 //!    automatic variant, function) triple;
 //! 5. *config tails* — pruning + minimization per (module, config,
@@ -53,8 +58,7 @@
 //! # Failure isolation
 //!
 //! A 1000-module sweep must not die because module 713 trips an
-//! assertion. Under [`FleetOptions::isolate`] (the default) every work
-//! unit runs under a per-unit `catch_unwind`
+//! assertion. Every work unit runs under a per-unit `catch_unwind`
 //! ([`ThreadPool::run_units`]), and a failing module is
 //! **quarantined**, never fatal:
 //!
@@ -81,9 +85,9 @@
 //! alone; a seeded run and the service's warm-hit dry run pay the same
 //! plan as a cold run.
 //!
-//! With `isolate: false` a panicking unit unwinds through the fleet to
-//! the caller, which is how
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) behaves.
+//! A caller that wants a failure to be fatal reads the outcome:
+//! [`run_pipeline_batch`](crate::run_pipeline_batch) panics with the
+//! quarantined module's [`ModuleOutcome`].
 //!
 //! The `faultinject` cargo feature (module `faultinject`) arms
 //! deterministic failures at any (module, stage) point to exercise all
@@ -100,8 +104,9 @@ use crate::pipeline::{
 use crate::pool::ThreadPool;
 use crate::report::{FleetStage, FuncReport, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
-use fence_ir::cfg::FuncSubstrate;
+use fence_ir::cfg::{Cfg, FuncSubstrate};
 use fence_ir::{FuncId, Function, Module};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Cap on verifier diagnostics retained per quarantined module — a
@@ -139,20 +144,14 @@ impl<'m> FleetJob<'m> {
 }
 
 /// Knobs for [`run_fleet_opts`]. [`FleetOptions::default`] is the
-/// production configuration: parallel, isolating, validating, no budget.
+/// production configuration: parallel, resident, no budget, no
+/// certification. No option turns off the validation gate or the
+/// per-unit isolation: every run has both.
 #[derive(Copy, Clone, Debug)]
 pub struct FleetOptions {
     /// Schedule the flattened cross-module unit lists on the persistent
     /// pool. Sequential and parallel runs are bit-identical.
     pub parallel: bool,
-    /// Run every work unit under a per-unit `catch_unwind` and quarantine
-    /// failing modules instead of letting the panic unwind through the
-    /// fleet. `false` restores the legacy propagating path.
-    pub isolate: bool,
-    /// Reject malformed modules at the pre-analysis validation gate
-    /// ([`fence_ir::verify_module_checked`]) with
-    /// [`ModuleOutcome::InvalidIr`] before any analysis touches them.
-    pub validate: bool,
     /// Deterministic per-module step budget. Each stage charges a static
     /// instruction-count cost at its boundary (`max(1, insts)` per
     /// function per pass — never wall-clock), and a module whose spend
@@ -185,8 +184,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             parallel: true,
-            isolate: true,
-            validate: true,
             budget: None,
             certify: None,
             window: None,
@@ -281,13 +278,12 @@ fn module_step_cost(m: &Module) -> u64 {
 }
 
 /// Every stage-boundary charge of running `configs` over `module`, in
-/// boundary order: the module cost at Validate (when validating),
-/// Analysis, Substrates and Contexts; the summed per-function costs once
-/// per distinct automatic variant (Acquires) and once per automatic
-/// config (Tails); the module cost once per config (Certify, when
-/// certifying). Charges depend on the request alone, never on which
-/// units run, so a seeded run and a warm dry run pay exactly what a cold
-/// run pays.
+/// boundary order: the module cost at Validate, Analysis, Substrates and
+/// Contexts; the summed per-function costs once per distinct automatic
+/// variant (Acquires) and once per automatic config (Tails); the module
+/// cost once per config (Certify, when certifying). Charges depend on
+/// the request alone, never on which units run, so a seeded run and a
+/// warm dry run pay exactly what a cold run pays.
 fn charge_plan(
     module: &Module,
     configs: &[PipelineConfig],
@@ -304,7 +300,7 @@ fn charge_plan(
     let variants = variants.iter().filter(|&&v| v).count() as u64;
 
     let mut plan = Vec::new();
-    if opts.validate && !configs.is_empty() {
+    if !configs.is_empty() {
         plan.push((FleetStage::Validate, module_cost));
     }
     if tails > 0 {
@@ -427,8 +423,7 @@ pub(crate) fn dry_run(
     ledger.fail.pop().flatten().unwrap_or(ModuleOutcome::Ok)
 }
 
-/// Runs a stage's unit list, catching per-unit panics when isolating.
-/// Isolated units each run under their own `catch_unwind` (via
+/// Runs a stage's unit list, each unit under its own `catch_unwind` (via
 /// [`ThreadPool::run_units`] when parallel), so slot `i` becomes
 /// `Err(panic message)` instead of the panic unwinding through the whole
 /// pass. Every unit still executes exactly once and results stay keyed
@@ -437,18 +432,9 @@ pub(crate) fn dry_run(
 fn stage_map<T: Send>(
     n: usize,
     parallel: bool,
-    isolate: bool,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, String>> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let pool = ThreadPool::global();
-    if !isolate {
-        return pool
-            .map_indexed(n, parallel, f)
-            .into_iter()
-            .map(Ok)
-            .collect();
-    }
     if !parallel || n <= 1 {
         return (0..n)
             .map(|i| {
@@ -458,7 +444,7 @@ fn stage_map<T: Send>(
             .collect();
     }
     let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let panics = pool.run_units(n, &|i| {
+    let panics = ThreadPool::global().run_units(n, &|i| {
         let v = f(i);
         collected.lock().unwrap().push((i, v));
     });
@@ -473,13 +459,17 @@ fn stage_map<T: Send>(
         .collect()
 }
 
-/// The validation gate of one module: its verifier diagnostics, capped
-/// at [`MAX_IR_DIAGNOSTICS`] (empty when the IR is well-formed).
-fn validate(name: &str, module: &Module) -> Vec<String> {
+/// The validation gate of one module: the [`Cfg`] of each function when
+/// the IR is well-formed, otherwise its verifier diagnostics, capped at
+/// [`MAX_IR_DIAGNOSTICS`]. A fault-injected view hands on no CFGs: they
+/// would describe the view, not the module.
+fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
     faultinject::panic_point(name, FleetStage::Validate);
     let view = faultinject::validate_view(name, module);
-    let Err(errs) = fence_ir::verify_module_checked(view.as_ref()) else {
-        return Vec::new();
+    let errs = match fence_ir::verify_module_checked(view.as_ref()) {
+        Ok(cfgs) if matches!(view, Cow::Borrowed(_)) => return Ok(cfgs),
+        Ok(_) => return Ok(Vec::new()),
+        Err(errs) => errs,
     };
     let total = errs.len();
     let mut msgs: Vec<String> = errs
@@ -493,16 +483,21 @@ fn validate(name: &str, module: &Module) -> Vec<String> {
             total - MAX_IR_DIAGNOSTICS
         ));
     }
-    msgs
+    Err(msgs)
 }
 
-/// Runs the fleet with the default [`FleetOptions`]: parallel on the
-/// persistent pool, per-module fault isolation, IR validation gate, no
-/// deadline. See [`run_fleet_opts`] for the knobs and work stats.
+/// Runs the fleet under `opts` and returns the results together with
+/// the run's [`FleetStats`]. See the module docs for the stage structure
+/// and the failure-isolation contract. Sequential and parallel runs are
+/// bit-identical: every stage keys its results by unit index.
+///
+/// The jobs are borrowed, so each job's results share one copy of its
+/// module (taken only when the job has results); the streamed entry
+/// points own their modules and lend them instead, copying none.
 ///
 /// ```
 /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
-/// use fenceplace::fleet::{run_fleet, FleetJob};
+/// use fenceplace::fleet::{run_fleet_opts, FleetJob, FleetOptions};
 /// use fenceplace::{PipelineConfig, Variant};
 ///
 /// let build = |name: &str| {
@@ -519,42 +514,19 @@ fn validate(name: &str, module: &Module) -> Vec<String> {
 /// let (a, b) = (build("a"), build("b"));
 /// let configs: Vec<PipelineConfig> =
 ///     Variant::automatic().map(PipelineConfig::for_variant).into();
-/// let fleet = run_fleet(&[
+/// let jobs = [
 ///     FleetJob::new("a", &a, configs.clone()),
 ///     FleetJob::new("b", &b, configs),
-/// ]);
+/// ];
+/// let (fleet, stats) = run_fleet_opts(&jobs, &FleetOptions::default());
 /// assert_eq!(fleet.len(), 2);
 /// assert!(fleet[0].outcome.is_ok());
 /// assert_eq!(fleet[0].results.len(), 3);
+/// // One analysis per module serves all three configs.
+/// assert_eq!(stats.analyses, 2);
 /// // Identical modules get identical placements.
 /// assert_eq!(fleet[0].results[0].points, fleet[1].results[0].points);
 /// ```
-pub fn run_fleet(jobs: &[FleetJob]) -> Vec<FleetResult> {
-    run_fleet_opts(jobs, &FleetOptions::default()).0
-}
-
-/// Runs the fleet, optionally scheduling the flattened cross-module unit
-/// lists on the persistent pool (`parallel`), with the remaining
-/// [`FleetOptions`] at their defaults (isolating, validating, no
-/// deadline). Returns the results together with the run's
-/// [`FleetStats`]. Sequential and parallel runs are bit-identical:
-/// every stage keys its results by unit index.
-pub fn run_fleet_with(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, FleetStats) {
-    run_fleet_opts(
-        jobs,
-        &FleetOptions {
-            parallel,
-            ..FleetOptions::default()
-        },
-    )
-}
-
-/// Runs the fleet under explicit [`FleetOptions`]. See the module docs
-/// for the stage structure and the failure-isolation contract.
-///
-/// The jobs are borrowed, so each job's results share one copy of its
-/// module (taken only when the job has results); the streamed drivers
-/// own their modules and lend them instead, copying none.
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
     run_fleet_lent(jobs, opts, |j| Arc::new(jobs[j].module.clone()))
 }
@@ -601,7 +573,8 @@ fn run_fleet_lent(
 #[derive(Default)]
 pub(crate) struct Seed {
     /// The module already passed the validation gate: the gate's unit is
-    /// skipped, its charge is still paid.
+    /// skipped, its charge is still paid, and with no gate `Cfg` to hand
+    /// on, its missing substrates are built by [`FuncSubstrate::new`].
     pub validated: bool,
     /// The module-wide analysis, if already computed.
     pub analysis: Option<ModuleAnalysis>,
@@ -642,7 +615,7 @@ pub(crate) fn run_seeded(
     opts: &FleetOptions,
 ) -> (Vec<Placed>, FleetStats) {
     let nj = jobs.len();
-    let (parallel, isolate) = (opts.parallel, opts.isolate);
+    let parallel = opts.parallel;
     let mut ledger = Ledger::new(
         jobs.iter()
             .map(|job| {
@@ -675,21 +648,23 @@ pub(crate) fn run_seeded(
         .collect();
 
     // ---- stage 0: validation gate, one unit per module with configs ----
-    if opts.validate {
-        let vjobs: Vec<usize> = (0..nj)
-            .filter(|&j| !jobs[j].configs.is_empty() && !seeds[j].validated)
-            .collect();
-        let vres = stage_map(vjobs.len(), parallel, isolate, |k| {
-            validate(&jobs[vjobs[k]].name, jobs[vjobs[k]].module)
-        });
-        for (k, errors) in ledger
-            .absorb(vres, FleetStage::Validate, |k| vjobs[k])
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(errors) = errors.filter(|e| !e.is_empty()) {
-                ledger.quarantine(vjobs[k], ModuleOutcome::InvalidIr { errors });
-            }
+    // A module that passes hands on the `Cfg` of each of its functions.
+    let vjobs: Vec<usize> = (0..nj)
+        .filter(|&j| !jobs[j].configs.is_empty() && !seeds[j].validated)
+        .collect();
+    let vres = stage_map(vjobs.len(), parallel, |k| {
+        validate(&jobs[vjobs[k]].name, jobs[vjobs[k]].module)
+    });
+    let mut cfgs: Vec<Vec<Cfg>> = (0..nj).map(|_| Vec::new()).collect();
+    for (k, gate) in ledger
+        .absorb(vres, FleetStage::Validate, |k| vjobs[k])
+        .into_iter()
+        .enumerate()
+    {
+        match gate {
+            Some(Ok(built)) => cfgs[vjobs[k]] = built,
+            Some(Err(errors)) => ledger.quarantine(vjobs[k], ModuleOutcome::InvalidIr { errors }),
+            None => {}
         }
     }
     ledger.boundary(FleetStage::Validate);
@@ -698,10 +673,12 @@ pub(crate) fn run_seeded(
     // A `FuncSubstrate` depends only on the IR, never on the module
     // analysis, so one combined unit list holds every missing
     // `ModuleAnalysis` (sequential *inside* its unit — nesting the pool
-    // would deadlock) followed by every missing substrate. While one
-    // worker grinds a big module's points-to, others already build CFGs
-    // — of that module and every other. Only the context stage carries a
-    // true edge on both.
+    // would deadlock) followed by every missing substrate, each built from
+    // the `Cfg` its module's gate unit handed on (or from scratch, for a
+    // seed validated before this run). While one worker grinds a big
+    // module's points-to, others already build reachability tables — of
+    // that module and every other. Only the context stage carries a true
+    // edge on both.
     //
     // Analysis units come *first* in the combined list and their results
     // are absorbed first, so a module failing both stages is attributed
@@ -730,18 +707,22 @@ pub(crate) fn run_seeded(
         Substrate(FuncSubstrate),
     }
     let na = analysis_units.len();
-    let bres = stage_map(na + substrate_units.len(), parallel, isolate, |u| {
+    let bres = stage_map(na + substrate_units.len(), parallel, |u| {
         if u < na {
             let job = &jobs[analysis_units[u]];
             faultinject::panic_point(&job.name, FleetStage::Analysis);
             BuildUnit::Analysis(ModuleAnalysis::run(job.module))
         } else {
             let (j, f) = func_units[substrate_units[u - na]];
-            let job = &jobs[j as usize];
-            faultinject::panic_point(&job.name, FleetStage::Substrates);
-            BuildUnit::Substrate(FuncSubstrate::new(job.module.func(FuncId::new(f as usize))))
+            let (j, f) = (j as usize, f as usize);
+            faultinject::panic_point(&jobs[j].name, FleetStage::Substrates);
+            BuildUnit::Substrate(match cfgs[j].get(f) {
+                Some(cfg) => FuncSubstrate::from_cfg(cfg),
+                None => FuncSubstrate::new(jobs[j].module.func(FuncId::new(f))),
+            })
         }
     });
+    drop(cfgs);
     let mut bres = bres.into_iter();
     let ares: Vec<Result<ModuleAnalysis, String>> = bres
         .by_ref()
@@ -788,7 +769,7 @@ pub(crate) fn run_seeded(
     // build pass; an in-unit health check skips them (returning `None`)
     // so the offsets in `func_off` stay aligned.
     let ctx_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
-    let cres = stage_map(func_units.len(), parallel, isolate, |u| {
+    let cres = stage_map(func_units.len(), parallel, |u| {
         let (j, f) = (unit_job(u), func_units[u].1 as usize);
         if !ctx_alive[j] {
             return None;
@@ -826,7 +807,7 @@ pub(crate) fn run_seeded(
             acq_units.extend((0..n).map(|f| (j as u32, variant, f)));
         }
     }
-    let aqres = stage_map(acq_units.len(), parallel, isolate, |u| {
+    let aqres = stage_map(acq_units.len(), parallel, |u| {
         let (j, variant, f) = acq_units[u];
         let (j, f) = (j as usize, f as usize);
         faultinject::panic_point(&jobs[j].name, FleetStage::Acquires);
@@ -860,7 +841,7 @@ pub(crate) fn run_seeded(
         }
     }
     let tres: Vec<Result<(FuncReport, Vec<FencePoint>), String>> =
-        stage_map(tail_units.len(), parallel, isolate, |u| {
+        stage_map(tail_units.len(), parallel, |u| {
             let (j, c, f) = tail_units[u];
             let (j, c, f) = (j as usize, c as usize, f as usize);
             let job = &jobs[j];
@@ -937,7 +918,7 @@ pub(crate) fn run_seeded(
         for j in (0..nj).filter(|&j| ledger.healthy(j)) {
             cert_units.extend((0..placements_per_job[j].len()).map(|k| (j as u32, k as u32)));
         }
-        let crres = stage_map(cert_units.len(), parallel, isolate, |u| {
+        let crres = stage_map(cert_units.len(), parallel, |u| {
             let (j, k) = cert_units[u];
             let (j, k) = (j as usize, k as usize);
             let job = &jobs[j];
@@ -1115,7 +1096,7 @@ fn finish_ingest(
 /// [`stage_map`] isolation as every stage unit) and folds the attempt
 /// into a module or a quarantine outcome.
 pub(crate) fn ingest(name: &str, text: &str, opts: &FleetOptions) -> Result<Module, ModuleOutcome> {
-    let attempt = stage_map(1, false, opts.isolate, |_| ingest_parse(name, text))
+    let attempt = stage_map(1, false, |_| ingest_parse(name, text))
         .pop()
         .expect("one unit");
     finish_ingest(name, attempt, opts.budget)
@@ -1175,8 +1156,8 @@ fn quarantined(name: String, outcome: ModuleOutcome, configs: usize) -> (FleetRe
 /// loads as [`ModuleOutcome::LoadFailed`], an unparsable text as
 /// [`ModuleOutcome::InvalidIr`] (stage [`FleetStage::Ingest`] hooks the
 /// fault-injection registry like any other stage), and neither stalls
-/// the window. With `isolate: false`, ingest panics propagate to the
-/// caller like any other stage panic.
+/// the window. A panic in `on_complete` is not a unit's and is not
+/// isolated: it reaches the caller.
 pub fn run_fleet_streamed<I, F>(
     items: I,
     configs: &[PipelineConfig],
@@ -1227,7 +1208,7 @@ where
         }
     }
     // One pooled ingest pass, unit-isolated exactly like any stage.
-    let attempts: Vec<IngestAttempt> = stage_map(texts.len(), opts.parallel, opts.isolate, |k| {
+    let attempts: Vec<IngestAttempt> = stage_map(texts.len(), opts.parallel, |k| {
         let (_, name, text) = &texts[k];
         ingest_parse(name, text)
     });
@@ -1282,9 +1263,10 @@ where
 
 /// `window: Some(w)`: one worker loop on up to `window` threads (the
 /// pool caps them at its workers plus the caller; one when sequential).
-/// No worker waits on another, so with `isolate: false` a panic ends
-/// its own worker, the others drain the source, and
-/// [`ThreadPool::run_scoped`] re-raises it on the caller.
+/// Every stage unit is isolated, so only a panicking source or sink ends
+/// a worker. No worker waits on another, so the others end too (at the
+/// poisoned lock, or when the source runs dry), and
+/// [`ThreadPool::run_scoped`] re-raises the panic on the caller.
 fn stream_windowed<I, F>(
     source: I,
     window: usize,
@@ -1401,9 +1383,8 @@ mod tests {
         mb.finish()
     }
 
-    /// A module the verifier rejects (block 0 is empty) and whose CFG
-    /// construction panics (terminator targets a nonexistent block) —
-    /// both the gate path and the validate-off panic path can use it.
+    /// A module the verifier rejects: its one block branches to `bb9`,
+    /// which does not exist (building its CFG would index out of bounds).
     fn broken_module(name: &str) -> Module {
         let mut f = Function::new("boom", 0);
         f.insts.push(Inst {
@@ -1436,6 +1417,17 @@ mod tests {
         v
     }
 
+    /// The resident fleet under default options, sequential or pooled.
+    fn run(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, FleetStats) {
+        run_fleet_opts(
+            jobs,
+            &FleetOptions {
+                parallel,
+                ..FleetOptions::default()
+            },
+        )
+    }
+
     fn assert_same_results(a: &FleetResult, b: &FleetResult) {
         assert_eq!(a.results.len(), b.results.len());
         for (x, y) in a.results.iter().zip(&b.results) {
@@ -1451,7 +1443,7 @@ mod tests {
 
     #[test]
     fn empty_fleet() {
-        let (results, stats) = run_fleet_with(&[], false);
+        let (results, stats) = run(&[], false);
         assert!(results.is_empty());
         assert_eq!(stats.modules, 0);
         assert_eq!(stats.analyses, 0);
@@ -1461,7 +1453,7 @@ mod tests {
     #[test]
     fn empty_configs_job_runs_nothing() {
         let m = spin_module("m", 2);
-        let (results, stats) = run_fleet_with(&[FleetJob::new("m", &m, Vec::new())], false);
+        let (results, stats) = run(&[FleetJob::new("m", &m, Vec::new())], false);
         assert_eq!(results.len(), 1);
         assert!(results[0].results.is_empty());
         assert!(results[0].outcome.is_ok());
@@ -1472,7 +1464,7 @@ mod tests {
     #[test]
     fn manual_only_job_skips_analysis() {
         let m = spin_module("m", 2);
-        let (results, stats) = run_fleet_with(
+        let (results, stats) = run(
             &[FleetJob::new(
                 "m",
                 &m,
@@ -1496,7 +1488,7 @@ mod tests {
             FleetJob::new("b", &b, configs.clone()),
         ];
         for parallel in [false, true] {
-            let (fleet, _) = run_fleet_with(&jobs, parallel);
+            let (fleet, _) = run(&jobs, parallel);
             for (job, got) in jobs.iter().zip(&fleet) {
                 assert!(got.outcome.is_ok());
                 let want = run_pipeline_batch(job.module, &job.configs);
@@ -1521,7 +1513,7 @@ mod tests {
         let configs = sweep_configs(); // 8 configs, 3 distinct automatic variants
         let runs_before = fence_analysis::analysis_runs();
         let cfg_before = fence_ir::cfg::cfg_builds();
-        let (_, stats) = run_fleet_with(
+        let (_, stats) = run(
             &[
                 FleetJob::new("a", &a, configs.clone()),
                 FleetJob::new("b", &b, configs),
@@ -1535,9 +1527,9 @@ mod tests {
             2,
             "independent counter agrees with stats"
         );
-        // One CFG build per function for the validation gate, one for
-        // the substrate: 2 × 5 functions.
-        assert_eq!(fence_ir::cfg::cfg_builds() - cfg_before, 10);
+        // The validation gate builds each function's CFG, and the
+        // substrate reuses it: one build for each of the 5 functions.
+        assert_eq!(fence_ir::cfg::cfg_builds() - cfg_before, 5);
     }
 
     #[test]
@@ -1550,14 +1542,14 @@ mod tests {
             FleetJob::new("a", &a, configs.clone()),
             FleetJob::new("c", &c, configs.clone()),
         ];
-        let (want, _) = run_fleet_with(&healthy_jobs, false);
+        let (want, _) = run(&healthy_jobs, false);
         for parallel in [false, true] {
             let jobs = [
                 FleetJob::new("a", &a, configs.clone()),
                 FleetJob::new("bad", &bad, configs.clone()),
                 FleetJob::new("c", &c, configs.clone()),
             ];
-            let (got, stats) = run_fleet_with(&jobs, parallel);
+            let (got, stats) = run(&jobs, parallel);
             assert_eq!(stats.failed, 1);
             match &got[1].outcome {
                 ModuleOutcome::InvalidIr { errors } => {
@@ -1580,52 +1572,14 @@ mod tests {
         }
     }
 
+    /// The batch runs the gate like every fleet run and re-raises the
+    /// quarantine as a panic that names the outcome, where building the
+    /// CFG of the broken branch would panic with an index out of bounds.
     #[test]
-    fn validate_off_panicking_module_is_quarantined() {
-        let a = spin_module("a", 2);
+    #[should_panic(expected = "branch target bb9 out of range")]
+    fn batch_reraises_a_quarantine_as_a_panic() {
         let bad = broken_module("bad");
-        let configs = vec![PipelineConfig::for_variant(Variant::Control)];
-        let jobs = [
-            FleetJob::new("a", &a, configs.clone()),
-            FleetJob::new("bad", &bad, configs.clone()),
-        ];
-        let opts = FleetOptions {
-            parallel: false,
-            validate: false,
-            ..FleetOptions::default()
-        };
-        let (got, stats) = run_fleet_opts(&jobs, &opts);
-        assert_eq!(stats.failed, 1);
-        assert!(got[0].outcome.is_ok());
-        match &got[1].outcome {
-            ModuleOutcome::Panicked { stage, message } => {
-                assert!(!message.is_empty());
-                assert!(stage != &FleetStage::Validate);
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        assert!(got[1].results.is_empty());
-        // The healthy module still matches a clean run.
-        let (want, _) = run_fleet_with(&jobs[..1], false);
-        assert_same_results(&got[0], &want[0]);
-    }
-
-    #[test]
-    fn isolate_off_propagates_panics() {
-        let bad = broken_module("bad");
-        let configs = vec![PipelineConfig::for_variant(Variant::Control)];
-        let opts = FleetOptions {
-            parallel: false,
-            isolate: false,
-            validate: false,
-            budget: None,
-            certify: None,
-            window: None,
-        };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_fleet_opts(&[FleetJob::new("bad", &bad, configs.clone())], &opts)
-        }));
-        assert!(r.is_err(), "legacy path must let the panic unwind");
+        run_pipeline_batch(&bad, &[PipelineConfig::for_variant(Variant::Control)]);
     }
 
     #[test]
@@ -1664,7 +1618,7 @@ mod tests {
         }
         assert_eq!(statuses[0], statuses[1], "seq and pooled verdicts agree");
         // Disabled by default: no reports, zero stats.
-        let (got, stats) = run_fleet_with(&[FleetJob::new("a", &a, configs)], false);
+        let (got, stats) = run(&[FleetJob::new("a", &a, configs)], false);
         assert!(got[0].certifications.is_empty());
         assert_eq!(stats.certifications, 0);
     }
@@ -1718,7 +1672,7 @@ mod tests {
             .iter()
             .map(|(n, m)| FleetJob::new(*n, m, configs.clone()))
             .collect();
-        let (want, wstats) = run_fleet_with(&jobs, false);
+        let (want, wstats) = run(&jobs, false);
         for parallel in [false, true] {
             for window in [None, Some(1), Some(2), Some(64)] {
                 let opts = FleetOptions {
@@ -1804,7 +1758,7 @@ mod tests {
                 let parsed =
                     fence_ir::parser::parse_module(&fence_ir::printer::print_module(&good))
                         .unwrap();
-                let (want_parsed, _) = run_fleet_with(
+                let (want_parsed, _) = run(
                     &[FleetJob::new("stream:good", &parsed, configs.clone())],
                     false,
                 );
@@ -1828,7 +1782,7 @@ mod tests {
         // Pre-built Module items skip ingest entirely and still match
         // the resident run exactly (no print/parse renumbering).
         let m = spin_module("m", 2);
-        let (want, _) = run_fleet_with(&[FleetJob::new("m", &m, configs.clone())], false);
+        let (want, _) = run(&[FleetJob::new("m", &m, configs.clone())], false);
         let items = vec![StreamItem::Module {
             name: "m".into(),
             module: m.clone(),
@@ -1882,7 +1836,7 @@ mod tests {
         let (got, stats) = run_fleet_opts(&[FleetJob::new("a", &a, configs.clone())], &opts);
         assert_eq!(stats.failed, 0);
         assert!(got[0].outcome.is_ok());
-        let (want, _) = run_fleet_with(&[FleetJob::new("a", &a, configs)], false);
+        let (want, _) = run(&[FleetJob::new("a", &a, configs)], false);
         assert_same_results(&got[0], &want[0]);
     }
 }

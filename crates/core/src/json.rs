@@ -18,6 +18,7 @@ use crate::minimize::TargetModel;
 use crate::pipeline::PipelineConfig;
 use crate::report::{ModuleOutcome, ModuleReport};
 use crate::FleetResult;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding inside a JSON string literal
@@ -189,6 +190,38 @@ pub fn file_stem(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
+}
+
+/// The admission rule for per-module report files, shared by the batch
+/// CLI and `fenceplace client`: each report file belongs to the first
+/// name that claims it.
+#[derive(Debug, Default)]
+pub struct ReportFiles {
+    /// Report file stem → the first name that claimed it.
+    stems: HashMap<String, String>,
+}
+
+impl ReportFiles {
+    /// Claims the report file of `name`. Refuses a name that came before
+    /// (the specs overlap, so the module would run twice) and a name
+    /// whose report file another name already claimed (`a-b.ir` and
+    /// `a_b.ir` would overwrite each other's report).
+    pub fn claim(&mut self, name: &str) -> Result<(), String> {
+        match self.stems.entry(file_stem(name)) {
+            Entry::Vacant(slot) => {
+                slot.insert(name.to_string());
+                Ok(())
+            }
+            Entry::Occupied(first) if first.get() == name => {
+                Err("duplicate program: specs overlap (e.g. a wildcard plus a named spec)".into())
+            }
+            Entry::Occupied(first) => Err(format!(
+                "report file collision: `{}` already writes `{}.json`",
+                first.get(),
+                first.key()
+            )),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -28,16 +28,18 @@
 //! hand-placed fences are the placement).
 //!
 //! The stage sequence is implemented once, by the fleet executor
-//! ([`fleet`]), and every driver is a thin caller of it.
+//! ([`fleet`]), and every entry point is a thin caller of it. Every run
+//! validates each module and isolates each work unit.
 //! [`run_pipeline_batch`] is a fleet of one: it runs the module analysis
 //! and builds the per-function analysis contexts ([`FuncContext`]: alias
-//! oracle, escape set, cache-once CFG substrate, block-aggregated
-//! orderings) exactly once for a whole variant × target × (seq|par)
-//! sweep. Multi-module callers (corpus sweeps, the `fenceplace` CLI,
-//! figure harnesses) use [`run_fleet`], which schedules per-(module,
-//! function) work units from *many* modules onto the persistent pool in
-//! single cross-module passes. The resident [`Service`] seeds the same
-//! executor with the work its cache already holds.
+//! oracle, cache-once CFG substrate, block-aggregated orderings) exactly
+//! once for a whole variant × target × (seq|par) sweep, and panics if the fleet quarantines the module. Multi-module
+//! callers (corpus sweeps, figure harnesses) use [`run_fleet_opts`],
+//! which schedules per-(module, function) work units from *many* modules
+//! onto the persistent pool in single cross-module passes; the
+//! `fenceplace` CLI streams through [`run_fleet_streamed`]. The resident
+//! [`Service`] seeds the same executor with the work its cache already
+//! holds.
 
 #![warn(missing_docs)]
 
@@ -94,8 +96,8 @@ pub use certify::{
     FenceCertificate, GroupCertificate,
 };
 pub use fleet::{
-    run_fleet, run_fleet_opts, run_fleet_streamed, run_fleet_with, stream_items, FleetJob,
-    FleetOptions, FleetResult, FleetStats, StreamItem, StreamSummary,
+    run_fleet_opts, run_fleet_streamed, stream_items, FleetJob, FleetOptions, FleetResult,
+    FleetStats, StreamItem, StreamSummary,
 };
 pub use minimize::{FencePoint, TargetModel};
 pub use orderings::{

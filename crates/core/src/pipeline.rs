@@ -20,8 +20,8 @@
 //! combination, and the [`AcquireInfo`] depends only on the variant.
 //! [`run_pipeline_batch`] therefore runs the module analysis **once**,
 //! builds one [`FuncSubstrate`] (`Cfg` + `Reachability`, counter-pinned)
-//! and one [`FuncContext`] per function (oracle + escaping set +
-//! orderings borrowing the substrate), computes acquire info once per
+//! and one [`FuncContext`] per function (oracle + orderings borrowing
+//! the substrate), computes acquire info once per
 //! *distinct variant*, and only the cheap tail — pruning, fence
 //! minimization, report assembly — runs per config. Fence insertion runs
 //! only for a result whose [`PipelineResult::module`] is asked for: the
@@ -31,9 +31,11 @@
 //! is the single-config special case.
 //!
 //! The batch owns no stage code of its own: it is a fleet of one
-//! ([`crate::fleet`]) with no validation gate and no panic isolation, so
-//! a batch result is a fleet result by construction. This module holds
-//! the per-function pieces every stage calls — [`FuncContext`], the
+//! ([`crate::fleet`]), validation gate and unit isolation included, so a
+//! batch result is a fleet result by construction. Where the fleet
+//! quarantines a module, the batch panics with the module's
+//! [`ModuleOutcome`](crate::ModuleOutcome). This module holds the
+//! per-function pieces every stage calls — [`FuncContext`], the
 //! per-config tail, the `Manual` result.
 //!
 //! Functions are independent after the module-wide analysis, so the
@@ -42,7 +44,7 @@
 //! are keyed by function index, so arrival order cannot affect any
 //! output and parallel runs are bit-identical to sequential ones.
 
-use crate::acquire::{detect_acquires_with, pensieve_all_reads, AcquireInfo, DetectMode};
+use crate::acquire::{variant_acquires, AcquireInfo};
 use crate::fleet::{run_fleet_opts, FleetJob, FleetOptions};
 use crate::insert::insert_fences;
 use crate::minimize::{count_module_fences, minimize_function, FencePoint, TargetModel};
@@ -51,7 +53,6 @@ use crate::report::{FuncReport, ModuleReport};
 use fence_analysis::alias::AliasOracle;
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::FuncSubstrate;
-use fence_ir::util::BitSet;
 use fence_ir::{FenceKind, FuncId, Module};
 use std::sync::{Arc, OnceLock};
 
@@ -180,8 +181,6 @@ pub struct FuncContext<'a> {
     pub fid: FuncId,
     /// May-alias oracle with the inverted writer index.
     pub oracle: AliasOracle<'a>,
-    /// The function's escaping-access set (borrowed from the analysis).
-    pub escaping: &'a BitSet,
     /// Block-aggregated ordering relation (borrows the function's
     /// cache-once CFG substrate).
     pub orderings: FuncOrderings<'a>,
@@ -207,7 +206,6 @@ impl<'a> FuncContext<'a> {
         FuncContext {
             fid,
             oracle: AliasOracle::new(module, &analysis.points_to, fid),
-            escaping: analysis.escape.escaping_set(fid),
             orderings: FuncOrderings::generate(module, &analysis.escape, fid, substrate),
             sync_aggs: [const { OnceLock::new() }; 4],
             total_counts: OnceLock::new(),
@@ -232,29 +230,14 @@ impl<'a> FuncContext<'a> {
     }
 
     /// Acquire detection for one automatic variant using the cached
-    /// oracle/escaping set.
+    /// oracle.
     pub(crate) fn acquire_info(
         &self,
         module: &Module,
         analysis: &ModuleAnalysis,
         variant: Variant,
     ) -> AcquireInfo {
-        match variant {
-            Variant::Pensieve => pensieve_all_reads(module, &analysis.escape, self.fid),
-            Variant::Control => detect_acquires_with(
-                module.func(self.fid),
-                &self.oracle,
-                self.escaping,
-                DetectMode::Control,
-            ),
-            Variant::AddressControl => detect_acquires_with(
-                module.func(self.fid),
-                &self.oracle,
-                self.escaping,
-                DetectMode::AddressControl,
-            ),
-            Variant::Manual => unreachable!("Manual has no acquire info"),
-        }
+        variant_acquires(module, &analysis.escape, &self.oracle, self.fid, variant)
     }
 }
 
@@ -330,6 +313,12 @@ pub(crate) fn manual_report(module: &Module, config: &PipelineConfig) -> ModuleR
 /// Results are returned in `configs` order and are bit-identical to
 /// running [`run_pipeline`] per config.
 ///
+/// The module passes the fleet's validation gate first, and every unit
+/// runs isolated. A module the fleet would quarantine (malformed IR, a
+/// panicking unit) makes the batch panic with its
+/// [`ModuleOutcome`](crate::ModuleOutcome), e.g. `invalid IR (1
+/// diagnostic(s)): [f] %0: branch target bb9 out of range`.
+///
 /// ```
 /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
 /// use fenceplace::{run_pipeline_batch, PipelineConfig, Variant};
@@ -362,12 +351,14 @@ pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<Pi
     let job = FleetJob::new(module.name.clone(), module, configs.to_vec());
     let opts = FleetOptions {
         parallel: configs.iter().any(|c| c.parallel),
-        isolate: false,
-        validate: false,
         ..FleetOptions::default()
     };
     let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &opts);
-    fleet.pop().expect("one result per job").results
+    let result = fleet.pop().expect("one result per job");
+    if !result.outcome.is_ok() {
+        panic!("module `{}`: {}", module.name, result.outcome);
+    }
+    result.results
 }
 
 /// Runs the pipeline on a module for one config (the batch of one).
@@ -395,11 +386,6 @@ pub fn run_pipeline(module: &Module, config: &PipelineConfig) -> PipelineResult 
     run_pipeline_batch(module, std::slice::from_ref(config))
         .pop()
         .expect("one result per config")
-}
-
-/// Re-export used by reports: count explicit fences of a module by kind.
-pub fn explicit_fences(module: &Module) -> (usize, usize) {
-    count_module_fences(module)
 }
 
 /// Counts dynamic-fence-relevant statistics of an instrumented module:
@@ -607,7 +593,8 @@ mod tests {
     /// A whole batch builds each function's CFG substrate exactly once:
     /// one `Cfg::new` + one `Reachability::new` per function, no matter
     /// how many configs the sweep holds — the cache-once contract of
-    /// [`FuncContext`]. (Sequential configs only: the counters are
+    /// [`FuncContext`]. The validation gate builds the `Cfg`, and the
+    /// substrate reuses it. (Sequential configs only: the counters are
     /// thread-local, and parallel stages build on pool threads.)
     #[test]
     fn batch_builds_cfg_substrate_once_per_function() {

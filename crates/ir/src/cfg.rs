@@ -264,13 +264,6 @@ impl Reachability {
         &self.rows[s]
     }
 
-    /// `true` if SCC `s` is cyclic (more than one member, or a self
-    /// edge). Equivalent to [`Reachability::in_cycle`] on any member.
-    #[inline]
-    pub fn scc_cyclic(&self, s: usize) -> bool {
-        self.cyclic[s]
-    }
-
     /// A successor SCC of `s` in the condensation whose row is a
     /// **subset** of `s`'s row (`None` for sinks). Ids are
     /// reverse-topological, so the base is always `< s` — per-SCC
@@ -293,7 +286,8 @@ impl Reachability {
 /// The fence-placement pipeline owns one `FuncSubstrate` per function
 /// (inside its per-function analysis context) for the lifetime of a
 /// whole batch run; nothing downstream ever calls [`Cfg::new`] or
-/// [`Reachability::new`] again.
+/// [`Reachability::new`] again. The fleet builds it from the `Cfg` the
+/// validation gate already built ([`crate::verify_module_checked`]).
 #[derive(Clone, Debug)]
 pub struct FuncSubstrate {
     /// All-pairs reachability over the function's CFG, one row per SCC.
@@ -303,8 +297,13 @@ pub struct FuncSubstrate {
 impl FuncSubstrate {
     /// Builds the CFG of `func` and its reachability table.
     pub fn new(func: &Function) -> Self {
+        Self::from_cfg(&Cfg::new(func))
+    }
+
+    /// Builds the reachability table of an already-built CFG.
+    pub fn from_cfg(cfg: &Cfg) -> Self {
         FuncSubstrate {
-            reach: Reachability::new(&Cfg::new(func)),
+            reach: Reachability::new(cfg),
         }
     }
 }

@@ -257,16 +257,6 @@ impl InstKind {
         }
     }
 
-    /// `true` for conditional branches (the control-acquire slice roots).
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(self, InstKind::CondBr { .. })
-    }
-
-    /// `true` for address calculations (the address-acquire slice roots).
-    pub fn is_address_calculation(&self) -> bool {
-        matches!(self, InstKind::Gep { .. })
-    }
-
     /// Invokes `f` on every operand value.
     pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {

@@ -36,6 +36,12 @@ impl fmt::Display for VerifyError {
 /// Verifies a single function. `module` enables cross-function checks
 /// (callee arity); pass `None` to check a function in isolation.
 pub fn verify_function(func: &Function, module: Option<&Module>) -> Vec<VerifyError> {
+    check_function(func, module).err().unwrap_or_default()
+}
+
+/// [`verify_function`], returning the function's [`Cfg`] (built for the
+/// dominance check) when the function is well-formed.
+fn check_function(func: &Function, module: Option<&Module>) -> Result<Cfg, Vec<VerifyError>> {
     let mut errors = Vec::new();
     let mut err = |message: String| {
         errors.push(VerifyError {
@@ -46,7 +52,7 @@ pub fn verify_function(func: &Function, module: Option<&Module>) -> Vec<VerifyEr
 
     if func.entry.index() >= func.num_blocks() {
         err(format!("entry block {} out of range", func.entry));
-        return errors;
+        return Err(errors);
     }
 
     // Block structure + instruction attachment.
@@ -130,7 +136,7 @@ pub fn verify_function(func: &Function, module: Option<&Module>) -> Vec<VerifyEr
     // branch targets, terminated blocks); on a module that already
     // failed them it could index out of bounds, so report what we have.
     if !errors.is_empty() {
-        return errors;
+        return Err(errors);
     }
     let positions = func.positions();
     let cfg = Cfg::new(func);
@@ -189,26 +195,25 @@ pub fn verify_function(func: &Function, module: Option<&Module>) -> Vec<VerifyEr
         }
     }
 
-    errors
-}
-
-/// `Result`-shaped wrapper over [`verify_module`] for gate-style callers
-/// (the fleet's pre-analysis validation front door): `Ok(())` for a
-/// well-formed module, otherwise every diagnostic.
-pub fn verify_module_checked(module: &Module) -> Result<(), Vec<VerifyError>> {
-    let errors = verify_module(module);
     if errors.is_empty() {
-        Ok(())
+        Ok(cfg)
     } else {
         Err(errors)
     }
 }
 
-/// Verifies every function of a module, plus global-reference ranges.
-pub fn verify_module(module: &Module) -> Vec<VerifyError> {
+/// [`verify_module`] for gate-style callers (the fleet's pre-analysis
+/// validation gate): `Ok` with the [`Cfg`] of every function, in
+/// function order, for a well-formed module, otherwise every
+/// diagnostic.
+pub fn verify_module_checked(module: &Module) -> Result<Vec<Cfg>, Vec<VerifyError>> {
+    let mut cfgs = Vec::with_capacity(module.funcs.len());
     let mut errors = Vec::new();
     for (_, func) in module.iter_funcs() {
-        errors.extend(verify_function(func, Some(module)));
+        match check_function(func, Some(module)) {
+            Ok(cfg) => cfgs.push(cfg),
+            Err(e) => errors.extend(e),
+        }
         // Global references in range.
         for (iid, inst) in func.iter_insts() {
             inst.kind.for_each_operand(|v| {
@@ -223,7 +228,16 @@ pub fn verify_module(module: &Module) -> Vec<VerifyError> {
             });
         }
     }
-    errors
+    if errors.is_empty() {
+        Ok(cfgs)
+    } else {
+        Err(errors)
+    }
+}
+
+/// Verifies every function of a module, plus global-reference ranges.
+pub fn verify_module(module: &Module) -> Vec<VerifyError> {
+    verify_module_checked(module).err().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -333,7 +347,8 @@ mod tests {
         fb.ret(None);
         mb.add_func(fb.build());
         let good = mb.finish();
-        assert!(verify_module_checked(&good).is_ok());
+        let cfgs = verify_module_checked(&good).expect("well-formed");
+        assert_eq!(cfgs.len(), good.funcs.len(), "one Cfg per function");
 
         let mut bad = Function::new("bad", 0);
         bad.blocks.push(Block::default());

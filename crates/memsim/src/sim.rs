@@ -167,11 +167,6 @@ impl SimResult {
             .unwrap_or_else(|| panic!("no global named {name}"));
         self.mem[(self.layout.addr(g, offset)) as usize]
     }
-
-    /// Reads an absolute word address from final memory.
-    pub fn read_addr(&self, addr: i64) -> i64 {
-        self.mem[addr as usize]
-    }
 }
 
 struct StoreEntry {

@@ -12,11 +12,16 @@
 # hits both alike.
 #
 # Prints, per binary, the minimum and median milliseconds per request
-# and the address of std's `core::str::converts::from_utf8` (`nm -C`).
-# `serve_edit` has followed where that function lands in the binary, so
-# run this on both builds before reading a `serve_edit` move as a daemon
-# change. It is a measuring tool, not a gate: it always exits 0 once both
-# binaries ran.
+# and the address of std's `core::str::converts::from_utf8` (`nm -C`)
+# with its residue mod 64, then the change/parent ratio of the medians.
+# The minimum has moved by 26% between invocations on one pair of
+# binaries, so the medians' ratio is the number to read. std's ASCII
+# fast-path loop is the 23 bytes at `from_utf8+0x70..+0x87`: it straddles
+# a 64-byte cache line exactly when `from_utf8` ≡ 0 mod 64, and every slow
+# `serve_edit` build on record put it there, so the probe warns at that
+# residue. Run this on both builds before reading a `serve_edit` move as
+# a daemon change. It is a measuring tool, not a gate: it always exits 0
+# once both binaries ran.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
@@ -65,21 +70,35 @@ for _ in $(seq 1 "$rounds"); do
   run_once "$change" "$work/change.ms"
 done
 
-# summary LABEL BIN FILE: min and median ms per request, from_utf8 address.
+# median FILE: the median of one binary's ms per request.
+median() {
+  sort -n "$1" | awk '{ v[NR] = $1 }
+    END { printf "%.3f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+# summary LABEL BIN FILE: min and median ms per request, from_utf8
+# address and its residue mod 64.
 summary() {
-  local addr
+  local addr residue=""
   # awk reads all of nm's output: leaving early would end nm with SIGPIPE.
   addr=$(nm -C "$2" 2>/dev/null |
     awk '/ core::str::converts::from_utf8$/ && !found { sub(/^0+/, "", $1); print "0x" $1; found = 1 }' ||
     true)
-  sort -n "$3" | awk -v label="$1" -v addr="${addr:-unknown}" '
-    { v[NR] = $1 }
+  [ -n "$addr" ] && residue=$((addr % 64))
+  sort -n "$3" | awk -v label="$1" -v addr="${addr:-unknown}" -v residue="${residue:-?}" \
+    -v median="$(median "$3")" '
+    NR == 1 { min = $1 }
     END {
-      median = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
-      printf "%-7s min %8.3f ms/req  median %8.3f ms/req  from_utf8 %s\n", label, v[1], median, addr
+      printf "%-7s min %8.3f ms/req  median %8.3f ms/req  from_utf8 %s (mod 64 = %s)\n",
+        label, min, median, addr, residue
     }'
+  if [ "$residue" = 0 ]; then
+    echo "warning: $1 from_utf8 is 0 mod 64: its ASCII loop (+0x70..+0x87) straddles a cache line"
+  fi
 }
 
 echo "decode probe: $rounds rounds of $requests requests, binaries alternating"
 summary parent "$parent" "$work/parent.ms"
 summary change "$change" "$work/change.ms"
+awk -v p="$(median "$work/parent.ms")" -v c="$(median "$work/change.ms")" \
+  'BEGIN { printf "change/parent median ratio %.3f\n", c / p }'

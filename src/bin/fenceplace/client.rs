@@ -20,11 +20,9 @@
 //! and pins the second pass with it.
 
 use corpus::{ModuleSource, Params};
-use fenceplace::json::{file_stem, json_escape};
+use fenceplace::json::{file_stem, json_escape, ReportFiles};
 use fenceplace::service::wire::{self, config_label, Json, PROTOCOL_VERSION};
 use fenceplace::{stream_items, PipelineConfig, StreamItem};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
@@ -212,8 +210,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         .collect::<Vec<_>>()
         .join(",");
     let (mut sent, mut misses, mut failed) = (0usize, 0usize, 0usize);
-    // Report file stem -> the first name that claimed it.
-    let mut stems: HashMap<String, String> = HashMap::new();
+    let mut files = ReportFiles::default();
     for item in stream_items(source) {
         let (name, text) = match item {
             StreamItem::Module { name, module } => (name, fence_ir::printer::print_module(&module)),
@@ -223,23 +220,7 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         // A repeated name would be sent twice, and two names with one
         // report file (`a-b.ir`, `a_b.ir`) would overwrite each other's
         // report: like a load failure, both are fatal.
-        match stems.entry(file_stem(&name)) {
-            Entry::Vacant(slot) => {
-                slot.insert(name.clone());
-            }
-            Entry::Occupied(first) if *first.get() == name => {
-                return Err(format!(
-                    "duplicate program `{name}`: specs overlap (e.g. a wildcard plus a named spec)"
-                ));
-            }
-            Entry::Occupied(first) => {
-                return Err(format!(
-                    "report file collision: `{}` already writes `{}.json`, so `{name}` is refused",
-                    first.get(),
-                    first.key()
-                ));
-            }
-        }
+        files.claim(&name).map_err(|e| format!("`{name}`: {e}"))?;
         sent += 1;
         let budget = match cli.budget {
             Some(b) => format!(",\"budget\":{b}"),

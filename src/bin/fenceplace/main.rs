@@ -71,13 +71,14 @@ mod serve;
 
 use corpus::manifest::available;
 use corpus::{ModuleSource, Params};
-use fenceplace::json::{file_stem, json_escape, module_json, outcome_fields, target_name};
+use fenceplace::json::{
+    file_stem, json_escape, module_json, outcome_fields, target_name, ReportFiles,
+};
 use fenceplace::service::wire::parse_config_spec as parse_config;
 use fenceplace::{
     run_fleet_streamed, stream_items, CertifyOptions, FleetOptions, FleetStats, ModuleOutcome,
     PipelineConfig, PipelineResult, StreamItem, StreamSummary,
 };
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -421,30 +422,21 @@ fn run(cli: &Cli) -> Result<u8, String> {
     // report file (`a-b.ir`, `a_b.ir`) would overwrite each other's
     // report. A lazy stream cannot look ahead, so the later module is
     // quarantined at admission (exit 2), with or without `--out`, and the
-    // batch runs on. Each report file stem maps to the first name that
-    // claimed it.
-    let mut stems: HashMap<String, String> = HashMap::new();
+    // batch runs on.
+    let mut files = ReportFiles::default();
     let items = stream_items(source).map(move |item| {
         let name = match &item {
             StreamItem::Module { name, .. }
             | StreamItem::Text { name, .. }
-            | StreamItem::Failed { name, .. } => name.clone(),
+            | StreamItem::Failed { name, .. } => name,
         };
-        let error = match stems.entry(file_stem(&name)) {
-            Entry::Vacant(slot) => {
-                slot.insert(name);
-                return item;
-            }
-            Entry::Occupied(first) if *first.get() == name => {
-                "duplicate program: specs overlap (e.g. a wildcard plus a named spec)".into()
-            }
-            Entry::Occupied(first) => format!(
-                "report file collision: `{}` already writes `{}.json`",
-                first.get(),
-                first.key()
-            ),
-        };
-        StreamItem::Failed { name, error }
+        match files.claim(name) {
+            Ok(()) => item,
+            Err(error) => StreamItem::Failed {
+                name: name.clone(),
+                error,
+            },
+        }
     });
 
     let opts = FleetOptions {
@@ -452,7 +444,6 @@ fn run(cli: &Cli) -> Result<u8, String> {
         budget: cli.budget,
         certify: cli.certify,
         window: cli.window,
-        ..FleetOptions::default()
     };
     let create_out =
         |dir: &str| std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"));

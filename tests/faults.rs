@@ -144,7 +144,6 @@ fn fault_matrix_quarantines_exactly_the_injected_modules() {
             budget: Some(BUDGET),
             certify: Some(CertifyOptions {
                 max_states: 2_000,
-                weak_window: 2,
                 max_groups: 2,
             }),
             ..FleetOptions::default()

@@ -1,14 +1,28 @@
 //! Fleet-driver equivalence and work-accounting tests.
 //!
-//! The fleet contract: [`run_fleet`] over many modules is **bit-identical**
-//! to running [`run_pipeline_batch`] per module (sequential or parallel
-//! scheduling), while executing exactly one `ModuleAnalysis` and one
-//! `FuncSubstrate` build per module/function per run.
+//! The fleet contract: [`run_fleet_opts`] over many modules is
+//! **bit-identical** to running [`run_pipeline_batch`] per module
+//! (sequential or parallel scheduling), while executing exactly one
+//! `ModuleAnalysis` per module and one `Cfg` and one `FuncSubstrate`
+//! build per function per run (the substrate reuses the validation
+//! gate's `Cfg`).
 
 use corpus::Params;
 use fenceplace::{
-    run_fleet_with, run_pipeline_batch, FleetJob, PipelineConfig, TargetModel, Variant,
+    run_fleet_opts, run_pipeline_batch, FleetJob, FleetOptions, FleetResult, FleetStats,
+    PipelineConfig, TargetModel, Variant,
 };
+
+/// The resident fleet under default options, sequential or pooled.
+fn run(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, FleetStats) {
+    run_fleet_opts(
+        jobs,
+        &FleetOptions {
+            parallel,
+            ..FleetOptions::default()
+        },
+    )
+}
 
 fn sweep_configs() -> Vec<PipelineConfig> {
     let mut configs = Vec::new();
@@ -43,7 +57,7 @@ fn fleet_matches_per_module_batch_over_full_corpus() {
         .collect();
 
     for parallel in [false, true] {
-        let (fleet, stats) = run_fleet_with(&jobs, parallel);
+        let (fleet, stats) = run(&jobs, parallel);
         assert_eq!(fleet.len(), jobs.len());
         assert_eq!(stats.modules, jobs.len());
         for (job, got) in jobs.iter().zip(&fleet) {
@@ -73,7 +87,7 @@ fn fleet_matches_per_module_batch_over_full_corpus() {
 }
 
 /// Work accounting over the full corpus: one `ModuleAnalysis` per module
-/// and one substrate build per function, pinned both by the fleet's own
+/// and one `Cfg` and one substrate build per function, pinned both by the fleet's own
 /// stats and by the independent thread-local counters in
 /// `fence_analysis` / `fence_ir::cfg` (sequential mode, so every unit
 /// runs on this thread).
@@ -91,7 +105,7 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
     let analyses_before = fence_analysis::analysis_runs();
     let cfg_before = fence_ir::cfg::cfg_builds();
     let reach_before = fence_ir::cfg::reachability_builds();
-    let (_, stats) = run_fleet_with(&jobs, false);
+    let (_, stats) = run(&jobs, false);
 
     assert_eq!(stats.analyses, jobs.len(), "one analysis per module");
     assert_eq!(stats.functions, total_funcs);
@@ -104,8 +118,8 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
     );
     assert_eq!(
         fence_ir::cfg::cfg_builds() - cfg_before,
-        2 * total_funcs,
-        "one Cfg build per function for the validation gate, one for the substrate"
+        total_funcs,
+        "one Cfg build per function: the validation gate's, which the substrate reuses"
     );
     assert_eq!(
         fence_ir::cfg::reachability_builds() - reach_before,
@@ -119,7 +133,7 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
 /// analysis.
 #[test]
 fn fleet_edge_cases() {
-    let (results, stats) = run_fleet_with(&[], false);
+    let (results, stats) = run(&[], false);
     assert!(results.is_empty());
     assert_eq!(stats.analyses, 0);
 
@@ -128,7 +142,7 @@ fn fleet_edge_cases() {
     let module = &entries[0].module;
 
     let jobs = [FleetJob::new("no-configs", module, Vec::new())];
-    let (results, stats) = run_fleet_with(&jobs, false);
+    let (results, stats) = run(&jobs, false);
     assert_eq!(results.len(), 1);
     assert!(results[0].results.is_empty());
     assert_eq!(stats.analyses, 0);
@@ -139,7 +153,7 @@ fn fleet_edge_cases() {
         module,
         vec![PipelineConfig::for_variant(Variant::Manual)],
     )];
-    let (results, stats) = run_fleet_with(&manual, false);
+    let (results, stats) = run(&manual, false);
     assert_eq!(stats.analyses, 0, "Manual-only fleet never analyzes");
     assert_eq!(stats.substrates, 0);
     assert_eq!(results[0].results.len(), 1);
@@ -167,7 +181,7 @@ fn fleet_heterogeneous_configs() {
             vec![PipelineConfig::for_variant(Variant::Pensieve)],
         ),
     ];
-    let (fleet, stats) = run_fleet_with(&jobs, false);
+    let (fleet, stats) = run(&jobs, false);
     assert_eq!(stats.analyses, 2);
     assert_eq!(fleet[0].results.len(), 2);
     assert_eq!(fleet[1].results.len(), 1);

@@ -123,7 +123,10 @@ fn stream_collect(
 /// and sequential runs return the same summaries and the same stats,
 /// except the two residency peaks: those are measured high-water marks,
 /// and a pooled window's follow worker timing. A sequential window holds
-/// one module at a time, so its peaks are exact.
+/// one module at a time, so its peaks are exact. A sequential run, which
+/// runs every unit on this thread where the build counters count, builds
+/// one `Cfg` per function (the validation gate's, which the substrate
+/// reuses) and one `Reachability`.
 #[test]
 fn streamed_fleet_matches_resident_for_every_window() {
     let texts = fleet_texts();
@@ -152,7 +155,18 @@ fn streamed_fleet_matches_resident_for_every_window() {
                     text: text.clone(),
                 })
                 .collect();
+            let cfgs = fence_ir::cfg::cfg_builds();
+            let reaches = fence_ir::cfg::reachability_builds();
             let (summaries, results, stats) = stream_collect(items, &configs, &opts);
+            if !parallel {
+                let tag = format!("window={window:?}, seq");
+                assert_eq!(fence_ir::cfg::cfg_builds() - cfgs, stats.functions, "{tag}");
+                assert_eq!(
+                    fence_ir::cfg::reachability_builds() - reaches,
+                    stats.functions,
+                    "{tag}"
+                );
+            }
             assert_eq!(results.len(), baseline.len());
             assert_eq!(stats.modules, baseline.len());
             assert_eq!(stats.failed, 0);
@@ -199,15 +213,16 @@ fn streamed_fleet_matches_resident_for_every_window() {
     }
 }
 
-/// A pooled window with `isolate: false` hands a worker's panic to the
-/// caller. The first module's CFG build panics and four healthy modules
-/// follow; the call must unwind within 20 s instead of leaving the other
-/// workers waiting. It runs on a helper thread, so a hang fails this
-/// test instead of stalling the suite.
+/// A pooled window hands a panic in the caller's sink, the one part of a
+/// streamed run that is not unit-isolated, to the caller. The sink
+/// panics on the first module, which the validation gate quarantines,
+/// and four healthy modules follow; the call must unwind within 20 s
+/// instead of leaving the other workers waiting. It runs on a helper
+/// thread, so a hang fails this test instead of stalling the suite.
 #[test]
 fn pooled_window_propagates_an_unisolated_panic() {
     // Block 0 branches to block 9, which does not exist: the verifier
-    // would refuse it, so validation is off and the CFG build panics.
+    // refuses it, and the sink refuses the quarantined result.
     let mut boom = Function::new("boom", 0);
     boom.insts.push(Inst {
         kind: InstKind::Br {
@@ -232,8 +247,6 @@ fn pooled_window_propagates_an_unisolated_panic() {
     );
     let opts = FleetOptions {
         parallel: true,
-        isolate: false,
-        validate: false,
         window: Some(2),
         ..FleetOptions::default()
     };
@@ -241,14 +254,21 @@ fn pooled_window_propagates_an_unisolated_panic() {
     let (tx, rx) = std::sync::mpsc::channel();
     let helper = std::thread::spawn(move || {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_fleet_streamed(items, &sweep_configs(), &opts, |_, _| {})
+            run_fleet_streamed(items, &sweep_configs(), &opts, |_, fr| {
+                assert!(
+                    fr.outcome.is_ok(),
+                    "sink refuses `{}`: {}",
+                    fr.name,
+                    fr.outcome
+                );
+            })
         }));
         let _ = tx.send(run.is_err());
     });
     match rx.recv_timeout(Duration::from_secs(20)) {
         Ok(panicked) => {
             helper.join().expect("the helper catches the run's panic");
-            assert!(panicked, "the CFG build panic must reach the caller");
+            assert!(panicked, "the sink's panic must reach the caller");
         }
         // A hung helper cannot be joined; the test process exits past it.
         Err(_) => panic!("the pooled window still runs 20 s after a worker panicked"),
