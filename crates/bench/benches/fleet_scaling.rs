@@ -1,18 +1,14 @@
-//! Multi-module scaling bench: the fleet driver against the sequential
-//! per-module batch loop it replaces.
+//! Multi-module scaling bench: the fleet driver on one thread against
+//! the fleet on the persistent pool.
 //!
 //! Workloads: the 26-module kernel+corpus evaluation set, and a 24-module
 //! *varied-size* synthetic fleet — `synthetic_scaled(n)` at a geometric
 //! spread of sizes (n = 256 .. ~6k escaping accesses, three distinct
 //! modules per size, each seeded by its own `n` so no two are clones).
-//! The varied set is the shape the fleet schedules best: per-(module,
-//! function) units of wildly different weights share one pool pass with
-//! no module-boundary barrier, so big modules can't stall small ones the
-//! way a per-module loop forces them to. On a multi-core host
-//! `fleet_pool` must beat the loop ≥1.3×; on a 1-core container the pool
-//! degrades to inline execution and the claim collapses to parity
-//! (`fleet_seq` ≈ loop), which is what CI's 1-core runner checks
-//! implicitly via the golden fleet test.
+//! The pool runs whole modules, largest first, so the varied set shows
+//! whether the biggest modules still finish last. On a 1-core container
+//! the pool degrades to inline execution and `fleet_pool` reads the same
+//! as `fleet_seq`.
 
 use corpus::Params;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -51,7 +47,6 @@ fn bench_fleet(c: &mut Criterion) {
     let p = Params::default();
     let base = corpus::manifest::full_fleet(&p);
     let synth = varied_synthetic();
-    let configs = sweep();
 
     // Two workloads: the evaluation corpus and the varied synthetic set.
     let workloads: Vec<(&str, Vec<FleetJob<'_>>)> = vec![
@@ -72,26 +67,20 @@ fn bench_fleet(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fleet_scaling");
     for (label, jobs) in &workloads {
-        // The fleet must agree with the loop before we time anything.
+        // The fleet must agree with the per-module batch before we time
+        // anything.
         let (results, _) = run_fleet_opts(jobs, &FleetOptions::default());
         for (job, fr) in jobs.iter().zip(&results) {
             let want = run_pipeline_batch(job.module, &job.configs);
             for (w, g) in want.iter().zip(&fr.results) {
-                assert_eq!(w.points, g.points, "{}: fleet diverges from loop", job.name);
+                assert_eq!(
+                    w.points, g.points,
+                    "{}: fleet diverges from batch",
+                    job.name
+                );
             }
         }
 
-        group.bench_with_input(
-            BenchmarkId::new("per_module_loop", label),
-            jobs,
-            |b, jobs| {
-                b.iter(|| {
-                    for j in jobs {
-                        criterion::black_box(run_pipeline_batch(j.module, &configs));
-                    }
-                })
-            },
-        );
         for (id, parallel) in [("fleet_seq", false), ("fleet_pool", true)] {
             let opts = FleetOptions {
                 parallel,

@@ -18,22 +18,19 @@
 //! minimum is reported, which is the usual low-noise estimator for short
 //! deterministic workloads.
 //!
-//! An extra `overlap` line times the cfg/points-to phase the way the
-//! pipeline actually schedules it — the module analysis and every
-//! `FuncSubstrate` build as **one** pool pass. It re-measures work the
-//! serial stages already cover, so it sits beside them in the report but
-//! is excluded from `total`.
+//! An extra `overlap` line times the cfg/points-to phase as one pool
+//! pass over the module analysis and every `FuncSubstrate` build. No
+//! product path runs that pass any more (the fleet runs each module's
+//! stages on one thread); the line stays because it is a gated column.
+//! It re-measures work the serial stages already cover, so it sits
+//! beside them in the report but is excluded from `total`.
 //!
 //! The program list comes from the corpus manifest builder
-//! (`kernel:* corpus:* synthetic:{4000,16000}`), and the snapshot also
-//! times the **fleet driver** against the per-module batch loop over the
-//! 26 kernel+corpus modules (the multi-module workload the fleet
-//! schedules as one cross-module unit list).
+//! (`kernel:* corpus:* synthetic:{4000,16000}`).
 //!
-//! A `stream` section times the same multi-module workload fed as
-//! printed texts: serial vs pooled parse throughput, and the full
-//! resident streamed run (`window: None`) against the windowed worker
-//! loop — recorded, like `fleet`, but not gated.
+//! A `stream` section times the 26 kernel+corpus modules fed as printed
+//! texts: the full resident streamed run (`window: None`) against the
+//! windowed worker loop — recorded, not gated.
 //!
 //! A `service` section times the analysis service (`fenceplace serve`'s
 //! core) over the same workload: a cold pass through a fresh
@@ -49,8 +46,8 @@
 //! Re-measures the snapshot and compares each stage's corpus-wide total
 //! against the committed `BENCH_analysis.json`. Exits non-zero if any
 //! stage regressed by more than the tolerance factor; never rewrites the
-//! committed file. Fleet timings are recorded but not gated (the
-//! fleet-vs-loop ratio is hardware-dependent).
+//! committed file. The stream and service timings are recorded but not
+//! gated.
 
 use corpus::Params;
 use fence_analysis::{EscapeInfo, ModuleAnalysis, PointsTo};
@@ -59,8 +56,8 @@ use fenceplace::acquire::{detect_acquires, DetectMode};
 use fenceplace::minimize::minimize_function;
 use fenceplace::orderings::FuncOrderings;
 use fenceplace::{
-    run_fleet_opts, run_fleet_streamed, run_pipeline_batch, FleetJob, FleetOptions, PipelineConfig,
-    Service, ServiceOptions, StreamItem, TargetModel, Variant,
+    run_fleet_streamed, FleetOptions, PipelineConfig, Service, ServiceOptions, StreamItem,
+    TargetModel, Variant,
 };
 use std::time::Instant;
 
@@ -89,8 +86,8 @@ struct StageMs {
     escape: f64,
     acquire: f64,
     cfg: f64,
-    /// Wall clock of the pipeline's *overlapped* analysis+substrate pass
-    /// (one unit list: the module analysis plus every `FuncSubstrate`).
+    /// Wall clock of one pool pass over the module analysis plus every
+    /// `FuncSubstrate` (a schedule no product path runs any more).
     /// Re-times work already attributed to `points_to`/`escape`/`cfg`,
     /// so it is reported alongside them but excluded from `total`.
     overlap: f64,
@@ -184,11 +181,11 @@ fn snapshot(module: &Module) -> StageMs {
             std::hint::black_box(FuncSubstrate::new(func));
         }
     });
-    // The overlapped cfg/points-to phase exactly as the batch pipeline
-    // schedules it: one pool pass over `n + 1` units, unit 0 the whole
-    // module analysis (points-to + escape), units `1..=n` the substrate
-    // builds. On a multi-core host this wall clock approaches
-    // `max(analysis, substrates)`; serial it degrades to the sum.
+    // The overlapped cfg/points-to phase: one pool pass over `n + 1`
+    // units, unit 0 the whole module analysis (points-to + escape), units
+    // `1..=n` the substrate builds. On a multi-core host this wall clock
+    // approaches `max(analysis, substrates)`; serial it degrades to the
+    // sum. The fleet no longer schedules it so.
     s.overlap = time_min(|| {
         let n = module.funcs.len();
         let next = std::sync::atomic::AtomicUsize::new(0);
@@ -250,41 +247,16 @@ fn snapshot(module: &Module) -> StageMs {
     s
 }
 
-/// Fleet-vs-loop timing over the multi-module kernel+corpus workload:
-/// `(fleet_ms, loop_ms)`, both minima over `REPS` runs of the same
-/// 3-variant sweep.
-fn fleet_vs_loop(entries: &[corpus::ManifestEntry]) -> (f64, f64) {
-    let configs = vec![
-        PipelineConfig::for_variant(Variant::Pensieve),
-        PipelineConfig::for_variant(Variant::AddressControl),
-        PipelineConfig::for_variant(Variant::Control),
-    ];
-    let jobs: Vec<FleetJob<'_>> = entries
-        .iter()
-        .map(|e| FleetJob::new(e.name.clone(), &e.module, configs.clone()))
-        .collect();
-    let fleet_ms = time_min(|| run_fleet_opts(&jobs, &FleetOptions::default()));
-    let loop_ms = time_min(|| {
-        for e in entries {
-            std::hint::black_box(run_pipeline_batch(&e.module, &configs));
-        }
-    });
-    (fleet_ms, loop_ms)
-}
-
 /// Streamed-ingestion timings over the multi-module workload fed as
-/// printed texts: serial vs pooled parse throughput, and resident
-/// (`window: None`) vs windowed (`window: Some(STREAM_WINDOW)`) streamed
-/// runs of the same single-config fleet, each the best of its reps.
-/// Recorded side by side, not compared or gated.
+/// printed texts: resident (`window: None`) vs windowed
+/// (`window: Some(STREAM_WINDOW)`) streamed runs of the same
+/// single-config fleet, each the best of its reps. Recorded side by
+/// side, not compared or gated.
 fn stream_snapshot(entries: &[corpus::ManifestEntry]) -> String {
     let texts: Vec<(String, String)> = entries
         .iter()
         .map(|e| (e.name.clone(), fence_ir::printer::print_module(&e.module)))
         .collect();
-    let strs: Vec<&str> = texts.iter().map(|(_, t)| t.as_str()).collect();
-    let parse_serial = time_min(|| fence_ir::parser::parse_modules(&strs, false));
-    let parse_pooled = time_min(|| fence_ir::parser::parse_modules(&strs, true));
 
     let configs = vec![PipelineConfig::for_variant(Variant::Control)];
     let run = |window: Option<usize>| {
@@ -307,8 +279,7 @@ fn stream_snapshot(entries: &[corpus::ManifestEntry]) -> String {
     let resident_ms = run(None);
     let streamed_ms = run(Some(STREAM_WINDOW));
     format!(
-        "{{\"modules\": {}, \"window\": {STREAM_WINDOW}, \"parse_serial_ms\": {parse_serial:.3}, \
-         \"parse_pooled_ms\": {parse_pooled:.3}, \"resident_ms\": {resident_ms:.3}, \
+        "{{\"modules\": {}, \"window\": {STREAM_WINDOW}, \"resident_ms\": {resident_ms:.3}, \
          \"streamed_ms\": {streamed_ms:.3}}}",
         texts.len()
     )
@@ -366,13 +337,6 @@ fn measure() -> (Vec<(String, StageMs)>, StageMs, String) {
         totals.add(s);
     }
 
-    let (fleet_ms, loop_ms) = fleet_vs_loop(&multi);
-    let fleet_json = format!(
-        "{{\"modules\": {}, \"configs\": 3, \"fleet_ms\": {fleet_ms:.3}, \"loop_ms\": {loop_ms:.3}, \"speedup\": {:.3}}}",
-        multi.len(),
-        loop_ms / fleet_ms.max(1e-9)
-    );
-
     let mut out = String::from("{\n  \"unit\": \"ms\",\n  \"programs\": [\n");
     for (i, (name, s)) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -382,7 +346,6 @@ fn measure() -> (Vec<(String, StageMs)>, StageMs, String) {
         ));
     }
     out.push_str(&format!("  ],\n  \"totals\": {},\n", totals.json()));
-    out.push_str(&format!("  \"fleet\": {fleet_json},\n"));
     out.push_str(&format!("  \"stream\": {},\n", stream_snapshot(&multi)));
     out.push_str(&format!(
         "  \"service\": {}\n}}\n",

@@ -1,45 +1,51 @@
-//! The fleet executor: fence placement over many modules with
-//! cross-module pool reuse and per-module fault isolation — and the one
-//! place the stage sequence is implemented.
+//! The fleet executor: fence placement over many modules with per-module
+//! fault isolation — and the one place the stage sequence is
+//! implemented.
 //!
 //! Every entry point is a thin caller of this executor, and every run
 //! takes one path: each module passes the validation gate and each work
 //! unit runs isolated. [`run_pipeline_batch`](crate::run_pipeline_batch)
-//! is a fleet of one that re-raises a quarantine as a panic, the
-//! windowed stream runs one single-module fleet per admitted module, and
-//! the analysis service ([`crate::service`]) hands the executor a *seed*
-//! — the state its cache already holds — so only the missing units run.
+//! is a fleet of one that re-raises a quarantine as a panic, and the
+//! analysis service ([`crate::service`]) hands the executor a *seed* —
+//! the state its cache already holds — so only the missing units run.
 //! Fleet ≡ batch ≡ service therefore holds by construction.
 //!
-//! [`run_fleet_opts`] schedules **per-(module, function) work units from
-//! every module at once**. Each pipeline stage becomes one flat
-//! cross-module unit list executed in a single pool pass:
+//! # One level of parallelism
+//!
+//! The executor runs one module's stages on the calling thread. A
+//! many-module run is one worker loop on the persistent pool: each
+//! worker takes the next module, runs all of its stages and delivers its
+//! result, so whole modules are the only thing the pool schedules. A run
+//! that knows its whole input ([`run_fleet_opts`], and
+//! [`run_fleet_streamed`] without a window) takes its modules largest
+//! first by [`Module::total_insts`] (ties in admission order), so the
+//! longest module does not start last; a windowed stream takes them in
+//! admission order. The trade-off: one module, or a run of fewer modules
+//! than cores, gets one core per module. On a 2-vCPU host spreading a
+//! module's functions over the pool measured no faster, and the
+//! flattened cross-module passes held every module's intermediate state
+//! at once.
+//!
+//! A module's stages, each a list of units:
 //!
 //! 1. *validate* — the pre-analysis IR gate
 //!    ([`fence_ir::verify_module_checked`]): malformed modules are
 //!    rejected with structured diagnostics before any analysis runs, and
 //!    a well-formed module hands on the [`Cfg`] the gate built for each
 //!    of its functions;
-//! 2. *analysis + substrates* — **one overlapped pass**: one
-//!    [`ModuleAnalysis`] unit per module (the per-module analysis runs
-//!    sequentially inside its unit, so independent modules fill the
-//!    cores with no nested pool entry) *and* one [`FuncSubstrate`] unit
-//!    per function of any module, built from the gate's `Cfg`
-//!    ([`FuncSubstrate::from_cfg`]), so a run builds each function's CFG
-//!    once. A substrate depends only on the IR, never on points-to, so
-//!    reachability builds overlap the points-to solves;
-//! 3. *contexts* — one [`FuncContext`] (alias oracle + orderings) per
-//!    function of any module; the first stage with a true dependency
-//!    edge on both the analysis and the substrate;
-//! 4. *acquire detection* — one [`AcquireInfo`] per (module, distinct
-//!    automatic variant, function) triple;
-//! 5. *config tails* — pruning + minimization per (module, config,
-//!    function), collected into one placement (fence points + report)
-//!    per (module, config) pair;
-//! 6. *certify* (opt-in, [`FleetOptions::certify`]) — bounded model
-//!    checking of every (module, config) placement, fences inserted,
-//!    against its target memory model ([`crate::certify()`]), one unit
-//!    per pair.
+//! 2. *analysis* — one [`ModuleAnalysis`] (points-to + escape);
+//! 3. *substrates* — one [`FuncSubstrate`] per function, built from the
+//!    gate's `Cfg` ([`FuncSubstrate::from_cfg`]), so a run builds each
+//!    function's CFG once;
+//! 4. *contexts* — one [`FuncContext`] (alias oracle + orderings) per
+//!    function;
+//! 5. *acquire detection* — one [`AcquireInfo`] per (distinct automatic
+//!    variant, function) pair;
+//! 6. *config tails* — pruning + minimization per (config, function),
+//!    collected into one placement (fence points + report) per config;
+//! 7. *certify* (opt-in, [`FleetOptions::certify`]) — bounded model
+//!    checking of every placement, fences inserted, against its target
+//!    memory model ([`crate::certify()`]), one unit per config.
 //!
 //! No stage builds a fenced module for a result: a [`PipelineResult`]
 //! holds its points, its report and an `Arc` of its source module, shared
@@ -47,29 +53,25 @@
 //! [`PipelineResult::module`] is first called. The reports the CLI and
 //! the service render need only points and reports.
 //!
-//! Barriers fall only on true dependency edges (a context needs its
-//! module's analysis and substrate), and never on a *module* boundary:
-//! while one worker finishes the last function of module A, others are
-//! already deep into module Q.
-//! Every unit keys its result by index, so arrival order cannot affect
+//! A module's results depend on that module alone and every result is
+//! keyed by its job, so the order in which workers finish cannot affect
 //! any output: sequential and parallel runs are **bit-identical**
 //! (pinned by `tests/fleet.rs`).
 //!
 //! # Failure isolation
 //!
 //! A 1000-module sweep must not die because module 713 trips an
-//! assertion. Every work unit runs under a per-unit `catch_unwind`
-//! ([`ThreadPool::run_units`]), and a failing module is
-//! **quarantined**, never fatal:
+//! assertion. Every work unit runs under its own `catch_unwind`
+//! (`Ledger::unit`), and a failing module is **quarantined**, never
+//! fatal:
 //!
-//! * the first failing unit (in deterministic unit-index order) decides
-//!   the module's [`ModuleOutcome`] — [`ModuleOutcome::InvalidIr`] from
-//!   the validation gate, [`ModuleOutcome::Panicked`] from a caught
-//!   unit panic, or [`ModuleOutcome::DeadlineExceeded`] from the step
-//!   budget below;
-//! * every later stage skips the quarantined module's units (stages
-//!   never cancel mid-flight: all units of the stage that failed still
-//!   execute, so sequential and pooled runs agree exactly);
+//! * the first failing unit (in unit order) decides the module's
+//!   [`ModuleOutcome`] — [`ModuleOutcome::InvalidIr`] from the validation
+//!   gate, [`ModuleOutcome::Panicked`] from a caught unit panic, or
+//!   [`ModuleOutcome::DeadlineExceeded`] from the step budget below;
+//! * later stages run none of the quarantined module's units (a stage
+//!   never stops mid-way: every unit of the stage that failed still
+//!   executes);
 //! * the module's [`FleetResult::results`] come back empty — its
 //!   `Manual` configs included — with the outcome carried in
 //!   [`FleetResult::outcome`];
@@ -102,11 +104,12 @@ use crate::pipeline::{
     finish_function, manual_report, FuncContext, PipelineConfig, PipelineResult, Variant,
 };
 use crate::pool::ThreadPool;
-use crate::report::{FleetStage, FuncReport, ModuleOutcome, ModuleReport};
+use crate::report::{FleetStage, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{Cfg, FuncSubstrate};
 use fence_ir::{FuncId, Function, Module};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::sync::{Arc, Mutex};
 
 /// Cap on verifier diagnostics retained per quarantined module — a
@@ -149,8 +152,10 @@ impl<'m> FleetJob<'m> {
 /// per-unit isolation: every run has both.
 #[derive(Copy, Clone, Debug)]
 pub struct FleetOptions {
-    /// Schedule the flattened cross-module unit lists on the persistent
-    /// pool. Sequential and parallel runs are bit-identical.
+    /// Run many modules at once: the worker loop takes up to one thread
+    /// per core, each running whole modules. A module's own stages always
+    /// run on one thread, so a one-module run is the same either way, and
+    /// sequential and parallel runs are bit-identical.
     pub parallel: bool,
     /// Deterministic per-module step budget. Each stage charges a static
     /// instruction-count cost at its boundary (`max(1, insts)` per
@@ -171,12 +176,13 @@ pub struct FleetOptions {
     pub certify: Option<CertifyOptions>,
     /// Streamed-admission window for [`run_fleet_streamed`]: up to
     /// `min(window, pool workers + 1)` workers (one when sequential) each
-    /// hold one module from take to delivery, so at most that many are
-    /// resident at once, bounding peak memory at O(window), not O(corpus).
-    /// `None` (the default) materializes the whole stream and runs the
-    /// exact resident scheduler — results are **bit-identical** to
-    /// [`run_fleet_opts`] on the same corpus. Resident entry points
-    /// ignore this field.
+    /// take the next item in admission order and hold its module from
+    /// take to delivery, so at most that many are resident at once,
+    /// bounding peak memory at O(window), not O(corpus). `None` (the
+    /// default) parses the whole stream first and then runs it like
+    /// [`run_fleet_opts`], largest module first. Per-module results are
+    /// **bit-identical** either way. [`run_fleet_opts`] ignores this
+    /// field.
     pub window: Option<usize>,
 }
 
@@ -217,8 +223,9 @@ pub struct FleetResult {
 pub struct FleetStats {
     /// Jobs in the fleet.
     pub modules: usize,
-    /// Total (module, function) work units across the fleet (modules
-    /// that entered the overlapped analysis+substrate pass).
+    /// Functions of the modules that reached the analysis and substrate
+    /// stages: modules that passed the gate with an automatic config
+    /// left to compute.
     pub functions: usize,
     /// Total (module, config) result units scheduled (including configs
     /// of modules later quarantined).
@@ -227,13 +234,15 @@ pub struct FleetStats {
     /// one non-`Manual` config and passed the gate, never more.
     pub analyses: usize,
     /// `FuncSubstrate` builds — one per function of every module that
-    /// entered the overlapped pass, never more (substrate units overlap
-    /// the analysis units, so a module quarantined by its analysis still
-    /// counts its discarded substrate builds here).
+    /// reached the substrate stage, never more. Substrates depend only
+    /// on the IR, so a module whose analysis panics or trips its
+    /// deadline still builds (and counts) them.
     pub substrates: usize,
     /// Modules quarantined with a non-[`ModuleOutcome::Ok`] outcome.
     pub failed: usize,
-    /// Certification reports produced (0 when the stage is disabled).
+    /// Certification reports produced (0 when the stage is disabled),
+    /// including those of a module a Certify-stage deadline then
+    /// quarantines.
     pub certifications: usize,
     /// Certification reports whose verdict is
     /// [`CertifyStatus::Unsound`] — placements that leak a non-SC
@@ -254,9 +263,9 @@ pub struct FleetStats {
     pub peak_resident_insts: u64,
 }
 
-/// Folds the work counters of one streamed item (its inner run, or its
-/// quarantine before any stage) into the stream-wide accumulator.
-/// `modules` and the residency peaks are the streamed run's own.
+/// Folds the work counters of one module's run (or its quarantine
+/// before any stage) into a run-wide accumulator. `modules` and the
+/// residency peaks are the run's own.
 fn fold_stats(acc: &mut FleetStats, s: &FleetStats) {
     acc.functions += s.functions;
     acc.configs += s.configs;
@@ -318,84 +327,81 @@ fn charge_plan(
     plan
 }
 
-/// Per-module quarantine state and deterministic step spend. Written
-/// only between stages (from unit results, in unit-index order), never
-/// concurrently.
+/// Runs `f` under its own `catch_unwind`: a panic becomes `Err(panic
+/// message)` instead of unwinding through the run.
+fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| crate::pool::panic_message(p.as_ref()))
+}
+
+/// One module's quarantine state and deterministic step spend.
 struct Ledger<'n> {
-    /// Per module: its name (the fault-injection key) and charge plan.
-    plans: Vec<(&'n str, Vec<(FleetStage, u64)>)>,
+    /// The module's name (the fault-injection key).
+    name: &'n str,
+    plan: Vec<(FleetStage, u64)>,
     budget: Option<u64>,
-    spent: Vec<u64>,
-    fail: Vec<Option<ModuleOutcome>>,
+    spent: u64,
+    fail: Option<ModuleOutcome>,
 }
 
 impl<'n> Ledger<'n> {
-    fn new(plans: Vec<(&'n str, Vec<(FleetStage, u64)>)>, budget: Option<u64>) -> Self {
-        let n = plans.len();
+    fn new(name: &'n str, plan: Vec<(FleetStage, u64)>, budget: Option<u64>) -> Self {
         Ledger {
-            plans,
+            name,
+            plan,
             budget,
-            spent: vec![0; n],
-            fail: vec![None; n],
+            spent: 0,
+            fail: None,
         }
     }
 
-    fn healthy(&self, j: usize) -> bool {
-        self.fail[j].is_none()
+    fn healthy(&self) -> bool {
+        self.fail.is_none()
     }
 
-    /// Quarantines module `j` unless an earlier failure already did.
-    fn quarantine(&mut self, j: usize, outcome: ModuleOutcome) {
-        if self.fail[j].is_none() {
-            self.fail[j] = Some(outcome);
+    /// Quarantines the module unless an earlier failure already did.
+    fn quarantine(&mut self, outcome: ModuleOutcome) {
+        if self.fail.is_none() {
+            self.fail = Some(outcome);
         }
     }
 
-    /// Folds a stage's unit results into the quarantine state: the first
-    /// `Err` (in unit-index order) of a still-healthy module becomes its
-    /// [`ModuleOutcome::Panicked`]. Returns the per-unit values with
-    /// panicked units as `None`.
-    fn absorb<T>(
-        &mut self,
-        results: Vec<Result<T, String>>,
-        stage: FleetStage,
-        job_of: impl Fn(usize) -> usize,
-    ) -> Vec<Option<T>> {
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(u, r)| match r {
-                Ok(v) => Some(v),
-                Err(message) => {
-                    self.quarantine(job_of(u), ModuleOutcome::Panicked { stage, message });
-                    None
-                }
-            })
-            .collect()
+    /// Runs one unit of `stage`, isolated: a panic quarantines the
+    /// module as [`ModuleOutcome::Panicked`] (unless an earlier failure
+    /// did) and yields `None`. Every unit of every stage runs here.
+    fn unit<T>(&mut self, stage: FleetStage, f: impl FnOnce() -> T) -> Option<T> {
+        let name = self.name;
+        match isolated(|| {
+            faultinject::panic_point(name, stage);
+            f()
+        }) {
+            Ok(v) => Some(v),
+            Err(message) => {
+                self.quarantine(ModuleOutcome::Panicked { stage, message });
+                None
+            }
+        }
     }
 
-    /// Charges every healthy module its planned cost (plus any injected
-    /// cost) for `stage`, tripping the deadline of any module whose spend
-    /// exceeds the budget. Quarantined modules pay nothing, so a panic
-    /// always wins over a same-stage deadline.
+    /// Charges the module its planned cost (plus any injected cost) for
+    /// `stage`, tripping its deadline if the spend exceeds the budget. A
+    /// quarantined module pays nothing, so a panic always wins over a
+    /// same-stage deadline.
     fn boundary(&mut self, stage: FleetStage) {
-        for j in 0..self.plans.len() {
-            let (name, plan) = &self.plans[j];
-            let Some(&(_, cost)) = plan.iter().find(|(s, _)| *s == stage) else {
-                continue;
-            };
-            if self.fail[j].is_some() {
-                continue;
-            }
-            let cost = cost.saturating_add(faultinject::extra_cost(name, stage));
-            self.spent[j] = self.spent[j].saturating_add(cost);
-            if let Some(budget) = self.budget.filter(|&b| self.spent[j] > b) {
-                self.fail[j] = Some(ModuleOutcome::DeadlineExceeded {
-                    stage,
-                    spent: self.spent[j],
-                    budget,
-                });
-            }
+        let Some(&(_, cost)) = self.plan.iter().find(|(s, _)| *s == stage) else {
+            return;
+        };
+        if self.fail.is_some() {
+            return;
+        }
+        let cost = cost.saturating_add(faultinject::extra_cost(self.name, stage));
+        self.spent = self.spent.saturating_add(cost);
+        if let Some(budget) = self.budget.filter(|&b| self.spent > b) {
+            self.fail = Some(ModuleOutcome::DeadlineExceeded {
+                stage,
+                spent: self.spent,
+                budget,
+            });
         }
     }
 }
@@ -413,50 +419,11 @@ pub(crate) fn dry_run(
     if opts.budget.is_none() {
         return ModuleOutcome::Ok;
     }
-    let mut ledger = Ledger::new(
-        vec![(name, charge_plan(module, configs, opts))],
-        opts.budget,
-    );
+    let mut ledger = Ledger::new(name, charge_plan(module, configs, opts), opts.budget);
     for stage in FleetStage::ALL {
         ledger.boundary(stage);
     }
-    ledger.fail.pop().flatten().unwrap_or(ModuleOutcome::Ok)
-}
-
-/// Runs a stage's unit list, each unit under its own `catch_unwind` (via
-/// [`ThreadPool::run_units`] when parallel), so slot `i` becomes
-/// `Err(panic message)` instead of the panic unwinding through the whole
-/// pass. Every unit still executes exactly once and results stay keyed
-/// by index, so sequential and pooled runs are bit-identical — including
-/// *which* units failed.
-fn stage_map<T: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<Result<T, String>> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if !parallel || n <= 1 {
-        return (0..n)
-            .map(|i| {
-                catch_unwind(AssertUnwindSafe(|| f(i)))
-                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
-            })
-            .collect();
-    }
-    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let panics = ThreadPool::global().run_units(n, &|i| {
-        let v = f(i);
-        collected.lock().unwrap().push((i, v));
-    });
-    let mut slots: Vec<Option<Result<T, String>>> =
-        panics.into_iter().map(|p| p.map(Err)).collect();
-    for (i, v) in collected.into_inner().unwrap() {
-        slots[i] = Some(Ok(v));
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every unit ran or panicked"))
-        .collect()
+    ledger.fail.unwrap_or(ModuleOutcome::Ok)
 }
 
 /// The validation gate of one module: the [`Cfg`] of each function when
@@ -464,7 +431,6 @@ fn stage_map<T: Send>(
 /// [`MAX_IR_DIAGNOSTICS`]. A fault-injected view hands on no CFGs: they
 /// would describe the view, not the module.
 fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
-    faultinject::panic_point(name, FleetStage::Validate);
     let view = faultinject::validate_view(name, module);
     let errs = match fence_ir::verify_module_checked(view.as_ref()) {
         Ok(cfgs) if matches!(view, Cow::Borrowed(_)) => return Ok(cfgs),
@@ -486,14 +452,15 @@ fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
     Err(msgs)
 }
 
-/// Runs the fleet under `opts` and returns the results together with
-/// the run's [`FleetStats`]. See the module docs for the stage structure
-/// and the failure-isolation contract. Sequential and parallel runs are
-/// bit-identical: every stage keys its results by unit index.
+/// Runs the fleet under `opts` and returns the results, in job order,
+/// together with the run's [`FleetStats`]. See the module docs for the
+/// stage structure and the failure-isolation contract. The jobs run
+/// largest module first on the worker loop; sequential and parallel
+/// runs are bit-identical.
 ///
 /// The jobs are borrowed, so each job's results share one copy of its
 /// module (taken only when the job has results); the streamed entry
-/// points own their modules and lend them instead, copying none.
+/// point owns its modules and lends them instead, copying none.
 ///
 /// ```
 /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
@@ -528,42 +495,101 @@ fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
 /// assert_eq!(fleet[0].results[0].points, fleet[1].results[0].points);
 /// ```
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
-    run_fleet_lent(jobs, opts, |j| Arc::new(jobs[j].module.clone()))
-}
-
-/// [`run_fleet_opts`] with each job's source module supplied by
-/// `source(j)`: called once per job that has results, and shared by all
-/// of them, which build their instrumented modules from it on demand.
-fn run_fleet_lent(
-    jobs: &[FleetJob],
-    opts: &FleetOptions,
-    mut source: impl FnMut(usize) -> Arc<Module>,
-) -> (Vec<FleetResult>, FleetStats) {
-    let mut seeds: Vec<Seed> = jobs.iter().map(|_| Seed::default()).collect();
-    let (placed, stats) = run_seeded(jobs, &mut seeds, opts);
-    let results = jobs
-        .iter()
-        .zip(placed)
-        .enumerate()
-        .map(|(j, (job, p))| {
-            let results = if p.placements.is_empty() {
-                Vec::new()
-            } else {
-                let module = source(j);
-                p.placements
-                    .into_iter()
-                    .map(|pl| PipelineResult::new(Arc::clone(&module), pl.points, pl.report))
-                    .collect()
-            };
-            FleetResult {
-                name: job.name.clone(),
-                outcome: p.outcome,
-                results,
-                certifications: p.certifications,
-            }
-        })
+    let mut slots: Vec<Option<FleetResult>> = jobs.iter().map(|_| None).collect();
+    let stats = run_jobs(
+        jobs,
+        opts,
+        |j| Arc::new(jobs[j].module.clone()),
+        |j, fr| slots[j] = Some(fr),
+    );
+    let results = slots
+        .into_iter()
+        .map(|s| s.expect("every job ran"))
         .collect();
     (results, stats)
+}
+
+/// Runs `jobs` on the worker loop, largest module first (ties in job
+/// order), and hands each job's result to `sink(j, result)` as it
+/// finishes. `source(j)` supplies job `j`'s source module: called once
+/// if the job has results, and shared by all of them, which build their
+/// instrumented modules from it on demand. Every job is resident for
+/// the whole run, so the residency peaks are the fleet's totals.
+fn run_jobs(
+    jobs: &[FleetJob],
+    opts: &FleetOptions,
+    source: impl Fn(usize) -> Arc<Module> + Sync,
+    sink: impl FnMut(usize, FleetResult) + Send,
+) -> FleetStats {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&j| Reverse(jobs[j].module.total_insts()));
+    let sink = Mutex::new((sink, FleetStats::default()));
+    let threads = if opts.parallel { jobs.len() } else { 1 };
+    for_each_pooled(threads, order.into_iter(), |j| {
+        let (fr, stats) = run_job(&jobs[j], opts, || source(j));
+        let mut sink = sink.lock().expect(POISONED);
+        fold_stats(&mut sink.1, &stats);
+        (sink.0)(j, fr);
+    });
+    let mut stats = sink.into_inner().expect(POISONED).1;
+    stats.modules = jobs.len();
+    stats.peak_resident_modules = jobs.len();
+    stats.peak_resident_insts = jobs.iter().map(|j| j.module.total_insts() as u64).sum();
+    stats
+}
+
+/// Runs one job on the calling thread from an empty seed and wraps its
+/// placements in [`PipelineResult`]s that share `source()`.
+fn run_job(
+    job: &FleetJob,
+    opts: &FleetOptions,
+    source: impl FnOnce() -> Arc<Module>,
+) -> (FleetResult, FleetStats) {
+    let (placed, stats) = run_seeded(job, &mut Seed::default(), opts);
+    let results = if placed.placements.is_empty() {
+        Vec::new()
+    } else {
+        let module = source();
+        placed
+            .placements
+            .into_iter()
+            .map(|p| PipelineResult::new(Arc::clone(&module), p.points, p.report))
+            .collect()
+    };
+    let result = FleetResult {
+        name: job.name.clone(),
+        outcome: placed.outcome,
+        results,
+        certifications: placed.certifications,
+    };
+    (result, stats)
+}
+
+/// Every stage unit is isolated, so only a panicking source or sink
+/// poisons a lock of the worker loop; [`ThreadPool::run_scoped`]
+/// re-raises the panic.
+const POISONED: &str = "the run's source or sink panicked";
+
+/// The worker loop: runs `work` on every item of `items` from up to
+/// `threads` threads (the pool's workers plus the caller; the caller
+/// alone when `threads` is 1). Each thread takes the next item under the
+/// iterator's lock, which guards nothing else, so reading the next item
+/// never stalls another worker. A panic ends its own worker. No worker
+/// waits on another, so the others end too (at a poisoned lock, or when
+/// the items run out), and [`ThreadPool::run_scoped`] re-raises the
+/// panic on the caller.
+fn for_each_pooled<T>(
+    threads: usize,
+    items: impl Iterator<Item = T> + Send,
+    work: impl Fn(T) + Sync,
+) {
+    let items = Mutex::new(items.fuse());
+    ThreadPool::global().run_scoped(threads, &|| loop {
+        let Some(item) = items.lock().expect(POISONED).next() else {
+            break;
+        };
+        work(item);
+    });
 }
 
 /// The work a job arrives with. [`run_fleet_opts`] seeds every job
@@ -605,377 +631,193 @@ pub(crate) struct Placed {
     pub certifications: Vec<CertifyReport>,
 }
 
-/// The fleet executor. Runs every job's stage sequence, taking from its
-/// [`Seed`] whatever is already done: units run only for what the seed
-/// lacks, while every stage boundary charges the plan of the *full*
-/// request.
+/// The stage executor. Runs one job's stage sequence on the calling
+/// thread, taking from its [`Seed`] whatever is already done: units run
+/// only for what the seed lacks, while every stage boundary charges the
+/// plan of the *full* request.
 pub(crate) fn run_seeded(
-    jobs: &[FleetJob],
-    seeds: &mut [Seed],
+    job: &FleetJob,
+    seed: &mut Seed,
     opts: &FleetOptions,
-) -> (Vec<Placed>, FleetStats) {
-    let nj = jobs.len();
-    let parallel = opts.parallel;
+) -> (Placed, FleetStats) {
+    let (module, n) = (job.module, job.module.funcs.len());
     let mut ledger = Ledger::new(
-        jobs.iter()
-            .map(|job| {
-                (
-                    job.name.as_str(),
-                    charge_plan(job.module, &job.configs, opts),
-                )
-            })
-            .collect(),
+        &job.name,
+        charge_plan(module, &job.configs, opts),
         opts.budget,
     );
-    // The configs each job still needs a result for, in config order,
-    // and which jobs need the analysis stack for them at all (the batch
-    // contract: all-`Manual` or empty config lists skip the analysis).
-    let todo: Vec<Vec<usize>> = jobs
+    let mut stats = FleetStats {
+        modules: 1,
+        configs: job.configs.len(),
+        peak_resident_modules: 1,
+        peak_resident_insts: module.total_insts() as u64,
+        ..FleetStats::default()
+    };
+    // The configs still needing a result, in config order, and whether
+    // any needs the analysis stack (the batch contract: all-`Manual` or
+    // empty config lists skip the analysis).
+    let todo: Vec<usize> = (0..job.configs.len())
+        .filter(|&c| !seed.cached.get(c).copied().unwrap_or(false))
+        .collect();
+    let needs = todo
         .iter()
-        .zip(seeds.iter())
-        .map(|(job, seed)| {
-            (0..job.configs.len())
-                .filter(|&c| !seed.cached.get(c).copied().unwrap_or(false))
-                .collect()
-        })
-        .collect();
-    let needs: Vec<bool> = (0..nj)
-        .map(|j| {
-            todo[j]
-                .iter()
-                .any(|&c| jobs[j].configs[c].variant != Variant::Manual)
-        })
-        .collect();
+        .any(|&c| job.configs[c].variant != Variant::Manual);
 
-    // ---- stage 0: validation gate, one unit per module with configs ----
-    // A module that passes hands on the `Cfg` of each of its functions.
-    let vjobs: Vec<usize> = (0..nj)
-        .filter(|&j| !jobs[j].configs.is_empty() && !seeds[j].validated)
-        .collect();
-    let vres = stage_map(vjobs.len(), parallel, |k| {
-        validate(&jobs[vjobs[k]].name, jobs[vjobs[k]].module)
-    });
-    let mut cfgs: Vec<Vec<Cfg>> = (0..nj).map(|_| Vec::new()).collect();
-    for (k, gate) in ledger
-        .absorb(vres, FleetStage::Validate, |k| vjobs[k])
-        .into_iter()
-        .enumerate()
-    {
-        match gate {
-            Some(Ok(built)) => cfgs[vjobs[k]] = built,
-            Some(Err(errors)) => ledger.quarantine(vjobs[k], ModuleOutcome::InvalidIr { errors }),
+    // ---- validation gate: hands on the `Cfg` of each function ----
+    let mut cfgs = Vec::new();
+    if !job.configs.is_empty() && !seed.validated {
+        match ledger.unit(FleetStage::Validate, || validate(&job.name, module)) {
+            Some(Ok(built)) => cfgs = built,
+            Some(Err(errors)) => ledger.quarantine(ModuleOutcome::InvalidIr { errors }),
             None => {}
         }
     }
     ledger.boundary(FleetStage::Validate);
 
-    // ---- stages 1+2, one overlapped pool pass: analyses + substrates ----
-    // A `FuncSubstrate` depends only on the IR, never on the module
-    // analysis, so one combined unit list holds every missing
-    // `ModuleAnalysis` (sequential *inside* its unit — nesting the pool
-    // would deadlock) followed by every missing substrate, each built from
-    // the `Cfg` its module's gate unit handed on (or from scratch, for a
-    // seed validated before this run). While one worker grinds a big
-    // module's points-to, others already build reachability tables — of
-    // that module and every other. Only the context stage carries a true
-    // edge on both.
-    //
-    // Analysis units come *first* in the combined list and their results
-    // are absorbed first, so a module failing both stages is attributed
-    // to [`FleetStage::Analysis`], and the boundaries keep their order. A
-    // module quarantined by its analysis unit still ran its substrate
-    // units; their results are discarded like any post-failure output.
-    let mut func_units: Vec<(u32, u32)> = Vec::new();
-    let mut func_off: Vec<usize> = vec![usize::MAX; nj];
-    for j in (0..nj).filter(|&j| needs[j] && ledger.healthy(j)) {
-        let n = jobs[j].module.funcs.len();
-        seeds[j].substrates.resize(n, None);
-        func_off[j] = func_units.len();
-        func_units.extend((0..n).map(|f| (j as u32, f as u32)));
-    }
-    let analysis_units: Vec<usize> = (0..nj)
-        .filter(|&j| func_off[j] != usize::MAX && seeds[j].analysis.is_none())
-        .collect();
-    let substrate_units: Vec<usize> = (0..func_units.len())
-        .filter(|&u| {
-            let (j, f) = func_units[u];
-            seeds[j as usize].substrates[f as usize].is_none()
-        })
-        .collect();
-    enum BuildUnit {
-        Analysis(ModuleAnalysis),
-        Substrate(FuncSubstrate),
-    }
-    let na = analysis_units.len();
-    let bres = stage_map(na + substrate_units.len(), parallel, |u| {
-        if u < na {
-            let job = &jobs[analysis_units[u]];
-            faultinject::panic_point(&job.name, FleetStage::Analysis);
-            BuildUnit::Analysis(ModuleAnalysis::run(job.module))
-        } else {
-            let (j, f) = func_units[substrate_units[u - na]];
-            let (j, f) = (j as usize, f as usize);
-            faultinject::panic_point(&jobs[j].name, FleetStage::Substrates);
-            BuildUnit::Substrate(match cfgs[j].get(f) {
-                Some(cfg) => FuncSubstrate::from_cfg(cfg),
-                None => FuncSubstrate::new(jobs[j].module.func(FuncId::new(f))),
-            })
+    // ---- the analysis, then one substrate per function ----
+    // Both depend only on the IR, so a module whose analysis panics or
+    // trips its deadline still builds its substrates, which a seed keeps.
+    let build = needs && ledger.healthy();
+    if build {
+        stats.functions = n;
+        if seed.analysis.is_none() {
+            stats.analyses = 1;
+            seed.analysis = ledger.unit(FleetStage::Analysis, || ModuleAnalysis::run(module));
         }
-    });
-    drop(cfgs);
-    let mut bres = bres.into_iter();
-    let ares: Vec<Result<ModuleAnalysis, String>> = bres
-        .by_ref()
-        .take(na)
-        .map(|r| {
-            r.map(|u| match u {
-                BuildUnit::Analysis(a) => a,
-                BuildUnit::Substrate(_) => unreachable!("units 0..na are analyses"),
-            })
-        })
-        .collect();
-    for (k, a) in ledger
-        .absorb(ares, FleetStage::Analysis, |k| analysis_units[k])
-        .into_iter()
-        .enumerate()
-    {
-        seeds[analysis_units[k]].analysis = a;
     }
     ledger.boundary(FleetStage::Analysis);
-    let sres: Vec<Result<FuncSubstrate, String>> = bres
-        .map(|r| {
-            r.map(|u| match u {
-                BuildUnit::Substrate(s) => s,
-                BuildUnit::Analysis(_) => unreachable!("units na.. are substrates"),
-            })
-        })
-        .collect();
-    let unit_job = |u: usize| func_units[u].0 as usize;
-    for (k, s) in ledger
-        .absorb(sres, FleetStage::Substrates, |k| {
-            unit_job(substrate_units[k])
-        })
-        .into_iter()
-        .enumerate()
-    {
-        let (j, f) = func_units[substrate_units[k]];
-        seeds[j as usize].substrates[f as usize] = s.map(Arc::new);
-    }
-    ledger.boundary(FleetStage::Substrates);
-    let seeds: &[Seed] = seeds;
-
-    // ---- stage 3: per-function contexts, same flat unit list ----
-    // The list still contains units of modules that failed during the
-    // build pass; an in-unit health check skips them (returning `None`)
-    // so the offsets in `func_off` stay aligned.
-    let ctx_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
-    let cres = stage_map(func_units.len(), parallel, |u| {
-        let (j, f) = (unit_job(u), func_units[u].1 as usize);
-        if !ctx_alive[j] {
-            return None;
+    if build {
+        seed.substrates.resize(n, None);
+        for (f, slot) in seed.substrates.iter_mut().enumerate() {
+            if slot.is_none() {
+                stats.substrates += 1;
+                *slot = ledger
+                    .unit(FleetStage::Substrates, || match cfgs.get(f) {
+                        Some(cfg) => FuncSubstrate::from_cfg(cfg),
+                        None => FuncSubstrate::new(module.func(FuncId::new(f))),
+                    })
+                    .map(Arc::new);
+            }
         }
-        faultinject::panic_point(&jobs[j].name, FleetStage::Contexts);
-        Some(FuncContext::build(
-            jobs[j].module,
-            seeds[j].analysis.as_ref().expect("analysis for job"),
-            seeds[j].substrates[f]
-                .as_deref()
-                .expect("substrate for unit"),
-            FuncId::new(f),
-        ))
-    });
-    let contexts: Vec<Option<FuncContext<'_>>> = ledger
-        .absorb(cres, FleetStage::Contexts, unit_job)
-        .into_iter()
-        .map(Option::flatten)
-        .collect();
-    ledger.boundary(FleetStage::Contexts);
+    }
+    drop(cfgs);
+    ledger.boundary(FleetStage::Substrates);
+    let seed: &Seed = seed;
 
-    // ---- stage 4: acquire info per (module, distinct variant, function) ----
-    // Distinct variants of the configs still to compute, in config order
-    // per job. Quarantined modules get no units.
-    let mut acq_units: Vec<(u32, Variant, u32)> = Vec::new();
-    let mut acq_slot: Vec<[Option<usize>; 4]> = vec![[None; 4]; nj];
-    for j in (0..nj).filter(|&j| needs[j] && ledger.healthy(j)) {
-        for &c in &todo[j] {
-            let variant = jobs[j].configs[c].variant;
-            if variant == Variant::Manual || acq_slot[j][variant.idx()].is_some() {
+    // ---- per-function contexts, then acquires per distinct variant ----
+    let analysis = || {
+        seed.analysis
+            .as_ref()
+            .expect("analysis of a healthy module")
+    };
+    let mut contexts: Vec<Option<FuncContext<'_>>> = Vec::new();
+    if needs && ledger.healthy() {
+        contexts = (0..n)
+            .map(|f| {
+                let substrate = seed.substrates[f]
+                    .as_deref()
+                    .expect("substrate of a healthy module");
+                ledger.unit(FleetStage::Contexts, || {
+                    FuncContext::build(module, analysis(), substrate, FuncId::new(f))
+                })
+            })
+            .collect();
+    }
+    ledger.boundary(FleetStage::Contexts);
+    let mut acquires: [Vec<Option<AcquireInfo>>; 4] = Default::default();
+    if needs && ledger.healthy() {
+        for &c in &todo {
+            let variant = job.configs[c].variant;
+            if variant == Variant::Manual || !acquires[variant.idx()].is_empty() {
                 continue;
             }
-            acq_slot[j][variant.idx()] = Some(acq_units.len());
-            let n = jobs[j].module.funcs.len() as u32;
-            acq_units.extend((0..n).map(|f| (j as u32, variant, f)));
+            acquires[variant.idx()] = contexts
+                .iter()
+                .map(|ctx| {
+                    let ctx = ctx.as_ref().expect("context of a healthy module");
+                    ledger.unit(FleetStage::Acquires, || {
+                        ctx.acquire_info(module, analysis(), variant)
+                    })
+                })
+                .collect();
         }
     }
-    let aqres = stage_map(acq_units.len(), parallel, |u| {
-        let (j, variant, f) = acq_units[u];
-        let (j, f) = (j as usize, f as usize);
-        faultinject::panic_point(&jobs[j].name, FleetStage::Acquires);
-        contexts[func_off[j] + f]
-            .as_ref()
-            .expect("context for unit")
-            .acquire_info(
-                jobs[j].module,
-                seeds[j].analysis.as_ref().expect("analysis for job"),
-                variant,
-            )
-    });
-    let acquire_infos: Vec<Option<AcquireInfo>> =
-        ledger.absorb(aqres, FleetStage::Acquires, |u| acq_units[u].0 as usize);
     ledger.boundary(FleetStage::Acquires);
 
-    // ---- stage 5: config tails ----
-    // Per-(module, config, *function*) units, so a large module's
-    // pruning/minimization shards across the pool; the per-config
-    // collection of points and reports then runs on the caller. No
-    // fences are inserted here: a result builds its instrumented module
-    // when asked (`PipelineResult::module`).
-    let tails_alive: Vec<bool> = (0..nj).map(|j| ledger.healthy(j)).collect();
-    let mut tail_units: Vec<(u32, u32, u32)> = Vec::new();
-    for j in (0..nj).filter(|&j| tails_alive[j]) {
-        let n = jobs[j].module.funcs.len() as u32;
-        for &c in &todo[j] {
-            if jobs[j].configs[c].variant != Variant::Manual {
-                tail_units.extend((0..n).map(|f| (j as u32, c as u32, f)));
+    // ---- config tails, collected into one placement per config ----
+    // No fences are inserted here: a result builds its instrumented
+    // module when asked (`PipelineResult::module`).
+    let mut placements = Vec::new();
+    if ledger.healthy() {
+        for &c in &todo {
+            let config = &job.configs[c];
+            if config.variant == Variant::Manual {
+                placements.push(Placement {
+                    points: Vec::new(),
+                    report: manual_report(module, config),
+                });
+                continue;
             }
-        }
-    }
-    let tres: Vec<Result<(FuncReport, Vec<FencePoint>), String>> =
-        stage_map(tail_units.len(), parallel, |u| {
-            let (j, c, f) = tail_units[u];
-            let (j, c, f) = (j as usize, c as usize, f as usize);
-            let job = &jobs[j];
-            faultinject::panic_point(&job.name, FleetStage::Tails);
-            finish_function(
-                job.module,
-                seeds[j].analysis.as_ref().expect("analysis for job"),
-                contexts[func_off[j] + f]
-                    .as_ref()
-                    .expect("context for unit"),
-                acquire_infos[acq_slot[j][job.configs[c].variant.idx()].expect("acquire info") + f]
-                    .as_ref()
-                    .expect("acquire info for unit"),
-                &job.configs[c],
-            )
-        });
-    let tails = ledger.absorb(tres, FleetStage::Tails, |u| tail_units[u].0 as usize);
-    ledger.boundary(FleetStage::Tails);
-
-    // Tail units were generated in (job, config, function) order over
-    // the modules alive at the tails barrier, so one running cursor
-    // regroups them deterministically. A module that failed *during*
-    // the tails stage still consumes its cursor entries (keeping later
-    // modules aligned) but contributes no results.
-    let mut tail_cursor = tails.into_iter();
-    let mut placements_per_job: Vec<Vec<Placement>> = Vec::with_capacity(nj);
-    for (j, job) in jobs.iter().enumerate() {
-        let mut placements = Vec::new();
-        if tails_alive[j] {
-            let n = job.module.funcs.len();
-            for &c in &todo[j] {
-                let config = &job.configs[c];
-                if config.variant == Variant::Manual {
-                    if ledger.healthy(j) {
-                        placements.push(Placement {
-                            points: Vec::new(),
-                            report: manual_report(job.module, config),
-                        });
-                    }
-                    continue;
-                }
-                let chunk: Vec<_> = tail_cursor.by_ref().take(n).collect();
-                if !ledger.healthy(j) {
-                    continue;
-                }
-                let mut funcs = Vec::with_capacity(n);
-                let mut points = Vec::new();
-                for t in chunk {
-                    let (report, pts) = t.expect("tail unit of healthy module");
+            let infos = &acquires[config.variant.idx()];
+            let mut funcs = Vec::with_capacity(n);
+            let mut points = Vec::new();
+            for (ctx, info) in contexts.iter().zip(infos) {
+                let ctx = ctx.as_ref().expect("context of a healthy module");
+                let info = info.as_ref().expect("acquire info of a healthy module");
+                let tail = ledger.unit(FleetStage::Tails, || {
+                    finish_function(module, analysis(), ctx, info, config)
+                });
+                if let Some((report, pts)) = tail {
                     funcs.push(report);
                     points.extend(pts);
                 }
-                placements.push(Placement {
-                    points,
-                    report: ModuleReport {
-                        module_name: job.module.name.clone(),
-                        variant: config.variant.name().to_string(),
-                        funcs,
-                    },
-                });
             }
+            placements.push(Placement {
+                points,
+                report: ModuleReport {
+                    module_name: module.name.clone(),
+                    variant: config.variant.name().to_string(),
+                    funcs,
+                },
+            });
         }
-        placements_per_job.push(placements);
     }
+    ledger.boundary(FleetStage::Tails);
 
-    // ---- stage 6 (opt-in): post-placement certification ----
-    // One unit per (healthy module, placement), model-checking the
-    // instrumented module against its config's target. Healthy modules
-    // hold exactly one placement per config still to compute, in `todo`
-    // order.
-    let mut certs_per_job: Vec<Vec<CertifyReport>> = (0..nj).map(|_| Vec::new()).collect();
-    if let Some(copts) = opts.certify {
-        let mut cert_units: Vec<(u32, u32)> = Vec::new();
-        for j in (0..nj).filter(|&j| ledger.healthy(j)) {
-            cert_units.extend((0..placements_per_job[j].len()).map(|k| (j as u32, k as u32)));
-        }
-        let crres = stage_map(cert_units.len(), parallel, |u| {
-            let (j, k) = cert_units[u];
-            let (j, k) = (j as usize, k as usize);
-            let job = &jobs[j];
-            faultinject::panic_point(&job.name, FleetStage::Certify);
-            let config = &job.configs[todo[j][k]];
-            let instrumented = insert_fences(job.module, &placements_per_job[j][k].points);
-            let class = crate::certify::sync_classification(&instrumented, config.variant);
-            crate::certify::certify_module(&instrumented, &class, config.target, &copts)
-        });
-        let creports = ledger.absorb(crres, FleetStage::Certify, |u| cert_units[u].0 as usize);
-        for (u, r) in creports.into_iter().enumerate() {
-            if let Some(rep) = r {
-                certs_per_job[cert_units[u].0 as usize].push(rep);
-            }
+    // ---- (opt-in) post-placement certification, one unit per config ----
+    let mut certifications = Vec::new();
+    if let Some(copts) = opts.certify.filter(|_| ledger.healthy()) {
+        for (&c, p) in todo.iter().zip(&placements) {
+            let config = &job.configs[c];
+            let report = ledger.unit(FleetStage::Certify, || {
+                let instrumented = insert_fences(module, &p.points);
+                let class = crate::certify::sync_classification(&instrumented, config.variant);
+                crate::certify::certify_module(&instrumented, &class, config.target, &copts)
+            });
+            certifications.extend(report);
         }
     }
     ledger.boundary(FleetStage::Certify);
+    stats.certifications = certifications.len();
+    stats.certify_unsound = certifications
+        .iter()
+        .filter(|r| r.status() == CertifyStatus::Unsound)
+        .count();
 
-    let stats = FleetStats {
-        modules: nj,
-        functions: func_units.len(),
-        configs: jobs.iter().map(|j| j.configs.len()).sum(),
-        analyses: na,
-        substrates: substrate_units.len(),
-        failed: ledger.fail.iter().filter(|o| o.is_some()).count(),
-        certifications: certs_per_job.iter().map(Vec::len).sum(),
-        certify_unsound: certs_per_job
-            .iter()
-            .flat_map(|v| v.iter())
-            .filter(|r| r.status() == CertifyStatus::Unsound)
-            .count(),
-        // Every job is materialized for the whole run: resident peaks
-        // are exactly the fleet size.
-        peak_resident_modules: nj,
-        peak_resident_insts: jobs.iter().map(|j| j.module.total_insts() as u64).sum(),
-    };
-
-    let mut out = Vec::with_capacity(nj);
-    for j in 0..nj {
-        let outcome = ledger.fail[j].take().unwrap_or(ModuleOutcome::Ok);
-        // A module quarantined at any stage — certification included —
-        // comes back with empty results.
-        let (placements, certifications) = if outcome.is_ok() {
-            (
-                std::mem::take(&mut placements_per_job[j]),
-                std::mem::take(&mut certs_per_job[j]),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        out.push(Placed {
-            outcome,
-            placements,
-            certifications,
-        });
+    // A module quarantined at any stage — certification included — comes
+    // back with empty results.
+    let outcome = ledger.fail.unwrap_or(ModuleOutcome::Ok);
+    if !outcome.is_ok() {
+        stats.failed = 1;
+        placements.clear();
+        certifications.clear();
     }
-    (out, stats)
+    let placed = Placed {
+        outcome,
+        placements,
+        certifications,
+    };
+    (placed, stats)
 }
 
 // ---------------------------------------------------------------------
@@ -995,10 +837,10 @@ pub enum StreamItem {
         /// The module to analyze.
         module: Module,
     },
-    /// Unparsed textual IR. Parsing runs as a [`FleetStage::Ingest`]
-    /// work unit on the pool, overlapped with other modules' analysis;
-    /// a text that fails to parse is quarantined as
-    /// [`ModuleOutcome::InvalidIr`] without stalling the window.
+    /// Unparsed textual IR. The worker that takes it parses it as an
+    /// isolated [`FleetStage::Ingest`] unit; a text that fails to parse
+    /// is quarantined as [`ModuleOutcome::InvalidIr`] without stalling
+    /// the window.
     Text {
         /// Display name (typically the per-item pseudo-spec).
         name: String,
@@ -1018,8 +860,8 @@ pub enum StreamItem {
 
 /// Adapts a lazily-resolving [`corpus::ModuleSource`] into the item
 /// stream consumed by [`run_fleet_streamed`]: built-in entries arrive as
-/// ready modules, file-backed specs as unparsed texts (so the ingest
-/// stage parses them off-thread), and loader errors as
+/// ready modules, file-backed specs as unparsed texts (so the worker
+/// that takes one parses it), and loader errors as
 /// [`StreamItem::Failed`] — one unreadable file quarantines that item
 /// without aborting the stream. Every front end (the batch CLI, the
 /// daemon's spec expansion, `fenceplace client`) reads specs through it.
@@ -1048,58 +890,56 @@ pub struct StreamSummary {
     pub outcome: ModuleOutcome,
 }
 
-/// The ingest work of one text: injected panic point, fault view, parse.
-/// Pure (no shared state), so it parallelizes like any other unit.
-fn ingest_parse(name: &str, text: &str) -> Result<Module, fence_ir::parser::ParseError> {
-    faultinject::panic_point(name, FleetStage::Ingest);
-    let view = faultinject::ingest_view(name, text);
-    fence_ir::parser::parse_module(&view)
-}
-
-/// One ingest attempt: `Err(panic message)` from isolation, or the
-/// parse result.
-type IngestAttempt = Result<Result<Module, fence_ir::parser::ParseError>, String>;
-
-/// Folds an ingest attempt into a module or a quarantine outcome.
-/// Normal ingest charges **zero** steps — resident runs never see this
-/// stage, and streamed budget outcomes must match resident ones exactly
-/// — so only injected costs can trip an ingest deadline. A caught panic
-/// wins over a same-stage deadline, as at every stage boundary.
-fn finish_ingest(
-    name: &str,
-    attempt: IngestAttempt,
-    budget: Option<u64>,
-) -> Result<Module, ModuleOutcome> {
-    match attempt {
-        Err(message) => Err(ModuleOutcome::Panicked {
-            stage: FleetStage::Ingest,
-            message,
-        }),
-        Ok(Err(e)) => Err(ModuleOutcome::InvalidIr {
-            errors: vec![format!("parse error: {e}")],
-        }),
-        Ok(Ok(module)) => {
-            let extra = faultinject::extra_cost(name, FleetStage::Ingest);
-            match budget {
-                Some(b) if extra > b => Err(ModuleOutcome::DeadlineExceeded {
-                    stage: FleetStage::Ingest,
-                    spent: extra,
-                    budget: b,
-                }),
-                _ => Ok(module),
-            }
+impl StreamSummary {
+    fn of(fr: &FleetResult) -> Self {
+        StreamSummary {
+            name: fr.name.clone(),
+            outcome: fr.outcome.clone(),
         }
     }
 }
 
-/// Parses one text as an isolated unit of its own (the same
-/// [`stage_map`] isolation as every stage unit) and folds the attempt
-/// into a module or a quarantine outcome.
+/// Parses one text as an isolated unit of its own (injected panic
+/// point, fault view, parse) and folds the attempt into a module or a
+/// quarantine outcome. Normal ingest charges **zero** steps — resident
+/// runs never see this stage, and streamed budget outcomes must match
+/// resident ones exactly — so only injected costs can trip an ingest
+/// deadline. A caught panic wins over a same-stage deadline, as at every
+/// stage boundary.
 pub(crate) fn ingest(name: &str, text: &str, opts: &FleetOptions) -> Result<Module, ModuleOutcome> {
-    let attempt = stage_map(1, false, |_| ingest_parse(name, text))
-        .pop()
-        .expect("one unit");
-    finish_ingest(name, attempt, opts.budget)
+    let stage = FleetStage::Ingest;
+    let parsed = isolated(|| {
+        faultinject::panic_point(name, stage);
+        fence_ir::parser::parse_module(&faultinject::ingest_view(name, text))
+    });
+    match parsed {
+        Err(message) => Err(ModuleOutcome::Panicked { stage, message }),
+        Ok(Err(e)) => Err(ModuleOutcome::InvalidIr {
+            errors: vec![format!("parse error: {e}")],
+        }),
+        Ok(Ok(module)) => match (faultinject::extra_cost(name, stage), opts.budget) {
+            (spent, Some(budget)) if spent > budget => Err(ModuleOutcome::DeadlineExceeded {
+                stage,
+                spent,
+                budget,
+            }),
+            _ => Ok(module),
+        },
+    }
+}
+
+/// Turns one streamed item into its name and module, or the outcome
+/// that quarantines it before any stage: a load failure, or an ingest
+/// quarantine of a text.
+fn admit(item: StreamItem, opts: &FleetOptions) -> (String, Result<Module, ModuleOutcome>) {
+    match item {
+        StreamItem::Module { name, module } => (name, Ok(module)),
+        StreamItem::Text { name, text } => {
+            let module = ingest(&name, &text, opts);
+            (name, module)
+        }
+        StreamItem::Failed { name, error } => (name, Err(ModuleOutcome::LoadFailed { error })),
+    }
 }
 
 /// An item quarantined before any pipeline stage ran: its empty
@@ -1125,32 +965,38 @@ fn quarantined(name: String, outcome: ModuleOutcome, configs: usize) -> (FleetRe
 /// Runs fence placement over a **streamed** corpus: items are admitted
 /// lazily from `items`, each module's full [`FleetResult`] is delivered
 /// to `on_complete(admission_index, result)` as soon as that module
-/// retires, and only the O(1)-sized [`StreamSummary`] per item is
-/// retained — so a corpus far larger than memory processes at
-/// O(window) peak residency ([`FleetStats::peak_resident_modules`]).
+/// finishes, and only the O(1)-sized [`StreamSummary`] per item is
+/// retained — so with a window a corpus far larger than memory
+/// processes at O(window) peak residency
+/// ([`FleetStats::peak_resident_modules`]).
 ///
-/// Scheduling depends on [`FleetOptions::window`]:
+/// Both modes run the worker loop of [`run_fleet_opts`]: each worker
+/// takes the next module, parses it if it is a text, runs all of its
+/// stages and delivers the result. [`FleetOptions::window`] decides
+/// what "next" means:
 ///
-/// * `None` — the whole stream is materialized (texts parsed in one
-///   pooled ingest pass) and handed to [`run_fleet_opts`]: per-module
-///   results are **bit-identical** to a resident run. `on_complete`
-///   fires in admission order.
-/// * `Some(w)` — one worker loop on `min(w, pool workers + 1)` threads
-///   (one when sequential). Each worker takes the next item, parses it
-///   if it is a text, runs it as an exact single-module
-///   [`run_fleet_opts`] and delivers the result, so an item is resident
-///   only from take to delivery. Quarantine, budget charging and
-///   per-module results match the resident scheduler bit-for-bit (the
-///   fleet≡per-module-batch equivalence is pinned by `tests/fleet.rs`).
-///   `on_complete` may fire in any order; every delivery carries its
-///   admission index.
+/// * `None` — every text is parsed first (on the same loop), so the
+///   whole stream is resident, and the modules then run largest first
+///   by [`Module::total_insts`], ties in admission order, exactly like
+///   [`run_fleet_opts`]. Items quarantined before any stage (load
+///   failures, texts that do not parse) are delivered first, in
+///   admission order.
+/// * `Some(w)` — `min(w, pool workers + 1)` workers (one when
+///   sequential) take the items in admission order, so an item is
+///   resident only from take to delivery.
 ///
-/// Summaries are index-keyed and the work counters are sums, so
-/// sequential and pooled runs return the same summaries and the same
-/// [`FleetStats`], except the two residency peaks. Those are measured
-/// high-water marks: under a pooled window they follow worker timing
-/// and can differ from run to run, while a sequential window always
-/// reads one module and the largest module's instruction count.
+/// Either way `on_complete` fires in completion order, and every
+/// delivery carries its admission index. Quarantine, budget charging and
+/// per-module results match [`run_fleet_opts`] bit-for-bit (the
+/// fleet≡per-module-batch equivalence is pinned by `tests/fleet.rs`).
+///
+/// Summaries come back in admission order and the work counters are
+/// sums, so sequential and pooled runs return the same summaries and the
+/// same [`FleetStats`], except the two residency peaks of a window.
+/// Those are measured high-water marks: under a pooled window they
+/// follow worker timing and can differ from run to run, while a
+/// sequential window always reads one module and the largest module's
+/// instruction count.
 ///
 /// Quarantine semantics extend to ingestion: a [`StreamItem::Failed`]
 /// loads as [`ModuleOutcome::LoadFailed`], an unparsable text as
@@ -1170,14 +1016,14 @@ where
     F: FnMut(usize, FleetResult) + Send,
 {
     match opts.window {
-        None => stream_resident(items, configs, opts, on_complete),
+        None => stream_resident(items.into_iter(), configs, opts, on_complete),
         Some(w) => stream_windowed(items.into_iter(), w.max(1), configs, opts, on_complete),
     }
 }
 
-/// `window: None`: materialize everything (one pooled ingest pass over
-/// the texts), then run the exact resident scheduler. Each module moves
-/// into the `Arc` its results share, so no module is copied.
+/// `window: None`: parse every text on the worker loop, then run the
+/// modules largest first through [`run_jobs`]. Each module moves into
+/// the `Arc` its results share, so no module is copied.
 fn stream_resident<I, F>(
     items: I,
     configs: &[PipelineConfig],
@@ -1185,88 +1031,64 @@ fn stream_resident<I, F>(
     mut on_complete: F,
 ) -> (Vec<StreamSummary>, FleetStats)
 where
-    I: IntoIterator<Item = StreamItem>,
-    F: FnMut(usize, FleetResult),
+    I: Iterator<Item = StreamItem> + Send,
+    F: FnMut(usize, FleetResult) + Send,
 {
-    enum Slot {
-        Pending,
-        Run(String, Arc<Module>),
-        Quarantined(String, ModuleOutcome),
-    }
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut texts: Vec<(usize, String, String)> = Vec::new();
-    for item in items {
-        match item {
-            StreamItem::Module { name, module } => slots.push(Slot::Run(name, Arc::new(module))),
-            StreamItem::Failed { name, error } => {
-                slots.push(Slot::Quarantined(name, ModuleOutcome::LoadFailed { error }))
-            }
-            StreamItem::Text { name, text } => {
-                texts.push((slots.len(), name, text));
-                slots.push(Slot::Pending);
-            }
-        }
-    }
-    // One pooled ingest pass, unit-isolated exactly like any stage.
-    let attempts: Vec<IngestAttempt> = stage_map(texts.len(), opts.parallel, |k| {
-        let (_, name, text) = &texts[k];
-        ingest_parse(name, text)
+    let admitted = Mutex::new(Vec::new());
+    let threads = if opts.parallel { usize::MAX } else { 1 };
+    for_each_pooled(threads, items.enumerate(), |(index, item)| {
+        let (name, module) = admit(item, opts);
+        admitted.lock().expect(POISONED).push((index, name, module));
     });
-    for ((i, name, _), attempt) in texts.into_iter().zip(attempts) {
-        slots[i] = match finish_ingest(&name, attempt, opts.budget) {
-            Ok(module) => Slot::Run(name, Arc::new(module)),
-            Err(outcome) => Slot::Quarantined(name, outcome),
-        };
-    }
+    let mut admitted = admitted.into_inner().expect(POISONED);
+    admitted.sort_unstable_by_key(|&(index, ..)| index);
 
-    let mut jobs: Vec<FleetJob> = Vec::new();
-    let mut sources: Vec<&Arc<Module>> = Vec::new();
-    for slot in &slots {
-        if let Slot::Run(name, module) = slot {
-            jobs.push(FleetJob::new(name.clone(), module, configs.to_vec()));
-            sources.push(module);
+    let mut summaries: Vec<Option<StreamSummary>> = admitted.iter().map(|_| None).collect();
+    let mut quarantine_stats = FleetStats::default();
+    let mut resident = Vec::new();
+    for (index, name, module) in admitted {
+        match module {
+            Ok(module) => resident.push((index, name, Arc::new(module))),
+            Err(outcome) => {
+                let (fr, stats) = quarantined(name, outcome, configs.len());
+                fold_stats(&mut quarantine_stats, &stats);
+                summaries[index] = Some(StreamSummary::of(&fr));
+                on_complete(index, fr);
+            }
         }
     }
-    let inner = FleetOptions {
-        window: None,
-        ..*opts
-    };
-    let (fleet, mut stats) = run_fleet_lent(&jobs, &inner, |j| Arc::clone(sources[j]));
-
-    // Deliver in admission order; quarantined-at-ingest items get empty
-    // results. Every item but a load failure was resident at once.
-    stats.modules = slots.len();
-    stats.peak_resident_modules = slots
+    let jobs: Vec<FleetJob> = resident
         .iter()
-        .filter(|s| !matches!(s, Slot::Quarantined(_, ModuleOutcome::LoadFailed { .. })))
+        .map(|(_, name, module)| FleetJob::new(name.clone(), module, configs.to_vec()))
+        .collect();
+    let mut stats = run_jobs(
+        &jobs,
+        opts,
+        |j| Arc::clone(&resident[j].2),
+        |j, fr| {
+            let index = resident[j].0;
+            summaries[index] = Some(StreamSummary::of(&fr));
+            on_complete(index, fr);
+        },
+    );
+    fold_stats(&mut stats, &quarantine_stats);
+    stats.modules = summaries.len();
+    // Every item but a load failure is resident until the run ends.
+    stats.peak_resident_modules = summaries
+        .iter()
+        .flatten()
+        .filter(|s| !matches!(s.outcome, ModuleOutcome::LoadFailed { .. }))
         .count();
-    let mut fleet = fleet.into_iter();
-    let mut summaries = Vec::with_capacity(slots.len());
-    for (index, slot) in slots.into_iter().enumerate() {
-        let fr = match slot {
-            Slot::Pending => unreachable!("every text slot was resolved"),
-            Slot::Run(..) => fleet.next().expect("one fleet result per job"),
-            Slot::Quarantined(name, outcome) => {
-                let (fr, qstats) = quarantined(name, outcome, configs.len());
-                fold_stats(&mut stats, &qstats);
-                fr
-            }
-        };
-        summaries.push(StreamSummary {
-            name: fr.name.clone(),
-            outcome: fr.outcome.clone(),
-        });
-        on_complete(index, fr);
-    }
+    let summaries = summaries
+        .into_iter()
+        .map(|s| s.expect("every item was delivered"))
+        .collect();
     (summaries, stats)
 }
 
-/// `window: Some(w)`: one worker loop on up to `window` threads (the
-/// pool caps them at its workers plus the caller; one when sequential).
-/// Every stage unit is isolated, so only a panicking source or sink ends
-/// a worker. No worker waits on another, so the others end too (at the
-/// poisoned lock, or when the source runs dry), and
-/// [`ThreadPool::run_scoped`] re-raises the panic on the caller.
+/// `window: Some(w)`: the worker loop on up to `window` threads (the
+/// pool caps them at its workers plus the caller; one when sequential),
+/// taking items in admission order.
 fn stream_windowed<I, F>(
     source: I,
     window: usize,
@@ -1295,37 +1117,18 @@ where
         }
     }
 
-    // The source has a lock of its own, so reading the next item never
-    // stalls another worker's bookkeeping; fused, it ends at its first `None`.
-    let source = Mutex::new(source.fuse().enumerate());
     let tally = Mutex::new(Tally {
         summaries: Vec::new(),
         stats: FleetStats::default(),
         resident: (0, 0),
     });
     let sink = Mutex::new(on_complete);
-    // Only a panicking source or sink poisons a lock; `run_scoped` re-raises it.
-    const POISONED: &str = "the stream's source or sink panicked";
-    // Sequential and windowless inside (the other workers' modules are the
-    // parallelism); every other option is the caller's.
-    let inner = FleetOptions {
-        parallel: false,
-        window: None,
-        ..*opts
-    };
-
-    let worker = || loop {
-        let Some((index, item)) = source.lock().expect(POISONED).next() else {
-            break;
-        };
+    let threads = if opts.parallel { window } else { 1 };
+    for_each_pooled(threads, source.enumerate(), |(index, item)| {
         // A load failure never holds a module.
         let held = usize::from(!matches!(item, StreamItem::Failed { .. }));
         tally.lock().expect(POISONED).hold(held, 0);
-        let (module, name) = match item {
-            StreamItem::Module { name, module } => (Ok(module), name),
-            StreamItem::Text { name, text } => (ingest(&name, &text, opts), name),
-            StreamItem::Failed { name, error } => (Err(ModuleOutcome::LoadFailed { error }), name),
-        };
+        let (name, module) = admit(item, opts);
         let insts = module.as_ref().map_or(0, |m| m.total_insts() as u64);
         tally.lock().expect(POISONED).hold(0, insts);
         let (fr, stats) = match module {
@@ -1333,24 +1136,18 @@ where
                 // The results share the module itself: it is not copied.
                 let module = Arc::new(module);
                 let job = FleetJob::new(name, &module, configs.to_vec());
-                let (mut results, stats) =
-                    run_fleet_lent(std::slice::from_ref(&job), &inner, |_| Arc::clone(&module));
-                (results.pop().expect("one result per job"), stats)
+                run_job(&job, opts, || Arc::clone(&module))
             }
             Err(outcome) => quarantined(name, outcome, configs.len()),
         };
-        let summary = StreamSummary {
-            name: fr.name.clone(),
-            outcome: fr.outcome.clone(),
-        };
+        let summary = StreamSummary::of(&fr);
         sink.lock().expect(POISONED)(index, fr);
         let mut t = tally.lock().expect(POISONED);
         t.summaries.push((index, summary));
         fold_stats(&mut t.stats, &stats);
         t.resident.0 -= held;
         t.resident.1 -= insts;
-    };
-    ThreadPool::global().run_scoped(if opts.parallel { window } else { 1 }, &worker);
+    });
 
     // Every taken item was delivered, or `run_scoped` re-raised a panic.
     let mut t = tally.into_inner().expect(POISONED);
@@ -1702,6 +1499,41 @@ mod tests {
                 assert!(stats.peak_resident_insts > 0);
             }
         }
+    }
+
+    /// A run that knows its whole input takes its modules largest first
+    /// by `total_insts`, ties in admission order, and still returns its
+    /// summaries in admission order.
+    #[test]
+    fn resident_stream_runs_largest_first() {
+        // Every function of a spin module has the same size, so sizes
+        // follow the function counts: b and d tie.
+        let funcs = [("a", 1), ("b", 3), ("c", 2), ("d", 3), ("e", 4)];
+        let items = funcs
+            .iter()
+            .map(|&(name, n)| StreamItem::Module {
+                name: name.to_string(),
+                module: spin_module(name, n),
+            })
+            .collect::<Vec<_>>();
+        let configs = vec![PipelineConfig::for_variant(Variant::Control)];
+        let opts = FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        };
+        let mut delivered = Vec::new();
+        let (summaries, _) = run_fleet_streamed(items, &configs, &opts, |i, fr| {
+            delivered.push((i, fr.name));
+        });
+        let want = [(4, "e"), (1, "b"), (3, "d"), (2, "c"), (0, "a")];
+        let want: Vec<(usize, String)> = want.iter().map(|&(i, n)| (i, n.to_string())).collect();
+        assert_eq!(delivered, want, "largest first, ties in admission order");
+        let names: Vec<&str> = summaries.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["a", "b", "c", "d", "e"],
+            "summaries in admission order"
+        );
     }
 
     #[test]

@@ -28,18 +28,18 @@
 //! hand-placed fences are the placement).
 //!
 //! The stage sequence is implemented once, by the fleet executor
-//! ([`fleet`]), and every entry point is a thin caller of it. Every run
-//! validates each module and isolates each work unit.
-//! [`run_pipeline_batch`] is a fleet of one: it runs the module analysis
-//! and builds the per-function analysis contexts ([`FuncContext`]: alias
-//! oracle, cache-once CFG substrate, block-aggregated orderings) exactly
-//! once for a whole variant × target × (seq|par) sweep, and panics if the fleet quarantines the module. Multi-module
+//! ([`fleet`]), which runs one module's stages on one thread, and every
+//! entry point is a thin caller of it. Every run validates each module
+//! and isolates each work unit. [`run_pipeline_batch`] is a fleet of
+//! one: it runs the module analysis and builds the per-function analysis
+//! contexts ([`FuncContext`]: alias oracle, cache-once CFG substrate,
+//! block-aggregated orderings) exactly once for a whole variant × target
+//! sweep, and panics if the fleet quarantines the module. Multi-module
 //! callers (corpus sweeps, figure harnesses) use [`run_fleet_opts`],
-//! which schedules per-(module, function) work units from *many* modules
-//! onto the persistent pool in single cross-module passes; the
-//! `fenceplace` CLI streams through [`run_fleet_streamed`]. The resident
-//! [`Service`] seeds the same executor with the work its cache already
-//! holds.
+//! which runs whole modules on the persistent pool, one per worker,
+//! largest first; the `fenceplace` CLI streams through
+//! [`run_fleet_streamed`]. The resident [`Service`] seeds the same
+//! executor with the work its cache already holds.
 
 #![warn(missing_docs)]
 
@@ -85,9 +85,9 @@ pub(crate) mod faultinject {
     }
 }
 
-/// The persistent per-function thread pool, re-exported from `fence_ir`
-/// (it lives below every crate that uses it, the pooled parse included;
-/// `fenceplace::pool::ThreadPool` remains the stable path).
+/// The persistent thread pool the fleet runs modules on, re-exported
+/// from `fence_ir` (`fenceplace::pool::ThreadPool` remains the stable
+/// path).
 pub use fence_ir::pool;
 
 pub use acquire::{AcquireInfo, DetectMode};

@@ -16,7 +16,7 @@
 //!
 //! A module's analysis stack is config-independent: points-to, the escape
 //! closure, the per-function CFG substrate, [`AliasOracle`] and
-//! [`FuncOrderings`] are identical for every variant×target×(seq|par)
+//! [`FuncOrderings`] are identical for every variant×target
 //! combination, and the [`AcquireInfo`] depends only on the variant.
 //! [`run_pipeline_batch`] therefore runs the module analysis **once**,
 //! builds one [`FuncSubstrate`] (`Cfg` + `Reachability`, counter-pinned)
@@ -38,11 +38,9 @@
 //! per-function pieces every stage calls — [`FuncContext`], the
 //! per-config tail, the `Manual` result.
 //!
-//! Functions are independent after the module-wide analysis, so the
-//! per-function stages optionally run on the persistent
-//! [`crate::pool::ThreadPool`] ([`PipelineConfig::parallel`]): results
-//! are keyed by function index, so arrival order cannot affect any
-//! output and parallel runs are bit-identical to sequential ones.
+//! A batch runs on the calling thread: the fleet runs one module's
+//! stages on one thread, and parallelism comes from running many
+//! modules at once ([`crate::fleet::run_fleet_opts`]).
 
 use crate::acquire::{variant_acquires, AcquireInfo};
 use crate::fleet::{run_fleet_opts, FleetJob, FleetOptions};
@@ -53,7 +51,7 @@ use crate::report::{FuncReport, ModuleReport};
 use fence_analysis::alias::AliasOracle;
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::FuncSubstrate;
-use fence_ir::{FenceKind, FuncId, Module};
+use fence_ir::{FuncId, Module};
 use std::sync::{Arc, OnceLock};
 
 /// Which sync-read set drives pruning.
@@ -103,7 +101,10 @@ pub struct PipelineConfig {
     pub variant: Variant,
     /// Hardware model fences are minimized against.
     pub target: TargetModel,
-    /// Run the per-function stage on the persistent thread pool.
+    /// Ignored: a module's stages always run on one thread, and the
+    /// fleet decides how many modules run at once
+    /// ([`FleetOptions::parallel`](crate::FleetOptions::parallel)).
+    /// Kept so existing struct literals still build.
     pub parallel: bool,
 }
 
@@ -349,11 +350,7 @@ pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<Pi
         MODULE_ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
     }
     let job = FleetJob::new(module.name.clone(), module, configs.to_vec());
-    let opts = FleetOptions {
-        parallel: configs.iter().any(|c| c.parallel),
-        ..FleetOptions::default()
-    };
-    let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &opts);
+    let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &FleetOptions::default());
     let result = fleet.pop().expect("one result per job");
     if !result.outcome.is_ok() {
         panic!("module `{}`: {}", module.name, result.outcome);
@@ -388,21 +385,11 @@ pub fn run_pipeline(module: &Module, config: &PipelineConfig) -> PipelineResult 
         .expect("one result per config")
 }
 
-/// Counts dynamic-fence-relevant statistics of an instrumented module:
-/// `(full_fences, compiler_directives)` actually present as instructions.
-pub fn placed_fences(result: &PipelineResult) -> (usize, usize) {
-    let full = result
-        .points
-        .iter()
-        .filter(|p| p.kind == FenceKind::Full)
-        .count();
-    (full, result.points.len() - full)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
+    use fence_ir::FenceKind;
 
     /// Builds the paper's Figure 2 module: two threads of the legacy-DRF
     /// busy-wait example, with `*p1`/`*p2` unknown pointers that may alias
@@ -466,7 +453,12 @@ mod tests {
                 fence_ir::verify_module(r.module()).is_empty(),
                 "{v:?} output verifies"
             );
-            let (full, dir) = placed_fences(&r);
+            let full = r
+                .points
+                .iter()
+                .filter(|p| p.kind == FenceKind::Full)
+                .count();
+            let dir = r.points.len() - full;
             assert_eq!(full, r.report.full_fences());
             assert_eq!(dir, r.report.compiler_fences());
         }

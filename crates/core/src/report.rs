@@ -5,7 +5,6 @@
 //! slot carries *which stage* failed and *how* instead of a panic
 //! unwinding through the whole fleet.
 
-use crate::orderings::OrderKind;
 use std::fmt;
 
 /// The fleet pipeline stages, in execution order — the granularity at
@@ -275,49 +274,6 @@ impl ModuleReport {
     pub fn compiler_fences(&self) -> usize {
         self.funcs.iter().map(|f| f.compiler_fences).sum()
     }
-
-    /// Renders a human-readable summary table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "module {} — variant {}",
-            self.module_name, self.variant
-        );
-        let _ = writeln!(
-            out,
-            "{:<24} {:>6} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6}",
-            "function", "eReads", "acq", "ords", "kept", "w->r", "full", "dir"
-        );
-        for f in &self.funcs {
-            let _ = writeln!(
-                out,
-                "{:<24} {:>6} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6}",
-                f.name,
-                f.escaping_reads,
-                f.acquires,
-                f.orderings_total.iter().sum::<usize>(),
-                f.orderings_kept.iter().sum::<usize>(),
-                f.orderings_kept[OrderKind::WR.idx()],
-                f.full_fences,
-                f.compiler_fences,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<24} {:>6} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6}",
-            "TOTAL",
-            self.escaping_reads(),
-            self.acquires(),
-            self.total_orderings(),
-            self.total_kept(),
-            self.orderings_kept()[OrderKind::WR.idx()],
-            self.full_fences(),
-            self.compiler_fences(),
-        );
-        out
-    }
 }
 
 /// Geometric mean helper used for the normalized cross-benchmark summaries
@@ -384,14 +340,6 @@ mod tests {
         assert_eq!(r.total_kept(), 11);
         assert_eq!(r.full_fences(), 3);
         assert_eq!(r.compiler_fences(), 3);
-    }
-
-    #[test]
-    fn render_contains_totals() {
-        let r = sample();
-        let s = r.render();
-        assert!(s.contains("TOTAL"));
-        assert!(s.contains("Control"));
     }
 
     #[test]

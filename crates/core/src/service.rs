@@ -7,9 +7,8 @@
 //!
 //! 1. **Byte-identity.** The report served for a module is byte-identical
 //!    to what the one-shot CLI would emit for the same module text and
-//!    config list — cold cache, warm cache, sequential or pooled
-//!    (pinned by the differential test in `tests/service.rs`). Both
-//!    paths render through [`crate::json`].
+//!    config list — cold cache or warm (pinned by the differential test
+//!    in `tests/service.rs`). Both paths render through [`crate::json`].
 //! 2. **Content addressing.** Cache entries are keyed by the 128-bit
 //!    content hash of the module *text* ([`corpus::hash::content_hash`]),
 //!    never by the request's module name: same content under a different
@@ -30,9 +29,9 @@
 //!    ([`crate::fleet`]). The service hands it what the cache already
 //!    holds — a validated flag, the module analysis, the substrates of
 //!    unchanged functions, and which config lines are rendered — and the
-//!    executor runs units only for what is missing, with the fleet's
-//!    validation gate, per-unit `catch_unwind` isolation, stage
-//!    attribution and fault hooks. Budgets charge the plan of the *full*
+//!    executor runs units, on the calling thread, only for what is
+//!    missing, with the fleet's validation gate, per-unit `catch_unwind`
+//!    isolation, stage attribution and fault hooks. Budgets charge the plan of the *full*
 //!    request, and warm hits pay the same plan as a dry run, so a
 //!    budgeted request gets the same `deadline_exceeded` outcome whether
 //!    or not the cache could have served it.
@@ -60,29 +59,17 @@ use fence_ir::Module;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Knobs of a [`Service`], fixed for its lifetime.
-#[derive(Clone, Copy, Debug)]
+/// Knobs of a [`Service`], fixed for its lifetime. Every request runs
+/// on the calling thread, with the fleet's validation gate and per-unit
+/// isolation.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceOptions {
-    /// Schedule work units on the persistent pool (default). Sequential
-    /// and pooled services serve byte-identical reports. Requests always
-    /// run with the fleet's validation gate and per-unit isolation.
-    pub parallel: bool,
     /// Default deterministic step budget applied to every request that
     /// does not carry its own (`None` = no deadline).
     pub budget: Option<u64>,
     /// Maximum cached module entries; least-recently-used entries are
     /// evicted beyond it (`None` = unbounded).
     pub capacity: Option<usize>,
-}
-
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        ServiceOptions {
-            parallel: true,
-            budget: None,
-            capacity: None,
-        }
-    }
 }
 
 /// How much cached state an analyze request could reuse.
@@ -198,8 +185,7 @@ fn target_idx(t: TargetModel) -> usize {
 }
 
 /// Cache key of one config's report line. `PipelineConfig::parallel` is
-/// deliberately not part of the key: scheduling cannot affect report
-/// bytes (pinned by the fleet's seq/par determinism tests).
+/// ignored by every run, so it is not part of the key.
 fn config_key(c: &PipelineConfig) -> (usize, usize) {
     (c.variant.idx(), target_idx(c.target))
 }
@@ -230,11 +216,6 @@ impl Service {
             tick: 0,
             stats: ServiceStats::default(),
         }
-    }
-
-    /// The options this service was created with.
-    pub fn options(&self) -> &ServiceOptions {
-        &self.opts
     }
 
     /// A snapshot of the cumulative counters.
@@ -300,7 +281,6 @@ impl Service {
         self.tick += 1;
         let hash = content_hash(text);
         let opts = FleetOptions {
-            parallel: self.opts.parallel,
             budget: budget.or(self.opts.budget),
             ..FleetOptions::default()
         };
@@ -445,19 +425,17 @@ impl Service {
     ) -> ModuleOutcome {
         let module = entry.module.as_ref().expect("computable entries hold IR");
         let job = FleetJob::new(name, module, configs.to_vec());
-        let mut seeds = [Seed {
+        let mut seed = Seed {
             validated,
             analysis: entry.analysis.take(),
             substrates: std::mem::take(&mut entry.substrates),
             cached,
-        }];
-        let (mut fleet, stats) = run_seeded(std::slice::from_ref(&job), &mut seeds, opts);
+        };
+        let (placed, stats) = run_seeded(&job, &mut seed, opts);
         self.stats.analyses += stats.analyses as u64;
         self.stats.substrates_built += stats.substrates as u64;
-        let [seed] = seeds;
         entry.analysis = seed.analysis;
         entry.substrates = seed.substrates;
-        let placed = fleet.pop().expect("one result per job");
         let todo = configs
             .iter()
             .enumerate()

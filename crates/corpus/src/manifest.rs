@@ -43,13 +43,53 @@
 //! the per-item pseudo-spec (`file:PATH`, `pack:PATH#K`) and the stream
 //! continues; the consumer decides whether that quarantines one module
 //! or aborts the run.
+//!
+//! # Caps
+//!
+//! No input can make a resolver allocate without bound: a module text is
+//! at most [`MAX_MODULE_BYTES`] (a longer `file:` is one `Err` item, and
+//! a longer `pack:` chunk is one `Err` item that ends its pack), and
+//! `synthetic:N` takes N up to [`MAX_SYNTHETIC`] (a larger N is a
+//! [`ManifestError`] from [`resolve_spec`]).
 
 use crate::{programs, Params};
 use fence_ir::parser::{first_token, TopLevel};
 use fence_ir::Module;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
+
+/// The longest module text, in bytes, that a file-backed spec yields:
+/// 64 MiB, far above the largest module any benchmark workload streams
+/// (2.36 MB). Only a runaway input (a pack without line breaks,
+/// `/dev/zero`) reaches it.
+pub const MAX_MODULE_BYTES: usize = 64 << 20;
+
+/// The largest N `synthetic:N` builds: far above any size a test or
+/// script names (`synthetic:16000`), while `synthetic:1000000` would
+/// take seconds and gigabytes to build.
+pub const MAX_SYNTHETIC: usize = 250_000;
+
+/// The error of a module text longer than [`MAX_MODULE_BYTES`].
+fn text_too_long() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("a module text exceeds {MAX_MODULE_BYTES} bytes"),
+    )
+}
+
+/// Reads a whole `file:` module text, refusing one longer than
+/// [`MAX_MODULE_BYTES`] before reading past the cap.
+fn read_text(path: &str) -> std::io::Result<String> {
+    let mut text = String::new();
+    std::fs::File::open(path)?
+        .take(MAX_MODULE_BYTES as u64 + 1)
+        .read_to_string(&mut text)?;
+    if text.len() > MAX_MODULE_BYTES {
+        return Err(text_too_long());
+    }
+    Ok(text)
+}
 
 /// One resolved manifest entry: a display name plus the module to run.
 #[derive(Debug)]
@@ -152,6 +192,12 @@ pub fn resolve_spec(spec: &str, params: &Params) -> Result<Vec<ManifestEntry>, M
             let n: usize = name.parse().map_err(|_| {
                 ManifestError::new(spec, format!("synthetic wants a number, got `{name}`"))
             })?;
+            if n > MAX_SYNTHETIC {
+                return Err(ManifestError::new(
+                    spec,
+                    format!("synthetic takes N up to {MAX_SYNTHETIC}, got {n}"),
+                ));
+            }
             Ok(vec![ManifestEntry {
                 name: format!("synthetic:{n}"),
                 module: crate::synthetic_scaled(n),
@@ -220,7 +266,8 @@ pub fn full_fleet(params: &Params) -> Vec<ManifestEntry> {
 /// body starts a new chunk, so a corrupted chunk mis-splits into text that
 /// fails to parse (and is quarantined) instead of swallowing its neighbor.
 /// A line that is not UTF-8 is classified by its lossy decoding and
-/// taints only its own chunk. The splitter never panics, whatever it is fed.
+/// taints only its own chunk. The splitter never panics, whatever it is
+/// fed, and never buffers more than [`MAX_MODULE_BYTES`] plus one byte.
 #[derive(Debug, Default)]
 pub struct ModuleSplitter {
     buf: Vec<u8>,
@@ -238,15 +285,22 @@ impl ModuleSplitter {
     /// is complete, and returns it; at the end of the input, returns the
     /// last one, then `None`. A module is its text (line endings as
     /// [`str::lines`] reads them, each then `\n`), or `Err` with the
-    /// 1-based input line of its first line that is not UTF-8.
+    /// 1-based input line of its first line that is not UTF-8. A module
+    /// whose text (with the next module's first line) grows past
+    /// [`MAX_MODULE_BYTES`] is an `InvalidData` I/O error.
     pub fn next_chunk(
         &mut self,
         reader: &mut impl BufRead,
     ) -> std::io::Result<Option<Result<String, usize>>> {
         loop {
             let start = self.buf.len();
-            if reader.read_until(b'\n', &mut self.buf)? == 0 {
+            // One byte past the cap tells a text that is too long.
+            let room = MAX_MODULE_BYTES.saturating_sub(start) + 1;
+            if reader.take(room as u64).read_until(b'\n', &mut self.buf)? == 0 {
                 return Ok(self.finish());
+            }
+            if self.buf.len() > MAX_MODULE_BYTES {
+                return Err(text_too_long());
             }
             if self.buf.pop_if(|b| *b == b'\n').is_some() {
                 self.buf.pop_if(|b| *b == b'\r');
@@ -425,7 +479,7 @@ impl Iterator for ModuleSource {
                 Pending::Entry(entry) => return Some(Ok(SourceItem::Module(entry))),
                 Pending::File(path) => {
                     let name = format!("file:{path}");
-                    return Some(match std::fs::read_to_string(&path) {
+                    return Some(match read_text(&path) {
                         Ok(text) => Ok(SourceItem::Text { name, text }),
                         Err(e) => Err(ManifestError::new(
                             &name,
@@ -473,8 +527,9 @@ impl Iterator for ModuleSource {
                         }
                         Ok(None) => continue,
                         Err(e) => {
-                            // Mid-stream read error: report once under the
-                            // pack spec and abandon the rest of the file.
+                            // Mid-stream read error or a text over the cap:
+                            // report once under the pack spec and abandon
+                            // the rest of the file.
                             return Some(Err(ManifestError::new(
                                 &pack_spec,
                                 format!("read error in `{path}`: {e}"),
@@ -546,6 +601,14 @@ mod tests {
         assert!(resolve_spec("synthetic:abc", &p).is_err());
         assert!(resolve_spec("plainword", &p).is_err());
         assert!(resolve_specs(&["kernel:*", "corpus:NoSuch"], &p).is_err());
+    }
+
+    /// An oversized `synthetic:N` is refused before anything is built.
+    #[test]
+    fn synthetic_n_is_capped() {
+        let spec = format!("synthetic:{}", MAX_SYNTHETIC + 1);
+        let err = resolve_spec(&spec, &Params::tiny()).unwrap_err();
+        assert!(err.message.contains("up to"), "{err}");
     }
 
     #[test]

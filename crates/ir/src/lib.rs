@@ -26,8 +26,8 @@
 //! * [`mod@cfg`] — successor/predecessor maps, reverse postorder, reachability,
 //! * [`verify`] — structural well-formedness checking,
 //! * [`printer`] / [`parser`] — a stable textual format, round-trippable,
-//! * [`pool`] — a persistent std-only thread pool shared by the analysis
-//!   and placement layers for per-function parallel stages,
+//! * [`pool`] — a persistent std-only thread pool, on which the fleet
+//!   runs whole modules,
 //! * [`util`] — bitsets and fast hash containers shared by the other crates.
 
 pub mod builder;

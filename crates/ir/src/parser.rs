@@ -611,58 +611,12 @@ fn parse_function_body<'a>(
     Ok(())
 }
 
-/// Parses many module texts as independent pool units (`parse_module`
-/// is pure, so parsing is embarrassingly parallel). Results are keyed
-/// by input index: sequential and pooled runs return identical vectors,
-/// including *which* texts failed. With `parallel: false` this is a
-/// plain serial map.
-///
-/// The fleet's streamed path parses the same way, one ingest unit per
-/// text: one pooled pass without a window, and on each worker under one,
-/// where a worker's parse overlaps the other workers' analysis.
-pub fn parse_modules<S: AsRef<str> + Sync>(
-    texts: &[S],
-    parallel: bool,
-) -> Vec<Result<Module, ParseError>> {
-    crate::pool::ThreadPool::global()
-        .map_indexed(texts.len(), parallel, |i| parse_module(texts[i].as_ref()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{FunctionBuilder, ModuleBuilder};
     use crate::printer::print_module;
     use crate::verify::verify_module;
-
-    #[test]
-    fn parse_modules_matches_serial_and_keeps_failures_in_place() {
-        let texts: Vec<String> = (0..9)
-            .map(|i| {
-                if i % 3 == 2 {
-                    format!("module bad{i}\nthis is not ir\n")
-                } else {
-                    format!("module m{i}\nglobal g 1\nfn f params=0 locals=() {{\nbb0:\n  store @g, c{i}\n  ret\n}}\n")
-                }
-            })
-            .collect();
-        let serial = parse_modules(&texts, false);
-        let pooled = parse_modules(&texts, true);
-        assert_eq!(serial.len(), 9);
-        for (i, (s, p)) in serial.iter().zip(&pooled).enumerate() {
-            match (s, p) {
-                (Ok(a), Ok(b)) => {
-                    assert!(i % 3 != 2, "slot {i} should not fail");
-                    assert_eq!(print_module(a), print_module(b));
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(i % 3, 2, "slot {i} should parse");
-                    assert_eq!(a, b);
-                }
-                _ => panic!("serial/pooled disagree at slot {i}"),
-            }
-        }
-    }
 
     const MP: &str = r#"
 module mp

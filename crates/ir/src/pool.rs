@@ -1,15 +1,15 @@
 //! A persistent, lazily-initialized, std-only thread pool for the
-//! pipeline's per-function stages.
+//! fleet's worker loop, which runs whole modules.
 //!
-//! The previous driver spawned fresh scoped threads on every
-//! `run_pipeline` call, which made `parallel: true` *slower* than
-//! sequential on small modules — thread creation dwarfed the work. This
-//! pool spawns its workers once (on first use, via `OnceLock`) and keeps
-//! them parked on a condvar between calls, so a parallel stage costs one
-//! lock/notify round instead of N `clone`+`spawn`+`join`s.
+//! Spawning fresh scoped threads for every run would make small runs
+//! *slower* in parallel than sequentially — thread creation dwarfs the
+//! work. This pool spawns its workers once (on first use, via
+//! `OnceLock`) and keeps them parked on a condvar between calls, so a
+//! parallel run costs one lock/notify round instead of N
+//! `clone`+`spawn`+`join`s.
 //!
 //! [`ThreadPool::run_scoped`] executes one closure from several workers
-//! until it returns (callers hand out work items via an atomic counter
+//! until it returns (callers hand out work items from a shared source
 //! inside the closure). The calling thread participates too: a
 //! `tasks == 1` request never touches the pool at all, and the caller
 //! never sits idle while workers drain the queue. Borrowed (non-
@@ -21,17 +21,17 @@
 //! the pool itself survives.
 //!
 //! Determinism is unaffected: the pool only runs closures that key their
-//! results by work-item index; arrival order never reaches an output.
+//! results by work item; arrival order never reaches an output.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Renders a caught panic payload as a message: the `&str` / `String`
 /// forms the standard `panic!` macros produce pass through verbatim,
-/// anything else gets a placeholder. Shared by the pool's per-unit
-/// isolation mode and the fleet's quarantine reporting.
+/// anything else gets a placeholder. The fleet's quarantine reports
+/// carry it.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -107,15 +107,10 @@ impl ThreadPool {
         })
     }
 
-    /// Number of pool workers (excluding the participating caller).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs `job` from up to `tasks` threads concurrently (pool workers
     /// plus the calling thread) and returns when every instance has
-    /// finished. `job` is typically a worker loop pulling item indices
-    /// from a shared atomic counter.
+    /// finished. `job` is typically a worker loop pulling items from a
+    /// shared source.
     ///
     /// Panics in any instance are re-raised here after all instances
     /// settle; the pool remains usable.
@@ -167,75 +162,6 @@ impl ThreadPool {
             }
             panic!("thread-pool worker task panicked");
         }
-    }
-
-    /// Fault-isolated counterpart of [`ThreadPool::run_scoped`]: runs
-    /// `units` indexed work items (pool workers plus the calling thread
-    /// pull indices from an internal counter), wrapping **each unit** in
-    /// its own `catch_unwind`. A panic in unit `i` is recorded in slot
-    /// `i` of the returned vector — the remaining units still run, the
-    /// completion latch is never poisoned, and nothing re-raises on the
-    /// caller. This is the substrate of the fleet's per-module
-    /// quarantine: one poisoned module must not abort the work units of
-    /// every other module sharing the pool pass.
-    ///
-    /// Returns one entry per unit: `None` if the unit completed, or
-    /// `Some(message)` with the stringified panic payload.
-    pub fn run_units(&self, units: usize, unit: &(dyn Fn(usize) + Sync)) -> Vec<Option<String>> {
-        if units == 0 {
-            return Vec::new();
-        }
-        let next = AtomicUsize::new(0);
-        let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        // No panic ever escapes the worker closure, so `run_scoped`'s
-        // propagating latch path is unreachable from here.
-        self.run_scoped(units, &|| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= units {
-                break;
-            }
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| unit(i))) {
-                panics.lock().unwrap().push((i, panic_message(p.as_ref())));
-            }
-        });
-        let mut out = vec![None; units];
-        for (i, msg) in panics.into_inner().unwrap() {
-            out[i] = Some(msg);
-        }
-        out
-    }
-
-    /// Maps `f` over `0..n`, keying each result by its index so the
-    /// output is identical whether units run pooled or inline — arrival
-    /// order never reaches the result vector. With `parallel: false`
-    /// (or on a pool with zero workers) this is a plain sequential map
-    /// with no synchronization cost.
-    ///
-    /// Panics propagate (this is the *non*-isolated map; pair with
-    /// [`ThreadPool::run_units`] when per-unit quarantine is needed).
-    pub fn map_indexed<T: Send>(
-        &self,
-        n: usize,
-        parallel: bool,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Vec<T> {
-        if !parallel || n <= 1 || self.workers == 0 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        self.run_scoped(n, &|| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let v = f(i);
-            slots.lock().unwrap().push((i, v));
-        });
-        let mut pairs = slots.into_inner().unwrap();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert_eq!(pairs.len(), n);
-        pairs.into_iter().map(|(_, v)| v).collect()
     }
 }
 
@@ -292,49 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn run_units_isolates_per_unit_panics() {
-        let pool = ThreadPool::global();
-        let n = 64usize;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let outcomes = pool.run_units(n, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            if i % 7 == 3 {
-                panic!("unit {i} boom");
-            }
-        });
-        assert_eq!(outcomes.len(), n);
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(hits[i].load(Ordering::Relaxed), 1, "unit {i} ran once");
-            if i % 7 == 3 {
-                let msg = o.as_ref().expect("panicking unit recorded");
-                assert!(
-                    msg.contains(&format!("unit {i} boom")),
-                    "payload kept: {msg}"
-                );
-            } else {
-                assert!(o.is_none(), "healthy unit {i} clean");
-            }
-        }
-        // The latch was never poisoned: the pool still runs clean batches.
-        let clean = pool.run_units(8, &|_| {});
-        assert!(clean.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn run_units_stringifies_non_str_payloads() {
-        let pool = ThreadPool::global();
-        let outcomes = pool.run_units(1, &|_| std::panic::panic_any(42usize));
-        assert_eq!(outcomes[0].as_deref(), Some("non-string panic payload"));
-    }
-
-    #[test]
-    fn map_indexed_is_order_deterministic() {
-        let pool = ThreadPool::global();
-        let seq = pool.map_indexed(257, false, |i| i * 3);
-        let par = pool.map_indexed(257, true, |i| i * 3);
-        assert_eq!(seq, par);
-        assert_eq!(seq[256], 768);
-        assert!(pool.map_indexed(0, true, |i| i).is_empty());
+    fn panic_message_stringifies_non_str_payloads() {
+        let payload = catch_unwind(|| std::panic::panic_any(42usize)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+        let payload = catch_unwind(|| panic!("unit {} boom", 3)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "unit 3 boom");
     }
 
     #[test]

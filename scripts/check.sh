@@ -16,8 +16,8 @@
 #            + certification and simulator goldens + explorer memory pin
 #            + CLI smoke, which prints the verdict tally per target
 #   stream   windowed-vs-resident differential + the fleet's result-heap pin
-#            + CLI --window and pack: smokes (the pack: smoke runs pooled
-#            and --seq and diffs the two)
+#            + CLI --window and pack: smokes (the pack: smoke runs a pooled
+#            and a --seq window and no window, and diffs the three)
 #   serve    service suite (protocol contract + cache pins) + capped-cache
 #            memory pin + daemon smoke + restart on a killed daemon's socket
 #   perfbench  the benchmark harness compiles and its tests pass
@@ -111,7 +111,7 @@ stage_stream() {
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
     --window 4
 
-  echo "== fenceplace pack: smoke (dumped kernels + corpus + one malformed module), pooled and --seq =="
+  echo "== fenceplace pack: smoke (dumped kernels + corpus + one malformed module), windowed pooled and --seq, and resident =="
   # The smoke above feeds built-in modules only; this one sends printed IR
   # through the pack splitter and the parser. The malformed module must be
   # the run's one invalid_ir slot (exit 2), and every other module must run.
@@ -123,29 +123,33 @@ stage_stream() {
   done > "$pack_dir/smoke.pack"
   printf 'module malformed\nfn f params=0 locals=() {\nbb0:\n  frob c1\n  ret\n}\n' \
     >> "$pack_dir/smoke.pack"
-  # run_pack NAME [FLAG]...: one windowed run, reports in $pack_dir/NAME,
-  # roll-up in $pack_dir/NAME.json.
+  # run_pack NAME [FLAG]...: one run, reports in $pack_dir/NAME, roll-up
+  # in $pack_dir/NAME.json.
   run_pack() {
     local name=$1 status=0
     shift
-    ./target/release/fenceplace --program "pack:$pack_dir/smoke.pack" --window 4 \
+    ./target/release/fenceplace --program "pack:$pack_dir/smoke.pack" \
       --out "$pack_dir/$name" "$@" > "$pack_dir/$name.json" || status=$?
     [ "$status" -eq 2 ] || { echo "pack smoke ($name) exited $status, want 2" >&2; exit 1; }
   }
-  run_pack pooled
-  run_pack seq --seq
+  run_pack pooled --window 4
+  run_pack seq --window 4 --seq
+  run_pack resident
   pack_ok=$(grep -c '"status": "ok"' "$pack_dir/pooled.json" || true)
   pack_invalid=$(grep -c '"status": "invalid_ir"' "$pack_dir/pooled.json" || true)
   [ "$pack_ok" -eq 4 ] && [ "$pack_invalid" -eq 1 ] || {
     echo "pack smoke: $pack_ok ok and $pack_invalid invalid_ir modules, want 4 and 1" >&2
     exit 1
   }
-  # Sequential and pooled windowed runs agree: the same per-module
-  # reports, and the same roll-up apart from wall_ms and the "stream"
-  # line, whose residency peaks are measured and follow worker timing.
-  diff -r -x fleet_summary.json "$pack_dir/pooled" "$pack_dir/seq"
+  # Sequential and pooled windows and the run without a window agree:
+  # the same per-module reports, and the same roll-up apart from wall_ms
+  # and the "stream" line, which records the window and its residency
+  # peaks (a pooled window's are measured and follow worker timing).
   rollup_core() { grep -v '^  "stream": ' "$1" | sed 's/, "wall_ms": [0-9.]*//'; }
-  diff <(rollup_core "$pack_dir/pooled.json") <(rollup_core "$pack_dir/seq.json")
+  for other in seq resident; do
+    diff -r -x fleet_summary.json "$pack_dir/pooled" "$pack_dir/$other"
+    diff <(rollup_core "$pack_dir/pooled.json") <(rollup_core "$pack_dir/$other.json")
+  done
   rm -rf "$pack_dir"
   trap - EXIT
 }

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/decode_probe.sh PARENT_BIN CHANGE_BIN [ROUNDS]
 #
-# Feeds `fenceplace serve --stdio --seq` five copies of one 56 KB
+# Feeds `fenceplace serve --stdio` five copies of one 56 KB
 # `analyze` line: module `big`, one function of 3,000 `%i = load @g`
 # lines, with `"configs":["Bogus:x86tso"]`. Each request is decoded, then
 # refused with `bad_request` before any analysis, so the time per request
@@ -55,7 +55,7 @@ requests=$(wc -l < "$probe")
 run_once() {
   local start end
   start=$EPOCHREALTIME
-  "$1" serve --stdio --seq < "$probe" > "$work/responses"
+  "$1" serve --stdio < "$probe" > "$work/responses"
   end=$EPOCHREALTIME
   grep -q '"bad_request"' "$work/responses" || {
     echo "$1: the probe was not refused with bad_request" >&2

@@ -3,10 +3,10 @@
 //! Loads a manifest of corpus/kernel/synthetic/file programs plus
 //! variant × target configs, reads every spec through one
 //! [`corpus::ModuleSource`], runs the whole set as **one fleet** through
-//! [`fenceplace::run_fleet_streamed`] (every per-(module, function) work
-//! unit scheduled onto the persistent pool, module texts parsed as pool
-//! units too), and emits per-module JSON reports plus a roll-up — the
-//! repo as a drivable batch service.
+//! [`fenceplace::run_fleet_streamed`] (one worker per core, each taking
+//! the next module, parsing it if it is a text and running all of its
+//! stages), and emits per-module JSON reports plus a roll-up — the repo
+//! as a drivable batch service.
 //!
 //! ```text
 //! cargo run --release --bin fenceplace -- --manifest fleet.manifest --out reports/
@@ -36,15 +36,16 @@
 //!
 //! # Streaming
 //!
-//! File-backed specs are always read lazily. Without `--window`, every
-//! module is resident at once and the fleet schedules all of them in
-//! one pass per stage. `--window N` is the one streaming knob: up to N
-//! workers (at most one per core, one under `--seq`) each take the next
-//! module, place its fences and write its report to `--out`, so at most
-//! that many modules are resident at once. Per-module reports are
-//! byte-identical either way. The roll-up's `stream` peaks are measured,
-//! so a pooled windowed run's can differ from run to run. `--stream` is
-//! accepted and does nothing.
+//! File-backed specs are always read lazily. Either way one worker per
+//! core (one under `--seq`) runs whole modules, and a module runs on one
+//! core. Without `--window`, every text is parsed first, so every module
+//! is resident at once, and the workers take the modules largest first.
+//! `--window N` is the one streaming knob: up to N workers each take the
+//! next module in admission order, place its fences and write its
+//! report to `--out`, so at most that many modules are resident at once.
+//! Per-module reports are byte-identical either way. The roll-up's
+//! `stream` peaks are measured, so a pooled windowed run's can differ
+//! from run to run. `--stream` is accepted and does nothing.
 //!
 //! # Failure model and exit codes
 //!
@@ -128,12 +129,14 @@ OPTIONS:
                      default Control:x86tso)
   --threads N        corpus build parameter (default 8)
   --scale N          corpus build parameter (default 16)
-  --seq              run the fleet sequentially (default: persistent pool)
+  --seq              run every module on this thread (default: one worker
+                     per core, each running whole modules, largest first)
   --window N         stream with up to N workers (at most one per core, one
-                     with --seq): each takes the next module, places its
-                     fences and writes its report, so at most N modules are
-                     resident and peak memory is O(window), not O(corpus);
-                     reports are byte-identical to a run without --window
+                     with --seq): each takes the next module in admission
+                     order, places its fences and writes its report, so at
+                     most N modules are resident and peak memory is
+                     O(window), not O(corpus); reports are byte-identical
+                     to a run without --window
   --stream           accepted for compatibility; does nothing
   --budget N         deterministic per-module step budget: a module whose
                      static instruction-count spend exceeds N is quarantined
@@ -389,10 +392,10 @@ fn rollup_json(
 ///
 /// Every spec resolves through a [`ModuleSource`]: built-in families up
 /// front (a typo is fatal), file-backed specs lazily (each problem
-/// becomes a quarantined slot). Module texts parse as pool work units,
+/// becomes a quarantined slot). The worker that takes a text parses it,
 /// and only O(1) state per module is retained (its [`StreamSummary`]
 /// plus the folded totals): each report is written to `--out` the
-/// moment its module retires, except under `--fail-fast`, whose
+/// moment its module finishes, except under `--fail-fast`, whose
 /// all-or-nothing contract holds the reports until the run drains.
 fn run(cli: &Cli) -> Result<u8, String> {
     if cli.list {
@@ -457,26 +460,29 @@ fn run(cli: &Cli) -> Result<u8, String> {
         create_out(dir)?;
     }
 
-    // Everything the roll-up needs is folded here as modules retire; the
-    // full FleetResult is spilled (or held, rendered) and dropped.
+    // Everything the roll-up needs is folded here as modules finish; the
+    // full FleetResult is spilled (or held, rendered) and dropped. Modules
+    // finish in any order, so the unsound lines carry their admission
+    // index.
     let mut totals = vec![ConfigTotals::default(); cli.configs.len()];
-    let mut unsound: Vec<String> = Vec::new();
+    let mut unsound: Vec<(usize, String)> = Vec::new();
     let mut held: Vec<(String, String)> = Vec::new();
     let mut spill_err: Option<String> = None;
     let mut written = 0usize;
     let t = Instant::now();
-    let (summaries, stats) = run_fleet_streamed(items, &cli.configs, &opts, |_, fr| {
+    let (summaries, stats) = run_fleet_streamed(items, &cli.configs, &opts, |index, fr| {
         for (tot, r) in totals.iter_mut().zip(&fr.results) {
             tot.add(r);
         }
         for (config, cr) in cli.configs.iter().zip(&fr.certifications) {
             if cr.status() == fenceplace::CertifyStatus::Unsound {
-                unsound.push(format!(
+                let line = format!(
                     "unsound: {} [{}:{}] — a race-free thread group reaches a non-SC outcome",
                     fr.name,
                     config.variant.name(),
                     target_name(config.target)
-                ));
+                );
+                unsound.push((index, line));
             }
         }
         // A load_failed slot writes no report: a quarantined duplicate or
@@ -540,7 +546,9 @@ fn run(cli: &Cli) -> Result<u8, String> {
         return Ok(2);
     }
     if stats.certify_unsound > 0 {
-        for line in &unsound {
+        // A stable sort keeps a module's configs in config order.
+        unsound.sort_by_key(|&(index, _)| index);
+        for (_, line) in &unsound {
             eprintln!("{line}");
         }
         eprintln!(

@@ -51,8 +51,6 @@ OPTIONS:
                      per connection; the file is removed on clean exit,
                      and a stale one left by a killed daemon is replaced)
   --stdio            speak the protocol on stdin/stdout (EOF = shutdown)
-  --seq              run analysis work units sequentially (default:
-                     persistent pool; reports are byte-identical)
   --budget N         default per-request step budget (a request's own
                      `budget` field overrides it)
   --cache-cap N      keep at most N module entries resident; least-
@@ -75,7 +73,6 @@ EXIT CODES:
 struct ServeCli {
     socket: Option<String>,
     stdio: bool,
-    parallel: bool,
     budget: Option<u64>,
     cache_cap: Option<usize>,
     params: Params,
@@ -86,7 +83,6 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeCli>, String> {
     let mut cli = ServeCli {
         socket: None,
         stdio: false,
-        parallel: true,
         budget: None,
         cache_cap: None,
         params: Params::default(),
@@ -101,7 +97,6 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeCli>, String> {
         match arg.as_str() {
             "--socket" => cli.socket = Some(need(&mut it, "--socket")?),
             "--stdio" => cli.stdio = true,
-            "--seq" => cli.parallel = false,
             "--budget" => {
                 let v = need(&mut it, "--budget")?;
                 cli.budget = Some(v.parse().map_err(|_| format!("bad --budget `{v}`"))?);
@@ -141,7 +136,6 @@ pub fn run(args: &[String]) -> Result<u8, String> {
         return Ok(0);
     };
     let opts = ServiceOptions {
-        parallel: cli.parallel,
         budget: cli.budget,
         capacity: cli.cache_cap,
     };

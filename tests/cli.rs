@@ -65,6 +65,27 @@ fn usage_errors_are_fatal() {
     assert!(stderr(&out).contains("NoSuchProgram"));
 }
 
+/// No spec can make the loader allocate without bound: a pack with no
+/// line breaks stops at the module-text cap and becomes the run's one
+/// `load_failed` slot (exit 2), and an oversized `synthetic:N` is a bad
+/// spec (exit 1).
+#[test]
+fn runaway_specs_get_structured_errors() {
+    let out = fenceplace(&["--program", "pack:/dev/zero", "--seq"]);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    let rollup = stdout(&out);
+    assert_eq!(
+        rollup.matches("\"status\": \"load_failed\"").count(),
+        1,
+        "{rollup}"
+    );
+    assert!(rollup.contains("exceeds"), "{rollup}");
+
+    let out = fenceplace(&["--program", "synthetic:5000000"]);
+    assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("bad spec `synthetic:5000000`"));
+}
+
 #[test]
 fn clean_run_exits_zero() {
     let out = fenceplace(&["--program", "kernel:Dekker", "--seq"]);

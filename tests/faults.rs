@@ -243,7 +243,6 @@ fn service_matrix() {
                 }
                 let (fleet, _) = run_fleet_opts(&jobs, &opts);
                 let mut service = Service::new(ServiceOptions {
-                    parallel,
                     budget: Some(BUDGET),
                     ..ServiceOptions::default()
                 });

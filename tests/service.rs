@@ -129,7 +129,7 @@ fn protocol_session() -> (Vec<String>, Vec<String>) {
 fn protocol_doc_replays_byte_for_byte() {
     let (input, expected) = protocol_session();
     let mut child = Command::new(bin())
-        .args(["serve", "--stdio", "--seq"])
+        .args(["serve", "--stdio"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -183,10 +183,7 @@ fn differential_full_fleet_cold_and_warm_seq_and_pooled() {
                 ..FleetOptions::default()
             },
         );
-        let mut service = Service::new(ServiceOptions {
-            parallel,
-            ..ServiceOptions::default()
-        });
+        let mut service = Service::new(ServiceOptions::default());
         // Cold pass: everything computed from scratch, byte-equal.
         for ((name, text), want) in texts.iter().zip(&expected) {
             let got = service.analyze(name, text, &configs, None);
@@ -248,10 +245,7 @@ const TWO_V2: &str = "module two\nglobal g 1\n\nfn f params=0 locals=() {\nbb0: 
 /// A sequential service, so the thread-local counters observe every
 /// analysis run and CFG build the service performs.
 fn seq_service() -> Service {
-    Service::new(ServiceOptions {
-        parallel: false,
-        ..ServiceOptions::default()
-    })
+    Service::new(ServiceOptions::default())
 }
 
 fn counters() -> (usize, usize) {
@@ -456,7 +450,6 @@ fn scripted_session_pins_every_reply_and_the_final_stats() {
         ("one", TWO_V1, vec![c], None, Miss, ok),
     ];
     let mut service = Service::new(ServiceOptions {
-        parallel: false,
         capacity: Some(3),
         ..ServiceOptions::default()
     });
@@ -494,7 +487,6 @@ fn scripted_session_pins_every_reply_and_the_final_stats() {
 #[test]
 fn lru_eviction_under_capacity() {
     let mut service = Service::new(ServiceOptions {
-        parallel: false,
         capacity: Some(1),
         ..ServiceOptions::default()
     });
@@ -519,11 +511,11 @@ fn lru_eviction_under_capacity() {
 // Server-side spec expansion: quarantine per item, like the batch CLI.
 // ---------------------------------------------------------------------
 
-/// Runs one `serve --stdio --seq` session: the handshake, then
+/// Runs one `serve --stdio` session: the handshake, then
 /// `requests`. Returns every response line after the hello.
 fn stdio_session(requests: &[String]) -> Vec<String> {
     let mut child = Command::new(bin())
-        .args(["serve", "--stdio", "--seq"])
+        .args(["serve", "--stdio"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -623,6 +615,36 @@ fn spec_batches_quarantine_per_item_like_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runaway specs get structured errors and the session goes on: a pack
+/// with no line breaks is one `load_failed` member (its reader stops at
+/// the module-text cap), an oversized `synthetic:N` is a `bad_spec`, and
+/// the daemon then answers `stats`.
+#[test]
+fn runaway_specs_are_refused_and_the_daemon_answers_on() {
+    let analyze = |id: u32, spec: &str| {
+        format!(
+            "{{\"id\":{id},\"type\":\"analyze\",\"spec\":\"{spec}\",\"configs\":[\"Control:x86tso\"]}}"
+        )
+    };
+    let lines = stdio_session(&[
+        analyze(2, "pack:/dev/zero"),
+        analyze(3, "synthetic:5000000"),
+        "{\"id\":4,\"type\":\"stats\"}".to_string(),
+    ]);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert!(lines[0].contains("\"type\":\"report\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains("\"status\":\"load_failed\""),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains("exceeds"), "{}", lines[0]);
+    assert!(lines[1].contains("\"type\":\"batch\""), "{}", lines[1]);
+    assert!(lines[1].contains("\"failed\":1"), "{}", lines[1]);
+    assert!(lines[2].contains("\"code\":\"bad_spec\""), "{}", lines[2]);
+    assert!(lines[3].contains("\"type\":\"stats\""), "{}", lines[3]);
+}
+
 // ---------------------------------------------------------------------
 // Socket end-to-end: daemon + client, warm second pass, clean shutdown,
 // stale-socket replacement and connection-thread reaping.
@@ -644,7 +666,7 @@ fn client(sock: &Path, extra: &[&str]) -> std::process::Output {
 
 fn serve_cmd(sock: &Path) -> Command {
     let mut cmd = Command::new(bin());
-    cmd.args(["serve", "--seq", "--socket"])
+    cmd.args(["serve", "--socket"])
         .arg(sock)
         .stdin(Stdio::null());
     cmd
@@ -1003,7 +1025,7 @@ fn assert_non_utf8_replies(out: &[u8]) {
 #[test]
 fn stdio_session_survives_a_non_utf8_line() {
     let mut child = Command::new(bin())
-        .args(["serve", "--stdio", "--seq"])
+        .args(["serve", "--stdio"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

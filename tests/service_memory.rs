@@ -50,7 +50,6 @@ fn chain_module(i: usize) -> String {
 #[test]
 fn capped_service_heap_stays_bounded() {
     let mut service = Service::new(ServiceOptions {
-        parallel: false,
         budget: None,
         capacity: Some(1),
     });
