@@ -18,6 +18,8 @@
 //!   Listing 2: walks def-use chains and, through memory, the
 //!   potential-writer relation, registering every escaping read it meets.
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod escape;
 pub mod pointsto;

@@ -1,7 +1,8 @@
 //! Criterion benches for the static side: points-to + escape analysis,
 //! acquire detection, and the full pipeline over the whole corpus
-//! (sequential vs. the persistent-thread-pool per-function driver, and
-//! per-config `run_pipeline` sweeps vs. one `run_pipeline_batch`).
+//! (`PipelineConfig::parallel` off and on — a module's stages run on one
+//! thread either way — and per-config `run_pipeline` sweeps vs. one
+//! `run_pipeline_batch`).
 
 use corpus::Params;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,14 +1,14 @@
 //! Multi-module scaling bench: the fleet driver on one thread against
-//! the fleet on the persistent pool.
+//! the fleet's worker loop on one thread per core.
 //!
 //! Workloads: the 26-module kernel+corpus evaluation set, and a 24-module
 //! *varied-size* synthetic fleet — `synthetic_scaled(n)` at a geometric
 //! spread of sizes (n = 256 .. ~6k escaping accesses, three distinct
 //! modules per size, each seeded by its own `n` so no two are clones).
-//! The pool runs whole modules, largest first, so the varied set shows
-//! whether the biggest modules still finish last. On a 1-core container
-//! the pool degrades to inline execution and `fleet_pool` reads the same
-//! as `fleet_seq`.
+//! The worker loop runs whole modules, largest first, so the varied set
+//! shows whether the biggest modules still finish last. On a 1-core
+//! container the loop runs on the caller alone and `fleet_pool` reads
+//! the same as `fleet_seq`.
 
 use corpus::Params;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Stages: parse (textual-IR ingestion of the module's printed form, the
-//! unit of work the streamed scheduler overlaps with analysis),
+//! first work a streamed run does for a module text),
 //! points-to (constraint-graph worklist Andersen), escape
 //! closure, acquire detection (Address+Control — the superset detector),
 //! cfg (the cache-once `FuncSubstrate` builds: `Cfg` + `Reachability`,
@@ -18,12 +18,13 @@
 //! minimum is reported, which is the usual low-noise estimator for short
 //! deterministic workloads.
 //!
-//! An extra `overlap` line times the cfg/points-to phase as one pool
-//! pass over the module analysis and every `FuncSubstrate` build. No
-//! product path runs that pass any more (the fleet runs each module's
-//! stages on one thread); the line stays because it is a gated column.
-//! It re-measures work the serial stages already cover, so it sits
-//! beside them in the report but is excluded from `total`.
+//! An extra `overlap` line times the cfg/points-to phase with up to one
+//! thread per core pulling the module analysis and every `FuncSubstrate`
+//! build from one counter. No product path runs that schedule (the
+//! fleet runs each module's stages on one thread); the line stays
+//! because it is a gated column. It re-measures work the serial stages
+//! already cover, so it sits beside them in the report but is excluded
+//! from `total`.
 //!
 //! The program list comes from the corpus manifest builder
 //! (`kernel:* corpus:* synthetic:{4000,16000}`).
@@ -79,15 +80,15 @@ const STAGES: [&str; 9] = [
 
 #[derive(Default, Clone, Copy)]
 struct StageMs {
-    /// Parsing the module's printed textual form — the ingest work the
-    /// streamed scheduler runs as a pool unit.
+    /// Parsing the module's printed textual form — the ingest work a
+    /// streamed run does for a module text.
     parse: f64,
     points_to: f64,
     escape: f64,
     acquire: f64,
     cfg: f64,
-    /// Wall clock of one pool pass over the module analysis plus every
-    /// `FuncSubstrate` (a schedule no product path runs any more).
+    /// Wall clock of one threaded pass over the module analysis plus
+    /// every `FuncSubstrate` (a schedule no product path runs).
     /// Re-times work already attributed to `points_to`/`escape`/`cfg`,
     /// so it is reported alongside them but excluded from `total`.
     overlap: f64,
@@ -181,15 +182,17 @@ fn snapshot(module: &Module) -> StageMs {
             std::hint::black_box(FuncSubstrate::new(func));
         }
     });
-    // The overlapped cfg/points-to phase: one pool pass over `n + 1`
-    // units, unit 0 the whole module analysis (points-to + escape), units
-    // `1..=n` the substrate builds. On a multi-core host this wall clock
-    // approaches `max(analysis, substrates)`; serial it degrades to the
-    // sum. The fleet no longer schedules it so.
+    // The overlapped cfg/points-to phase: up to one thread per core
+    // pulling `n + 1` units from one counter, unit 0 the whole module
+    // analysis (points-to + escape), units `1..=n` the substrate builds.
+    // On a multi-core host this wall clock approaches
+    // `max(analysis, substrates)`; serial it degrades to the sum. The
+    // fleet does not schedule it so.
+    let n = module.funcs.len();
+    let threads = (n + 1).min(std::thread::available_parallelism().map_or(4, |c| c.get()));
     s.overlap = time_min(|| {
-        let n = module.funcs.len();
         let next = std::sync::atomic::AtomicUsize::new(0);
-        fence_ir::pool::ThreadPool::global().run_scoped(n + 1, &|| loop {
+        let units = || loop {
             let u = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if u > n {
                 break;
@@ -201,6 +204,12 @@ fn snapshot(module: &Module) -> StageMs {
                     module.func(fence_ir::FuncId::new(u - 1)),
                 ));
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(units);
+            }
+            units();
         });
     });
     let substrates: Vec<FuncSubstrate> = module

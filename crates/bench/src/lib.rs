@@ -5,6 +5,8 @@
 //! and the criterion benches. See `EXPERIMENTS.md` at the repository
 //! root for paper-vs-measured numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod naive;
 
 use corpus::{Params, Program};
@@ -29,8 +31,8 @@ pub struct Table2Row {
 }
 
 /// Runs acquire detection over the nine kernels (Table II) — one fleet
-/// over all nine modules, so the per-kernel analyses share the pool
-/// instead of running in a hand-rolled loop.
+/// over all nine modules, so the per-kernel analyses share the fleet's
+/// worker loop instead of running in a hand-rolled loop.
 pub fn table2() -> Vec<Table2Row> {
     let kernels = corpus::kernels::all();
     let configs = vec![PipelineConfig::for_variant(Variant::AddressControl)];
@@ -134,10 +136,9 @@ impl StaticRow {
 }
 
 /// Runs the static pipeline (Figures 7, 8, 9) over the whole corpus as
-/// **one fleet**: all seventeen programs' per-function work units share
-/// the persistent pool, instead of the old per-program batch loop with a
-/// stage barrier at every program boundary. Results are bit-identical to
-/// the loop (the fleet contract).
+/// **one fleet**: the seventeen programs share the fleet's worker loop,
+/// one module per thread, instead of a per-program batch loop. Results
+/// are bit-identical to that loop (the fleet contract).
 pub fn static_rows(p: &Params) -> Vec<StaticRow> {
     let progs = corpus::programs(p);
     let configs = vec![

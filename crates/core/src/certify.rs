@@ -35,7 +35,7 @@ use memsim::{
 };
 use std::collections::BTreeMap;
 
-/// Budget and shape knobs for one certification run.
+/// The budget of one certification run.
 #[derive(Copy, Clone, Debug)]
 pub struct CertifyOptions {
     /// Total distinct-state budget shared by every enumeration pass of
@@ -43,18 +43,18 @@ pub struct CertifyOptions {
     /// all thread groups). Exhaustion yields
     /// [`CertifyStatus::Inconclusive`], never a wrong verdict.
     pub max_states: u64,
-    /// Maximum number of thread groups checked per module.
-    pub max_groups: usize,
 }
 
 impl Default for CertifyOptions {
     fn default() -> Self {
         CertifyOptions {
             max_states: 400_000,
-            max_groups: 16,
         }
     }
 }
+
+/// Maximum number of thread groups checked per module.
+const MAX_GROUPS: usize = 16;
 
 /// Certificate for one thread group (a pair of zero-arg functions).
 #[derive(Clone, Debug)]
@@ -277,13 +277,13 @@ pub fn certify_module(
             pairs.push((fi, fj));
         }
     }
-    if pairs.len() > opts.max_groups {
+    if pairs.len() > MAX_GROUPS {
         skipped.push(format!(
             "{} of {} thread groups dropped by max_groups",
-            pairs.len() - opts.max_groups,
+            pairs.len() - MAX_GROUPS,
             pairs.len()
         ));
-        pairs.truncate(opts.max_groups);
+        pairs.truncate(MAX_GROUPS);
     }
 
     for (fi, fj) in pairs {
@@ -490,10 +490,7 @@ mod tests {
             &result,
             config.variant,
             config.target,
-            &CertifyOptions {
-                max_states: 5,
-                ..Default::default()
-            },
+            &CertifyOptions { max_states: 5 },
         );
         assert_eq!(report.status(), CertifyStatus::Inconclusive);
         assert!(report.exhausted);

@@ -13,16 +13,16 @@
 //! # One level of parallelism
 //!
 //! The executor runs one module's stages on the calling thread. A
-//! many-module run is one worker loop on the persistent pool: each
-//! worker takes the next module, runs all of its stages and delivers its
-//! result, so whole modules are the only thing the pool schedules. A run
+//! many-module run is one worker loop on scoped threads: each worker
+//! takes the next module, runs all of its stages and delivers its
+//! result, so whole modules are the only thing the loop schedules. A run
 //! that knows its whole input ([`run_fleet_opts`], and
 //! [`run_fleet_streamed`] without a window) takes its modules largest
 //! first by [`Module::total_insts`] (ties in admission order), so the
 //! longest module does not start last; a windowed stream takes them in
 //! admission order. The trade-off: one module, or a run of fewer modules
 //! than cores, gets one core per module. On a 2-vCPU host spreading a
-//! module's functions over the pool measured no faster, and the
+//! module's functions over several threads measured no faster, and the
 //! flattened cross-module passes held every module's intermediate state
 //! at once.
 //!
@@ -82,7 +82,7 @@
 //! charges a static instruction-count step cost (never wall-clock) at
 //! its boundary, so a runaway module is demoted to
 //! [`ModuleOutcome::DeadlineExceeded`] at the exact same point whether
-//! the fleet runs sequentially or on the pool. One function,
+//! the fleet runs sequentially or in parallel. One function,
 //! `charge_plan`, computes every charge from the module and its configs
 //! alone; a seeded run and the service's warm-hit dry run pay the same
 //! plan as a cold run.
@@ -103,14 +103,13 @@ use crate::minimize::FencePoint;
 use crate::pipeline::{
     finish_function, manual_report, FuncContext, PipelineConfig, PipelineResult, Variant,
 };
-use crate::pool::ThreadPool;
 use crate::report::{FleetStage, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{Cfg, FuncSubstrate};
 use fence_ir::{FuncId, Function, Module};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cap on verifier diagnostics retained per quarantined module — a
 /// deliberately mutilated module can produce one error per instruction,
@@ -175,7 +174,7 @@ pub struct FleetOptions {
     /// (the default) skips the stage entirely.
     pub certify: Option<CertifyOptions>,
     /// Streamed-admission window for [`run_fleet_streamed`]: up to
-    /// `min(window, pool workers + 1)` workers (one when sequential) each
+    /// `min(window, cores)` workers (one when sequential) each
     /// take the next item in admission order and hold its module from
     /// take to delivery, so at most that many are resident at once,
     /// bounding peak memory at O(window), not O(corpus). `None` (the
@@ -331,7 +330,20 @@ fn charge_plan(
 /// message)` instead of unwinding through the run.
 fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    catch_unwind(AssertUnwindSafe(f)).map_err(|p| crate::pool::panic_message(p.as_ref()))
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
+}
+
+/// Renders a caught panic payload as a message: the `&str` / `String`
+/// forms the standard `panic!` macros produce pass through verbatim,
+/// anything else gets a placeholder. The quarantine reports carry it.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// One module's quarantine state and deterministic step spend.
@@ -566,29 +578,42 @@ fn run_job(
 }
 
 /// Every stage unit is isolated, so only a panicking source or sink
-/// poisons a lock of the worker loop; [`ThreadPool::run_scoped`]
-/// re-raises the panic.
+/// poisons a lock of the worker loop; [`for_each_pooled`] re-raises the
+/// panic.
 const POISONED: &str = "the run's source or sink panicked";
 
-/// The worker loop: runs `work` on every item of `items` from up to
-/// `threads` threads (the pool's workers plus the caller; the caller
-/// alone when `threads` is 1). Each thread takes the next item under the
+/// The host's core count, read once per process: each read of
+/// `available_parallelism` queries the OS.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+}
+
+/// The worker loop: runs `work` on every item of `items` from the
+/// calling thread plus `min(threads, cores) - 1` scoped threads (none
+/// when `threads` is 1). Each thread takes the next item under the
 /// iterator's lock, which guards nothing else, so reading the next item
 /// never stalls another worker. A panic ends its own worker. No worker
 /// waits on another, so the others end too (at a poisoned lock, or when
-/// the items run out), and [`ThreadPool::run_scoped`] re-raises the
-/// panic on the caller.
+/// the items run out), and the panic re-raises on the caller once every
+/// thread has joined.
 fn for_each_pooled<T>(
     threads: usize,
     items: impl Iterator<Item = T> + Send,
     work: impl Fn(T) + Sync,
 ) {
     let items = Mutex::new(items.fuse());
-    ThreadPool::global().run_scoped(threads, &|| loop {
+    let worker = || loop {
         let Some(item) = items.lock().expect(POISONED).next() else {
             break;
         };
         work(item);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.clamp(1, cores()) {
+            s.spawn(worker);
+        }
+        worker();
     });
 }
 
@@ -981,9 +1006,9 @@ fn quarantined(name: String, outcome: ModuleOutcome, configs: usize) -> (FleetRe
 ///   [`run_fleet_opts`]. Items quarantined before any stage (load
 ///   failures, texts that do not parse) are delivered first, in
 ///   admission order.
-/// * `Some(w)` — `min(w, pool workers + 1)` workers (one when
-///   sequential) take the items in admission order, so an item is
-///   resident only from take to delivery.
+/// * `Some(w)` — `min(w, cores)` workers (one when sequential) take
+///   the items in admission order, so an item is resident only from
+///   take to delivery.
 ///
 /// Either way `on_complete` fires in completion order, and every
 /// delivery carries its admission index. Quarantine, budget charging and
@@ -1086,9 +1111,9 @@ where
     (summaries, stats)
 }
 
-/// `window: Some(w)`: the worker loop on up to `window` threads (the
-/// pool caps them at its workers plus the caller; one when sequential),
-/// taking items in admission order.
+/// `window: Some(w)`: the worker loop on up to `window` threads (at
+/// most one per core; one when sequential), taking items in admission
+/// order.
 fn stream_windowed<I, F>(
     source: I,
     window: usize,
@@ -1149,7 +1174,7 @@ where
         t.resident.1 -= insts;
     });
 
-    // Every taken item was delivered, or `run_scoped` re-raised a panic.
+    // Every taken item was delivered, or the worker loop re-raised a panic.
     let mut t = tally.into_inner().expect(POISONED);
     t.summaries.sort_unstable_by_key(|&(i, _)| i);
     t.stats.modules = t.summaries.len();
@@ -1394,10 +1419,7 @@ mod tests {
         for parallel in [false, true] {
             let opts = FleetOptions {
                 parallel,
-                certify: Some(CertifyOptions {
-                    max_states: 50_000,
-                    ..Default::default()
-                }),
+                certify: Some(CertifyOptions { max_states: 50_000 }),
                 ..FleetOptions::default()
             };
             let (got, stats) = run_fleet_opts(&[FleetJob::new("a", &a, configs.clone())], &opts);
@@ -1670,5 +1692,88 @@ mod tests {
         assert!(got[0].outcome.is_ok());
         let (want, _) = run(&[FleetJob::new("a", &a, configs)], false);
         assert_same_results(&got[0], &want[0]);
+    }
+
+    #[test]
+    fn panic_message_stringifies_non_str_payloads() {
+        use std::panic::catch_unwind;
+        let payload = catch_unwind(|| std::panic::panic_any(42usize)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+        let payload = catch_unwind(|| panic!("unit {} boom", 3)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "unit 3 boom");
+    }
+
+    /// Every item runs exactly once over borrowed state, and on a
+    /// multi-core host on several threads at once: item 0 waits for item
+    /// 1, which only another thread can be running.
+    #[test]
+    fn worker_loop_runs_every_item_once_on_several_threads() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::time::Duration;
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let met = AtomicBool::new(false);
+        for_each_pooled(8, 0..hits.len(), |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+            match i {
+                0 if cores() > 1 => {
+                    let rx = rx.lock().unwrap();
+                    let got = rx.recv_timeout(Duration::from_secs(10));
+                    met.store(got.is_ok(), Ordering::Relaxed);
+                }
+                1 => tx.lock().unwrap().send(()).unwrap(),
+                _ => {}
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(
+            met.load(Ordering::Relaxed),
+            cores() > 1,
+            "item 0 met item 1"
+        );
+    }
+
+    /// One thread is the caller alone: the thread-local build counters
+    /// of sequential runs see every build. Item 0 waits for item 1, which
+    /// a second thread would take meanwhile.
+    #[test]
+    fn worker_loop_on_one_thread_runs_on_the_caller() {
+        use std::time::Duration;
+        let caller = std::thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let ran_on = Mutex::new(Vec::new());
+        for_each_pooled(1, 0..10, |i| {
+            ran_on.lock().unwrap().push(std::thread::current().id());
+            match i {
+                0 => {
+                    let got = rx.lock().unwrap().recv_timeout(Duration::from_millis(250));
+                    assert!(got.is_err(), "item 1 ran while item 0 was running");
+                }
+                1 => tx.lock().unwrap().send(()).unwrap(),
+                _ => {}
+            }
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 10);
+        assert!(ran_on.iter().all(|&t| t == caller), "{ran_on:?}");
+    }
+
+    /// A panicking item re-raises on the caller once the loop ends, and
+    /// the next call runs normally.
+    #[test]
+    fn worker_loop_reraises_a_panic_and_runs_again() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            for_each_pooled(4, 0..100, |i| assert_ne!(i, 50, "item 50 fails"))
+        }));
+        assert!(result.is_err(), "the panic reaches the caller");
+        let sum = AtomicUsize::new(0);
+        for_each_pooled(4, 0..10, |i| {
+            sum.fetch_add(i, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 45);
     }
 }

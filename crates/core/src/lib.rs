@@ -36,11 +36,12 @@
 //! block-aggregated orderings) exactly once for a whole variant × target
 //! sweep, and panics if the fleet quarantines the module. Multi-module
 //! callers (corpus sweeps, figure harnesses) use [`run_fleet_opts`],
-//! which runs whole modules on the persistent pool, one per worker,
+//! which runs whole modules on one worker loop, one per thread,
 //! largest first; the `fenceplace` CLI streams through
 //! [`run_fleet_streamed`]. The resident [`Service`] seeds the same
 //! executor with the work its cache already holds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acquire;
@@ -84,11 +85,6 @@ pub(crate) mod faultinject {
         Cow::Borrowed(text)
     }
 }
-
-/// The persistent thread pool the fleet runs modules on, re-exported
-/// from `fence_ir` (`fenceplace::pool::ThreadPool` remains the stable
-/// path).
-pub use fence_ir::pool;
 
 pub use acquire::{AcquireInfo, DetectMode};
 pub use certify::{

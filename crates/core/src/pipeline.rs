@@ -586,8 +586,8 @@ mod tests {
     /// one `Cfg::new` + one `Reachability::new` per function, no matter
     /// how many configs the sweep holds — the cache-once contract of
     /// [`FuncContext`]. The validation gate builds the `Cfg`, and the
-    /// substrate reuses it. (Sequential configs only: the counters are
-    /// thread-local, and parallel stages build on pool threads.)
+    /// substrate reuses it. (The counters are thread-local, and a batch
+    /// runs on the calling thread.)
     #[test]
     fn batch_builds_cfg_substrate_once_per_function() {
         let m = figure2_module(); // built first: the builder verifies via its own CFGs

@@ -21,6 +21,7 @@
 //! fences — the paper's performance baseline), plus a thread launch spec
 //! and a result checker used by the tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arbitrary;

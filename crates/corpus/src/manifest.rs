@@ -35,8 +35,8 @@
 //! pushed onto it still resolve up front (a typo'd name must fail before
 //! the run starts), while file-backed specs defer all I/O to iteration
 //! and yield module **texts** one at a time ([`SourceItem::Text`]).
-//! Parsing is the consumer's job, which lets the fleet run it as pool
-//! units overlapped with analysis, and texts are neither parsed nor
+//! Parsing is the consumer's job, which lets each fleet worker parse
+//! the module it takes, and texts are neither parsed nor
 //! validated here: the fleet quarantines an unparsable or malformed
 //! module as its own `invalid_ir` slot instead of rejecting the whole
 //! spec. A file that cannot be read surfaces as one `Err` item carrying
@@ -50,7 +50,9 @@
 //! at most [`MAX_MODULE_BYTES`] (a longer `file:` is one `Err` item, and
 //! a longer `pack:` chunk is one `Err` item that ends its pack), and
 //! `synthetic:N` takes N up to [`MAX_SYNTHETIC`] (a larger N is a
-//! [`ManifestError`] from [`resolve_spec`]).
+//! [`ManifestError`] from [`resolve_spec`]). The built-in programs'
+//! [`Params`] are capped too: [`Params::set`] takes `threads` up to
+//! [`MAX_THREADS`] and `scale` up to [`MAX_SCALE`].
 
 use crate::{programs, Params};
 use fence_ir::parser::{first_token, TopLevel};
@@ -69,6 +71,38 @@ pub const MAX_MODULE_BYTES: usize = 64 << 20;
 /// script names (`synthetic:16000`), while `synthetic:1000000` would
 /// take seconds and gigabytes to build.
 pub const MAX_SYNTHETIC: usize = 250_000;
+
+/// The most threads a built-in program is built for ([`Params::threads`]):
+/// each thread is one launch entry, and a product such as `threads *
+/// scale` must not overflow. At this cap and [`MAX_SCALE`], `corpus:*`,
+/// `manual:*` and `kernel:*` build in hundredths of a second.
+pub const MAX_THREADS: usize = 4_096;
+
+/// The largest problem-size scale of a built-in program
+/// ([`Params::scale`]).
+pub const MAX_SCALE: usize = 65_536;
+
+impl Params {
+    /// Sets the build parameter `key` (`threads` or `scale`) from its
+    /// text: every front end reads both through here, so no input builds
+    /// past [`MAX_THREADS`] or [`MAX_SCALE`]. The error says what is
+    /// wrong with `value`; the caller names where it came from.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let (slot, cap) = match key {
+            "threads" => (&mut self.threads, MAX_THREADS),
+            "scale" => (&mut self.scale, MAX_SCALE),
+            other => return Err(format!("`{other}` is not a build parameter")),
+        };
+        match value.parse() {
+            Ok(n) if n <= cap => {
+                *slot = n;
+                Ok(())
+            }
+            Ok(_) => Err(format!("`{value}` is above the cap of {cap}")),
+            Err(_) => Err(format!("`{value}` is not a number")),
+        }
+    }
+}
 
 /// The error of a module text longer than [`MAX_MODULE_BYTES`].
 fn text_too_long() -> std::io::Error {

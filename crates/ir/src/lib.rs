@@ -26,9 +26,9 @@
 //! * [`mod@cfg`] — successor/predecessor maps, reverse postorder, reachability,
 //! * [`verify`] — structural well-formedness checking,
 //! * [`printer`] / [`parser`] — a stable textual format, round-trippable,
-//! * [`pool`] — a persistent std-only thread pool, on which the fleet
-//!   runs whole modules,
 //! * [`util`] — bitsets and fast hash containers shared by the other crates.
+
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod cfg;
@@ -37,7 +37,6 @@ pub mod ids;
 pub mod inst;
 pub mod module;
 pub mod parser;
-pub mod pool;
 pub mod printer;
 pub mod util;
 pub mod value;

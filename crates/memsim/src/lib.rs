@@ -41,6 +41,7 @@
 //! activation record, operand evaluation, the register instructions and
 //! the initial memory image are written once.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;

@@ -39,8 +39,8 @@ OPTIONS:
                      pack:PATH) and submit each module's text (repeatable)
   --config V:T       config to request, variant:target (repeatable;
                      default Control:x86tso)
-  --threads N        corpus build parameter (default 8)
-  --scale N          corpus build parameter (default 16)
+  --threads N        corpus build parameter (default 8, at most 4096)
+  --scale N          corpus build parameter (default 16, at most 65536)
   --budget N         per-request step budget
   --out DIR          write each returned report to DIR/<module>.json
   --expect-hit       exit 1 unless every analyze was served as a cache hit
@@ -99,13 +99,11 @@ fn parse_client_args(args: &[String]) -> Result<Option<ClientCli>, String> {
                 let spec = need(&mut it, "--config")?;
                 cli.configs.push(wire::parse_config_spec(&spec)?);
             }
-            "--threads" => {
-                let v = need(&mut it, "--threads")?;
-                cli.params.threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-            }
-            "--scale" => {
-                let v = need(&mut it, "--scale")?;
-                cli.params.scale = v.parse().map_err(|_| format!("bad --scale `{v}`"))?;
+            "--threads" | "--scale" => {
+                let v = need(&mut it, arg)?;
+                cli.params
+                    .set(&arg[2..], &v)
+                    .map_err(|e| format!("bad {arg}: {e}"))?;
             }
             "--budget" => {
                 let v = need(&mut it, "--budget")?;

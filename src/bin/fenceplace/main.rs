@@ -67,6 +67,8 @@
 //! | 1    | fatal: bad usage, unresolvable built-in spec, I/O error, `--fail-fast` trip |
 //! | 2    | partial success: some modules quarantined (including load failures and duplicates) or a `--certify` run came back unsound; reports written |
 
+#![forbid(unsafe_code)]
+
 mod client;
 mod serve;
 
@@ -127,8 +129,8 @@ OPTIONS:
   --config V:T       add a config, variant:target — variants Pensieve|Control|
                      AddressControl|Manual, targets x86tso|sc|weak (repeatable;
                      default Control:x86tso)
-  --threads N        corpus build parameter (default 8)
-  --scale N          corpus build parameter (default 16)
+  --threads N        corpus build parameter (default 8, at most 4096)
+  --scale N          corpus build parameter (default 16, at most 65536)
   --seq              run every module on this thread (default: one worker
                      per core, each running whole modules, largest first)
   --window N         stream with up to N workers (at most one per core, one
@@ -192,15 +194,10 @@ fn parse_manifest(path: &str, cli: &mut Cli) -> Result<(), String> {
                 cli.configs
                     .push(parse_config(&spec).map_err(|e| format!("{}: {e}", loc()))?);
             }
-            "threads" => {
-                cli.params.threads = rest
-                    .parse()
-                    .map_err(|_| format!("{}: bad threads `{rest}`", loc()))?;
-            }
-            "scale" => {
-                cli.params.scale = rest
-                    .parse()
-                    .map_err(|_| format!("{}: bad scale `{rest}`", loc()))?;
+            "threads" | "scale" => {
+                cli.params
+                    .set(key, rest)
+                    .map_err(|e| format!("{}: bad {key}: {e}", loc()))?;
             }
             other => return Err(format!("{}: unknown directive `{other}`", loc())),
         }
@@ -244,13 +241,11 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 let spec = need(&mut it, "--config")?;
                 cli.configs.push(parse_config(&spec)?);
             }
-            "--threads" => {
-                let v = need(&mut it, "--threads")?;
-                cli.params.threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-            }
-            "--scale" => {
-                let v = need(&mut it, "--scale")?;
-                cli.params.scale = v.parse().map_err(|_| format!("bad --scale `{v}`"))?;
+            "--threads" | "--scale" => {
+                let v = need(&mut it, arg)?;
+                cli.params
+                    .set(&arg[2..], &v)
+                    .map_err(|e| format!("bad {arg}: {e}"))?;
             }
             "--budget" => {
                 let v = need(&mut it, "--budget")?;

@@ -56,8 +56,9 @@ OPTIONS:
   --cache-cap N      keep at most N module entries resident; least-
                      recently-used entries are evicted beyond that
   --threads N        corpus build parameter for server-side spec
-                     expansion (default 8)
-  --scale N          corpus build parameter for spec expansion (default 16)
+                     expansion (default 8, at most 4096)
+  --scale N          corpus build parameter for spec expansion
+                     (default 16, at most 65536)
   --help             this text
 
 The wire protocol (requests, responses, error codes) is documented in
@@ -111,13 +112,11 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeCli>, String> {
                 }
                 cli.cache_cap = Some(cap);
             }
-            "--threads" => {
-                let v = need(&mut it, "--threads")?;
-                cli.params.threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-            }
-            "--scale" => {
-                let v = need(&mut it, "--scale")?;
-                cli.params.scale = v.parse().map_err(|_| format!("bad --scale `{v}`"))?;
+            "--threads" | "--scale" => {
+                let v = need(&mut it, arg)?;
+                cli.params
+                    .set(&arg[2..], &v)
+                    .map_err(|e| format!("bad {arg}: {e}"))?;
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown serve argument `{other}`")),

@@ -7,6 +7,8 @@
 //! Re-exports the workspace crates; see the `examples/` directory for
 //! runnable walkthroughs and `crates/bench` for the figure harnesses.
 
+#![forbid(unsafe_code)]
+
 pub use corpus;
 pub use fence_analysis as analysis;
 pub use fence_ir as ir;

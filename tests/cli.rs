@@ -68,7 +68,8 @@ fn usage_errors_are_fatal() {
 /// No spec can make the loader allocate without bound: a pack with no
 /// line breaks stops at the module-text cap and becomes the run's one
 /// `load_failed` slot (exit 2), and an oversized `synthetic:N` is a bad
-/// spec (exit 1).
+/// spec (exit 1), as is a build parameter above its cap, whether a
+/// flag, a manifest line or a `serve` flag sets it.
 #[test]
 fn runaway_specs_get_structured_errors() {
     let out = fenceplace(&["--program", "pack:/dev/zero", "--seq"]);
@@ -84,6 +85,27 @@ fn runaway_specs_get_structured_errors() {
     let out = fenceplace(&["--program", "synthetic:5000000"]);
     assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
     assert!(stderr(&out).contains("bad spec `synthetic:5000000`"));
+
+    let out = fenceplace(&["--program", "corpus:*", "--threads", "4294967295"]);
+    assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("bad --threads: `4294967295` is above the cap"));
+
+    let dir = scratch("runaway");
+    let manifest = dir.join("fleet.manifest");
+    std::fs::write(&manifest, "program manual:*\nscale 18446744073709551615\n").unwrap();
+    let out = fenceplace(&["--manifest", manifest.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
+    assert!(
+        stderr(&out)
+            .contains("fleet.manifest:2: bad scale: `18446744073709551615` is above the cap"),
+        "{}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let out = fenceplace(&["serve", "--stdio", "--threads", "1000000"]);
+    assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("bad --threads: `1000000` is above the cap"));
 }
 
 #[test]
@@ -205,7 +227,7 @@ fn budget_quarantines_deterministically() {
     }
     assert_eq!(
         rollups[0], rollups[1],
-        "deadline roll-up must be identical under seq and pool scheduling"
+        "deadline roll-up must be identical under seq and parallel scheduling"
     );
 }
 

@@ -25,10 +25,7 @@ const PEAK_LIMIT: usize = 32 << 20;
 
 #[test]
 fn budget_exhausting_certifications_stay_under_the_heap_pin() {
-    let opts = CertifyOptions {
-        max_states: 50_000,
-        ..Default::default()
-    };
+    let opts = CertifyOptions { max_states: 50_000 };
     let entries =
         corpus::resolve_specs(&["corpus:Matrix", "corpus:Canneal"], &Params::default()).unwrap();
     assert_eq!(entries.len(), 2);

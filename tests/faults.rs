@@ -142,10 +142,7 @@ fn fault_matrix_quarantines_exactly_the_injected_modules() {
         let opts = FleetOptions {
             parallel,
             budget: Some(BUDGET),
-            certify: Some(CertifyOptions {
-                max_states: 2_000,
-                max_groups: 2,
-            }),
+            certify: Some(CertifyOptions { max_states: 2_000 }),
             ..FleetOptions::default()
         };
 

@@ -45,7 +45,7 @@ fn sweep_configs() -> Vec<PipelineConfig> {
 /// Golden equivalence: fleet over the full evaluation corpus (all nine
 /// kernels + all seventeen programs) reproduces the per-module batch
 /// loop bit-for-bit — fence points, every report counter, and the
-/// instrumented module text — under sequential and pool scheduling.
+/// instrumented module text — under sequential and parallel scheduling.
 #[test]
 fn fleet_matches_per_module_batch_over_full_corpus() {
     let p = Params::default();

@@ -45,10 +45,7 @@ fn check_golden(path: &str, snapshot: &str) {
 }
 
 fn certify_lines(label: &str, module: &Module, out: &mut String) {
-    let opts = CertifyOptions {
-        max_states: 4_000,
-        ..Default::default()
-    };
+    let opts = CertifyOptions { max_states: 4_000 };
     for (target, tname) in [(TargetModel::X86Tso, "x86tso"), (TargetModel::Weak, "weak")] {
         let placed = run_pipeline(
             module,

@@ -242,8 +242,9 @@ const TWO_V1: &str = "module two\nglobal g 1\n\nfn f params=0 locals=() {\nbb0: 
 /// Same module with only `h` edited (an extra load); `f` is untouched.
 const TWO_V2: &str = "module two\nglobal g 1\n\nfn f params=0 locals=() {\nbb0: ; entry\n  %0 = load @g\n  ret\n}\n\nfn h params=0 locals=() {\nbb0: ; entry\n  %0 = load @g\n  %1 = load @g\n  ret\n}\n";
 
-/// A sequential service, so the thread-local counters observe every
-/// analysis run and CFG build the service performs.
+/// A default service. A request runs on the calling thread, so the
+/// thread-local counters observe every analysis run and CFG build the
+/// service performs.
 fn seq_service() -> Service {
     Service::new(ServiceOptions::default())
 }
