@@ -28,8 +28,8 @@ fn sweep() -> Vec<PipelineConfig> {
 
 /// The varied-size synthetic fleet: a geometric ladder of module sizes,
 /// three modules per rung (offset so each gets its own RNG stream).
-/// Sizes span ~25x end to end — small modules finish their units early
-/// and the scheduler backfills with the big modules' functions.
+/// Sizes span ~25x end to end. The worker loop schedules whole modules,
+/// largest first, so the small modules fill in behind the big ones.
 fn varied_synthetic() -> Vec<(String, Module)> {
     let mut out = Vec::new();
     for step in 0..8u32 {

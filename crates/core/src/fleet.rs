@@ -4,11 +4,13 @@
 //!
 //! Every entry point is a thin caller of this executor, and every run
 //! takes one path: each module passes the validation gate and each work
-//! unit runs isolated. [`run_pipeline_batch`](crate::run_pipeline_batch)
-//! is a fleet of one that re-raises a quarantine as a panic, and the
-//! analysis service ([`crate::service`]) hands the executor a *seed* —
-//! the state its cache already holds — so only the missing units run.
-//! Fleet ≡ batch ≡ service therefore holds by construction.
+//! unit runs isolated. The executor returns the [`FleetResult`] every
+//! caller consumes: [`run_fleet_opts`] and [`run_fleet_streamed`] hand it
+//! on, [`run_pipeline_batch`](crate::run_pipeline_batch) is a fleet of one
+//! that re-raises a quarantine as a panic, and the analysis service
+//! ([`crate::service`]) hands the executor a *seed* — the state its cache
+//! already holds — so only the missing units run, and renders what comes
+//! back. Fleet ≡ batch ≡ service therefore holds by construction.
 //!
 //! # One level of parallelism
 //!
@@ -42,16 +44,18 @@
 //! 5. *acquire detection* — one [`AcquireInfo`] per (distinct automatic
 //!    variant, function) pair;
 //! 6. *config tails* — pruning + minimization per (config, function),
-//!    collected into one placement (fence points + report) per config;
-//! 7. *certify* (opt-in, [`FleetOptions::certify`]) — bounded model
-//!    checking of every placement, fences inserted, against its target
-//!    memory model ([`crate::certify()`]), one unit per config.
+//!    collected into one [`PipelineResult`] (fence points + report) per
+//!    config;
+//! 7. *certify* (opt-in, [`FleetOptions::certify`]) — [`crate::certify()`]
+//!    of every result against its target memory model, one unit per
+//!    config.
 //!
-//! No stage builds a fenced module for a result: a [`PipelineResult`]
-//! holds its points, its report and an `Arc` of its source module, shared
-//! by every result of the job, and inserts the fences when its
-//! [`PipelineResult::module`] is first called. The reports the CLI and
-//! the service render need only points and reports.
+//! A [`PipelineResult`] holds its points, its report and an `Arc` of its
+//! source module, shared by every result of the job, and inserts the
+//! fences when its [`PipelineResult::module`] is first called. Of the
+//! stages only certify calls it, so a certified result keeps the module
+//! it checked; the reports the CLI and the service render need only
+//! points and reports.
 //!
 //! A module's results depend on that module alone and every result is
 //! keyed by its job, so the order in which workers finish cannot affect
@@ -84,8 +88,8 @@
 //! [`ModuleOutcome::DeadlineExceeded`] at the exact same point whether
 //! the fleet runs sequentially or in parallel. One function,
 //! `charge_plan`, computes every charge from the module and its configs
-//! alone; a seeded run and the service's warm-hit dry run pay the same
-//! plan as a cold run.
+//! alone, so a seeded run pays the same plan as a cold run — down to the
+//! service's warm hit, whose seed caches every config and runs no unit.
 //!
 //! A caller that wants a failure to be fatal reads the outcome:
 //! [`run_pipeline_batch`](crate::run_pipeline_batch) panics with the
@@ -98,8 +102,6 @@
 use crate::acquire::AcquireInfo;
 use crate::certify::{CertifyOptions, CertifyReport, CertifyStatus};
 use crate::faultinject;
-use crate::insert::insert_fences;
-use crate::minimize::FencePoint;
 use crate::pipeline::{
     finish_function, manual_report, FuncContext, PipelineConfig, PipelineResult, Variant,
 };
@@ -207,7 +209,8 @@ pub struct FleetResult {
     /// [`run_pipeline_batch`](crate::run_pipeline_batch) would produce.
     /// Empty when the module was quarantined. The results share one
     /// source module, and each inserts its fences into a copy only when
-    /// its [`PipelineResult::module`] is called.
+    /// its [`PipelineResult::module`] is called, which the certify stage
+    /// does: a certified result holds the module it checked.
     pub results: Vec<PipelineResult>,
     /// One [`CertifyReport`] per config when
     /// [`FleetOptions::certify`] is enabled (in config order); empty when
@@ -290,8 +293,8 @@ fn module_step_cost(m: &Module) -> u64 {
 /// Contexts; the summed per-function costs once per distinct automatic
 /// variant (Acquires) and once per automatic config (Tails); the module
 /// cost once per config (Certify, when certifying). Charges depend on
-/// the request alone, never on which units run, so a seeded run and a
-/// warm dry run pay exactly what a cold run pays.
+/// the request alone, never on which units run, so a seeded run pays
+/// exactly what a cold run pays.
 fn charge_plan(
     module: &Module,
     configs: &[PipelineConfig],
@@ -418,26 +421,6 @@ impl<'n> Ledger<'n> {
     }
 }
 
-/// The outcome the charge plan alone decides for `configs` over
-/// `module`: a run whose every unit is already done (the service's warm
-/// hits) still pays its stage charges, so a budget trips exactly where a
-/// cold run's would.
-pub(crate) fn dry_run(
-    name: &str,
-    module: &Module,
-    configs: &[PipelineConfig],
-    opts: &FleetOptions,
-) -> ModuleOutcome {
-    if opts.budget.is_none() {
-        return ModuleOutcome::Ok;
-    }
-    let mut ledger = Ledger::new(name, charge_plan(module, configs, opts), opts.budget);
-    for stage in FleetStage::ALL {
-        ledger.boundary(stage);
-    }
-    ledger.fail.unwrap_or(ModuleOutcome::Ok)
-}
-
 /// The validation gate of one module: the [`Cfg`] of each function when
 /// the IR is well-formed, otherwise its verifier diagnostics, capped at
 /// [`MAX_IR_DIAGNOSTICS`]. A fault-injected view hands on no CFGs: they
@@ -468,11 +451,13 @@ fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
 /// together with the run's [`FleetStats`]. See the module docs for the
 /// stage structure and the failure-isolation contract. The jobs run
 /// largest module first on the worker loop; sequential and parallel
-/// runs are bit-identical.
+/// runs are bit-identical. Every job is resident for the whole run, so
+/// the residency peaks are the fleet's totals.
 ///
 /// The jobs are borrowed, so each job's results share one copy of its
-/// module (taken only when the job has results); the streamed entry
-/// point owns its modules and lends them instead, copying none.
+/// module, taken after the tails and only when they leave the job
+/// healthy with at least one result; the streamed entry point owns its
+/// modules and lends them instead, copying none.
 ///
 /// ```
 /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
@@ -507,74 +492,24 @@ fn validate(name: &str, module: &Module) -> Result<Vec<Cfg>, Vec<String>> {
 /// assert_eq!(fleet[0].results[0].points, fleet[1].results[0].points);
 /// ```
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
-    let mut slots: Vec<Option<FleetResult>> = jobs.iter().map(|_| None).collect();
-    let stats = run_jobs(
-        jobs,
-        opts,
-        |j| Arc::new(jobs[j].module.clone()),
-        |j, fr| slots[j] = Some(fr),
-    );
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every job ran"))
-        .collect();
-    (results, stats)
-}
-
-/// Runs `jobs` on the worker loop, largest module first (ties in job
-/// order), and hands each job's result to `sink(j, result)` as it
-/// finishes. `source(j)` supplies job `j`'s source module: called once
-/// if the job has results, and shared by all of them, which build their
-/// instrumented modules from it on demand. Every job is resident for
-/// the whole run, so the residency peaks are the fleet's totals.
-fn run_jobs(
-    jobs: &[FleetJob],
-    opts: &FleetOptions,
-    source: impl Fn(usize) -> Arc<Module> + Sync,
-    sink: impl FnMut(usize, FleetResult) + Send,
-) -> FleetStats {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&j| Reverse(jobs[j].module.total_insts()));
-    let sink = Mutex::new((sink, FleetStats::default()));
+    let done = Mutex::new((Vec::with_capacity(jobs.len()), FleetStats::default()));
     let threads = if opts.parallel { jobs.len() } else { 1 };
     for_each_pooled(threads, order.into_iter(), |j| {
-        let (fr, stats) = run_job(&jobs[j], opts, || source(j));
-        let mut sink = sink.lock().expect(POISONED);
-        fold_stats(&mut sink.1, &stats);
-        (sink.0)(j, fr);
+        let job = &jobs[j];
+        let source = || Arc::new(job.module.clone());
+        let (fr, stats) = run_seeded(job, &mut Seed::default(), opts, source);
+        let mut done = done.lock().expect(POISONED);
+        fold_stats(&mut done.1, &stats);
+        done.0.push((j, fr));
     });
-    let mut stats = sink.into_inner().expect(POISONED).1;
+    let (mut results, mut stats) = done.into_inner().expect(POISONED);
+    results.sort_unstable_by_key(|&(j, _)| j);
     stats.modules = jobs.len();
     stats.peak_resident_modules = jobs.len();
     stats.peak_resident_insts = jobs.iter().map(|j| j.module.total_insts() as u64).sum();
-    stats
-}
-
-/// Runs one job on the calling thread from an empty seed and wraps its
-/// placements in [`PipelineResult`]s that share `source()`.
-fn run_job(
-    job: &FleetJob,
-    opts: &FleetOptions,
-    source: impl FnOnce() -> Arc<Module>,
-) -> (FleetResult, FleetStats) {
-    let (placed, stats) = run_seeded(job, &mut Seed::default(), opts);
-    let results = if placed.placements.is_empty() {
-        Vec::new()
-    } else {
-        let module = source();
-        placed
-            .placements
-            .into_iter()
-            .map(|p| PipelineResult::new(Arc::clone(&module), p.points, p.report))
-            .collect()
-    };
-    let result = FleetResult {
-        name: job.name.clone(),
-        outcome: placed.outcome,
-        results,
-        certifications: placed.certifications,
-    };
-    (result, stats)
+    (results.into_iter().map(|(_, fr)| fr).collect(), stats)
 }
 
 /// Every stage unit is isolated, so only a panicking source or sink
@@ -632,39 +567,24 @@ pub(crate) struct Seed {
     /// Per-function substrates; `None` holes (or an empty list) are built.
     pub substrates: Vec<Option<Arc<FuncSubstrate>>>,
     /// Per config: its result is already known, so the run skips that
-    /// config's acquires and tails and returns no placement for it (an
+    /// config's acquires and tails and returns no result for it (an
     /// empty list means nothing is cached).
     pub cached: Vec<bool>,
-}
-
-/// One config's placement: the chosen fence points and the
-/// per-function report. No stage inserts the fences; a
-/// [`PipelineResult`] does, when its module is asked for.
-pub(crate) struct Placement {
-    pub points: Vec<FencePoint>,
-    pub report: ModuleReport,
-}
-
-/// What [`run_seeded`] produced for one job: its outcome, placements and
-/// certifications. [`run_fleet_opts`] wraps the placements in
-/// [`PipelineResult`]s; the service renders them directly.
-pub(crate) struct Placed {
-    pub outcome: ModuleOutcome,
-    /// One placement per uncached config, in config order; empty when
-    /// the module was quarantined.
-    pub placements: Vec<Placement>,
-    pub certifications: Vec<CertifyReport>,
 }
 
 /// The stage executor. Runs one job's stage sequence on the calling
 /// thread, taking from its [`Seed`] whatever is already done: units run
 /// only for what the seed lacks, while every stage boundary charges the
-/// plan of the *full* request.
+/// plan of the *full* request. The [`FleetResult`] holds one
+/// [`PipelineResult`] per config the seed had not cached, in config
+/// order; they share `source()`, which is called once, and only when
+/// the tails leave the module healthy with a result to hold.
 pub(crate) fn run_seeded(
     job: &FleetJob,
     seed: &mut Seed,
     opts: &FleetOptions,
-) -> (Placed, FleetStats) {
+    source: impl FnOnce() -> Arc<Module>,
+) -> (FleetResult, FleetStats) {
     let (module, n) = (job.module, job.module.funcs.len());
     let mut ledger = Ledger::new(
         &job.name,
@@ -769,18 +689,13 @@ pub(crate) fn run_seeded(
     }
     ledger.boundary(FleetStage::Acquires);
 
-    // ---- config tails, collected into one placement per config ----
-    // No fences are inserted here: a result builds its instrumented
-    // module when asked (`PipelineResult::module`).
+    // ---- config tails: the points and the report of each config ----
     let mut placements = Vec::new();
     if ledger.healthy() {
         for &c in &todo {
             let config = &job.configs[c];
             if config.variant == Variant::Manual {
-                placements.push(Placement {
-                    points: Vec::new(),
-                    report: manual_report(module, config),
-                });
+                placements.push((Vec::new(), manual_report(module, config)));
                 continue;
             }
             let infos = &acquires[config.variant.idx()];
@@ -797,27 +712,32 @@ pub(crate) fn run_seeded(
                     points.extend(pts);
                 }
             }
-            placements.push(Placement {
-                points,
-                report: ModuleReport {
-                    module_name: module.name.clone(),
-                    variant: config.variant.name().to_string(),
-                    funcs,
-                },
-            });
+            let report = ModuleReport {
+                module_name: module.name.clone(),
+                variant: config.variant.name().to_string(),
+                funcs,
+            };
+            placements.push((points, report));
         }
     }
     ledger.boundary(FleetStage::Tails);
+    // The results share one source, asked for only for a healthy module.
+    let mut results = Vec::new();
+    if ledger.healthy() && !placements.is_empty() {
+        let source = source();
+        results = placements
+            .into_iter()
+            .map(|(points, report)| PipelineResult::new(Arc::clone(&source), points, report))
+            .collect();
+    }
 
     // ---- (opt-in) post-placement certification, one unit per config ----
     let mut certifications = Vec::new();
     if let Some(copts) = opts.certify.filter(|_| ledger.healthy()) {
-        for (&c, p) in todo.iter().zip(&placements) {
+        for (&c, result) in todo.iter().zip(&results) {
             let config = &job.configs[c];
             let report = ledger.unit(FleetStage::Certify, || {
-                let instrumented = insert_fences(module, &p.points);
-                let class = crate::certify::sync_classification(&instrumented, config.variant);
-                crate::certify::certify_module(&instrumented, &class, config.target, &copts)
+                crate::certify(result, config.variant, config.target, &copts)
             });
             certifications.extend(report);
         }
@@ -834,15 +754,16 @@ pub(crate) fn run_seeded(
     let outcome = ledger.fail.unwrap_or(ModuleOutcome::Ok);
     if !outcome.is_ok() {
         stats.failed = 1;
-        placements.clear();
+        results.clear();
         certifications.clear();
     }
-    let placed = Placed {
+    let result = FleetResult {
+        name: job.name.clone(),
         outcome,
-        placements,
+        results,
         certifications,
     };
-    (placed, stats)
+    (result, stats)
 }
 
 // ---------------------------------------------------------------------
@@ -995,20 +916,21 @@ fn quarantined(name: String, outcome: ModuleOutcome, configs: usize) -> (FleetRe
 /// processes at O(window) peak residency
 /// ([`FleetStats::peak_resident_modules`]).
 ///
-/// Both modes run the worker loop of [`run_fleet_opts`]: each worker
-/// takes the next module, parses it if it is a text, runs all of its
-/// stages and delivers the result. [`FleetOptions::window`] decides
-/// what "next" means:
+/// One body serves both modes: a worker *takes* an item (counts it
+/// resident and parses it if it is a text), *runs* its module through
+/// the stage executor, *delivers* the result and releases the item. Every
+/// item but a load failure is resident from take to delivery.
+/// [`FleetOptions::window`] decides when items are taken:
 ///
-/// * `None` — every text is parsed first (on the same loop), so the
-///   whole stream is resident, and the modules then run largest first
-///   by [`Module::total_insts`], ties in admission order, exactly like
-///   [`run_fleet_opts`]. Items quarantined before any stage (load
-///   failures, texts that do not parse) are delivered first, in
-///   admission order.
+/// * `None` — every item is taken first (on the worker loop), so the
+///   whole stream is resident. The items quarantined before any stage
+///   (load failures, texts that do not parse) then run first, in
+///   admission order, and the modules largest first by
+///   [`Module::total_insts`], ties in admission order, exactly like
+///   [`run_fleet_opts`].
 /// * `Some(w)` — `min(w, cores)` workers (one when sequential) take
-///   the items in admission order, so an item is resident only from
-///   take to delivery.
+///   the items in admission order, each running one item from take to
+///   delivery, so at most that many are resident at once.
 ///
 /// Either way `on_complete` fires in completion order, and every
 /// delivery carries its admission index. Quarantine, budget charging and
@@ -1040,93 +962,9 @@ where
     I::IntoIter: Send,
     F: FnMut(usize, FleetResult) + Send,
 {
-    match opts.window {
-        None => stream_resident(items.into_iter(), configs, opts, on_complete),
-        Some(w) => stream_windowed(items.into_iter(), w.max(1), configs, opts, on_complete),
-    }
-}
-
-/// `window: None`: parse every text on the worker loop, then run the
-/// modules largest first through [`run_jobs`]. Each module moves into
-/// the `Arc` its results share, so no module is copied.
-fn stream_resident<I, F>(
-    items: I,
-    configs: &[PipelineConfig],
-    opts: &FleetOptions,
-    mut on_complete: F,
-) -> (Vec<StreamSummary>, FleetStats)
-where
-    I: Iterator<Item = StreamItem> + Send,
-    F: FnMut(usize, FleetResult) + Send,
-{
-    let admitted = Mutex::new(Vec::new());
-    let threads = if opts.parallel { usize::MAX } else { 1 };
-    for_each_pooled(threads, items.enumerate(), |(index, item)| {
-        let (name, module) = admit(item, opts);
-        admitted.lock().expect(POISONED).push((index, name, module));
-    });
-    let mut admitted = admitted.into_inner().expect(POISONED);
-    admitted.sort_unstable_by_key(|&(index, ..)| index);
-
-    let mut summaries: Vec<Option<StreamSummary>> = admitted.iter().map(|_| None).collect();
-    let mut quarantine_stats = FleetStats::default();
-    let mut resident = Vec::new();
-    for (index, name, module) in admitted {
-        match module {
-            Ok(module) => resident.push((index, name, Arc::new(module))),
-            Err(outcome) => {
-                let (fr, stats) = quarantined(name, outcome, configs.len());
-                fold_stats(&mut quarantine_stats, &stats);
-                summaries[index] = Some(StreamSummary::of(&fr));
-                on_complete(index, fr);
-            }
-        }
-    }
-    let jobs: Vec<FleetJob> = resident
-        .iter()
-        .map(|(_, name, module)| FleetJob::new(name.clone(), module, configs.to_vec()))
-        .collect();
-    let mut stats = run_jobs(
-        &jobs,
-        opts,
-        |j| Arc::clone(&resident[j].2),
-        |j, fr| {
-            let index = resident[j].0;
-            summaries[index] = Some(StreamSummary::of(&fr));
-            on_complete(index, fr);
-        },
-    );
-    fold_stats(&mut stats, &quarantine_stats);
-    stats.modules = summaries.len();
-    // Every item but a load failure is resident until the run ends.
-    stats.peak_resident_modules = summaries
-        .iter()
-        .flatten()
-        .filter(|s| !matches!(s.outcome, ModuleOutcome::LoadFailed { .. }))
-        .count();
-    let summaries = summaries
-        .into_iter()
-        .map(|s| s.expect("every item was delivered"))
-        .collect();
-    (summaries, stats)
-}
-
-/// `window: Some(w)`: the worker loop on up to `window` threads (at
-/// most one per core; one when sequential), taking items in admission
-/// order.
-fn stream_windowed<I, F>(
-    source: I,
-    window: usize,
-    configs: &[PipelineConfig],
-    opts: &FleetOptions,
-    on_complete: F,
-) -> (Vec<StreamSummary>, FleetStats)
-where
-    I: Iterator<Item = StreamItem> + Send,
-    F: FnMut(usize, FleetResult) + Send,
-{
     /// The delivered items' summaries by admission index, the folded
     /// stats and the live residency (modules, instructions).
+    #[derive(Default)]
     struct Tally {
         summaries: Vec<(usize, StreamSummary)>,
         stats: FleetStats,
@@ -1141,27 +979,28 @@ where
             s.peak_resident_insts = s.peak_resident_insts.max(self.resident.1);
         }
     }
+    /// A taken item: its admission index, name, module (or pre-stage
+    /// quarantine) and what it holds resident.
+    type Taken = (usize, String, Result<Module, ModuleOutcome>, (usize, u64));
 
-    let tally = Mutex::new(Tally {
-        summaries: Vec::new(),
-        stats: FleetStats::default(),
-        resident: (0, 0),
-    });
+    let tally = Mutex::new(Tally::default());
     let sink = Mutex::new(on_complete);
-    let threads = if opts.parallel { window } else { 1 };
-    for_each_pooled(threads, source.enumerate(), |(index, item)| {
+    let take = |(index, item): (usize, StreamItem)| -> Taken {
         // A load failure never holds a module.
         let held = usize::from(!matches!(item, StreamItem::Failed { .. }));
         tally.lock().expect(POISONED).hold(held, 0);
         let (name, module) = admit(item, opts);
         let insts = module.as_ref().map_or(0, |m| m.total_insts() as u64);
         tally.lock().expect(POISONED).hold(0, insts);
+        (index, name, module, (held, insts))
+    };
+    let run_and_deliver = |(index, name, module, (held, insts)): Taken| {
         let (fr, stats) = match module {
             Ok(module) => {
                 // The results share the module itself: it is not copied.
                 let module = Arc::new(module);
                 let job = FleetJob::new(name, &module, configs.to_vec());
-                run_job(&job, opts, || Arc::clone(&module))
+                run_seeded(&job, &mut Seed::default(), opts, || Arc::clone(&module))
             }
             Err(outcome) => quarantined(name, outcome, configs.len()),
         };
@@ -1172,7 +1011,31 @@ where
         fold_stats(&mut t.stats, &stats);
         t.resident.0 -= held;
         t.resident.1 -= insts;
-    });
+    };
+
+    let items = items.into_iter().enumerate();
+    match opts.window {
+        Some(w) => {
+            let threads = if opts.parallel { w } else { 1 };
+            for_each_pooled(threads, items, |item| run_and_deliver(take(item)));
+        }
+        None => {
+            let threads = if opts.parallel { usize::MAX } else { 1 };
+            let taken = Mutex::new(Vec::new());
+            for_each_pooled(threads, items, |item| {
+                let item = take(item);
+                taken.lock().expect(POISONED).push(item);
+            });
+            let mut taken = taken.into_inner().expect(POISONED);
+            // Pre-stage quarantines first, then largest first; ties (and
+            // the quarantines) in admission order.
+            taken.sort_unstable_by_key(|(index, _, module, (_, insts))| {
+                (module.is_ok(), Reverse(*insts), *index)
+            });
+            let threads = if opts.parallel { taken.len() } else { 1 };
+            for_each_pooled(threads, taken.into_iter(), run_and_deliver);
+        }
+    }
 
     // Every taken item was delivered, or the worker loop re-raised a panic.
     let mut t = tally.into_inner().expect(POISONED);
@@ -1186,7 +1049,7 @@ where
 mod tests {
     use super::*;
     use crate::minimize::TargetModel;
-    use crate::run_pipeline_batch;
+    use crate::{run_pipeline, run_pipeline_batch};
     use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
     use fence_ir::{BlockId, Inst, InstId, InstKind};
 
@@ -1406,6 +1269,8 @@ mod tests {
 
     #[test]
     fn certify_stage_reports_and_is_deterministic() {
+        use crate::insert::insert_fences;
+        use fence_ir::printer::print_module;
         let a = spin_module("a", 2);
         let configs = vec![
             PipelineConfig::for_variant(Variant::Control),
@@ -1440,6 +1305,50 @@ mod tests {
         let (got, stats) = run(&[FleetJob::new("a", &a, configs)], false);
         assert!(got[0].certifications.is_empty());
         assert_eq!(stats.certifications, 0);
+
+        // The stage is `certify()` of each result: over the kernels it
+        // reports what certifying a `run_pipeline` result reports, and a
+        // certified result's module is its source with its points
+        // inserted.
+        let kernels = corpus::resolve_spec("kernel:*", &corpus::Params::default()).unwrap();
+        let configs: Vec<PipelineConfig> = [TargetModel::X86Tso, TargetModel::Weak]
+            .map(|target| PipelineConfig {
+                variant: Variant::Control,
+                target,
+                parallel: false,
+            })
+            .into();
+        let copts = CertifyOptions { max_states: 50_000 };
+        let jobs: Vec<FleetJob> = kernels
+            .iter()
+            .map(|k| FleetJob::new(k.name.clone(), &k.module, configs.clone()))
+            .collect();
+        let opts = FleetOptions {
+            parallel: false,
+            certify: Some(copts),
+            ..FleetOptions::default()
+        };
+        let (fleet, _) = run_fleet_opts(&jobs, &opts);
+        let mut checked = 0;
+        for (k, fr) in kernels.iter().zip(&fleet) {
+            assert!(fr.outcome.is_ok(), "{}: {}", k.name, fr.outcome);
+            assert_eq!(fr.certifications.len(), configs.len());
+            for ((c, r), got) in configs.iter().zip(&fr.results).zip(&fr.certifications) {
+                let at = format!("{} under {:?}", k.name, c.target);
+                let want = crate::certify(&run_pipeline(&k.module, c), c.variant, c.target, &copts);
+                assert_eq!(got.status(), want.status(), "{at}: status");
+                assert_eq!(got.states, want.states, "{at}: states");
+                let verdicts = |r: &CertifyReport| format!("{:?} {:?}", r.groups, r.fences);
+                assert_eq!(verdicts(got), verdicts(&want), "{at}: verdicts");
+                checked += usize::from(!got.groups.is_empty());
+                assert_eq!(
+                    print_module(r.module()),
+                    print_module(&insert_fences(&k.module, &r.points)),
+                    "{at}: certified module"
+                );
+            }
+        }
+        assert!(checked > 0, "some kernel has a thread group to check");
     }
 
     /// Runs the streamed scheduler over `items`, collecting the sink
@@ -1523,38 +1432,68 @@ mod tests {
         }
     }
 
-    /// A run that knows its whole input takes its modules largest first
-    /// by `total_insts`, ties in admission order, and still returns its
-    /// summaries in admission order.
+    /// A run that knows its whole input delivers the items quarantined
+    /// before any stage first, in admission order, then takes its modules
+    /// largest first by `total_insts`, ties in admission order, and still
+    /// returns its summaries in admission order.
     #[test]
     fn resident_stream_runs_largest_first() {
         // Every function of a spin module has the same size, so sizes
         // follow the function counts: b and d tie.
         let funcs = [("a", 1), ("b", 3), ("c", 2), ("d", 3), ("e", 4)];
-        let items = funcs
+        let mut items = funcs
             .iter()
             .map(|&(name, n)| StreamItem::Module {
                 name: name.to_string(),
                 module: spin_module(name, n),
             })
             .collect::<Vec<_>>();
+        // A load failure (x) and a text that does not parse (y) among
+        // them: admission order a, x, b, c, y, d, e.
+        let failed = StreamItem::Failed {
+            name: "x".into(),
+            error: "cannot read `x.ir`: missing".into(),
+        };
+        let garbage = StreamItem::Text {
+            name: "y".into(),
+            text: "this is not ir\n".into(),
+        };
+        items.insert(1, failed);
+        items.insert(4, garbage);
+        let count = items.len();
         let configs = vec![PipelineConfig::for_variant(Variant::Control)];
         let opts = FleetOptions {
             parallel: false,
             ..FleetOptions::default()
         };
         let mut delivered = Vec::new();
-        let (summaries, _) = run_fleet_streamed(items, &configs, &opts, |i, fr| {
+        let (summaries, stats) = run_fleet_streamed(items, &configs, &opts, |i, fr| {
             delivered.push((i, fr.name));
         });
-        let want = [(4, "e"), (1, "b"), (3, "d"), (2, "c"), (0, "a")];
+        let want = [
+            (1, "x"),
+            (4, "y"),
+            (6, "e"),
+            (2, "b"),
+            (5, "d"),
+            (3, "c"),
+            (0, "a"),
+        ];
         let want: Vec<(usize, String)> = want.iter().map(|&(i, n)| (i, n.to_string())).collect();
-        assert_eq!(delivered, want, "largest first, ties in admission order");
+        assert_eq!(
+            delivered, want,
+            "pre-stage quarantines first, then largest first, ties in admission order"
+        );
         let names: Vec<&str> = summaries.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
-            ["a", "b", "c", "d", "e"],
+            ["a", "x", "b", "c", "y", "d", "e"],
             "summaries in admission order"
+        );
+        assert_eq!(
+            stats.peak_resident_modules,
+            count - 1,
+            "every item but the load failure is resident"
         );
     }
 

@@ -242,18 +242,6 @@ impl<'a> FuncContext<'a> {
     }
 }
 
-thread_local! {
-    static MODULE_ANALYSIS_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Number of module-wide analysis passes (`ModuleAnalysis::run`) the
-/// pipeline entry points have executed **on this thread** — the
-/// observable that lets tests assert [`run_pipeline_batch`] shares one
-/// analysis across a whole config sweep.
-pub fn module_analysis_runs() -> usize {
-    MODULE_ANALYSIS_RUNS.with(|c| c.get())
-}
-
 /// Pruning + minimization + report tail for one function under one
 /// config, from cached context and acquire info.
 pub(crate) fn finish_function(
@@ -346,9 +334,6 @@ pub(crate) fn manual_report(module: &Module, config: &PipelineConfig) -> ModuleR
 /// }
 /// ```
 pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
-    if configs.iter().any(|c| c.variant != Variant::Manual) {
-        MODULE_ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
-    }
     let job = FleetJob::new(module.name.clone(), module, configs.to_vec());
     let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &FleetOptions::default());
     let result = fleet.pop().expect("one result per job");
@@ -544,9 +529,9 @@ mod tests {
             }
         }
 
-        let runs_before = module_analysis_runs();
+        let runs_before = fence_analysis::analysis_runs();
         let batch = run_pipeline_batch(&m, &configs);
-        let batch_runs = module_analysis_runs() - runs_before;
+        let batch_runs = fence_analysis::analysis_runs() - runs_before;
         assert_eq!(
             batch_runs,
             1,
@@ -556,7 +541,7 @@ mod tests {
 
         // Individual runs: one analysis per call.
         let individual: Vec<PipelineResult> = configs.iter().map(|c| run_pipeline(&m, c)).collect();
-        let individual_runs = module_analysis_runs() - runs_before - batch_runs;
+        let individual_runs = fence_analysis::analysis_runs() - runs_before - batch_runs;
         assert_eq!(
             individual_runs,
             configs
@@ -627,7 +612,7 @@ mod tests {
     #[test]
     fn manual_only_batch_skips_analysis() {
         let m = figure2_module();
-        let before = module_analysis_runs();
+        let before = fence_analysis::analysis_runs();
         let r = run_pipeline_batch(
             &m,
             &[
@@ -639,7 +624,7 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(module_analysis_runs(), before);
+        assert_eq!(fence_analysis::analysis_runs(), before);
         assert_eq!(r.len(), 2);
         assert!(r.iter().all(|x| x.points.is_empty()));
     }

@@ -31,10 +31,12 @@
 //!    unchanged functions, and which config lines are rendered — and the
 //!    executor runs units, on the calling thread, only for what is
 //!    missing, with the fleet's validation gate, per-unit `catch_unwind`
-//!    isolation, stage attribution and fault hooks. Budgets charge the plan of the *full*
-//!    request, and warm hits pay the same plan as a dry run, so a
-//!    budgeted request gets the same `deadline_exceeded` outcome whether
-//!    or not the cache could have served it.
+//!    isolation, stage attribution and fault hooks. The service renders
+//!    the results it returns. A warm hit is a run over a seed that caches
+//!    every config: it runs no unit, but every run charges the plan of the
+//!    *full* request, so a budgeted request gets the same
+//!    `deadline_exceeded` outcome whether or not the cache could have
+//!    served it.
 //!
 //! Eviction is LRU over whole entries, opt-in via
 //! [`ServiceOptions::capacity`]: when the entry count exceeds the
@@ -47,7 +49,7 @@
 
 pub mod wire;
 
-use crate::fleet::{dry_run, ingest, run_seeded, FleetJob, FleetOptions, Seed};
+use crate::fleet::{ingest, run_seeded, FleetJob, FleetOptions, Seed};
 use crate::json;
 use crate::minimize::TargetModel;
 use crate::pipeline::PipelineConfig;
@@ -145,8 +147,9 @@ pub struct ServiceStats {
 /// module-wide analysis, substrates, and every config report line
 /// rendered so far.
 struct Entry {
-    /// Parsed module (`None` for quarantined entries).
-    module: Option<Module>,
+    /// Parsed module (`None` for quarantined entries), shared with the
+    /// results of each run over it.
+    module: Option<Arc<Module>>,
     /// Cached terminal outcome: `Ok` or `InvalidIr`. Transient outcomes
     /// (`Panicked`, `DeadlineExceeded`) are never cached — they depend
     /// on the request's config list and budget.
@@ -290,18 +293,19 @@ impl Service {
                     .iter()
                     .map(|c| entry.reports.contains_key(&config_key(c)))
                     .collect();
-                let (cache, outcome) = if !entry.outcome.is_ok() {
+                let cache = if !entry.outcome.is_ok() || cached.iter().all(|&c| c) {
+                    CacheDisposition::Hit
+                } else {
+                    CacheDisposition::Incremental
+                };
+                let outcome = if entry.outcome.is_ok() {
+                    // A hit runs no unit but pays the same charge plan: a
+                    // budget trips exactly where a cold run's would.
+                    self.run(name, &mut entry, true, cached, configs, &opts)
+                } else {
                     // InvalidIr wins over any deadline: the fleet absorbs
                     // the validation verdict before the Validate charge.
-                    (CacheDisposition::Hit, entry.outcome.clone())
-                } else if cached.iter().all(|&c| c) {
-                    // Zero pipeline work, but the same charge plan: a
-                    // budget trips exactly where a cold run's would.
-                    let module = entry.module.as_ref().expect("ok entries hold their module");
-                    (CacheDisposition::Hit, dry_run(name, module, configs, &opts))
-                } else {
-                    let outcome = self.run(name, &mut entry, true, cached, configs, &opts);
-                    (CacheDisposition::Incremental, outcome)
+                    entry.outcome.clone()
                 };
                 (cache, outcome, Some(entry))
             }
@@ -375,7 +379,7 @@ impl Service {
             .collect();
         let reused = substrates.iter().flatten().count() as u64;
         let mut entry = Entry {
-            module: Some(module),
+            module: Some(Arc::new(module)),
             outcome: ModuleOutcome::Ok,
             funcs,
             analysis: None,
@@ -410,10 +414,11 @@ impl Service {
 
     /// Runs the fleet executor over `entry`'s module, seeded with what
     /// the entry holds plus the `validated` flag and the per-config
-    /// `cached` flags. Whatever analysis and substrates the run leaves
-    /// stay in the entry: they are valid for this content whatever the
-    /// outcome. Fresh config lines are cached only on success, so a
-    /// quarantined request leaks no partial results.
+    /// `cached` flags, and renders the config line of each result it
+    /// returns. Whatever analysis and substrates the run leaves stay in
+    /// the entry: they are valid for this content whatever the outcome.
+    /// A quarantined run returns no results, so a failed request leaks
+    /// no partial lines.
     fn run(
         &mut self,
         name: &str,
@@ -423,15 +428,15 @@ impl Service {
         configs: &[PipelineConfig],
         opts: &FleetOptions,
     ) -> ModuleOutcome {
-        let module = entry.module.as_ref().expect("computable entries hold IR");
-        let job = FleetJob::new(name, module, configs.to_vec());
+        let module = entry.module.clone().expect("computable entries hold IR");
+        let job = FleetJob::new(name, &module, configs.to_vec());
         let mut seed = Seed {
             validated,
             analysis: entry.analysis.take(),
             substrates: std::mem::take(&mut entry.substrates),
             cached,
         };
-        let (placed, stats) = run_seeded(&job, &mut seed, opts);
+        let (fr, stats) = run_seeded(&job, &mut seed, opts, || Arc::clone(&module));
         self.stats.analyses += stats.analyses as u64;
         self.stats.substrates_built += stats.substrates as u64;
         entry.analysis = seed.analysis;
@@ -441,13 +446,13 @@ impl Service {
             .enumerate()
             .filter(|&(c, _)| !seed.cached.get(c).copied().unwrap_or(false))
             .map(|(_, config)| config);
-        for (config, p) in todo.zip(&placed.placements) {
+        for (config, r) in todo.zip(&fr.results) {
             entry.reports.insert(
                 config_key(config),
-                json::config_json(config, &p.report, p.points.len()),
+                json::config_json(config, &r.report, r.points.len()),
             );
         }
-        placed.outcome
+        fr.outcome
     }
 
     /// LRU eviction down to the configured capacity.

@@ -283,9 +283,14 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
+        // Exactly four hex digits (RFC 8259): no sign, no other byte.
+        let digits = &self.bytes[self.pos..self.pos + 4];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err("bad \\u escape".to_string());
+        }
+        let v = digits.iter().fold(0, |v, &b| {
+            v * 16 + char::from(b).to_digit(16).expect("a hex digit")
+        });
         self.pos += 4;
         Ok(v)
     }
@@ -669,6 +674,7 @@ mod tests {
         assert!(parse_json("{\"a\":1,}").is_err());
         assert!(parse_json("{} {}").is_err());
         assert!(parse_json("\"\\ud800\"").is_err(), "lone surrogate");
+        assert!(parse_json("\"\\u+041\"").is_err(), "signed \\u escape");
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse_json(&deep).is_err(), "depth cap");
     }
