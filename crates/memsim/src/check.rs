@@ -25,6 +25,13 @@
 //! copies the page table, so a module whose image exceeds 4,096 words
 //! is refused up front ([`CheckError::ImageTooLarge`]) instead of
 //! exhausting memory.
+//!
+//! A pass stores its distinct states in one vector, in discovery order,
+//! and frees them when it returns. A state allocates only what the move
+//! that made it copied: its table of thread pointers, the thread that
+//! moved (whose registers are one buffer), and a store buffer, page
+//! table and page when the move writes them. The fuel counts states
+//! across passes; their memory does not accumulate.
 
 use crate::layout::Layout;
 use crate::litmus::{self, LitmusModel, LitmusOutcome};

@@ -8,26 +8,39 @@ use crate::layout::Layout;
 use fence_ir::{BlockId, FuncId, Function, InstId, InstKind, Module, Value};
 
 /// One activation of a function: its program counter and registers.
+///
+/// The registers are one buffer: the arguments, then the function's
+/// locals, then one result slot per instruction. Copying a frame (as the
+/// litmus explorer does for the thread that moves) is one allocation.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Frame {
     pub func: FuncId,
     pub block: u32,
     pub idx: u32,
-    pub args: Vec<i64>,
-    pub locals: Vec<i64>,
-    pub results: Vec<i64>,
+    regs: Box<[i64]>,
+    /// Where the locals start: the number of arguments.
+    locals: u32,
+    /// Where the result slots start.
+    results: u32,
 }
 
 impl Frame {
-    /// A fresh activation of `func` (whose id is `id`) at its entry.
-    pub fn new(id: FuncId, func: &Function, args: Vec<i64>) -> Self {
+    /// A fresh activation of `func` (whose id is `id`) at its entry,
+    /// with arguments `args`.
+    pub fn new(id: FuncId, func: &Function, args: &[i64]) -> Self {
+        let locals = args.len();
+        let results = locals + func.locals.len();
+        let len = results + func.num_insts();
+        let mut regs = Vec::with_capacity(len);
+        regs.extend_from_slice(args);
+        regs.resize(len, 0);
         Frame {
             func: id,
             block: func.entry.index() as u32,
             idx: 0,
-            args,
-            locals: vec![0; func.locals.len()],
-            results: vec![0; func.num_insts()],
+            regs: regs.into_boxed_slice(),
+            locals: locals as u32,
+            results: results as u32,
         }
     }
 
@@ -48,9 +61,19 @@ impl Frame {
         match v {
             Value::Const(c) => c,
             Value::Global(g) => layout.base(g),
-            Value::Arg(a) => self.args[a as usize],
-            Value::Inst(i) => self.results[i.index()],
+            Value::Arg(a) => self.regs[..self.locals as usize][a as usize],
+            Value::Inst(i) => self.regs[self.results as usize..][i.index()],
         }
+    }
+
+    /// Sets the result of instruction `iid`.
+    pub fn set_result(&mut self, iid: InstId, val: i64) {
+        self.regs[self.results as usize..][iid.index()] = val;
+    }
+
+    /// Local `l`'s slot.
+    fn local(&mut self, l: usize) -> &mut i64 {
+        &mut self.regs[self.locals as usize..self.results as usize][l]
     }
 
     /// Executes `kind` (instruction `iid`) if it only reads and writes
@@ -68,14 +91,14 @@ impl Frame {
                 else_val,
             } => ev(if ev(cond) != 0 { then_val } else { else_val }),
             InstKind::Gep { base, index } => ev(base).wrapping_add(ev(index)),
-            InstKind::ReadLocal { local } => self.locals[local.index()],
+            InstKind::ReadLocal { local } => *self.local(local.index()),
             InstKind::WriteLocal { local, val } => {
-                self.locals[local.index()] = ev(val);
+                *self.local(local.index()) = ev(val);
                 return true;
             }
             _ => return false,
         };
-        self.results[iid.index()] = r;
+        self.set_result(iid, r);
         true
     }
 }

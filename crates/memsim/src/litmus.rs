@@ -16,9 +16,12 @@
 //!   ordering, no-speculation (a conditional branch must resolve before
 //!   fetch proceeds), and full fences. Stores are immediately visible when
 //!   they execute, so `w→w` and `r→r` reorder freely — MP breaks here,
-//!   matching Power/ARM-class machines. Compiler directives have no
-//!   runtime effect under any hardware model (they only constrain the
-//!   compiler, and IR is "already compiled").
+//!   matching Power/ARM-class machines. A loop can put several instances
+//!   of one instruction in the window; they share its one result slot,
+//!   so an entry waits only for older entries, and the oldest entry can
+//!   always execute. Compiler directives have no runtime effect under any
+//!   hardware model (they only constrain the compiler, and IR is "already
+//!   compiled").
 //!
 //! One explorer serves all three models. A thread is the interpreter
 //! frame the timing simulator also runs on, plus a TSO store buffer and a
@@ -39,15 +42,24 @@
 //!   no table, and a write copies the table and one page.
 //!
 //! Equality is by content (hashes, then pointers, then contents), so
-//! states that reach equal contents by different paths still merge. The
-//! explorer hashes, allocates and stores each distinct state once.
+//! states that reach equal contents by different paths still merge.
+//!
+//! A pass keeps its distinct states in one vector, in the order it
+//! discovers them, and explores them from a stack of their indices. It
+//! finds a state by its hash, through a chain of the states that share
+//! that hash, so it hashes each generated state once and stores each
+//! distinct state once. A move allocates the successor's table of thread
+//! pointers, a copy of the moving thread (its registers are one buffer)
+//! and whatever it writes: a TSO store buffer on a store, a page table and
+//! a page on a memory write. The states of a pass are freed when it ends,
+//! in the order they were made.
 //!
 //! Litmus functions may not call, allocate, or use intrinsics; at most 64
 //! instructions per function.
 
 use crate::interp::{memory_image, Frame};
 use crate::layout::Layout;
-use fence_ir::util::{FastSet, FxHasher};
+use fence_ir::util::{FastMap, FxHasher};
 use fence_ir::{FenceKind, FuncId, Function, InstId, InstKind, Module, Value};
 use std::collections::BTreeSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -336,10 +348,10 @@ fn hash_of<T: Hash>(value: &T) -> u64 {
     BuildHasherDefault::<FxHasher>::default().hash_one(value)
 }
 
-/// A value with its hash, computed once: a thread when a move changes
-/// it, a state when it is generated. Equality compares the hashes before
-/// the values, and the visited set hashes the stored hash, so growing the
-/// set never re-hashes a state.
+/// A value with its hash, computed once: a thread's, when a move changes
+/// it. Equality compares the hashes before the values, and hashing a
+/// state writes each thread's stored hash, so it reads no thread's
+/// contents.
 #[derive(Clone)]
 struct Hashed<T> {
     hash: u64,
@@ -370,6 +382,42 @@ impl<T: Eq> Eq for Hashed<T> {}
 impl<T> Hash for Hashed<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
+    }
+}
+
+/// The distinct states of one pass, in the order they were discovered:
+/// a state's id is its index in `states`. States with equal hashes form
+/// a chain through `older`, which a lookup walks comparing contents.
+/// Dropping a pass frees its states in the order they were made.
+#[derive(Default)]
+struct Visited {
+    states: Vec<State>,
+    /// Per state, the id of the state with the same hash discovered
+    /// before it, if any.
+    older: Vec<Option<u32>>,
+    /// The newest state with each hash.
+    newest: FastMap<u64, u32>,
+}
+
+impl Visited {
+    /// Was a state equal to `state`, whose hash is `hash`, discovered?
+    fn contains(&self, hash: u64, state: &State) -> bool {
+        let mut id = self.newest.get(&hash).copied();
+        while let Some(i) = id {
+            if self.states[i as usize] == *state {
+                return true;
+            }
+            id = self.older[i as usize];
+        }
+        false
+    }
+
+    /// Adds a state not discovered before and returns its id.
+    fn insert(&mut self, hash: u64, state: State) -> u32 {
+        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 states per pass");
+        self.older.push(self.newest.insert(hash, id));
+        self.states.push(state);
+        id
     }
 }
 
@@ -523,7 +571,7 @@ impl Explorer<'_> {
             match *kind {
                 InstKind::Load { addr } => {
                     let a = f.eval(addr, layout);
-                    f.results[iid.index()] = t.buffer.forward(a).unwrap_or_else(|| mem.read(a));
+                    f.set_result(iid, t.buffer.forward(a).unwrap_or_else(|| mem.read(a)));
                 }
                 InstKind::Store { addr, val } => {
                     let (a, v) = (f.eval(addr, layout), f.eval(val, layout));
@@ -536,7 +584,7 @@ impl Explorer<'_> {
                 InstKind::AtomicRmw { op, addr, val } => {
                     let a = f.eval(addr, layout);
                     let old = mem.read(a);
-                    f.results[iid.index()] = old;
+                    f.set_result(iid, old);
                     mem.write(a, op.eval(old, f.eval(val, layout)));
                 }
                 InstKind::AtomicCas {
@@ -546,7 +594,7 @@ impl Explorer<'_> {
                 } => {
                     let a = f.eval(addr, layout);
                     let old = mem.read(a);
-                    f.results[iid.index()] = old;
+                    f.set_result(iid, old);
                     if old == f.eval(expected, layout) {
                         mem.write(a, f.eval(new, layout));
                     }
@@ -621,22 +669,39 @@ impl Explorer<'_> {
     }
 
     /// Is window entry `p` of thread `ti` ready to execute?
+    ///
+    /// A loop can put several instances of one instruction in the
+    /// window, and they share its one result slot. So an operand is
+    /// pending only while an entry older than its reader defines it, and
+    /// an entry waits while an older entry is another instance of it or
+    /// has yet to read its slot. The oldest entry is always ready.
     fn ready(&self, ti: usize, t: &Thread, p: usize) -> bool {
         let func = self.funcs[ti];
-        let kind = &func.inst(InstId::new(t.window[p] as usize)).kind;
-        let older = || {
-            t.window[..p]
-                .iter()
-                .map(|&q| &func.inst(InstId::new(q as usize)).kind)
-        };
-        let in_window = |v: Value| match v {
-            Value::Inst(d) => t.window.iter().any(|&w| w as usize == d.index()),
+        let kind_of = |q: u32| &func.inst(InstId::new(q as usize)).kind;
+        let me = t.window[p];
+        let kind = kind_of(me);
+        let older = || t.window[..p].iter().map(|&q| kind_of(q));
+        // Is operand `v` of the entry at window position `reader` still
+        // to be computed?
+        let pending = |v: Value, reader: usize| match v {
+            Value::Inst(d) => t.window[..reader].iter().any(|&w| w as usize == d.index()),
             _ => false,
         };
         // Data dependences: all operand definitions executed.
         let mut deps_ok = true;
-        kind.for_each_operand(|v| deps_ok &= !in_window(v));
+        kind.for_each_operand(|v| deps_ok &= !pending(v, p));
         if !deps_ok {
+            return false;
+        }
+        // The result slot: an older instance still writes it, an older
+        // reader still reads it.
+        let mine = Value::Inst(InstId::new(me as usize));
+        let mut slot_busy = false;
+        for &q in &t.window[..p] {
+            slot_busy |= q == me;
+            kind_of(q).for_each_operand(|v| slot_busy |= v == mine);
+        }
+        if slot_busy {
             return false;
         }
         // Oldest-only operations.
@@ -660,15 +725,14 @@ impl Explorer<'_> {
         }
         // Same-address memory ordering.
         if let Some(my_addr) = kind.mem_addr() {
-            if in_window(my_addr) {
-                return false; // address not yet computed (also a data dep)
-            }
             let my = t.frame.eval(my_addr, &self.layout);
-            for qa in older().filter_map(InstKind::mem_addr) {
+            for (j, &q) in t.window[..p].iter().enumerate() {
                 // An unknown earlier address is conservatively a conflict;
                 // a known equal one must stay ordered.
-                if in_window(qa) || t.frame.eval(qa, &self.layout) == my {
-                    return false;
+                if let Some(qa) = kind_of(q).mem_addr() {
+                    if pending(qa, j) || t.frame.eval(qa, &self.layout) == my {
+                        return false;
+                    }
                 }
             }
         }
@@ -718,7 +782,7 @@ pub fn enumerate_bounded(
                 let func = module.func(*f);
                 validate(func);
                 let mut t = Thread {
-                    frame: Frame::new(*f, func, args.clone()),
+                    frame: Frame::new(*f, func, args),
                     done: false,
                     ret: 0,
                     buffer: Buffer::new(),
@@ -731,40 +795,42 @@ pub fn enumerate_bounded(
     };
 
     let mut outcomes = BTreeSet::new();
-    let mut visited: FastSet<Rc<Hashed<State>>> = FastSet::default();
+    let mut visited = Visited::default();
     let mut stack = Vec::new();
     // Hashes a generated state once and drops it if it was seen before.
-    // A new state costs one unit of fuel and one allocation, which the
-    // visited set and the stack share. `false`: the fuel ran out.
-    let mut discover = |state: State, stack: &mut Vec<Rc<Hashed<State>>>| {
-        let node = Hashed::new(state);
-        if visited.contains(&node) {
+    // A new state costs one unit of fuel and is pushed by id. `false`:
+    // the fuel ran out.
+    let mut discover = |state: State, visited: &mut Visited, stack: &mut Vec<u32>| {
+        let hash = hash_of(&state);
+        if visited.contains(hash, &state) {
             return true;
         }
         if *fuel == 0 {
             return false;
         }
         *fuel -= 1;
-        let node = Rc::new(node);
-        visited.insert(Rc::clone(&node));
-        stack.push(node);
+        stack.push(visited.insert(hash, state));
         true
     };
-    if !discover(init, &mut stack) {
+    if !discover(init, &mut visited, &mut stack) {
         return None;
     }
     let mut moves = Vec::new();
-    while let Some(node) = stack.pop() {
-        let state = &node.value;
+    while let Some(id) = stack.pop() {
+        let state = &visited.states[id as usize];
         if state.threads.iter().all(|t| t.value.done) {
             outcomes.insert(state.threads.iter().map(|t| t.value.ret).collect());
             continue;
         }
         ex.moves(state, &mut moves);
+        debug_assert!(
+            !moves.is_empty(),
+            "a state with a running thread has a move"
+        );
         for &m in &moves {
-            let mut next = state.clone();
+            let mut next = visited.states[id as usize].clone();
             ex.apply(&mut next, m);
-            if !discover(next, &mut stack) {
+            if !discover(next, &mut visited, &mut stack) {
                 return None;
             }
         }

@@ -15,7 +15,8 @@
 //! Frames, operand evaluation, the register instructions and the initial
 //! memory image come from the interpreter core shared with
 //! [`crate::litmus`]; this module adds the timed store buffer, faults,
-//! the trace, costs, calls and intrinsics.
+//! the trace, costs, calls and intrinsics, and grows memory on demand
+//! up to the heap's end.
 
 use crate::cost::*;
 use crate::interp::{memory_image, Frame};
@@ -48,7 +49,10 @@ pub struct SimConfig {
     pub mode: MemMode,
     /// Abort after this many instruction steps (livelock guard).
     pub step_limit: u64,
-    /// Heap words available to `alloc`.
+    /// Heap words available to `alloc`; an access at or past the
+    /// heap's end faults. Memory is built on demand: a run holds the
+    /// words up to the highest address it has stored to, so an unused
+    /// heap costs nothing.
     pub heap_words: usize,
     /// Record a memory-access trace (supported in `Sc` mode; used by the
     /// race detector).
@@ -155,7 +159,7 @@ pub struct SimResult {
     pub prints: Vec<(u32, i64)>,
     /// SC-mode access trace (empty unless requested).
     pub trace: Vec<TraceEvent>,
-    mem: Vec<i64>,
+    mem: Memory,
     layout: Layout,
 }
 
@@ -165,7 +169,28 @@ impl SimResult {
         let g = module
             .global_by_name(name)
             .unwrap_or_else(|| panic!("no global named {name}"));
-        self.mem[(self.layout.addr(g, offset)) as usize]
+        self.mem.read(self.layout.addr(g, offset))
+    }
+}
+
+/// Shared memory: the module's global image, grown on demand as stores
+/// land above it, up to the end of the heap. A word never written reads
+/// 0, so a run pays for the words it touches, not for the whole heap.
+/// Callers check every address against the heap's end first.
+#[derive(Clone, Debug)]
+struct Memory(Vec<i64>);
+
+impl Memory {
+    fn read(&self, addr: i64) -> i64 {
+        self.0.get(addr as usize).copied().unwrap_or(0)
+    }
+
+    fn write(&mut self, addr: i64, val: i64) {
+        let i = addr as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] = val;
     }
 }
 
@@ -220,7 +245,7 @@ impl<'m> Simulator<'m> {
 
     /// A fresh frame for `func`, or the error for a declared-but-undefined
     /// function.
-    fn frame(&self, func: FuncId, args: Vec<i64>) -> Result<Frame, SimError> {
+    fn frame(&self, func: FuncId, args: &[i64]) -> Result<Frame, SimError> {
         let f = self.module.func(func);
         if f.blocks.is_empty() || f.blocks[f.entry.index()].insts.is_empty() {
             return Err(SimError::UndefinedFunction(f.name.clone()));
@@ -241,7 +266,7 @@ impl<'m> Simulator<'m> {
 
 struct RunState<'m, 's> {
     sim: &'s Simulator<'m>,
-    mem: Vec<i64>,
+    mem: Memory,
     heap_next: i64,
     heap_end: i64,
     threads: Vec<Thread>,
@@ -259,7 +284,7 @@ impl<'m, 's> RunState<'m, 's> {
         let mut ts = Vec::with_capacity(threads.len());
         for spec in threads {
             ts.push(Thread {
-                frames: vec![sim.frame(spec.func, spec.args.clone())?],
+                frames: vec![sim.frame(spec.func, &spec.args)?],
                 clock: 0,
                 done: false,
                 retval: 0,
@@ -269,7 +294,12 @@ impl<'m, 's> RunState<'m, 's> {
         }
         Ok(RunState {
             sim,
-            mem: memory_image(sim.module, &sim.layout, 0, heap_end),
+            mem: Memory(memory_image(
+                sim.module,
+                &sim.layout,
+                0,
+                sim.layout.heap_start,
+            )),
             heap_next: sim.layout.heap_start,
             heap_end,
             threads: ts,
@@ -322,7 +352,7 @@ impl<'m, 's> RunState<'m, 's> {
             match best {
                 Some((_, i)) => {
                     let e = self.threads[i].buffer.pop_front().expect("non-empty");
-                    self.mem[e.addr as usize] = e.val;
+                    self.mem.write(e.addr, e.val);
                 }
                 None => return,
             }
@@ -336,7 +366,7 @@ impl<'m, 's> RunState<'m, 's> {
         let mut last = t.clock;
         while let Some(e) = t.buffer.pop_front() {
             last = last.max(e.retire);
-            self.mem[e.addr as usize] = e.val;
+            self.mem.write(e.addr, e.val);
         }
         last
     }
@@ -405,7 +435,7 @@ impl<'m, 's> RunState<'m, 's> {
                 let addr = self.heap_next;
                 self.heap_next += w;
                 let f = frame!();
-                f.results[inst_id.index()] = addr;
+                f.set_result(inst_id, addr);
                 f.idx += 1;
                 self.threads[tid].clock += COST_ALU;
             }
@@ -425,9 +455,9 @@ impl<'m, 's> RunState<'m, 's> {
                         }
                     }
                 }
-                let v = val.unwrap_or(self.mem[a as usize]);
+                let v = val.unwrap_or(self.mem.read(a));
                 let f = frame!();
-                f.results[inst_id.index()] = v;
+                f.set_result(inst_id, v);
                 f.idx += 1;
                 self.threads[tid].clock += cost;
             }
@@ -456,7 +486,7 @@ impl<'m, 's> RunState<'m, 's> {
                     t.clock += COST_STORE_ISSUE;
                 } else {
                     self.record(tid, TraceEventKind::Write, a, 0);
-                    self.mem[a as usize] = v;
+                    self.mem.write(a, v);
                     self.threads[tid].clock += COST_STORE_ISSUE;
                 }
                 frame!().idx += 1;
@@ -485,11 +515,11 @@ impl<'m, 's> RunState<'m, 's> {
                 let drained = self.drain_own(tid);
                 let t = &mut self.threads[tid];
                 t.clock = t.clock.max(drained) + COST_RMW;
-                let old = self.mem[a as usize];
-                self.mem[a as usize] = op.eval(old, v);
+                let old = self.mem.read(a);
+                self.mem.write(a, op.eval(old, v));
                 self.atomic_ops += 1;
                 let f = frame!();
-                f.results[inst_id.index()] = old;
+                f.set_result(inst_id, old);
                 f.idx += 1;
             }
             InstKind::AtomicCas {
@@ -505,22 +535,22 @@ impl<'m, 's> RunState<'m, 's> {
                 let drained = self.drain_own(tid);
                 let t = &mut self.threads[tid];
                 t.clock = t.clock.max(drained) + COST_RMW;
-                let old = self.mem[a as usize];
+                let old = self.mem.read(a);
                 if old == exp {
                     self.record(tid, TraceEventKind::Write, a, 0);
-                    self.mem[a as usize] = newv;
+                    self.mem.write(a, newv);
                 }
                 self.atomic_ops += 1;
                 let f = frame!();
-                f.results[inst_id.index()] = old;
+                f.set_result(inst_id, old);
                 f.idx += 1;
             }
             InstKind::CallIntrinsic { intr, ref args } => {
                 self.step_intrinsic(tid, inst_id, intr, args)?;
             }
             InstKind::Call { callee, ref args } => {
-                let argv = args.iter().map(|&a| ev!(a)).collect();
-                let nf = sim.frame(callee, argv)?;
+                let argv: Vec<i64> = args.iter().map(|&a| ev!(a)).collect();
+                let nf = sim.frame(callee, &argv)?;
                 self.threads[tid].frames.push(nf);
                 self.threads[tid].clock += COST_CALL;
             }
@@ -545,7 +575,7 @@ impl<'m, 's> RunState<'m, 's> {
                     Some(caller) => {
                         // The caller's pc still points at the call.
                         let call_inst = caller.pc(module.func(caller.func));
-                        caller.results[call_inst.index()] = rv;
+                        caller.set_result(call_inst, rv);
                         caller.idx += 1;
                         t.clock += COST_CALL;
                     }
@@ -579,14 +609,14 @@ impl<'m, 's> RunState<'m, 's> {
         match intr {
             Intrinsic::ThreadId => {
                 let f = self.threads[tid].frames.last_mut().expect("frame");
-                f.results[inst_id.index()] = tid as i64;
+                f.set_result(inst_id, tid as i64);
                 f.idx += 1;
                 self.threads[tid].clock += COST_ALU;
             }
             Intrinsic::NumThreads => {
                 let n = self.threads.len() as i64;
                 let f = self.threads[tid].frames.last_mut().expect("frame");
-                f.results[inst_id.index()] = n;
+                f.set_result(inst_id, n);
                 f.idx += 1;
                 self.threads[tid].clock += COST_ALU;
             }
@@ -599,7 +629,7 @@ impl<'m, 's> RunState<'m, 's> {
             Intrinsic::LockAcquire => {
                 let a = evx(self, 0);
                 self.check_addr(tid, a)?;
-                if self.mem[a as usize] != 0 {
+                if self.mem.read(a) != 0 {
                     // Spin (test-and-test-and-set fast path).
                     self.threads[tid].clock += COST_SPIN_RETRY;
                     return Ok(());
@@ -607,7 +637,7 @@ impl<'m, 's> RunState<'m, 's> {
                 let drained = self.drain_own(tid);
                 let t = &mut self.threads[tid];
                 t.clock = t.clock.max(drained) + COST_RMW;
-                self.mem[a as usize] = 1 + tid as i64;
+                self.mem.write(a, 1 + tid as i64);
                 self.atomic_ops += 1;
                 self.record(tid, TraceEventKind::LockAcquire, a, 0);
                 self.threads[tid].frames.last_mut().expect("frame").idx += 1;
@@ -621,7 +651,7 @@ impl<'m, 's> RunState<'m, 's> {
                 let t = &mut self.threads[tid];
                 t.clock = t.clock.max(drained) + COST_STORE_ISSUE;
                 self.record(tid, TraceEventKind::LockRelease, a, 0);
-                self.mem[a as usize] = 0;
+                self.mem.write(a, 0);
                 self.threads[tid].frames.last_mut().expect("frame").idx += 1;
             }
             Intrinsic::BarrierWait => {
@@ -979,6 +1009,64 @@ mod tests {
             }])
             .unwrap_err();
         assert!(matches!(e, SimError::Fault { addr: 0, .. }));
+    }
+
+    /// Memory is built on demand up to the heap's end: a heap word never
+    /// written reads 0, the last heap word holds a store, `alloc` hands
+    /// out words that read 0, and the first word past the heap faults.
+    #[test]
+    fn memory_is_built_on_demand() {
+        let heap_words = 64;
+        let mut mb = ModuleBuilder::new("m");
+        let g = mb.global_init("g", 2, vec![5, 6]);
+        let heap_start = Layout::GUARD + 2;
+        let heap_end = heap_start + heap_words;
+        let mut fb = FunctionBuilder::new("main", 0);
+        let g1 = fb.gep(g, 1i64);
+        let init = fb.load(g1);
+        fb.intrinsic(Intrinsic::Print, vec![init]);
+        let untouched = fb.load(heap_start + 10);
+        fb.intrinsic(Intrinsic::Print, vec![untouched]);
+        fb.store(heap_end - 1, 9i64);
+        let top = fb.load(heap_end - 1);
+        fb.intrinsic(Intrinsic::Print, vec![top]);
+        let block = fb.alloc(4i64);
+        for i in 0..4 {
+            let p = fb.gep(block, i);
+            let fresh = fb.load(p);
+            fb.intrinsic(Intrinsic::Print, vec![fresh]);
+        }
+        fb.ret(Some(block));
+        let main = mb.add_func(fb.build());
+        let mut fb = FunctionBuilder::new("past_the_end", 1);
+        fb.store(Value::Arg(0), 1i64);
+        fb.ret(None);
+        let past = mb.add_func(fb.build());
+        let m = mb.finish();
+        for mode in [MemMode::Sc, MemMode::Tso] {
+            let sim = Simulator::with_config(
+                &m,
+                SimConfig {
+                    mode,
+                    heap_words: heap_words as usize,
+                    ..Default::default()
+                },
+            );
+            let spec = |func, args| [ThreadSpec { func, args }];
+            let r = sim.run(&spec(main, vec![])).expect("in bounds");
+            let printed: Vec<i64> = r.prints.iter().map(|&(_, v)| v).collect();
+            assert_eq!(printed, [6, 0, 9, 0, 0, 0, 0], "{mode:?}");
+            assert_eq!(r.retvals, [heap_start], "{mode:?}");
+            assert_eq!(r.read_global(&m, "g", 0), 5, "{mode:?}");
+            let r = sim
+                .run(&spec(past, vec![heap_end - 1]))
+                .expect("last heap word");
+            assert_eq!(r.retvals, [0], "{mode:?}");
+            for addr in [heap_end, 1 << 40] {
+                let e = sim.run(&spec(past, vec![addr])).unwrap_err();
+                assert_eq!(e, SimError::Fault { tid: 0, addr }, "{mode:?}");
+            }
+        }
     }
 
     /// Step limit guards against livelock.

@@ -11,6 +11,11 @@
 #   * the same programs certified (`--certify --certify-states 50000`)
 #     under `Control:x86tso` and `Control:weak`;
 #   * the same programs and configs under `--budget 200`;
+#   * `corpus:Matrix` + `corpus:Canneal` certified under
+#     `Control:x86tso` and `Control:weak` at the default budget (400,000
+#     states), since the 50,000-state run stops both early: the one run
+#     whose passes explore hundreds of thousands of states (1-3 s per
+#     binary on 2 vCPUs);
 #   * a `pack:` of the Table II kernels as `dump_ir` prints them plus one
 #     malformed module, beside a `file:` that does not exist, with no
 #     window and with `--window 3`.
@@ -116,6 +121,8 @@ compare window3-seq no "${programs[@]}" "${configs[@]}" --window 3 --seq
 compare seq no "${programs[@]}" "${configs[@]}" --seq
 compare certify no "${programs[@]}" --config Control:x86tso --config Control:weak \
   --certify --certify-states 50000
+compare certify-deep no --program corpus:Matrix --program corpus:Canneal \
+  --config Control:x86tso --config Control:weak --certify
 compare budget200 no "${programs[@]}" "${configs[@]}" --budget 200
 compare pack no --program "pack:$pack" --program "file:$work/missing.ir" "${configs[@]}"
 compare pack-window3 yes --program "pack:$pack" --program "file:$work/missing.ir" \

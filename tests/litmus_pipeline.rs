@@ -9,15 +9,19 @@
 //! so the `Control` variant detects them and the placement is the
 //! pipeline's own — no hand-placed fences anywhere.
 //!
-//! The last test links `memsim`'s two front ends: every outcome of a
+//! One test links `memsim`'s two front ends: every outcome of a
 //! deterministic timing-simulator run must be in the litmus
-//! enumerator's exhaustive set for the same model.
+//! enumerator's exhaustive set for the same model. The last two run a
+//! loop deep enough that the explorer revisits states far into a pass.
 
 use corpus::arbitrary::{build_sync, sync_grid, SyncIdiom, SyncShape};
+use corpus::Params;
 use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
 use fence_ir::{FuncId, Module};
 use fenceplace::{run_pipeline, PipelineConfig, TargetModel, Variant};
-use memsim::{enumerate, LitmusModel, MemMode, SimConfig, Simulator, ThreadSpec};
+use memsim::{
+    enumerate, enumerate_bounded, LitmusModel, MemMode, SimConfig, Simulator, ThreadSpec,
+};
 use std::collections::BTreeSet;
 
 const WEAK: LitmusModel = LitmusModel::Weak { window: 4 };
@@ -231,4 +235,68 @@ fn simulator_outcomes_are_enumerated() {
         compared, 288,
         "18 shapes × 2 placements × 4 pairs × 2 models"
     );
+}
+
+/// Canneal's `sum_locations` at `Params { threads: 4, scale: 8 }`: a
+/// 32-iteration loop that loads every word of `loc` into a local sum.
+fn sum_locations() -> (Module, FuncId) {
+    let params = Params {
+        threads: 4,
+        scale: 8,
+    };
+    let canneal = corpus::lockfree::all(&params)
+        .into_iter()
+        .find(|p| p.name == "Canneal")
+        .expect("Canneal is a lock-free program");
+    let f = canneal
+        .module
+        .func_by_name("sum_locations")
+        .expect("Canneal has sum_locations");
+    (canneal.module, f)
+}
+
+/// The distinct states of one unbounded pass, and its outcomes.
+fn explore(
+    module: &Module,
+    threads: &[(FuncId, Vec<i64>)],
+    model: LitmusModel,
+) -> (u64, BTreeSet<Vec<i64>>) {
+    let mut fuel = u64::MAX;
+    let set = enumerate_bounded(module, threads, model, &mut fuel).expect("unbounded fuel");
+    (u64::MAX - fuel, set)
+}
+
+/// Equal states merge however deep in a pass they are reached. The
+/// `sum_locations` self-pair interleaves two 32-iteration loops, and
+/// the certification goldens cannot see a merge lost that deep: Matrix
+/// and Canneal stop at their 4,000-state budget. The function never
+/// stores, so TSO reaches the SC states exactly.
+#[test]
+fn a_deep_pass_merges_every_equal_state() {
+    let (m, f) = sum_locations();
+    let pair = [(f, Vec::new()), (f, Vec::new())];
+    for model in [LitmusModel::Sc, LitmusModel::Tso] {
+        let (states, set) = explore(&m, &pair, model);
+        assert_eq!(states, 24_401, "distinct states under {model:?}");
+        assert_eq!(set.len(), 1, "{model:?}: {set:?}");
+    }
+}
+
+/// The weak window never strands a thread. A loop puts several
+/// instances of one instruction in the window at once; each must wait
+/// only for older entries, so the oldest entry can always execute and
+/// every pass ends in outcomes. One and two `sum_locations` threads
+/// reach exactly their SC outcomes under every window size.
+#[test]
+fn the_weak_window_completes_every_loop() {
+    let (m, f) = sum_locations();
+    for threads in [1, 2] {
+        let group = vec![(f, Vec::new()); threads];
+        let (_, sc) = explore(&m, &group, LitmusModel::Sc);
+        assert_eq!(sc.len(), 1, "{threads} thread(s): {sc:?}");
+        for window in [2, 4, 8] {
+            let (_, weak) = explore(&m, &group, LitmusModel::Weak { window });
+            assert_eq!(weak, sc, "{threads} thread(s), window {window}");
+        }
+    }
 }
